@@ -10,8 +10,19 @@ humans but are rarely retweeted, especially by other bots:
 
 Marginals come from sum-product message passing in the log domain:
 exact two-direction flooding on forests, damped flooding with a fixed
-iteration cap on loopy graphs.  An exhaustive enumeration oracle covers
-networks small enough to sum over all labelings.
+iteration cap on loopy graphs.  An exhaustive enumeration oracle, built
+from the raw edges, covers networks small enough to sum over all labelings.
+
+The kernel works on whole arrays.  One ``np.unique`` merges parallel and
+mutual retweets into one factor per unordered pair, and one
+``np.bincount`` per table entry sums their potentials.  Each sweep
+gathers the messages into every node with one ``np.bincount`` per label,
+and a graph is a forest when its merged pairs number nodes minus
+connected components.  Every sum adds its terms in edge order starting
+from zero, and ``_logaddexp`` repeats ``scipy.special.logsumexp``'s
+two-term arithmetic step for step, so the posteriors are bit-for-bit those
+of an edge-by-edge loop with ``logsumexp``, and written outputs stay
+byte-identical.
 
 A property of the default table worth knowing: every pairwise column
 favors H, so no amount of interaction raises an account above the prior —
@@ -26,9 +37,11 @@ cross thresholds like 0.8; all four entries are plain config settings.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.special import expit, logsumexp
 
 from .graph import DirectedGraph
@@ -36,6 +49,7 @@ from .graph import DirectedGraph
 log = logging.getLogger(__name__)
 
 H, B = 0, 1
+_LOG2 = np.log(2.0)  # scipy's log(m) for two tied terms
 
 
 @dataclass(frozen=True)
@@ -67,6 +81,10 @@ class FactorGraphParams:
             np.array([[self.psi_hh, self.psi_hb], [self.psi_bh, self.psi_bb]])
         )
 
+    def log_prior(self) -> np.ndarray:
+        """log P(x) indexed by label, H=0, B=1."""
+        return np.log(np.array([1.0 - self.prior_bot, self.prior_bot]))
+
 
 @dataclass
 class BotPosterior:
@@ -76,41 +94,58 @@ class BotPosterior:
     iterations: int
 
 
-class _PairwiseField:
-    """Merged pairwise log-potentials over unordered node pairs."""
+def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise log(exp(a) + exp(b)), rounded exactly as scipy's logsumexp.
 
-    def __init__(self, graph: DirectedGraph, params: FactorGraphParams):
-        graph.freeze()
-        self.n = graph.node_count
-        logpsi = params.log_table()
-        merged: dict[tuple[int, int], np.ndarray] = {}
-        src, tgt, w = graph.edge_arrays()
-        for e in range(len(src)):
-            u, v = int(src[e]), int(tgt[e])
-            capped = min(float(w[e]), params.weight_cap)
-            a, b = (u, v) if u < v else (v, u)
-            pot = merged.setdefault((a, b), np.zeros((2, 2)))
-            # orient the table as [x_a, x_b]
-            pot += capped * (logpsi if (u, v) == (a, b) else logpsi.T)
-        self.pairs = np.array(sorted(merged), dtype=np.int64).reshape(-1, 2)
-        self.logm = np.array([merged[tuple(p)] for p in self.pairs]).reshape(-1, 2, 2)
-        self.log_prior = np.log(np.array([1.0 - params.prior_bot, params.prior_bot]))
+    scipy returns log1p(sum of the terms below the max, each shifted by
+    it) + log(count of terms equal to the max) + max.  For two terms that
+    is log1p(exp(min - max)) + max, or log(2) + max on a tie (adding
+    log(1) = 0 changes no bit).  ``np.logaddexp`` differs by an ulp on
+    about one message update in a hundred, which is enough to change
+    written posteriors.
+    """
+    mx = np.maximum(a, b)
+    out = np.log1p(np.exp(np.minimum(a, b) - mx))
+    out[a == b] = _LOG2
+    out += mx
+    return out
 
-    def is_forest(self) -> bool:
-        parent = list(range(self.n))
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+def _merged_pairs(
+    graph: DirectedGraph, params: FactorGraphParams
+) -> tuple[np.ndarray, np.ndarray, list[list[np.ndarray]]]:
+    """Unordered node pairs (a < b) and their summed log-potentials.
 
-        for a, b in self.pairs:
-            ra, rb = find(int(a)), find(int(b))
-            if ra == rb:
-                return False
-            parent[ra] = rb
-        return True
+    Returns (a, b, logm) with ``logm[xa][xb]`` one array over pairs.  Every
+    bin sums its edges from 0 in (source, target) order, so a mutual
+    retweet pair adds up exactly as edge-by-edge accumulation would.
+    """
+    src, tgt, w = graph.edge_arrays()
+    n = graph.node_count
+    keys, inverse = np.unique(
+        np.minimum(src, tgt) * n + np.maximum(src, tgt), return_inverse=True
+    )
+    capped = np.minimum(w, params.weight_cap)
+    forward = src < tgt
+    logpsi = params.log_table()
+    logm = [
+        [
+            np.bincount(
+                inverse, weights=capped * np.where(forward, logpsi[xa, xb], logpsi[xb, xa])
+            )
+            for xb in (H, B)
+        ]
+        for xa in (H, B)
+    ]
+    return keys // n, keys % n, logm
+
+
+def _gather(index: np.ndarray, n: int, prior: float, values: np.ndarray) -> np.ndarray:
+    """Per-node ``prior + sum(values[k] for index[k] == node)``, summed in input order."""
+    weights = np.empty(n + len(values))
+    weights[:n] = prior
+    weights[n:] = values
+    return np.bincount(index, weights=weights, minlength=n)
 
 
 def infer_bot_probabilities(
@@ -123,27 +158,33 @@ def infer_bot_probabilities(
     returned with ``converged=False``.
     """
     params = params or FactorGraphParams()
-    fieldm = _PairwiseField(graph, params)
-    n, pairs, logm = fieldm.n, fieldm.pairs, fieldm.logm
-    prior = fieldm.log_prior
+    n = graph.node_count
+    a, b, logm = _merged_pairs(graph, params)
+    prior = params.log_prior()
 
-    if len(pairs) == 0:
+    p = len(a)
+    if p == 0:
         return BotPosterior(
-            marginals={graph.label(i): float(params.prior_bot) for i in range(n)},
+            marginals={label: float(params.prior_bot) for label in graph.labels},
             converged=True,
             residual=0.0,
             iterations=0,
         )
 
-    p = len(pairs)
     # message k < p is a->b, message p + k is b->a
-    msg_src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    msg_dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    msg_pot = np.concatenate([logm, logm.transpose(0, 2, 1)])  # [x_src, x_dst]
+    msg_src = np.concatenate([a, b])
+    msg_dst = np.concatenate([b, a])
+    index = np.concatenate([np.arange(n), msg_dst])
+    # pot[xs][xd]: log-potential of each message, source label xs, destination label xd
+    pot = [[np.concatenate([logm[xs][xd], logm[xd][xs]]) for xd in (H, B)] for xs in (H, B)]
     reverse = np.concatenate([np.arange(p, 2 * p), np.arange(0, p)])
-    msg = np.zeros((2 * p, 2))  # log-uniform
+    msg = np.zeros((2, 2 * p))  # [label, message], log-uniform
+    exp_msg = np.ones((2, 2 * p))
 
-    forest = fieldm.is_forest()
+    n_components, _ = connected_components(
+        coo_matrix((np.ones(p), (a, b)), shape=(n, n)), directed=False
+    )
+    forest = p == n - n_components
     damping = 0.0 if forest else params.damping
     # a forest settles once messages have flooded its diameter; the threshold
     # only needs to sit above ulp-level limit cycles
@@ -154,16 +195,22 @@ def infer_bot_probabilities(
     residual = np.inf
     iterations = 0
     for iteration in range(1, max_iters + 1):
-        node_in = np.repeat(prior[None, :], n, axis=0)
-        np.add.at(node_in, msg_dst, msg)
-        excl = node_in[msg_src] - msg[reverse]
-        new = logsumexp(excl[:, :, None] + msg_pot, axis=1)
-        new -= logsumexp(new, axis=1, keepdims=True)
+        excl = [
+            _gather(index, n, prior[x], msg[x])[msg_src] - msg[x][reverse] for x in (H, B)
+        ]
+        new = np.array(
+            [
+                _logaddexp(excl[H] + pot[H][xd], excl[B] + pot[B][xd])
+                for xd in (H, B)
+            ]
+        )
+        new -= _logaddexp(new[H], new[B])
         if damping > 0.0:
             new = damping * msg + (1.0 - damping) * new
-            new -= logsumexp(new, axis=1, keepdims=True)
-        residual = float(np.max(np.abs(np.exp(new) - np.exp(msg))))
-        msg = new
+            new -= _logaddexp(new[H], new[B])
+        exp_new = np.exp(new)
+        residual = float(np.max(np.abs(exp_new - exp_msg)))
+        msg, exp_msg = new, exp_new
         iterations = iteration
         if residual <= tol:
             converged = True
@@ -175,15 +222,13 @@ def infer_bot_probabilities(
             iterations,
         )
 
-    belief = np.repeat(prior[None, :], n, axis=0)
-    np.add.at(belief, msg_dst, msg)
+    belief = [_gather(index, n, prior[x], msg[x]) for x in (H, B)]
     # logit form keeps symmetric beliefs at exactly 1/2
-    prob_b = expit(belief[:, B] - belief[:, H])
-    degree = np.zeros(n, dtype=np.int64)
-    np.add.at(degree, pairs.ravel(), 1)
+    prob_b = expit(belief[B] - belief[H])
+    degree = np.bincount(msg_dst, minlength=n)
     prob_b[degree == 0] = params.prior_bot  # isolated accounts keep the exact prior
     return BotPosterior(
-        marginals={graph.label(i): float(prob_b[i]) for i in range(n)},
+        marginals=dict(zip(graph.labels, prob_b.tolist())),
         converged=converged,
         residual=residual,
         iterations=iterations,
@@ -198,11 +243,12 @@ def exhaustive_oracle(
 ) -> dict[str, float]:
     """Exact marginals by summing the joint over all 2^n labelings.
 
-    Rejects networks above MAX_EXHAUSTIVE_NODES nodes.
+    Works from the raw edges, independently of the pair merge that
+    belief propagation uses.  Rejects networks above MAX_EXHAUSTIVE_NODES
+    nodes.
     """
     params = params or FactorGraphParams()
-    fieldm = _PairwiseField(graph, params)
-    n = fieldm.n
+    n = graph.node_count
     if n > MAX_EXHAUSTIVE_NODES:
         raise ValueError(f"exhaustive enumeration limited to {MAX_EXHAUSTIVE_NODES} nodes")
     if n == 0:
@@ -210,10 +256,13 @@ def exhaustive_oracle(
     states = 1 << n
     labels = (np.arange(states)[:, None] >> np.arange(n)[None, :]) & 1  # (states, n)
     bot_count = labels.sum(axis=1)
-    logw = bot_count * fieldm.log_prior[B] + (n - bot_count) * fieldm.log_prior[H]
+    log_prior = params.log_prior()
+    logw = bot_count * log_prior[B] + (n - bot_count) * log_prior[H]
     logw = logw.astype(np.float64)
-    for k, (a, b) in enumerate(fieldm.pairs):
-        logw += fieldm.logm[k][labels[:, int(a)], labels[:, int(b)]]
+    logpsi = params.log_table()
+    src, tgt, w = graph.edge_arrays()
+    for u, v, wt in zip(src.tolist(), tgt.tolist(), w.tolist()):
+        logw += min(wt, params.weight_cap) * logpsi[labels[:, u], labels[:, v]]
     total = logsumexp(logw)
     out: dict[str, float] = {}
     for i in range(n):

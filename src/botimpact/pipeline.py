@@ -155,15 +155,39 @@ def stage_build(cfg: PipelineConfig) -> dict:
 
 
 def _retweet_paths(out_dir: Path) -> list[Path]:
-    return sorted(out_dir.glob("retweet_*.tsv"))
+    """The daily retweet networks the last build listed, checksums verified.
+
+    Files left behind by an earlier build into the same directory are not
+    listed, so they are never read.
+    """
+    manifest_path = out_dir / "manifest.json"
+    if not manifest_path.exists():
+        raise StageError(f"{manifest_path} missing; rerun build")
+    try:
+        build = json.loads(manifest_path.read_text(encoding="utf-8")).get("build")
+    except json.JSONDecodeError as exc:
+        raise StageError(f"{manifest_path} unreadable ({exc}); rerun build") from None
+    if build is None:
+        raise StageError(f"{manifest_path} has no build entry; rerun build")
+    paths = []
+    for name, digest in sorted(build.get("checksums", {}).items()):
+        if not (name.startswith("retweet_") and name.endswith(".tsv")):
+            continue
+        path = out_dir / name
+        if not path.exists():
+            raise StageError(f"{path} missing; rerun build")
+        if _sha256(path) != digest:
+            raise StageError(f"{path} changed since build; rerun build")
+        paths.append(path)
+    if not paths:
+        raise StageError(f"{manifest_path} lists no daily retweet networks; rerun build")
+    return paths
 
 
 def stage_detect(cfg: PipelineConfig) -> dict:
     """Daily factor-graph inference, threshold, and cross-day union."""
     out_dir = Path(cfg.out_dir)
     day_paths = _retweet_paths(out_dir)
-    if not day_paths:
-        raise StageError(f"no daily retweet networks under {out_dir}; run build first")
     params = botdetect.FactorGraphParams(
         prior_bot=cfg.bp_prior_bot,
         psi_hh=cfg.bp_psi_hh,

@@ -32,10 +32,13 @@ def _random_forest(seed: int, max_nodes: int = 12) -> DirectedGraph:
             continue
         parent = int(rng.integers(0, i))
         w = float(rng.integers(1, 6))
+        u, v = f"n{parent}", f"n{i}"
         if rng.random() < 0.5:
-            g.add_interaction(f"n{parent}", f"n{i}", w)
-        else:
-            g.add_interaction(f"n{i}", f"n{parent}", w)
+            u, v = v, u
+        g.add_interaction(u, v, w)
+        if rng.random() < 0.3:
+            # a reciprocal retweet merges into the same factor: still a forest
+            g.add_interaction(v, u, float(rng.integers(1, 6)))
     return g
 
 

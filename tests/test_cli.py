@@ -126,6 +126,33 @@ def test_stage_order_enforced(tmp_path, runner, corpus):
     assert result.exit_code == 3  # build outputs missing
 
 
+def test_detect_reads_only_the_days_build_listed(tmp_path, runner):
+    out = tmp_path / "out"
+    for days in (5, 2):
+        spec = _write_spec(tmp_path / f"spec{days}.txt", days=days)
+        corpus = tmp_path / f"corpus{days}"
+        assert _run(runner, ["--out", str(corpus), "synth", "--spec", str(spec)]).exit_code == 0
+        cfg = _write_config(tmp_path / f"cfg{days}.txt", corpus, out)
+        for cmd in ("build", "detect-bots"):
+            result = _run(runner, ["--config", str(cfg), cmd])
+            assert result.exit_code == 0, f"{cmd}: {result.output}"
+    assert len(list(out.glob("retweet_*.tsv"))) == 5  # the 5-day build's files remain
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["build"]["days"] == 2
+    assert manifest["detect"]["days"] == 2
+    days = [n[len("retweet_"):-len(".tsv")] for n in manifest["build"]["checksums"]
+            if n.startswith("retweet_")]
+    posteriors = [n for n in manifest["detect"]["checksums"] if n.startswith("posterior_")]
+    assert sorted(posteriors) == sorted(f"posterior_{day}.csv" for day in days)
+
+    listed = next(n for n in sorted(manifest["build"]["checksums"]) if n.startswith("retweet_"))
+    with open(out / listed, "a", encoding="utf-8") as fh:
+        fh.write("intruder\n")
+    result = runner.invoke(main, ["--config", str(cfg), "detect-bots"])
+    assert result.exit_code == 3
+    assert "rerun build" in result.output
+
+
 def test_invalid_synth_spec_exits_2(tmp_path, runner):
     spec = tmp_path / "spec.txt"
     spec.write_text("topology = mars_colony\n")
