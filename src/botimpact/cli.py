@@ -139,14 +139,17 @@ def synth_cmd(ctx: click.Context, spec_path) -> None:
 @click.pass_context
 def report_cmd(ctx: click.Context) -> None:
     """Write the consolidated text report from available stage outputs."""
-    cfg = _load_config(ctx)
-    text = report.build_report(cfg)
-    out_path = Path(cfg.out_dir) / "report.txt"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out_path.with_name(out_path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(out_path)
-    click.echo(text)
+
+    def _write_report(cfg: PipelineConfig) -> str:
+        text = report.build_report(cfg)
+        out_path = Path(cfg.out_dir) / "report.txt"
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = out_path.with_name(out_path.name + ".tmp")
+        tmp.write_text(text, encoding="utf-8")
+        tmp.replace(out_path)
+        return text
+
+    click.echo(_run_stage(ctx, _write_report))
 
 
 if __name__ == "__main__":

@@ -11,6 +11,10 @@ to their measured opinion (the removed-network preprocess reclassifies them
 stubborn at that value); they stay in the average at that value, which is
 what makes the centrality reflect how far S had pulled its audience.  The
 count of such reverted nodes is reported on the result.
+
+The full solve does not depend on S, so a daily series solves each day's
+network once and shares it across the groups.  Each removal masks the day's
+edge arrays, rates and opinions, which are built once per day.
 """
 
 from __future__ import annotations
@@ -63,19 +67,53 @@ def _network_inputs(
     opinions: Mapping[str, float],
 ) -> tuple[np.ndarray, dict[int, float], np.ndarray]:
     """Index-aligned rate vector, stubborn map, measured opinions for a graph."""
-    n = graph.node_count
-    lam = np.zeros(n)
-    measured = np.full(n, 0.5)
-    psi: dict[int, float] = {}
-    for i in range(n):
-        account = graph.label(i)
-        lam[i] = rates.get(account, 0.0)
-        if account in opinions:
-            measured[i] = opinions[account]
-        fixed = assignment.psi.get(account)
-        if fixed is not None:
-            psi[i] = fixed
-    return lam, psi, measured
+    labels = graph.labels
+    psi = {i: assignment.psi[a] for i, a in enumerate(labels) if a in assignment.psi}
+    lam = np.array([rates.get(a, 0.0) for a in labels], dtype=np.float64)
+    return lam, psi, np.array([opinions.get(a, 0.5) for a in labels], dtype=np.float64)
+
+
+def _solve(graph: DirectedGraph, inputs: tuple, settings: SolveSettings) -> tuple:
+    """Every node's equilibrium opinion (fixed or solved), and which were solved for."""
+    eq = solve_network(
+        graph, *inputs,
+        tol=settings.tol, max_iter=settings.max_iter, dense_cutoff=settings.dense_cutoff,
+    )
+    opinion = np.empty(graph.node_count)
+    opinion[list(eq.psi)] = list(eq.psi.values())
+    opinion[list(eq.theta)] = list(eq.theta.values())
+    solved = np.zeros(graph.node_count, dtype=bool)
+    solved[list(eq.theta)] = True
+    return opinion, solved
+
+
+def _removal_ghic(
+    graph: DirectedGraph, inputs: tuple, full: tuple, targets: frozenset[str],
+    settings: SolveSettings,
+) -> GhicResult:
+    """GHIC of ``targets``, given the network's inputs and its solved equilibrium."""
+    keep = np.ones(graph.node_count, dtype=bool)
+    keep[[graph.index(t) for t in targets]] = False
+    opinion, solved = full
+    population = np.flatnonzero(solved & keep)
+    if not population.size:
+        raise ValueError("no non-stubborn nodes outside the target set")
+    if not targets:
+        return GhicResult(targets, 0.0, population.size, 0)
+
+    # the removed network: the same arrays, masked and reindexed
+    position = np.cumsum(keep) - 1
+    lam, psi, measured = inputs
+    reduced = graph.induced_subgraph([graph.label(i) for i in np.flatnonzero(keep)])
+    psi_r = {int(position[i]): value for i, value in psi.items() if keep[i]}
+    after, after_solved = _solve(reduced, (lam[keep], psi_r, measured[keep]), settings)
+    rows = position[population]
+    # nodes reclassified on the reduced network revert to their measured opinion
+    reverted = int(np.count_nonzero(~after_solved[rows]))
+    diff_sum = 0.0
+    for diff in (opinion[population] - after[rows]).tolist():
+        diff_sum += diff  # left to right in node order; np.sum would round differently
+    return GhicResult(targets, diff_sum / population.size, population.size, reverted)
 
 
 def ghic(
@@ -99,40 +137,8 @@ def ghic(
     unknown = [t for t in targets if t not in graph]
     if unknown:
         raise ValueError(f"target accounts not in network: {sorted(unknown)[:5]}")
-
-    lam, psi, measured = _network_inputs(graph, rates, assignment, opinions)
-    full = solve_network(
-        graph, lam, psi, measured,
-        tol=settings.tol, max_iter=settings.max_iter, dense_cutoff=settings.dense_cutoff,
-    )
-    population = [
-        i for i in full.theta if graph.label(i) not in targets
-    ]
-    if not population:
-        raise ValueError("no non-stubborn nodes outside the target set")
-    if not targets:
-        return GhicResult(targets, 0.0, len(population), 0)
-
-    keep = [graph.label(i) for i in range(graph.node_count) if graph.label(i) not in targets]
-    reduced = graph.induced_subgraph(keep)
-    lam_r, psi_r, measured_r = _network_inputs(reduced, rates, assignment, opinions)
-    removed = solve_network(
-        reduced, lam_r, psi_r, measured_r,
-        tol=settings.tol, max_iter=settings.max_iter, dense_cutoff=settings.dense_cutoff,
-    )
-
-    reverted = 0
-    diff_sum = 0.0
-    for i in population:
-        j = reduced.index(graph.label(i))
-        if j in removed.theta:
-            after = removed.theta[j]
-        else:
-            # reclassified on the reduced network: reverts to measured opinion
-            after = removed.psi[j]
-            reverted += 1
-        diff_sum += full.theta[i] - after
-    return GhicResult(targets, diff_sum / len(population), len(population), reverted)
+    inputs = _network_inputs(graph, rates, assignment, opinions)
+    return _removal_ghic(graph, inputs, _solve(graph, inputs, settings), targets, settings)
 
 
 # -- daily series ---------------------------------------------------------------
@@ -170,6 +176,7 @@ def daily_ghic_series(
     """
     if not groups:
         raise ValueError("at least one group is required")
+    settings = settings or SolveSettings()
     entries: list[DailyGhicEntry] = []
     skipped: list[tuple[date, str]] = []
     for day in sorted(active_by_day):
@@ -182,6 +189,8 @@ def daily_ghic_series(
         if not non_stubborn:
             skipped.append((day, "no non-stubborn active accounts"))
             continue
+        inputs = _network_inputs(subnet, rates, assignment, opinions)
+        full = None  # the day's own equilibrium, solved once when a group first needs it
         results: dict[str, GhicResult] = {}
         group_active: dict[str, int] = {}
         for name in sorted(groups):
@@ -191,8 +200,10 @@ def daily_ghic_series(
                 skipped.append((day, f"group {name!r} covers every non-stubborn account"))
                 continue
             try:
-                results[name] = ghic(
-                    subnet, rates, assignment, opinions, day_targets, settings
+                if full is None:
+                    full = _solve(subnet, inputs, settings)
+                results[name] = _removal_ghic(
+                    subnet, inputs, full, frozenset(day_targets), settings
                 )
             except ValueError as exc:
                 skipped.append((day, f"group {name!r}: {exc}"))

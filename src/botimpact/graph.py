@@ -6,17 +6,20 @@ it follows (its "following"), and the *out*-neighbors are its followers /
 retweeters.
 
 Nodes are referenced externally by string account ids and internally by
-dense integer indices.  Adjacency is stored, once frozen, as offset-indexed
-arrays sorted by (source, target) plus the transpose, so neighbor scans are
-O(degree) and the structure stays compact at tens of millions of edges.
-A frozen graph is immutable and safe for concurrent reads.
+dense integer indices.  Edges added one at a time collect in a dict until
+the graph is frozen.  Freezing, loading an edge file and taking an induced
+subgraph all build the same store from (source, target, weight) columns:
+offset-indexed arrays sorted by (source, target) plus the transpose, so
+neighbor scans are O(degree) and the structure stays compact at tens of
+millions of edges.  A frozen graph is immutable and safe for concurrent
+reads.
 """
 
 from __future__ import annotations
 
 import gzip
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -35,7 +38,7 @@ class DirectedGraph:
     def __init__(self) -> None:
         self._index: dict[str, int] = {}
         self._labels: list[str] = []
-        self._edges: dict[tuple[int, int], float] = {}
+        self._edges: dict[tuple[int, int], float] | None = {}  # until frozen
         self._frozen = False
         # CSR-style views, built by freeze()
         self.out_offsets: np.ndarray | None = None
@@ -64,10 +67,7 @@ class DirectedGraph:
 
         Raises GraphError on self-loops or non-positive weight.
         """
-        if source == target:
-            raise GraphError(f"self-loop rejected for account {source!r}")
-        if weight <= 0:
-            raise GraphError(f"edge weight must be positive, got {weight}")
+        _check_edge(source, target, weight)
         if self._frozen:
             raise GraphError("graph is frozen; cannot add edges")
         u = self.add_node(source)
@@ -79,30 +79,37 @@ class DirectedGraph:
         """Build the sorted adjacency index; further mutation raises."""
         if self._frozen:
             return self
+        src, tgt = np.array(list(self._edges), dtype=np.int64).reshape(-1, 2).T
+        self._build(src, tgt, np.array(list(self._edges.values()), dtype=np.float64))
+        return self
+
+    @classmethod
+    def _from_arrays(
+        cls, labels: list[str], src: np.ndarray, tgt: np.ndarray, w: np.ndarray
+    ) -> "DirectedGraph":
+        """Frozen graph on ``labels`` (in index order) from edge columns."""
+        graph = cls()
+        graph._labels = labels
+        graph._index = {label: i for i, label in enumerate(labels)}
+        graph._build(src, tgt, w)
+        return graph
+
+    def _build(self, src: np.ndarray, tgt: np.ndarray, w: np.ndarray) -> None:
+        """Sorted out- and in-adjacency arrays; parallel edges summed in input order."""
         n = len(self._labels)
-        m = len(self._edges)
-        src = np.empty(m, dtype=np.int64)
-        tgt = np.empty(m, dtype=np.int64)
-        w = np.empty(m, dtype=np.float64)
-        for k, (uv, wt) in enumerate(self._edges.items()):
-            src[k], tgt[k] = uv
-            w[k] = wt
-        order = np.lexsort((tgt, src))
-        src, tgt, w = src[order], tgt[order], w[order]
-        self.out_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self.out_offsets, src + 1, 1)
-        np.cumsum(self.out_offsets, out=self.out_offsets)
+        keys, inverse = np.unique(src * n + tgt, return_inverse=True)
+        # bincount adds each edge's weights in input order, as add_interaction does
+        w = np.bincount(inverse, weights=w, minlength=keys.size).astype(np.float64, copy=False)
+        src, tgt = np.divmod(keys, max(n, 1))
+        self.out_offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
         self.out_targets = tgt
         self.out_weights = w
-
-        order_t = np.lexsort((src, tgt))
-        self.in_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self.in_offsets, tgt + 1, 1)
-        np.cumsum(self.in_offsets, out=self.in_offsets)
-        self.in_sources = src[order_t]
-        self.in_weights = w[order_t]
+        order = np.lexsort((src, tgt))
+        self.in_offsets = np.concatenate(([0], np.cumsum(np.bincount(tgt, minlength=n))))
+        self.in_sources = src[order]
+        self.in_weights = w[order]
+        self._edges = None  # the arrays are the only store from here on
         self._frozen = True
-        return self
 
     # -- queries -----------------------------------------------------------
 
@@ -112,10 +119,12 @@ class DirectedGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        self.freeze()
+        return self.out_targets.size
 
     def total_weight(self) -> float:
-        return float(sum(self._edges.values()))
+        self.freeze()
+        return float(self.out_weights.sum())
 
     def index(self, label: str) -> int:
         try:
@@ -133,22 +142,6 @@ class DirectedGraph:
     def __contains__(self, label: str) -> bool:
         return label in self._index
 
-    def has_edge(self, source: str, target: str) -> bool:
-        return (self.index(source), self.index(target)) in self._edges
-
-    def weight(self, source: str, target: str) -> float:
-        try:
-            return self._edges[(self.index(source), self.index(target))]
-        except KeyError:
-            raise GraphError(f"no edge {source!r} -> {target!r}") from None
-
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Yield (source index, target index, weight) sorted by (source, target)."""
-        self.freeze()
-        for k in range(len(self.out_targets)):
-            u = int(np.searchsorted(self.out_offsets, k, side="right") - 1)
-            yield u, int(self.out_targets[k]), float(self.out_weights[k])
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sources, targets, weights) arrays sorted by (source, target)."""
         self.freeze()
@@ -156,17 +149,6 @@ class DirectedGraph:
         counts = np.diff(self.out_offsets)
         src = np.repeat(np.arange(n, dtype=np.int64), counts)
         return src, self.out_targets, self.out_weights
-
-    def following_of(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """In-neighbors of node ``i`` (the accounts whose content reaches i).
-
-        Returns (source indices, edge weights); O(in-degree).
-        """
-        self.freeze()
-        if not 0 <= i < self.node_count:
-            raise GraphError(f"unknown node index {i}")
-        lo, hi = self.in_offsets[i], self.in_offsets[i + 1]
-        return self.in_sources[lo:hi], self.in_weights[lo:hi]
 
     def followers_of(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Out-neighbors of node ``i`` (the accounts that receive i's content)."""
@@ -183,15 +165,22 @@ class DirectedGraph:
         graphs built with sorted node insertion stay canonically ordered.
         Unknown ids are rejected.
         """
-        keep_idx = sorted(self.index(label) for label in set(keep))
-        sub = DirectedGraph()
-        for i in keep_idx:
-            sub.add_node(self._labels[i])
-        kept = set(keep_idx)
-        for (u, v), wt in self._edges.items():
-            if u in kept and v in kept:
-                sub.add_interaction(self._labels[u], self._labels[v], wt)
-        return sub
+        mask = np.zeros(self.node_count, dtype=bool)
+        mask[np.fromiter((self.index(label) for label in set(keep)), dtype=np.int64)] = True
+        new_index = np.cumsum(mask) - 1
+        src, tgt, w = self.edge_arrays()
+        kept = mask[src] & mask[tgt]
+        return DirectedGraph._from_arrays(
+            [self._labels[i] for i in np.flatnonzero(mask)],
+            new_index[src[kept]], new_index[tgt[kept]], w[kept],
+        )
+
+
+def _check_edge(source: str, target: str, weight: float) -> None:
+    if source == target:
+        raise GraphError(f"self-loop rejected for account {source!r}")
+    if weight <= 0:
+        raise GraphError(f"edge weight must be positive, got {weight}")
 
 
 # -- edge list files -------------------------------------------------------
@@ -216,9 +205,12 @@ def load_edge_list(path: str | Path) -> DirectedGraph:
 
     Missing weight defaults to 1.  Node lines (single column) register an
     isolated node, which keeps induced subgraphs well-defined for accounts
-    that have no edges.
+    that have no edges.  Nodes are indexed in order of first appearance
+    (source before target) and repeated lines sum in file order.
     """
-    graph = DirectedGraph()
+    index: dict[str, int] = {}
+    ends: list[int] = []  # source, target, source, target, ...
+    weights: list[float] = []
     with open_maybe_gzip(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -226,7 +218,7 @@ def load_edge_list(path: str | Path) -> DirectedGraph:
                 continue
             parts = line.split("\t")
             if len(parts) == 1:
-                graph.add_node(parts[0])
+                index.setdefault(parts[0], len(index))
                 continue
             if len(parts) not in (2, 3):
                 raise GraphError(f"{path}:{lineno}: expected 1-3 tab-separated fields")
@@ -236,8 +228,12 @@ def load_edge_list(path: str | Path) -> DirectedGraph:
                     weight = float(parts[2])
                 except ValueError:
                     raise GraphError(f"{path}:{lineno}: bad weight {parts[2]!r}") from None
-            graph.add_interaction(parts[0], parts[1], weight)
-    return graph
+            _check_edge(parts[0], parts[1], weight)
+            ends.append(index.setdefault(parts[0], len(index)))
+            ends.append(index.setdefault(parts[1], len(index)))
+            weights.append(weight)
+    src, tgt = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    return DirectedGraph._from_arrays(list(index), src, tgt, np.array(weights, dtype=np.float64))
 
 
 def save_edge_list(graph: DirectedGraph, path: str | Path) -> None:

@@ -11,9 +11,14 @@ with  G_ii = -sum(rate_k for k in following of i)      (all followings),
       G_ij =  rate_j   when j is non-stubborn and i follows j,
       F_ij = -rate_j   when j is stubborn and i follows j.
 
-The system is solved directly (dense) below a size cutoff and by a Jacobi-
-preconditioned GMRES above it.  An independent fixed-point sweep over the
-averaging form of the same equations acts as the oracle guarding the matrix
+Preprocessing and assembly are whole-array kernels over the graph's edge
+arrays: rule (a) is one bincount of positive-rate in-edges, rule (b) one
+breadth-first search from a virtual source, and G and F come from masked
+edge arrays in one COO-to-CSR step.  Each G_ii is numpy's own sum of that
+row's rates in source order, which fixes its rounding.  The system is
+solved directly (dense) below a size cutoff and by a Jacobi-preconditioned
+GMRES above it.  An independent fixed-point sweep over the averaging form
+of the same equations acts as the oracle guarding the matrix
 interpretation.
 """
 
@@ -27,6 +32,7 @@ from typing import Iterable, Mapping
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_order
 
 from .graph import DirectedGraph
 
@@ -146,45 +152,38 @@ def preprocess_wellposed(
     Both become stubborn at their measured opinion.  Influence travels only
     through positive-rate accounts, so reachability ignores rate-zero ones.
     """
-    graph.freeze()
     n = graph.node_count
+    src, tgt, _ = graph.edge_arrays()
+    rated = rates[src] > 0.0
+    stubborn = _mask(psi, n)
+    # (a): rates are non-negative, so a zero total means no positive-rate in-edge
+    orphan = ~stubborn & (np.bincount(tgt[rated], minlength=n) == 0)
+    stubborn |= orphan
+
+    # (b): one BFS from a virtual source n, linked to every positive-rate stubborn
+    # node, over the edges that relay influence (rated source, non-stubborn target)
+    seeds = np.flatnonzero(stubborn & (rates > 0.0))
+    relay = rated & ~stubborn[tgt]
+    rows = np.concatenate((np.full(seeds.size, n), src[relay]))
+    cols = np.concatenate((seeds, tgt[relay]))
+    flow = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n + 1, n + 1))
+    reached = np.zeros(n + 1, dtype=bool)
+    reached[breadth_first_order(flow, n, directed=True, return_predecessors=False)] = True
+
+    report = PreprocessReport(
+        no_rated_following=np.flatnonzero(orphan).tolist(),
+        unreachable=np.flatnonzero(~stubborn & ~reached[:n]).tolist(),
+    )
     new_psi = dict(psi)
-    report = PreprocessReport()
-
-    for i in range(n):
-        if i in new_psi:
-            continue
-        sources, _ = graph.following_of(i)
-        if sources.size == 0 or float(rates[sources].sum()) == 0.0:
-            new_psi[i] = float(measured[i])
-            report.no_rated_following.append(i)
-
-    # BFS outward from positive-rate stubborn nodes along information flow.
-    influenced = np.zeros(n, dtype=bool)
-    frontier = [i for i in new_psi if rates[i] > 0.0]
-    seen_source = np.zeros(n, dtype=bool)
-    for i in frontier:
-        seen_source[i] = True
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            targets, _ = graph.followers_of(u)
-            for v in targets:
-                v = int(v)
-                if v in new_psi or influenced[v]:
-                    continue
-                influenced[v] = True
-                # v can relay influence further only if it posts at all
-                if rates[v] > 0.0 and not seen_source[v]:
-                    seen_source[v] = True
-                    nxt.append(v)
-        frontier = nxt
-
-    for i in range(n):
-        if i not in new_psi and not influenced[i]:
-            new_psi[i] = float(measured[i])
-            report.unreachable.append(i)
+    for i in report.no_rated_following + report.unreachable:
+        new_psi[i] = float(measured[i])
     return new_psi, report
+
+
+def _mask(nodes: Iterable[int], n: int) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[np.fromiter(nodes, dtype=np.int64)] = True
+    return mask
 
 
 # -- system assembly ----------------------------------------------------------
@@ -211,55 +210,45 @@ def assemble_system(
     """
     graph.freeze()
     n = graph.node_count
-    v1 = np.array(sorted(set(range(n)) - set(psi)), dtype=np.int64)
-    v0 = np.array(sorted(psi), dtype=np.int64)
+    stubborn = _mask(psi, n)
+    v1 = np.flatnonzero(~stubborn)
+    v0 = np.flatnonzero(stubborn)
     if v1.size == 0:
         raise AssemblyError("no non-stubborn nodes to solve for")
-    psi_values = np.array([psi[int(i)] for i in v0], dtype=np.float64)
-    pos_in_v1 = {int(node): row for row, node in enumerate(v1)}
-    pos_in_v0 = {int(node): col for col, node in enumerate(v0)}
+    psi_values = np.array([psi[i] for i in v0.tolist()], dtype=np.float64)
+    position = np.empty(n, dtype=np.int64)  # row in G for v1, column in F for v0
+    position[v1] = np.arange(v1.size)
+    position[v0] = np.arange(v0.size)
 
-    g_rows: list[int] = []
-    g_cols: list[int] = []
-    g_vals: list[float] = []
-    f_rows: list[int] = []
-    f_cols: list[int] = []
-    f_vals: list[float] = []
-    for row, i in enumerate(v1):
-        sources, _ = graph.following_of(int(i))
-        total = float(rates[sources].sum()) if sources.size else 0.0
-        if total == 0.0:
-            raise AssemblyError(
-                f"node {graph.label(int(i))!r} follows no positive-rate account; "
-                "run preprocess_wellposed first"
-            )
-        g_rows.append(row)
-        g_cols.append(row)
-        g_vals.append(-total)
-        for j in sources:
-            j = int(j)
-            lam = float(rates[j])
-            if lam == 0.0:
-                continue
-            if j in pos_in_v1:
-                g_rows.append(row)
-                g_cols.append(pos_in_v1[j])
-                g_vals.append(lam)
-            else:
-                f_rows.append(row)
-                f_cols.append(pos_in_v0[j])
-                f_vals.append(-lam)
+    # in-edges grouped by target, sources ascending
+    src = graph.in_sources
+    tgt = np.repeat(np.arange(n), np.diff(graph.in_offsets))
+    lam = rates[src]
+    # one numpy sum per row: a segmented sum (np.add.reduceat) rounds differently
+    bounds = zip(graph.in_offsets[v1].tolist(), graph.in_offsets[v1 + 1].tolist())
+    totals = np.array([lam[lo:hi].sum() for lo, hi in bounds], dtype=np.float64)
+    if (totals == 0.0).any():
+        node = int(v1[np.argmax(totals == 0.0)])
+        raise AssemblyError(
+            f"node {graph.label(node)!r} follows no positive-rate account; "
+            "run preprocess_wellposed first"
+        )
+    edge = ~stubborn[tgt] & (lam != 0.0)
+    src, rows, lam = src[edge], position[tgt[edge]], lam[edge]
+    free = ~stubborn[src]
 
     m = v1.size
-    G = sp.csr_matrix((g_vals, (g_rows, g_cols)), shape=(m, m))
-    F = sp.csr_matrix((f_vals, (f_rows, f_cols)), shape=(m, max(v0.size, 1)))
-    if v0.size == 0:
-        F = sp.csr_matrix((m, 0))
-        psi_values = np.zeros(0)
-    b = F @ psi_values if v0.size else np.zeros(m)
-
+    diag = np.arange(m)
+    G = sp.csr_matrix(
+        (
+            np.concatenate((-totals, lam[free])),
+            (np.concatenate((diag, rows[free])), np.concatenate((diag, position[src[free]]))),
+        ),
+        shape=(m, m),
+    )
+    F = sp.csr_matrix((-lam[~free], (rows[~free], position[src[~free]])), shape=(m, v0.size))
     _check_row_balance(G, F)
-    return LinearSystem(G=G, F=F, b=b, v1=v1, v0=v0, psi_values=psi_values)
+    return LinearSystem(G=G, F=F, b=F @ psi_values, v1=v1, v0=v0, psi_values=psi_values)
 
 
 def _check_row_balance(G: sp.csr_matrix, F: sp.csr_matrix) -> None:
@@ -285,9 +274,6 @@ class EquilibriumSolution:
     residual_norm: float
     iterations: int
     method: str
-
-    def vector(self, v1: np.ndarray) -> np.ndarray:
-        return np.array([self.theta[int(i)] for i in v1])
 
 
 def solve_equilibrium(
@@ -357,7 +343,7 @@ def solve_equilibrium(
     np.clip(theta, lo, hi, out=theta)
 
     return EquilibriumSolution(
-        theta={int(i): float(theta[row]) for row, i in enumerate(system.v1)},
+        theta=dict(zip(system.v1.tolist(), theta.tolist())),
         residual_norm=residual,
         iterations=iterations,
         method=method,

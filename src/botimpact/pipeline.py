@@ -61,14 +61,20 @@ def _sha256(path: Path) -> str:
 
 
 def _update_manifest(out_dir: Path, stage: str, payload: dict, files: Iterable[Path]) -> None:
+    """Record the stage's outputs, then delete those its previous entry listed and
+    this one does not, so no reader finds a stale file from an earlier run."""
     manifest_path = out_dir / "manifest.json"
     manifest = {}
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    previous = manifest.get(stage, {}).get("checksums", {})
     payload = dict(payload)
     payload["checksums"] = {p.name: _sha256(p) for p in sorted(files)}
     manifest[stage] = payload
     _atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    for name in sorted(set(previous) - set(payload["checksums"])):
+        if Path(name).name == name:  # a bare file name, as the stages write them
+            (out_dir / name).unlink(missing_ok=True)
 
 
 def _pmap(fn: Callable, items: Sequence, workers: int) -> list:

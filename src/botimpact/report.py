@@ -6,9 +6,12 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
+
 from . import accounts as acc
 from .config import PipelineConfig
 from .graph import DirectedGraph, load_edge_list
+from .pipeline import _retweet_paths
 
 _MISSING = "  (not available: run the {stage} stage first)\n"
 
@@ -76,7 +79,7 @@ def build_report(cfg: PipelineConfig) -> str:
         parts.append(_MISSING.format(stage="classify"))
 
     parts.append(_section("Retweet leaderboards"))
-    merged = _merged_retweet_network(out_dir)
+    merged = _merged_retweet_network(out_dir, build)
     if rows and merged is not None:
         bot_side = {
             "anti-Trump bots": {r["account_id"] for r in rows
@@ -163,16 +166,20 @@ def _prevalence_groups(rows: list[dict]) -> dict[str, list[dict]]:
     }
 
 
-def _merged_retweet_network(out_dir: Path) -> DirectedGraph | None:
-    paths = sorted(out_dir.glob("retweet_*.tsv"))
-    if not paths:
+def _merged_retweet_network(out_dir: Path, build: dict | None) -> DirectedGraph | None:
+    """Every daily retweet network the last build listed, in one graph.
+
+    None without a build entry; a listed file that is missing or changed
+    raises StageError ("rerun build").
+    """
+    if build is None:
         return None
-    merged = DirectedGraph()
-    for path in paths:
+    index: dict[str, int] = {}
+    columns = []
+    for path in _retweet_paths(out_dir):
         daily = load_edge_list(path)
+        local = np.array([index.setdefault(a, len(index)) for a in daily.labels], dtype=np.int64)
         src, tgt, w = daily.edge_arrays()
-        for k in range(len(src)):
-            merged.add_interaction(
-                daily.label(int(src[k])), daily.label(int(tgt[k])), float(w[k])
-            )
-    return merged
+        columns.append((local[src], local[tgt], w))
+    src, tgt, w = (np.concatenate(column) for column in zip(*columns))
+    return DirectedGraph._from_arrays(list(index), src, tgt, w)

@@ -22,6 +22,15 @@ def graph_of(edges, nodes=()) -> DirectedGraph:
     return g
 
 
+def edge_dict(g: DirectedGraph) -> dict[tuple[str, str], float]:
+    """{(source id, target id): weight}, read from ``edge_arrays()``."""
+    src, tgt, w = g.edge_arrays()
+    return {
+        (g.label(u), g.label(v)): weight
+        for u, v, weight in zip(src.tolist(), tgt.tolist(), w.tolist())
+    }
+
+
 def random_instance(seed: int, n_lo: int = 10, n_hi: int = 200):
     """Random opinion-dynamics instance: graph, rates, stubborn map, measured.
 

@@ -38,7 +38,7 @@ from botimpact.ingest import (
 from botimpact.opinion import StubbornAssignment, fixed_point_oracle, identify_stubborn, solve_network
 from botimpact.synth import SynthSpec, gen_core_periphery, gen_planted_bot_retweets, generate
 
-from conftest import auc_score, graph_of, random_instance
+from conftest import auc_score, edge_dict, graph_of, random_instance
 from test_botdetect import _random_forest
 
 N_EQUILIBRIUM_INSTANCES = 100
@@ -106,10 +106,11 @@ def _sign_instance(seed: int):
     g2 = DirectedGraph()
     for name in names:
         g2.add_node(name)
-    for u, v, w in g.edges():
-        g2.add_interaction(g.label(u), g.label(v), w)
+    edges = edge_dict(g)
+    for (u, v), w in edges.items():
+        g2.add_interaction(u, v, w)
     for name in names:
-        if name != anchor and name not in ones and not g2.has_edge(anchor, name):
+        if name != anchor and name not in ones and (anchor, name) not in edges:
             g2.add_interaction(anchor, name, 1.0)
     rates = {name: float(lam[i]) for i, name in enumerate(names)}
     rates[anchor] = max(rates[anchor], 1.0)
@@ -160,8 +161,8 @@ def test_criterion_3_ghic_axioms_and_worked_example():
         lone = DirectedGraph()
         for name in g2.labels:
             lone.add_node(name)
-        for u, v, w in g2.edges():
-            lone.add_interaction(g2.label(u), g2.label(v), w)
+        for (u, v), w in edge_dict(g2).items():
+            lone.add_interaction(u, v, w)
         lone.add_node("offside")
         rates_l = dict(rates2, offside=5.0)
         opinions_l = dict(opinions2, offside=1.0)

@@ -256,7 +256,7 @@ def test_retweet_leaderboard_empty_filter():
 
 def test_retweet_leaderboard_counts_bounded():
     net = graph_of([("x", "r1", 2.0), ("y", "r1", 1.0), ("x", "r2", 5.0)])
-    total = sum(w for _, _, w in net.edges())
+    total = sum(net.edge_arrays()[2])
     board = retweet_leaderboard(net, lambda a: True, k=10)
     assert sum(c for _, c in board) == pytest.approx(total)
 

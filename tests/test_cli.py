@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from botimpact.cli import main
+from botimpact.report import _merged_retweet_network
 
 
 @pytest.fixture
@@ -126,17 +127,32 @@ def test_stage_order_enforced(tmp_path, runner, corpus):
     assert result.exit_code == 3  # build outputs missing
 
 
-def test_detect_reads_only_the_days_build_listed(tmp_path, runner):
-    out = tmp_path / "out"
+def _five_then_two_days(tmp_path, runner, out, commands) -> Path:
+    """Run ``commands`` on a 5-day corpus, then on a 2-day one, into ``out``."""
     for days in (5, 2):
         spec = _write_spec(tmp_path / f"spec{days}.txt", days=days)
         corpus = tmp_path / f"corpus{days}"
         assert _run(runner, ["--out", str(corpus), "synth", "--spec", str(spec)]).exit_code == 0
         cfg = _write_config(tmp_path / f"cfg{days}.txt", corpus, out)
-        for cmd in ("build", "detect-bots"):
+        for cmd in commands:
             result = _run(runner, ["--config", str(cfg), cmd])
             assert result.exit_code == 0, f"{cmd}: {result.output}"
-    assert len(list(out.glob("retweet_*.tsv"))) == 5  # the 5-day build's files remain
+    return cfg
+
+
+def _tamper_first_listed_day(out: Path) -> None:
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = next(n for n in sorted(manifest["build"]["checksums"]) if n.startswith("retweet_"))
+    with open(out / listed, "a", encoding="utf-8") as fh:
+        fh.write("intruder\n")
+
+
+def test_detect_reads_only_the_days_build_listed(tmp_path, runner):
+    out = tmp_path / "out"
+    cfg = _five_then_two_days(tmp_path, runner, out, ("build", "detect-bots"))
+    # the files only the 5-day entries listed went with those entries
+    assert len(list(out.glob("retweet_*.tsv"))) == 2
+    assert len(list(out.glob("posterior_*.csv"))) == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["build"]["days"] == 2
     assert manifest["detect"]["days"] == 2
@@ -145,10 +161,39 @@ def test_detect_reads_only_the_days_build_listed(tmp_path, runner):
     posteriors = [n for n in manifest["detect"]["checksums"] if n.startswith("posterior_")]
     assert sorted(posteriors) == sorted(f"posterior_{day}.csv" for day in days)
 
-    listed = next(n for n in sorted(manifest["build"]["checksums"]) if n.startswith("retweet_"))
-    with open(out / listed, "a", encoding="utf-8") as fh:
-        fh.write("intruder\n")
+    # a day file that build did not list is never read
+    (out / "retweet_1999-01-01.tsv").write_text("ghost\tghoster\t5\n")
+    assert _run(runner, ["--config", str(cfg), "detect-bots"]).exit_code == 0
+    assert json.loads((out / "manifest.json").read_text())["detect"]["days"] == 2
+    assert not (out / "posterior_1999-01-01.csv").exists()
+
+    _tamper_first_listed_day(out)
     result = runner.invoke(main, ["--config", str(cfg), "detect-bots"])
+    assert result.exit_code == 3
+    assert "rerun build" in result.output
+
+
+def test_report_reads_only_the_days_build_listed(tmp_path, runner):
+    out = tmp_path / "out"
+    cfg = _five_then_two_days(tmp_path, runner, out, ("build", "detect-bots", "classify"))
+    (out / "retweet_1999-01-01.tsv").write_text("ghost\tghoster\t50\n")  # not listed
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    merged = _merged_retweet_network(out, manifest["build"])
+    assert merged.total_weight() == manifest["build"]["retweets_total"]
+    assert "ghost" not in merged
+    assert _run(runner, ["--config", str(cfg), "report"]).exit_code == 0
+
+    # without a build entry the leaderboards are not available
+    manifest_path.write_text(json.dumps({k: v for k, v in manifest.items() if k != "build"}))
+    result = _run(runner, ["--config", str(cfg), "report"])
+    assert result.exit_code == 0
+    leaderboards = result.output.split("Retweet leaderboards")[1].split("Network structure")[0]
+    assert "not available" in leaderboards
+
+    manifest_path.write_text(json.dumps(manifest))
+    _tamper_first_listed_day(out)
+    result = runner.invoke(main, ["--config", str(cfg), "report"])
     assert result.exit_code == 3
     assert "rerun build" in result.output
 

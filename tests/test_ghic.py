@@ -1,3 +1,4 @@
+import importlib
 from datetime import date
 
 import numpy as np
@@ -7,7 +8,7 @@ from botimpact.ghic import daily_ghic_series, ghic, ghic_per_bot
 from botimpact.graph import DirectedGraph
 from botimpact.opinion import StubbornAssignment, fixed_point_oracle
 
-from conftest import graph_of, random_instance
+from conftest import edge_dict, graph_of, random_instance
 
 
 def _assignment(psi: dict[str, float]) -> StubbornAssignment:
@@ -97,10 +98,11 @@ def test_sign_semantics_and_bound():
         g2 = DirectedGraph()
         for name in names:
             g2.add_node(name)
-        for u, v, w in g.edges():
-            g2.add_interaction(g.label(u), g.label(v), w)
+        edges = edge_dict(g)
+        for (u, v), w in edges.items():
+            g2.add_interaction(u, v, w)
         for name in names:
-            if name != anchor and name not in ones and not g2.has_edge(anchor, name):
+            if name != anchor and name not in ones and (anchor, name) not in edges:
                 g2.add_interaction(anchor, name, 1.0)
         rates = {name: float(lam[i]) for i, name in enumerate(names)}
         rates[anchor] = max(rates[anchor], 1.0)
@@ -196,6 +198,66 @@ def test_ghic_per_bot_never_active_group_flagged():
     series = daily_ghic_series(g, active, rates, assignment, opinions, groups)
     stats = ghic_per_bot(series, groups)
     assert stats["absent"] is None
+
+
+def _random_series_inputs(seed):
+    """A random network, three random active days, and three groups (one empty)."""
+    g, lam, psi_idx, measured = random_instance(seed=seed, n_lo=30, n_hi=120)
+    names = g.labels
+    rates = {name: float(lam[i]) for i, name in enumerate(names)}
+    assignment = _assignment({g.label(i): v for i, v in psi_idx.items()})
+    opinions = {name: float(measured[i]) for i, name in enumerate(names)}
+    rng = np.random.default_rng(seed)
+    active_by_day = {
+        date(2020, 1, day): set(rng.choice(names, size=int(0.7 * len(names)), replace=False))
+        for day in (1, 2, 3)
+    }
+    stubborn = sorted(assignment.psi)
+    groups = {
+        "stubborn": set(rng.choice(stubborn, size=max(1, len(stubborn) // 3), replace=False)),
+        "anyone": set(rng.choice(names, size=max(1, len(names) // 10), replace=False)),
+        "nobody": set(),
+    }
+    return g, active_by_day, rates, assignment, opinions, groups
+
+
+def test_daily_series_equals_per_group_ghic():
+    compared = 0
+    for seed in range(8):
+        g, active_by_day, rates, assignment, opinions, groups = _random_series_inputs(1100 + seed)
+        series = daily_ghic_series(g, active_by_day, rates, assignment, opinions, groups)
+        for entry in series.entries:
+            active = active_by_day[entry.day]
+            subnet = g.induced_subgraph(active)
+            for name, result in entry.results.items():
+                single = ghic(subnet, rates, assignment, opinions, groups[name] & active)
+                assert single.value == result.value
+                assert single.averaged_over == result.averaged_over
+                assert single.reverted == result.reverted
+                compared += 1
+    assert compared >= 60
+
+
+def test_daily_series_solves_each_day_network_once(monkeypatch):
+    ghic_module = importlib.import_module("botimpact.ghic")
+    solved = []
+    real = ghic_module.solve_network
+
+    def counting(graph, *args, **kwargs):
+        solved.append(tuple(graph.labels))
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(ghic_module, "solve_network", counting)
+    for seed in range(8):
+        g, active_by_day, rates, assignment, opinions, groups = _random_series_inputs(1100 + seed)
+        solved.clear()
+        series = daily_ghic_series(g, active_by_day, rates, assignment, opinions, groups)
+        assert series.entries
+        for entry in series.entries:
+            day_network = tuple(g.induced_subgraph(active_by_day[entry.day]).labels)
+            assert solved.count(day_network) == 1
+        removals = sum(1 for e in series.entries for r in e.results.values() if r.target_set)
+        assert len(solved) == len(series.entries) + removals
 
 
 # -- solver/oracle agreement on ghic -------------------------------------------------

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from botimpact.graph import DirectedGraph, GraphError, load_edge_list, save_edge_list
 
-from conftest import graph_of
+from conftest import edge_dict, graph_of
 
 
 def test_parallel_interactions_accumulate():
     g = graph_of([("a", "b", 1.0), ("a", "b", 1.0)])
-    assert g.weight("a", "b") == 2.0
+    assert edge_dict(g) == {("a", "b"): 2.0}
     assert g.edge_count == 1
 
 
@@ -30,22 +30,28 @@ def test_nonpositive_weight_rejected():
 
 def test_direction_preserved():
     g = graph_of([("a", "b", 3.0), ("b", "a", 1.0)])
-    assert g.weight("a", "b") == 3.0
-    assert g.weight("b", "a") == 1.0
+    assert edge_dict(g) == {("a", "b"): 3.0, ("b", "a"): 1.0}
     assert g.edge_count == 2
+
+
+def _following(g, i):
+    """In-neighbors of node ``i`` and their weights, read from the in-arrays."""
+    g.freeze()
+    lo, hi = g.in_offsets[i], g.in_offsets[i + 1]
+    return g.in_sources[lo:hi], g.in_weights[lo:hi]
 
 
 def test_following_is_in_neighbors():
     g = graph_of([("j", "i", 1.0)])
-    sources, weights = g.following_of(g.index("i"))
+    sources, weights = _following(g, g.index("i"))
     assert [g.label(int(s)) for s in sources] == ["j"]
     assert list(weights) == [1.0]
-    assert g.following_of(g.index("j"))[0].size == 0
+    assert _following(g, g.index("j"))[0].size == 0
 
 
 def test_star_following():
     g = graph_of([("h", "s1"), ("h", "s2")])
-    sources, _ = g.following_of(g.index("s1"))
+    sources, _ = _following(g, g.index("s1"))
     assert [g.label(int(s)) for s in sources] == ["h"]
     targets, _ = g.followers_of(g.index("h"))
     assert sorted(g.label(int(t)) for t in targets) == ["s1", "s2"]
@@ -56,7 +62,7 @@ def test_unknown_node_rejected():
     with pytest.raises(GraphError):
         g.index("zz")
     with pytest.raises(GraphError):
-        g.following_of(99)
+        g.followers_of(99)
 
 
 def test_induced_subgraph_triangle():
@@ -64,7 +70,7 @@ def test_induced_subgraph_triangle():
     sub = g.induced_subgraph({"a", "b"})
     assert sub.node_count == 2
     assert sub.edge_count == 1
-    assert sub.weight("a", "b") == 1.0
+    assert edge_dict(sub) == {("a", "b"): 1.0}
 
 
 def test_induced_subgraph_identity_and_empty():
@@ -120,13 +126,7 @@ def test_induced_subgraph_composes_with_intersection(g, keep1, keep2):
     stepwise = g.induced_subgraph(names1).induced_subgraph(names1 & names2)
     assert direct.node_count == stepwise.node_count
     assert sorted(direct.labels) == sorted(stepwise.labels)
-    direct_edges = {
-        (direct.label(u), direct.label(v)): w for u, v, w in direct.edges()
-    }
-    step_edges = {
-        (stepwise.label(u), stepwise.label(v)): w for u, v, w in stepwise.edges()
-    }
-    assert direct_edges == step_edges
+    assert edge_dict(direct) == edge_dict(stepwise)
 
 
 @given(random_graphs())
@@ -135,8 +135,8 @@ def test_total_weight_invariant_under_relabeling(g):
     relabeled = DirectedGraph()
     for i in reversed(range(g.node_count)):
         relabeled.add_node(g.label(i))
-    for u, v, w in g.edges():
-        relabeled.add_interaction(g.label(u), g.label(v), w)
+    for (u, v), w in edge_dict(g).items():
+        relabeled.add_interaction(u, v, w)
     assert np.isclose(relabeled.total_weight(), g.total_weight())
 
 
@@ -144,13 +144,13 @@ def test_total_weight_invariant_under_relabeling(g):
 @settings(max_examples=60, deadline=None)
 def test_following_and_followers_are_transposes(g):
     for i in range(g.node_count):
-        sources, _ = g.following_of(i)
+        sources, _ = _following(g, i)
         for j in sources:
             targets, _ = g.followers_of(int(j))
             assert i in targets.tolist()
         targets, _ = g.followers_of(i)
         for j in targets:
-            sources_j, _ = g.following_of(int(j))
+            sources_j, _ = _following(g, int(j))
             assert i in sources_j.tolist()
 
 
@@ -160,8 +160,7 @@ def test_edge_list_round_trip(tmp_path):
     save_edge_list(g, path)
     back = load_edge_list(path)
     assert back.node_count == g.node_count
-    assert back.weight("a", "b") == 2.0
-    assert back.weight("c", "a") == 1.5
+    assert edge_dict(back) == {("a", "b"): 2.0, ("c", "a"): 1.5}
     assert "lonely" in back
 
 
@@ -174,5 +173,23 @@ def test_edge_list_default_weight_and_gzip(tmp_path):
         fh.write(raw)
     for path in (plain, zipped):
         g = load_edge_list(path)
-        assert g.weight("a", "b") == 1.0
-        assert g.weight("b", "c") == 4.0
+        assert edge_dict(g) == {("a", "b"): 1.0, ("b", "c"): 4.0}
+
+
+def test_edge_list_node_order_and_repeated_lines(tmp_path):
+    path = tmp_path / "e.tsv"
+    path.write_text("solo\nb\ta\t0.1\nc\tb\nb\ta\t0.2\nb\ta\t0.3\n")
+    g = load_edge_list(path)
+    assert g.labels == ["solo", "b", "a", "c"]  # first appearance, source before target
+    assert edge_dict(g) == {("b", "a"): (0.1 + 0.2) + 0.3, ("c", "b"): 1.0}  # file order
+
+
+def test_edge_list_errors_name_the_line(tmp_path):
+    for text, message in (("a\tb\n\na\tb\tx\n", r":3: bad weight 'x'"),
+                          ("a\tb\tc\td\n", r":1: expected 1-3 tab-separated fields"),
+                          ("a\ta\n", "self-loop rejected for account 'a'"),
+                          ("a\tb\t0\n", "edge weight must be positive")):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text)
+        with pytest.raises(GraphError, match=message):
+            load_edge_list(path)

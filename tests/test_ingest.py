@@ -21,6 +21,8 @@ from botimpact.ingest import (
     tweet_rates,
 )
 
+from conftest import edge_dict
+
 
 def _tweet_line(tweet_id, author, ts, retweeted=None, opinion=0.5, **extra):
     record = {
@@ -132,7 +134,7 @@ def test_window_validation():
 def test_daily_retweet_network_weight_is_count():
     tweets = [_rec("v", "2020-01-01", retweeted="u") for _ in range(3)]
     net = build_daily_retweet_network(tweets, date(2020, 1, 1))
-    assert net.weight("u", "v") == 3.0
+    assert edge_dict(net) == {("u", "v"): 3.0}
 
 
 def test_daily_retweet_network_day_bucketing():
@@ -141,9 +143,9 @@ def test_daily_retweet_network_day_bucketing():
         _rec("v", "2020-01-02", retweeted="u"),
     ]
     net = build_daily_retweet_network(tweets, date(2020, 1, 1))
-    assert net.weight("u", "v") == 1.0
+    assert edge_dict(net) == {("u", "v"): 1.0}
     net2 = build_daily_retweet_network(tweets, date(2020, 1, 2))
-    assert net2.weight("u", "v") == 1.0
+    assert edge_dict(net2) == {("u", "v"): 1.0}
 
 
 def test_daily_retweet_network_chain_matches_recount():
@@ -159,10 +161,7 @@ def test_daily_retweet_network_chain_matches_recount():
         if t.retweeted_author_id:
             key = (t.retweeted_author_id, t.author_id)
             expected[key] = expected.get(key, 0) + 1
-    actual = {
-        (net.label(u), net.label(v)): w for u, v, w in net.edges()
-    }
-    assert actual == {k: float(v) for k, v in expected.items()}
+    assert edge_dict(net) == {k: float(v) for k, v in expected.items()}
     assert "lurker" in net  # original tweets create the author node, no edge
 
 
@@ -171,7 +170,7 @@ def test_follower_network_direction_and_restriction():
 
     profiles = [UserProfileRecord(account_id="i", following_ids=["j", "ghost"])]
     net = build_follower_network(profiles, corpus={"i", "j"})
-    assert net.weight("j", "i") == 1.0  # information flows followee -> follower
+    assert edge_dict(net) == {("j", "i"): 1.0}  # information flows followee -> follower
     assert "ghost" not in net
 
 
@@ -183,7 +182,7 @@ def test_follower_network_mutual():
         UserProfileRecord(account_id="b", following_ids=["a"]),
     ]
     net = build_follower_network(profiles, corpus={"a", "b"})
-    assert net.has_edge("a", "b") and net.has_edge("b", "a")
+    assert set(edge_dict(net)) == {("a", "b"), ("b", "a")}
 
 
 def test_tweet_rates_arithmetic():

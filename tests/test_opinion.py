@@ -113,6 +113,68 @@ def test_preprocess_zero_rate_chain_reclassified():
     assert g.index("j") not in new_psi  # j follows s, which has positive rate
 
 
+def _reclassified_by_search(g, lam, psi):
+    """Rules (a) and (b) by a separate depth-first search back from each node."""
+    src, tgt, _ = g.edge_arrays()
+    following = {i: set() for i in range(g.node_count)}
+    for u, v in zip(src.tolist(), tgt.tolist()):
+        following[v].add(u)
+    no_rated = [i for i in range(g.node_count)
+                if i not in psi and not any(lam[j] > 0 for j in following[i])]
+    anchored = set(psi) | set(no_rated)
+
+    def reaches_anchor(i):
+        # up the followings, through positive-rate free nodes only
+        stack, seen = [i], {i}
+        while stack:
+            for j in following[stack.pop()]:
+                if lam[j] <= 0 or j in seen:
+                    continue
+                if j in anchored:
+                    return True
+                seen.add(j)
+                stack.append(j)
+        return False
+
+    unreachable = [i for i in range(g.node_count) if i not in anchored and not reaches_anchor(i)]
+    return no_rated, unreachable
+
+
+def test_preprocess_matches_per_node_search_on_random_graphs():
+    unreachable_total = 0
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 40))
+        edges = [(f"v{u}", f"v{v}") for u, v in rng.integers(0, n, size=(int(1.5 * n), 2))
+                 if u != v]
+        # a rate-zero relay (z) and a rate-zero stubborn node (t) each feed a free
+        # cycle that nothing else anchors; a positive-rate stubborn node mid-chain (m)
+        # anchors its own cycle
+        gadgets = [("s", "z"), ("z", "x1"), ("x1", "y1"), ("y1", "x1"),
+                   ("s", "t"), ("t", "x2"), ("x2", "y2"), ("y2", "x2"),
+                   ("s", "m"), ("m", "x3"), ("x3", "y3"), ("y3", "x3")]
+        g = graph_of(edges + gadgets, nodes=[f"v{i}" for i in range(n)])
+        lam = np.where(rng.random(g.node_count) < 0.3, 0.0, rng.uniform(0.1, 5.0, g.node_count))
+        lam[[g.index(a) for a in ("s", "m", "x1", "y1", "x2", "y2", "x3", "y3")]] = 1.0
+        lam[[g.index("z"), g.index("t")]] = 0.0
+        stubborn = [i for i in range(g.node_count) if rng.random() < 0.2]
+        stubborn += [g.index(a) for a in ("s", "t", "m")]
+        psi = {i: float(rng.integers(0, 2)) for i in stubborn}
+        for a in ("z", "x1", "y1", "x2", "y2", "x3", "y3"):
+            psi.pop(g.index(a), None)
+        measured = rng.uniform(0.0, 1.0, g.node_count)
+
+        new_psi, report = preprocess_wellposed(g, lam, psi, measured)
+        no_rated, unreachable = _reclassified_by_search(g, lam, psi)
+        assert report.no_rated_following == no_rated
+        assert report.unreachable == unreachable
+        assert new_psi == {**psi, **{i: float(measured[i]) for i in no_rated + unreachable}}
+        assert {g.index(a) for a in ("x1", "y1", "x2", "y2")} <= set(unreachable)
+        assert g.index("x3") not in new_psi
+        unreachable_total += len(unreachable)
+    assert unreachable_total > 4 * 150  # more than the gadgets alone
+
+
 # -- assembly ----------------------------------------------------------------------
 
 
