@@ -10,7 +10,7 @@ from .botdetect import (
     threshold_bots,
     union_daily_bots,
 )
-from .ghic import GhicResult, SolveSettings, daily_ghic_series, ghic, ghic_per_bot
+from .ghic import GhicResult, daily_ghic_series, ghic, ghic_per_bot
 from .graph import DirectedGraph, GraphError, load_edge_list, save_edge_list
 from .ingest import (
     CollectionWindow,
@@ -21,7 +21,6 @@ from .ingest import (
     build_follower_network,
     load_profiles,
     load_tweets,
-    tweet_rates,
 )
 from .opinion import (
     EquilibriumSolution,
@@ -47,7 +46,6 @@ __all__ = [
     "GhicResult",
     "GraphError",
     "LinearSystem",
-    "SolveSettings",
     "SolverError",
     "StubbornAssignment",
     "TweetRecord",
@@ -72,6 +70,5 @@ __all__ = [
     "solve_equilibrium",
     "solve_network",
     "threshold_bots",
-    "tweet_rates",
     "union_daily_bots",
 ]

@@ -10,16 +10,12 @@ domains an account linked to.
 from __future__ import annotations
 
 import csv
-import math
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit
-
-import numpy as np
-from scipy import stats
 
 from .graph import DirectedGraph
 from .ingest import TweetRecord
@@ -98,7 +94,7 @@ def load_keywords(path: str | Path, label: str) -> KeywordSet:
 
 
 def packaged_keywords(label: str) -> KeywordSet:
-    """Keyword set shipped with the package: anti_trump, pro_trump, qanon, collection."""
+    """Keyword set shipped with the package; only ``qanon`` is packaged."""
     ref = resources.files("botimpact.data").joinpath(f"{label}_keywords.txt")
     with resources.as_file(ref) as path:
         return load_keywords(path, label)
@@ -117,23 +113,6 @@ def label_partisanship(mean_opinion: float, cutoff: float = PARTISAN_CUTOFF) -> 
 def label_qanon(description: str, partisanship: str, qanon_keywords: KeywordSet) -> bool:
     """True iff the account is pro and its description matches a Qanon term."""
     return partisanship == PRO and qanon_keywords.matches(description)
-
-
-def keyword_ground_truth(
-    description: str, anti_keywords: KeywordSet, pro_keywords: KeywordSet
-) -> int | None:
-    """Strong-partisan label from a profile description.
-
-    0 = anti terms only, 1 = pro terms only, None otherwise.  Used to build
-    labeled corpora for external classifiers.
-    """
-    has_anti = anti_keywords.matches(description)
-    has_pro = pro_keywords.matches(description)
-    if has_anti and not has_pro:
-        return 0
-    if has_pro and not has_anti:
-        return 1
-    return None
 
 
 # -- media quality -----------------------------------------------------------
@@ -366,44 +345,3 @@ def co_partisan_fraction(
         if side == own:
             shared += 1
     return shared / labeled if labeled else None
-
-
-# -- two-sample significance tests ----------------------------------------------
-
-
-def welch_t_test(group_a: Sequence[float], group_b: Sequence[float]) -> tuple[float, float]:
-    """Welch's unequal-variance t-test; returns (mean difference, two-sided p).
-
-    Both groups degenerate with equal means gives p = 1.
-    """
-    if len(group_a) < 2 or len(group_b) < 2:
-        raise ValueError("each group needs n >= 2")
-    a = np.asarray(group_a, dtype=float)
-    b = np.asarray(group_b, dtype=float)
-    diff = float(a.mean() - b.mean())
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    if va == 0.0 and vb == 0.0:
-        return diff, 1.0 if diff == 0.0 else 0.0
-    se2 = va / len(a) + vb / len(b)
-    t = diff / math.sqrt(se2)
-    dof = se2**2 / (
-        (va / len(a)) ** 2 / (len(a) - 1) + (vb / len(b)) ** 2 / (len(b) - 1)
-    )
-    p = float(2.0 * stats.t.sf(abs(t), dof))
-    return diff, p
-
-
-def two_proportion_z_test(
-    successes_a: int, n_a: int, successes_b: int, n_b: int
-) -> tuple[float, float]:
-    """Two-proportion z-test; returns (rate difference, two-sided p)."""
-    if n_a < 1 or n_b < 1:
-        raise ValueError("each group needs n >= 1")
-    pa, pb = successes_a / n_a, successes_b / n_b
-    diff = pa - pb
-    pooled = (successes_a + successes_b) / (n_a + n_b)
-    var = pooled * (1.0 - pooled) * (1.0 / n_a + 1.0 / n_b)
-    if var == 0.0:
-        return diff, 1.0 if diff == 0.0 else 0.0
-    z = diff / math.sqrt(var)
-    return diff, float(2.0 * stats.norm.sf(abs(z)))

@@ -144,9 +144,7 @@ def report_cmd(ctx: click.Context) -> None:
         text = report.build_report(cfg)
         out_path = Path(cfg.out_dir) / "report.txt"
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = out_path.with_name(out_path.name + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        tmp.replace(out_path)
+        pipeline._atomic_write_text(out_path, text)
         return text
 
     click.echo(_run_stage(ctx, _write_report))

@@ -22,9 +22,7 @@ class PipelineConfig:
     tweets: str = "tweets.jsonl"
     profiles: str = "profiles.jsonl"
     ratings: str = "ratings.csv"
-    anti_keywords: str = ""  # empty -> packaged list
-    pro_keywords: str = ""
-    qanon_keywords: str = ""
+    qanon_keywords: str = ""  # empty -> packaged list
     out_dir: str = "out"
     # analysis constants
     partisan_cutoff: float = 0.5
@@ -32,10 +30,6 @@ class PipelineConfig:
     stubborn_low_pct: float = 0.10
     stubborn_high_pct: float = 0.90
     followings_cap: int = 2000
-    # solver
-    solver_tol: float = 1e-10
-    solver_max_iter: int = 5000
-    dense_fallback: int = 500
     # bot detection
     bp_prior_bot: float = 0.5
     bp_psi_hh: float = 2.0
@@ -70,8 +64,7 @@ class PipelineConfig:
         if self.bot_threshold <= 0.5:
             raise ConfigError("bot_threshold must exceed 0.5")
         positive = (
-            "followings_cap", "solver_tol", "solver_max_iter", "dense_fallback",
-            "bp_psi_hh", "bp_psi_hb", "bp_psi_bh", "bp_psi_bb",
+            "followings_cap", "bp_psi_hh", "bp_psi_hb", "bp_psi_bh", "bp_psi_bb",
             "bp_weight_cap", "bp_max_iterations", "bp_tolerance", "workers",
         )
         for name in positive:

@@ -27,14 +27,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .graph import DirectedGraph
-from .opinion import (
-    DEFAULT_DENSE_CUTOFF,
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    SolverError,
-    StubbornAssignment,
-    solve_network,
-)
+from .opinion import SolverError, StubbornAssignment, solve_network
 
 log = logging.getLogger(__name__)
 
@@ -53,13 +46,6 @@ class GhicResult:
         )
 
 
-@dataclass
-class SolveSettings:
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-    dense_cutoff: int = DEFAULT_DENSE_CUTOFF
-
-
 def _network_inputs(
     graph: DirectedGraph,
     rates: Mapping[str, float],
@@ -73,12 +59,9 @@ def _network_inputs(
     return lam, psi, np.array([opinions.get(a, 0.5) for a in labels], dtype=np.float64)
 
 
-def _solve(graph: DirectedGraph, inputs: tuple, settings: SolveSettings) -> tuple:
+def _solve(graph: DirectedGraph, inputs: tuple) -> tuple:
     """Every node's equilibrium opinion (fixed or solved), and which were solved for."""
-    eq = solve_network(
-        graph, *inputs,
-        tol=settings.tol, max_iter=settings.max_iter, dense_cutoff=settings.dense_cutoff,
-    )
+    eq = solve_network(graph, *inputs)
     opinion = np.empty(graph.node_count)
     opinion[list(eq.psi)] = list(eq.psi.values())
     opinion[list(eq.theta)] = list(eq.theta.values())
@@ -88,8 +71,7 @@ def _solve(graph: DirectedGraph, inputs: tuple, settings: SolveSettings) -> tupl
 
 
 def _removal_ghic(
-    graph: DirectedGraph, inputs: tuple, full: tuple, targets: frozenset[str],
-    settings: SolveSettings,
+    graph: DirectedGraph, inputs: tuple, full: tuple, targets: frozenset[str]
 ) -> GhicResult:
     """GHIC of ``targets``, given the network's inputs and its solved equilibrium."""
     keep = np.ones(graph.node_count, dtype=bool)
@@ -106,7 +88,7 @@ def _removal_ghic(
     lam, psi, measured = inputs
     reduced = graph.induced_subgraph([graph.label(i) for i in np.flatnonzero(keep)])
     psi_r = {int(position[i]): value for i, value in psi.items() if keep[i]}
-    after, after_solved = _solve(reduced, (lam[keep], psi_r, measured[keep]), settings)
+    after, after_solved = _solve(reduced, (lam[keep], psi_r, measured[keep]))
     rows = position[population]
     # nodes reclassified on the reduced network revert to their measured opinion
     reverted = int(np.count_nonzero(~after_solved[rows]))
@@ -122,7 +104,6 @@ def ghic(
     assignment: StubbornAssignment,
     opinions: Mapping[str, float],
     target_set: Iterable[str],
-    settings: SolveSettings | None = None,
 ) -> GhicResult:
     """Influence centrality of ``target_set`` on ``graph``.
 
@@ -131,14 +112,13 @@ def ghic(
     and its preprocessing are recomputed independently on the reduced
     network.
     """
-    settings = settings or SolveSettings()
     graph.freeze()
     targets = frozenset(target_set)
     unknown = [t for t in targets if t not in graph]
     if unknown:
         raise ValueError(f"target accounts not in network: {sorted(unknown)[:5]}")
     inputs = _network_inputs(graph, rates, assignment, opinions)
-    return _removal_ghic(graph, inputs, _solve(graph, inputs, settings), targets, settings)
+    return _removal_ghic(graph, inputs, _solve(graph, inputs), targets)
 
 
 # -- daily series ---------------------------------------------------------------
@@ -165,7 +145,6 @@ def daily_ghic_series(
     assignment: StubbornAssignment,
     opinions: Mapping[str, float],
     groups: Mapping[str, set[str]],
-    settings: SolveSettings | None = None,
 ) -> DailyGhicSeries:
     """GHIC of each group on each day's active follower subnetwork.
 
@@ -176,7 +155,6 @@ def daily_ghic_series(
     """
     if not groups:
         raise ValueError("at least one group is required")
-    settings = settings or SolveSettings()
     entries: list[DailyGhicEntry] = []
     skipped: list[tuple[date, str]] = []
     for day in sorted(active_by_day):
@@ -201,10 +179,8 @@ def daily_ghic_series(
                 continue
             try:
                 if full is None:
-                    full = _solve(subnet, inputs, settings)
-                results[name] = _removal_ghic(
-                    subnet, inputs, full, frozenset(day_targets), settings
-                )
+                    full = _solve(subnet, inputs)
+                results[name] = _removal_ghic(subnet, inputs, full, frozenset(day_targets))
             except ValueError as exc:
                 skipped.append((day, f"group {name!r}: {exc}"))
             except SolverError as exc:

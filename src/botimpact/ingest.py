@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -40,10 +40,6 @@ class TweetRecord:
     def day(self) -> date:
         return self.timestamp.astimezone(timezone.utc).date()
 
-    @property
-    def is_retweet(self) -> bool:
-        return self.retweeted_author_id is not None
-
 
 @dataclass
 class UserProfileRecord:
@@ -69,12 +65,6 @@ class CollectionWindow:
 
     def __contains__(self, day: date) -> bool:
         return self.start <= day <= self.end
-
-    def days(self) -> Iterator[date]:
-        d = self.start
-        while d <= self.end:
-            yield d
-            d += timedelta(days=1)
 
 
 @dataclass
@@ -273,16 +263,6 @@ def tweet_counts(tweets: Iterable[TweetRecord], window: CollectionWindow) -> dic
             raise IngestError(f"tweet {t.tweet_id} dated {t.day} outside window {window}")
         counts[t.author_id] = counts.get(t.author_id, 0) + 1
     return counts
-
-
-def tweet_rates(tweets: Iterable[TweetRecord], window: CollectionWindow) -> dict[str, float]:
-    """Posting rate per author: whole-window tweet count / window duration.
-
-    The same global rate is reused for every daily equilibrium computation.
-    Counting stays in integer arithmetic; division happens once at the end.
-    """
-    duration = window.duration_days
-    return {a: c / duration for a, c in tweet_counts(tweets, window).items()}
 
 
 def active_set(tweets: Iterable[TweetRecord], day: date) -> set[str]:

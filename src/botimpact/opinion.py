@@ -15,9 +15,15 @@ Preprocessing and assembly are whole-array kernels over the graph's edge
 arrays: rule (a) is one bincount of positive-rate in-edges, rule (b) one
 breadth-first search from a virtual source, and G and F come from masked
 edge arrays in one COO-to-CSR step.  Each G_ii is numpy's own sum of that
-row's rates in source order, which fixes its rounding.  The system is
-solved directly (dense) below a size cutoff and by a Jacobi-preconditioned
-GMRES above it.  An independent fixed-point sweep over the averaging form
+row's rates in source order, which fixes its rounding.
+
+The system is solved directly (dense LU) up to 500 unknowns and by a
+Jacobi-preconditioned GMRES above that.  The fixed cutoff sits between
+the sizes at which each path wins.  Measured with one BLAS thread on a 2-core Intel Xeon, on
+the benchmark's polarized-1k corpus (seeds 5 and 11): the 45 systems of
+283-500 unknowns take 0.08-0.09 s in total dense against 0.26-0.30 s by
+GMRES, while a system of about 785 unknowns takes 7-15 ms by GMRES against
+21-28 ms dense.  An independent fixed-point sweep over the averaging form
 of the same equations acts as the oracle guarding the matrix
 interpretation.
 """
@@ -415,16 +421,13 @@ def solve_network(
     rates: np.ndarray,
     psi: dict[int, float],
     measured: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    dense_cutoff: int = DEFAULT_DENSE_CUTOFF,
 ) -> NetworkEquilibrium:
     """preprocess -> assemble -> solve on one network."""
     full_psi, report = preprocess_wellposed(graph, rates, psi, measured)
     if len(full_psi) == graph.node_count:
         return NetworkEquilibrium(theta={}, psi=full_psi, report=report, solution=None)
     system = assemble_system(graph, rates, full_psi)
-    solution = solve_equilibrium(system, tol=tol, max_iter=max_iter, dense_cutoff=dense_cutoff)
+    solution = solve_equilibrium(system)
     return NetworkEquilibrium(
         theta=solution.theta, psi=full_psi, report=report, solution=solution
     )

@@ -9,6 +9,7 @@ configuration reproduce byte-identical results.
 from __future__ import annotations
 
 import csv
+import fnmatch
 import hashlib
 import json
 import logging
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 from . import accounts as acc
 from . import botdetect, ingest
 from .config import PipelineConfig
-from .ghic import SolveSettings, daily_ghic_series, ghic_per_bot
+from .ghic import daily_ghic_series, ghic_per_bot
 from .graph import DirectedGraph, load_edge_list, save_edge_list
 from .opinion import identify_stubborn
 
@@ -28,9 +29,12 @@ log = logging.getLogger(__name__)
 
 GROUP_NAMES = ("all_bots", "anti_bots", "pro_bots", "qanon_bots")
 
+# manifest entry -> the command that writes it
+_COMMANDS = {"build": "build", "detect": "detect-bots", "classify": "classify"}
+
 
 class StageError(RuntimeError):
-    """A pipeline stage could not run (usually missing prior outputs)."""
+    """A pipeline stage could not run (usually missing or stale prior outputs)."""
 
 
 def _fmt(x: float) -> str:
@@ -160,40 +164,43 @@ def stage_build(cfg: PipelineConfig) -> dict:
 # -- bot detection -----------------------------------------------------------------
 
 
-def _retweet_paths(out_dir: Path) -> list[Path]:
-    """The daily retweet networks the last build listed, checksums verified.
+def _listed_paths(out_dir: Path, stage: str, pattern: str) -> list[Path]:
+    """The files matching ``pattern`` that ``stage``'s manifest entry lists,
+    checksums verified.
 
-    Files left behind by an earlier build into the same directory are not
-    listed, so they are never read.
+    Files left behind by an earlier run into the same directory are not
+    listed, so they are never read.  A missing manifest or entry, no listed
+    match, or a missing or changed file raises StageError ("rerun <stage>").
     """
+    rerun = f"rerun {_COMMANDS[stage]}"
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
-        raise StageError(f"{manifest_path} missing; rerun build")
+        raise StageError(f"{manifest_path} missing; {rerun}")
     try:
-        build = json.loads(manifest_path.read_text(encoding="utf-8")).get("build")
+        entry = json.loads(manifest_path.read_text(encoding="utf-8")).get(stage)
     except json.JSONDecodeError as exc:
-        raise StageError(f"{manifest_path} unreadable ({exc}); rerun build") from None
-    if build is None:
-        raise StageError(f"{manifest_path} has no build entry; rerun build")
+        raise StageError(f"{manifest_path} unreadable ({exc}); {rerun}") from None
+    if entry is None:
+        raise StageError(f"{manifest_path} has no {stage} entry; {rerun}")
     paths = []
-    for name, digest in sorted(build.get("checksums", {}).items()):
-        if not (name.startswith("retweet_") and name.endswith(".tsv")):
+    for name, digest in sorted(entry.get("checksums", {}).items()):
+        if not fnmatch.fnmatchcase(name, pattern):
             continue
         path = out_dir / name
         if not path.exists():
-            raise StageError(f"{path} missing; rerun build")
+            raise StageError(f"{path} missing; {rerun}")
         if _sha256(path) != digest:
-            raise StageError(f"{path} changed since build; rerun build")
+            raise StageError(f"{path} changed since {stage}; {rerun}")
         paths.append(path)
     if not paths:
-        raise StageError(f"{manifest_path} lists no daily retweet networks; rerun build")
+        raise StageError(f"{manifest_path} lists no {pattern} under {stage}; {rerun}")
     return paths
 
 
 def stage_detect(cfg: PipelineConfig) -> dict:
     """Daily factor-graph inference, threshold, and cross-day union."""
     out_dir = Path(cfg.out_dir)
-    day_paths = _retweet_paths(out_dir)
+    day_paths = _listed_paths(out_dir, "build", "retweet_*.tsv")
     params = botdetect.FactorGraphParams(
         prior_bot=cfg.bp_prior_bot,
         psi_hh=cfg.bp_psi_hh,
@@ -265,23 +272,14 @@ def stage_detect(cfg: PipelineConfig) -> dict:
 
 
 def _load_bots(out_dir: Path) -> set[str]:
-    path = out_dir / "bots.txt"
-    if not path.exists():
-        raise StageError(f"{path} missing; run detect-bots first")
+    [path] = _listed_paths(out_dir, "detect", "bots.txt")
     return {line.strip() for line in path.read_text(encoding="utf-8").splitlines() if line.strip()}
 
 
-def _load_rates(out_dir: Path) -> tuple[dict[str, int], dict[str, float]]:
-    path = out_dir / "rates.csv"
-    if not path.exists():
-        raise StageError(f"{path} missing; run build first")
-    counts: dict[str, int] = {}
-    rates: dict[str, float] = {}
+def _load_rates(out_dir: Path) -> dict[str, float]:
+    [path] = _listed_paths(out_dir, "build", "rates.csv")
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            counts[row["account_id"]] = int(row["tweet_count"])
-            rates[row["account_id"]] = float(row["tweet_rate"])
-    return counts, rates
+        return {row["account_id"]: float(row["tweet_rate"]) for row in csv.DictReader(fh)}
 
 
 def _keyword_set(path: str, label: str) -> acc.KeywordSet:
@@ -293,7 +291,7 @@ def _keyword_set(path: str, label: str) -> acc.KeywordSet:
 def stage_classify(cfg: PipelineConfig) -> dict:
     """Per-account labels and aggregates plus the group summary table."""
     out_dir = Path(cfg.out_dir)
-    _, rates = _load_rates(out_dir)
+    rates = _load_rates(out_dir)
     bots = _load_bots(out_dir)
 
     ratings = None
@@ -380,17 +378,13 @@ def stage_classify(cfg: PipelineConfig) -> dict:
 
 
 def _load_accounts_csv(out_dir: Path) -> list[dict]:
-    path = out_dir / "accounts.csv"
-    if not path.exists():
-        raise StageError(f"{path} missing; run classify first")
+    [path] = _listed_paths(out_dir, "classify", "accounts.csv")
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
 
 
 def _load_daily_active(out_dir: Path) -> dict[date, set[str]]:
-    path = out_dir / "daily_active.csv"
-    if not path.exists():
-        raise StageError(f"{path} missing; run build first")
+    [path] = _listed_paths(out_dir, "build", "daily_active.csv")
     active: dict[date, set[str]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
@@ -422,11 +416,9 @@ def ghic_groups_from_rows(rows: list[dict], requested: Iterable[str]) -> dict[st
 def stage_ghic(cfg: PipelineConfig) -> dict:
     """Daily influence series and per-bot efficiency distributions."""
     out_dir = Path(cfg.out_dir)
-    follower_path = out_dir / "follower.tsv"
-    if not follower_path.exists():
-        raise StageError(f"{follower_path} missing; run build first")
+    [follower_path] = _listed_paths(out_dir, "build", "follower.tsv")
     follower = load_edge_list(follower_path)
-    _, rates = _load_rates(out_dir)
+    rates = _load_rates(out_dir)
     rows = _load_accounts_csv(out_dir)
     active_by_day = _load_daily_active(out_dir)
 
@@ -438,12 +430,7 @@ def stage_ghic(cfg: PipelineConfig) -> dict:
     requested = [name.strip() for name in cfg.ghic_groups.split(",") if name.strip()]
     groups = ghic_groups_from_rows(rows, requested)
 
-    settings = SolveSettings(
-        tol=cfg.solver_tol, max_iter=cfg.solver_max_iter, dense_cutoff=cfg.dense_fallback
-    )
-    series = daily_ghic_series(
-        follower, active_by_day, rates, assignment, opinions, groups, settings
-    )
+    series = daily_ghic_series(follower, active_by_day, rates, assignment, opinions, groups)
     per_bot = ghic_per_bot(series, groups)
 
     series_path = out_dir / "ghic_series.csv"

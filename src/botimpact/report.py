@@ -11,7 +11,7 @@ import numpy as np
 from . import accounts as acc
 from .config import PipelineConfig
 from .graph import DirectedGraph, load_edge_list
-from .pipeline import _retweet_paths
+from .pipeline import _listed_paths
 
 _MISSING = "  (not available: run the {stage} stage first)\n"
 
@@ -176,7 +176,7 @@ def _merged_retweet_network(out_dir: Path, build: dict | None) -> DirectedGraph 
         return None
     index: dict[str, int] = {}
     columns = []
-    for path in _retweet_paths(out_dir):
+    for path in _listed_paths(out_dir, "build", "retweet_*.tsv"):
         daily = load_edge_list(path)
         local = np.array([index.setdefault(a, len(index)) for a in daily.labels], dtype=np.int64)
         src, tgt, w = daily.edge_arrays()

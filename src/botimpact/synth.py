@@ -203,21 +203,6 @@ def generate(spec: SynthSpec, outdir: str | Path) -> dict:
     return _emit(spec, roster, outdir)
 
 
-def gen_two_block(spec: SynthSpec, outdir: str | Path) -> dict:
-    spec.topology = "two_block_polarized"
-    return generate(spec, outdir)
-
-
-def gen_core_periphery(spec: SynthSpec, outdir: str | Path) -> dict:
-    spec.topology = "core_periphery_qanon"
-    return generate(spec, outdir)
-
-
-def gen_planted_bot_retweets(spec: SynthSpec, outdir: str | Path) -> dict:
-    spec.topology = "planted_bot_retweet"
-    return generate(spec, outdir)
-
-
 # -- rosters --------------------------------------------------------------------
 
 

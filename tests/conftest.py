@@ -68,26 +68,6 @@ def auc_score(scores_pos, scores_neg) -> float:
     return float(u / (len(pos) * len(neg)))
 
 
-def permutation_pvalue(a, b, shuffles: int = 100_000, seed: int = 0) -> float:
-    """Two-sided permutation test on the difference of means (vectorized)."""
-    rng = np.random.default_rng(seed)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    pooled = np.concatenate([a, b])
-    observed = abs(a.mean() - b.mean())
-    hits = 0
-    done = 0
-    batch = 20_000
-    while done < shuffles:
-        rows = min(batch, shuffles - done)
-        perms = rng.permuted(np.tile(pooled, (rows, 1)), axis=1)
-        mean_a = perms[:, : len(a)].mean(axis=1)
-        mean_b = perms[:, len(a) :].mean(axis=1)
-        hits += int(np.sum(np.abs(mean_a - mean_b) >= observed - 1e-15))
-        done += rows
-    return (hits + 1) / (shuffles + 1)
-
-
 @pytest.fixture
 def tiny_follower_graph() -> DirectedGraph:
     """Two bots with partially overlapping follower sets."""

@@ -33,10 +33,9 @@ from botimpact.ingest import (
     load_tweets,
     observed_window,
     tweet_counts,
-    tweet_rates,
 )
 from botimpact.opinion import StubbornAssignment, fixed_point_oracle, identify_stubborn, solve_network
-from botimpact.synth import SynthSpec, gen_core_periphery, gen_planted_bot_retweets, generate
+from botimpact.synth import SynthSpec, generate
 
 from conftest import auc_score, edge_dict, graph_of, random_instance
 from test_botdetect import _random_forest
@@ -207,7 +206,7 @@ def test_criterion_5_planted_bot_recovery(tmp_path):
         spec = SynthSpec(
             seed=seed, topology="planted_bot_retweet", days=2, n_bots=30, n_humans=300
         )
-        gen_planted_bot_retweets(spec, out)
+        generate(spec, out)
         with open(out / "labels_truth.csv", newline="") as fh:
             labels = {r["account_id"]: r["is_bot"] == "1" for r in csv.DictReader(fh)}
         tweets = list(load_tweets(out / "tweets.jsonl"))
@@ -236,12 +235,12 @@ def _per_bot_core_ghic(seed: int, audience: str, workdir: Path) -> float:
         seed=seed, topology="core_periphery_qanon", days=2, core_bots=8,
         periphery_humans=60, k_follow=3, bot_rate=20.0, audience=audience,
     )
-    gen_core_periphery(spec, out)
+    generate(spec, out)
     with open(out / "labels_truth.csv", newline="") as fh:
         labels = {r["account_id"]: r for r in csv.DictReader(fh)}
     tweets = list(load_tweets(out / "tweets.jsonl"))
     window = observed_window(tweets)
-    rates = tweet_rates(tweets, window)
+    rates = {a: c / window.duration_days for a, c in tweet_counts(tweets, window).items()}
     corpus = corpus_accounts(tweets)
     follower = build_follower_network(load_profiles(out / "profiles.jsonl"), corpus)
     sums: dict[str, float] = {}
@@ -362,7 +361,7 @@ def test_criterion_9_ingest_conservation(e2e_corpus):
     window = observed_window(tweets)
     counts = tweet_counts(tweets, window)
     assert sum(counts.values()) == len(tweets) == summary["tweets"]
-    rates = tweet_rates(tweets, window)
+    rates = {a: c / window.duration_days for a, c in counts.items()}
     reconstructed = round(sum(rates.values()) * window.duration_days)
     assert reconstructed == len(tweets)
     print(

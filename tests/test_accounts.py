@@ -1,6 +1,5 @@
 from datetime import datetime, timezone
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,23 +11,18 @@ from botimpact.accounts import (
     co_partisan_fraction,
     follower_overlap,
     group_summary,
-    keyword_ground_truth,
     label_partisanship,
     label_qanon,
     load_keywords,
     media_quality_score,
     packaged_keywords,
     retweet_leaderboard,
-    two_proportion_z_test,
-    welch_t_test,
 )
 from botimpact.ingest import TweetRecord
 
-from conftest import graph_of, permutation_pvalue
+from conftest import graph_of
 
 QANON = packaged_keywords("qanon")
-ANTI_KW = packaged_keywords("anti_trump")
-PRO_KW = packaged_keywords("pro_trump")
 
 
 def _tweet(author="a", urls=(), opinion=None, toxicity=None):
@@ -65,7 +59,7 @@ def test_partisan_labeling_monotone(a, b):
     assert pair != ("pro", "anti")
 
 
-# -- qanon and ground truth -----------------------------------------------------
+# -- qanon -----------------------------------------------------------------
 
 
 def test_qanon_requires_pro_and_keyword():
@@ -77,13 +71,6 @@ def test_qanon_requires_pro_and_keyword():
 def test_qanon_matches_hashtag_form():
     assert label_qanon("posting #WWG1WGA daily", "pro", QANON) is True
     assert label_qanon("the great awakening is here #TheGreatAwakening", "pro", QANON) is True
-
-
-def test_keyword_ground_truth_rules():
-    assert keyword_ground_truth("fighting for #RESIST", ANTI_KW, PRO_KW) == 0
-    assert keyword_ground_truth("#MAGA forever", ANTI_KW, PRO_KW) == 1
-    assert keyword_ground_truth("#RESIST #MAGA both sides", ANTI_KW, PRO_KW) is None
-    assert keyword_ground_truth("no politics here", ANTI_KW, PRO_KW) is None
 
 
 def test_keyword_token_matching_is_whole_token():
@@ -287,58 +274,6 @@ def test_co_partisan_fraction_absent_cases():
     assert co_partisan_fraction(g2, "bot", {"bot": "pro"}) is None  # follower unlabeled
 
 
-# -- significance tests ------------------------------------------------------------
-
-
-def test_welch_identical_groups():
-    diff, p = welch_t_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-    assert diff == 0.0
-    assert p == pytest.approx(1.0)
-
-
-def test_welch_degenerate_equal_means():
-    diff, p = welch_t_test([2.0, 2.0], [2.0, 2.0])
-    assert (diff, p) == (0.0, 1.0)
-
-
-def test_welch_separated_groups_match_permutation_oracle():
-    rng = np.random.default_rng(42)
-    a = 0.0 + rng.normal(0, 1e-6, size=50)
-    b = 1.0 + rng.normal(0, 1e-6, size=50)
-    diff, p = welch_t_test(a, b)
-    assert p < 1e-6
-    # the permutation oracle bottoms out at its resolution: no shuffle
-    # reproduces the observed separation
-    perm = permutation_pvalue(a, b, shuffles=100_000, seed=1)
-    assert perm <= 2.0 / 100_001
-
-
-def test_welch_moderate_case_close_to_permutation():
-    rng = np.random.default_rng(7)
-    a = rng.normal(0.0, 1.0, size=40)
-    b = rng.normal(0.5, 1.2, size=35)
-    _, p = welch_t_test(a, b)
-    perm = permutation_pvalue(a, b, shuffles=100_000, seed=2)
-    assert abs(p - perm) < 0.02
-
-
-def test_two_proportion_equal():
-    diff, p = two_proportion_z_test(10, 100, 10, 100)
-    assert diff == 0.0
-    assert p == pytest.approx(1.0)
-
-
-def test_two_proportion_separated():
-    _, p = two_proportion_z_test(90, 100, 10, 100)
-    assert p < 1e-6
-
-
 def test_packaged_keyword_tables():
-    collection = packaged_keywords("collection")
-    assert len(collection.tokens) + len(collection.phrases) == 24
-    assert "trump to pelosi" in collection.phrases
-    assert collection.matches("the #ImpeachmentEve rally tonight")
-    assert len(ANTI_KW.tokens) == 21
-    assert len(PRO_KW.tokens) == 22
     assert QANON.tokens == frozenset({"qanon", "thegreatawakening", "wwg1wga"})
-    assert QANON.tokens <= PRO_KW.tokens
+    assert QANON.phrases == ()

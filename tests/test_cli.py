@@ -120,6 +120,48 @@ def test_unknown_config_key_exits_2(tmp_path, runner):
     assert result.exit_code == 2
 
 
+REMOVED_KEYS = ("anti_keywords", "pro_keywords", "solver_tol", "solver_max_iter",
+                "dense_fallback")
+
+
+def test_removed_config_keys_are_unknown(tmp_path, runner, corpus):
+    cfg = tmp_path / "cfg.txt"
+    for key in REMOVED_KEYS:
+        cfg.write_text(f"{key} = 500\n")
+        result = runner.invoke(main, ["--config", str(cfg), "build"])
+        assert result.exit_code == 2
+        assert f"unknown key {key!r}" in result.output
+
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
+    assert _run(runner, ["--config", str(cfg), "build"]).exit_code == 0
+    snapshot = json.loads((out / "manifest.json").read_text())["build"]["config"]
+    assert not set(REMOVED_KEYS) & set(snapshot)
+
+
+def test_stages_refuse_upstream_files_changed_since_written(tmp_path, runner, corpus):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
+    for cmd in ("build", "detect-bots", "classify", "ghic", "report"):
+        assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0, cmd
+
+    rates = out / "rates.csv"
+    original = rates.read_bytes()
+    header, first, *rest = original.splitlines(keepends=True)
+    rates.write_bytes(header + first.rsplit(b",", 1)[0] + b",99\r\n" + b"".join(rest))
+    for cmd in ("ghic", "classify"):
+        result = runner.invoke(main, ["--config", str(cfg), cmd])
+        assert result.exit_code == 3, cmd
+        assert "rerun build" in result.output
+
+    rates.write_bytes(original)
+    assert _run(runner, ["--config", str(cfg), "ghic"]).exit_code == 0
+    (out / "bots.txt").unlink()
+    result = runner.invoke(main, ["--config", str(cfg), "classify"])
+    assert result.exit_code == 3
+    assert "rerun detect-bots" in result.output
+
+
 def test_stage_order_enforced(tmp_path, runner, corpus):
     out = tmp_path / "out"
     cfg = _write_config(tmp_path / "cfg.txt", corpus, out)

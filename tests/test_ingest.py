@@ -18,7 +18,6 @@ from botimpact.ingest import (
     load_tweets,
     observed_window,
     tweet_counts,
-    tweet_rates,
 )
 
 from conftest import edge_dict
@@ -185,27 +184,32 @@ def test_follower_network_mutual():
     assert set(edge_dict(net)) == {("a", "b"), ("b", "a")}
 
 
+def _rates(tweets, window) -> dict[str, float]:
+    """Posting rates as build writes them: whole-window count / window duration."""
+    return {a: c / window.duration_days for a, c in tweet_counts(tweets, window).items()}
+
+
 def test_tweet_rates_arithmetic():
     window = CollectionWindow(date(2020, 1, 1), date(2020, 4, 12))
     assert window.duration_days == 103
     tweets = [_rec("a", "2020-01-01") for _ in range(206)]
-    rates = tweet_rates(tweets, window)
+    rates = _rates(tweets, window)
     assert rates["a"] == pytest.approx(2.0)
-    single = tweet_rates([_rec("b", "2020-02-01")], window)
+    single = _rates([_rec("b", "2020-02-01")], window)
     assert single["b"] == pytest.approx(1 / 103, abs=1e-9)
 
 
 def test_tweet_rates_linearity():
     window = CollectionWindow(date(2020, 1, 1), date(2020, 4, 12))
     tweets = [_rec("a", "2020-01-01")] * 103 + [_rec("b", "2020-01-02")] * 206
-    rates = tweet_rates(tweets, window)
+    rates = _rates(tweets, window)
     assert rates["b"] == pytest.approx(2 * rates["a"])
 
 
 def test_tweet_rates_rejects_out_of_window():
     window = CollectionWindow(date(2020, 1, 1), date(2020, 1, 2))
     with pytest.raises(IngestError):
-        tweet_rates([_rec("a", "2020-02-01")], window)
+        tweet_counts([_rec("a", "2020-02-01")], window)
 
 
 def test_rate_totals_reconstruct_corpus_exactly():

@@ -342,3 +342,13 @@ def test_gmres_path_matches_dense():
     for i, value in dense.theta.items():
         assert sparse.theta[i] == pytest.approx(value, abs=1e-8)
     assert sparse.residual_norm <= 1e-10
+
+    # solve_network picks the path by size alone: dense up to 500 unknowns, GMRES above
+    for n, method in ((150, "dense"), (1000, "gmres")):
+        g, lam, psi, measured = random_instance(seed=501, n_lo=n, n_hi=n)
+        net = solve_network(g, lam, psi, measured)
+        assert net.solution.method == method
+        assert (len(net.theta) > 500) == (method == "gmres")
+        oracle = fixed_point_oracle(g, lam, net.psi)
+        for i, value in net.theta.items():
+            assert oracle[i] == pytest.approx(value, abs=1e-8)

@@ -14,9 +14,6 @@ from botimpact.ingest import (
 from botimpact.synth import (
     SynthSpec,
     SynthSpecError,
-    gen_core_periphery,
-    gen_planted_bot_retweets,
-    gen_two_block,
     generate,
 )
 
@@ -47,29 +44,25 @@ def _load_labels(outdir: Path) -> dict[str, dict]:
 def test_determinism_byte_identical(tmp_path):
     spec = _small_two_block()
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    gen_two_block(spec, out1)
-    gen_two_block(_small_two_block(), out2)
+    generate(spec, out1)
+    generate(_small_two_block(), out2)
     assert _digest_dir(out1) == _digest_dir(out2)
 
 
 def test_different_seed_changes_output(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    gen_two_block(_small_two_block(), out1)
-    gen_two_block(_small_two_block(seed=4), out2)
+    generate(_small_two_block(), out1)
+    generate(_small_two_block(seed=4), out2)
     assert _digest_dir(out1) != _digest_dir(out2)
 
 
 def test_round_trip_through_ingest_zero_skips(tmp_path):
-    for topology, gen in (
-        ("two_block_polarized", gen_two_block),
-        ("core_periphery_qanon", gen_core_periphery),
-        ("planted_bot_retweet", gen_planted_bot_retweets),
-    ):
+    for topology in ("two_block_polarized", "core_periphery_qanon", "planted_bot_retweet"):
         out = tmp_path / topology
         spec = SynthSpec(seed=5, topology=topology, days=2, humans_per_block=6,
                          bots_per_block=2, core_bots=3, periphery_humans=10,
                          n_bots=4, n_humans=12, bot_rate=5.0)
-        summary = gen(spec, out)
+        summary = generate(spec, out)
         tweet_stats = ParseStats()
         tweets = list(load_tweets(out / "tweets.jsonl", stats=tweet_stats))
         assert tweet_stats.skipped == 0
@@ -83,7 +76,7 @@ def test_round_trip_through_ingest_zero_skips(tmp_path):
 def test_two_block_eps_zero_no_cross_edges(tmp_path):
     out = tmp_path / "tb"
     spec = _small_two_block(eps=0.0, p_intra=0.5)
-    gen_two_block(spec, out)
+    generate(spec, out)
     labels = _load_labels(out)
     profiles = list(load_profiles(out / "profiles.jsonl"))
     blocks = {a: row["block"] for a, row in labels.items()}
@@ -112,7 +105,7 @@ def test_two_block_eps_one_mixes_followers(tmp_path):
             human_rate=0.5, bot_rate=2.0,
         )
         out = tmp_path / f"s{seed}"
-        gen_two_block(spec, out)
+        generate(spec, out)
         labels = _load_labels(out)
         profiles = list(load_profiles(out / "profiles.jsonl"))
         net = build_follower_network(profiles, set(labels))
@@ -129,7 +122,7 @@ def test_two_block_degenerate_single_community(tmp_path):
     out = tmp_path / "single"
     spec = _small_two_block(humans_per_block=10, bots_per_block=0,
                             humans_block_b=0, bots_block_b=0)
-    summary = gen_two_block(spec, out)
+    summary = generate(spec, out)
     assert summary["accounts"] == 10
     labels = _load_labels(out)
     assert {row["block"] for row in labels.values()} == {"anti"}
@@ -139,7 +132,7 @@ def test_core_periphery_structure(tmp_path):
     out = tmp_path / "cp"
     spec = SynthSpec(seed=9, topology="core_periphery_qanon", days=2,
                      core_bots=4, periphery_humans=20, k_follow=2, bot_rate=5.0)
-    gen_core_periphery(spec, out)
+    generate(spec, out)
     labels = _load_labels(out)
     core = {a for a, row in labels.items() if row["block"] == "core"}
     profiles = {p.account_id: p for p in load_profiles(out / "profiles.jsonl")}
@@ -157,7 +150,7 @@ def test_planted_zero_bots_marginals_at_or_below_prior(tmp_path):
     out = tmp_path / "nobots"
     spec = SynthSpec(seed=2, topology="planted_bot_retweet", days=1,
                      n_bots=0, n_humans=25, human_rt_human=2.0)
-    gen_planted_bot_retweets(spec, out)
+    generate(spec, out)
     labels = _load_labels(out)
     assert all(row["is_bot"] == "0" for row in labels.values())
     from botimpact.botdetect import infer_bot_probabilities
@@ -173,7 +166,7 @@ def test_planted_zero_bots_marginals_at_or_below_prior(tmp_path):
 def test_labels_sidecar_never_fed_to_inference(tmp_path):
     # the tweet and profile files must not leak the planted labels
     out = tmp_path / "leak"
-    gen_two_block(_small_two_block(), out)
+    generate(_small_two_block(), out)
     tweets_text = (out / "tweets.jsonl").read_text()
     profiles_text = (out / "profiles.jsonl").read_text()
     assert "is_bot" not in tweets_text
