@@ -14,11 +14,11 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 from urllib.parse import urlsplit
 
 from .graph import DirectedGraph
-from .ingest import TweetRecord
+from .ingest import AccountContent
 
 PARTISAN_CUTOFF = 0.5
 ANTI = "anti"
@@ -136,9 +136,6 @@ class MediaRatingsTable:
                 raise ValueError(f"rating for {domain!r} outside [1,5]: {rating}")
             self._ratings[domain] = rating
 
-    def __len__(self) -> int:
-        return len(self._ratings)
-
     @staticmethod
     def from_csv(path: str | Path) -> "MediaRatingsTable":
         """Read ``domain,rating`` rows (header required)."""
@@ -168,7 +165,7 @@ class MediaRatingsTable:
 
 
 def media_quality_score(
-    tweets: Iterable[TweetRecord], ratings: MediaRatingsTable
+    urls: Iterable[str], ratings: MediaRatingsTable
 ) -> tuple[float | None, int]:
     """Mean trust rating over every rated URL the account shared.
 
@@ -178,16 +175,15 @@ def media_quality_score(
     total = 0.0
     n = 0
     malformed = 0
-    for t in tweets:
-        for url in t.urls:
-            try:
-                rating = ratings.rating_for_url(url)
-            except ValueError:
-                malformed += 1
-                continue
-            if rating is not None:
-                total += rating
-                n += 1
+    for url in urls:
+        try:
+            rating = ratings.rating_for_url(url)
+        except ValueError:
+            malformed += 1
+            continue
+        if rating is not None:
+            total += rating
+            n += 1
     return (total / n if n else None), malformed
 
 
@@ -195,40 +191,37 @@ def media_quality_score(
 
 
 def build_account_records(
-    tweets_by_author: Mapping[str, Sequence[TweetRecord]],
+    content: Mapping[str, AccountContent],
     rates: Mapping[str, float],
     bots: set[str],
-    descriptions: Mapping[str, str],
     qanon_keywords: KeywordSet,
     ratings: MediaRatingsTable | None = None,
     cutoff: float = PARTISAN_CUTOFF,
 ) -> dict[str, AccountRecord]:
-    """Assemble one AccountRecord per author.
+    """Assemble one AccountRecord per corpus account.
 
     Accounts with zero scored tweets get the neutral opinion 0.5 and are
     flagged unscored so partisan statistics can exclude them.
     """
     out: dict[str, AccountRecord] = {}
-    for account in sorted(tweets_by_author):
-        tweets = tweets_by_author[account]
-        opinions = [t.opinion for t in tweets if t.opinion is not None]
-        toxicities = [t.toxicity for t in tweets if t.toxicity is not None]
-        opinion = sum(opinions) / len(opinions) if opinions else 0.5
+    for account in sorted(content):
+        c = content[account]
+        opinion = 0.5 if c.mean_opinion is None else c.mean_opinion
         partisanship = label_partisanship(opinion, cutoff)
         quality = None
         if ratings is not None:
-            quality, _ = media_quality_score(tweets, ratings)
+            quality, _ = media_quality_score(c.urls, ratings)
         out[account] = AccountRecord(
             account_id=account,
             opinion=opinion,
             tweet_rate=rates.get(account, 0.0),
-            tweet_count=len(tweets),
+            tweet_count=c.tweet_count,
             partisanship=partisanship,
-            qanon=label_qanon(descriptions.get(account, ""), partisanship, qanon_keywords),
+            qanon=label_qanon(c.description, partisanship, qanon_keywords),
             bot=account in bots,
             media_quality=quality,
-            mean_toxicity=sum(toxicities) / len(toxicities) if toxicities else None,
-            scored=bool(opinions),
+            mean_toxicity=c.mean_toxicity,
+            scored=c.mean_opinion is not None,
         )
     return out
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -287,16 +288,16 @@ def union_daily_bots(daily_sets) -> set[str]:
 
 
 def probability_histogram(
-    posterior: BotPosterior, bins: int = 20
+    probabilities: Iterable[float], bins: int = 20
 ) -> tuple[list[int], list[float]]:
-    """Equal-width histogram of marginals over [0,1]; last bin right-closed.
+    """Equal-width histogram of probabilities over [0,1]; last bin right-closed.
 
-    Returns (counts, bin edges); counts sum to the number of accounts.
+    Returns (counts, bin edges); counts sum to the number of probabilities.
     """
     if bins < 2:
         raise ValueError("need at least 2 bins")
     counts = [0] * bins
-    for prob in posterior.marginals.values():
+    for prob in probabilities:
         idx = min(int(prob * bins), bins - 1)
         counts[idx] += 1
     edges = [i / bins for i in range(bins + 1)]

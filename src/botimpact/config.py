@@ -9,6 +9,7 @@ documented range at load time.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from datetime import date
 from pathlib import Path
 
 
@@ -81,19 +82,9 @@ class PipelineConfig:
         known = {f.name: f for f in fields(PipelineConfig)}
         kwargs: dict = {}
         if path is not None:
-            path = Path(path)
-            if not path.exists():
+            if not Path(path).exists():
                 raise ConfigError(f"config file not found: {path}")
-            for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in known:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                kwargs[key] = _coerce(known[key].type, value, key)
+            kwargs = read_key_values(path, PipelineConfig, ConfigError)
         for key, value in (overrides or {}).items():
             if value is None:
                 continue
@@ -109,12 +100,28 @@ class PipelineConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _coerce(annotation: str, value: str, key: str):
-    try:
-        if annotation == "int":
-            return int(value)
-        if annotation == "float":
-            return float(value)
-        return value
-    except ValueError:
-        raise ConfigError(f"field {key!r}: cannot parse {value!r} as {annotation}") from None
+def read_key_values(path: str | Path, cls: type, error: type[ValueError]) -> dict:
+    """The ``key = value`` lines of ``path`` (``#`` starts a comment), each value
+    coerced to the type of the dataclass field it names; ``error`` otherwise."""
+    known = {f.name: f.type for f in fields(cls)}
+    kwargs: dict = {}
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise error(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in known:
+            raise error(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            kwargs[key] = _COERCE.get(known[key], str)(value)
+        except ValueError:
+            raise error(
+                f"{path}:{lineno}: field {key!r}: cannot parse {value!r} as {known[key]}"
+            ) from None
+    return kwargs
+
+
+# field annotations are strings under ``from __future__ import annotations``
+_COERCE = {"int": int, "float": float, "date": date.fromisoformat}

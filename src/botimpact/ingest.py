@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .graph import DirectedGraph, open_maybe_gzip
 
@@ -63,13 +63,9 @@ class CollectionWindow:
     def duration_days(self) -> int:
         return (self.end - self.start).days + 1
 
-    def __contains__(self, day: date) -> bool:
-        return self.start <= day <= self.end
-
 
 @dataclass
 class ParseStats:
-    lines: int = 0
     parsed: int = 0
     skipped: int = 0
 
@@ -130,7 +126,6 @@ def load_tweets(path: str | Path, stats: ParseStats | None = None) -> Iterator[T
             line = line.strip()
             if not line:
                 continue
-            stats.lines += 1
             try:
                 rec = _parse_tweet(json.loads(line))
             except (ValueError, KeyError, TypeError):
@@ -156,7 +151,6 @@ def load_profiles(
             line = line.strip()
             if not line:
                 continue
-            stats.lines += 1
             try:
                 obj = json.loads(line)
                 account_id = str(obj["account_id"])
@@ -182,14 +176,41 @@ def load_profiles(
 # -- corpus-level derivations ------------------------------------------------
 
 
-def corpus_accounts(tweets: Iterable[TweetRecord]) -> set[str]:
-    """Accounts appearing as author or retweeted author anywhere in the corpus."""
-    seen: set[str] = set()
+@dataclass
+class AccountContent:
+    """One corpus account's tweets, reduced to what classification reads."""
+
+    tweet_count: int = 0
+    mean_opinion: float | None = None  # over the tweets carrying a score
+    mean_toxicity: float | None = None
+    urls: list[str] = field(default_factory=list)  # in tweet order
+    description: str = ""
+
+
+def _mean(values: list[float]) -> float | None:
+    return sum(values) / len(values) if values else None
+
+
+def account_content(tweets: Iterable[TweetRecord]) -> dict[str, AccountContent]:
+    """One entry per account appearing as author or retweeted author.
+
+    Retweeted-only accounts get zero tweets.  Descriptions come from the
+    profiles and are filled in by the caller.
+    """
+    by_author: dict[str, list[TweetRecord]] = {}
     for t in tweets:
-        seen.add(t.author_id)
+        by_author.setdefault(t.author_id, []).append(t)
         if t.retweeted_author_id is not None:
-            seen.add(t.retweeted_author_id)
-    return seen
+            by_author.setdefault(t.retweeted_author_id, [])
+    return {
+        account: AccountContent(
+            tweet_count=len(own),
+            mean_opinion=_mean([t.opinion for t in own if t.opinion is not None]),
+            mean_toxicity=_mean([t.toxicity for t in own if t.toxicity is not None]),
+            urls=[url for t in own for url in t.urls],
+        )
+        for account, own in by_author.items()
+    }
 
 
 def observed_window(tweets: Iterable[TweetRecord]) -> CollectionWindow:
@@ -235,7 +256,7 @@ def build_daily_retweet_network(tweets: Iterable[TweetRecord], day: date) -> Dir
 
 
 def build_follower_network(
-    profiles: Iterable[UserProfileRecord], corpus: set[str]
+    profiles: Iterable[UserProfileRecord], corpus: Collection[str]
 ) -> DirectedGraph:
     """Follower network restricted to corpus accounts.
 
@@ -253,16 +274,6 @@ def build_follower_network(
             if followee in corpus and followee != p.account_id:
                 graph.add_interaction(followee, p.account_id, 1.0)
     return graph
-
-
-def tweet_counts(tweets: Iterable[TweetRecord], window: CollectionWindow) -> dict[str, int]:
-    """Integer tweet counts per author over the window (retweets included)."""
-    counts: dict[str, int] = {}
-    for t in tweets:
-        if t.day not in window:
-            raise IngestError(f"tweet {t.tweet_id} dated {t.day} outside window {window}")
-        counts[t.author_id] = counts.get(t.author_id, 0) + 1
-    return counts
 
 
 def active_set(tweets: Iterable[TweetRecord], day: date) -> set[str]:

@@ -30,7 +30,7 @@ log = logging.getLogger(__name__)
 GROUP_NAMES = ("all_bots", "anti_bots", "pro_bots", "qanon_bots")
 
 # manifest entry -> the command that writes it
-_COMMANDS = {"build": "build", "detect": "detect-bots", "classify": "classify"}
+_COMMANDS = {"build": "build", "detect": "detect-bots", "classify": "classify", "ghic": "ghic"}
 
 
 class StageError(RuntimeError):
@@ -93,7 +93,8 @@ def _pmap(fn: Callable, items: Sequence, workers: int) -> list:
 
 
 def stage_build(cfg: PipelineConfig) -> dict:
-    """Parse raw files into networks, rates, and daily activity tables."""
+    """Parse raw files into networks, rates, daily activity, and the per-account
+    content table that classify reads instead of the raw files."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -102,16 +103,22 @@ def stage_build(cfg: PipelineConfig) -> dict:
     if not tweets:
         raise ingest.IngestError(f"no parseable tweets in {cfg.tweets}")
     window = ingest.observed_window(tweets)
-    corpus = ingest.corpus_accounts(tweets)
-    counts = ingest.tweet_counts(tweets, window)
+    content = ingest.account_content(tweets)
     by_day = ingest.bucket_by_day(tweets)
     days = sorted(by_day)
+
+    # profiles are streamed once, so descriptions are noted on their way to the network
+    def _noting_descriptions(profiles: Iterable[ingest.UserProfileRecord]):
+        for profile in profiles:
+            if profile.account_id in content:
+                content[profile.account_id].description = profile.description
+            yield profile
 
     profile_stats = ingest.ParseStats()
     profiles = ingest.load_profiles(
         cfg.profiles, stats=profile_stats, followings_cap=cfg.followings_cap
     )
-    follower = ingest.build_follower_network(profiles, corpus)
+    follower = ingest.build_follower_network(_noting_descriptions(profiles), content)
     save_edge_list(follower, out_dir / "follower.tsv")
 
     def _build_day(day: date) -> tuple[date, DirectedGraph]:
@@ -129,9 +136,21 @@ def stage_build(cfg: PipelineConfig) -> dict:
     _atomic_write_rows(
         out_dir / "rates.csv",
         ["account_id", "tweet_count", "tweet_rate"],
-        [(a, counts[a], _fmt(counts[a] / duration)) for a in sorted(counts)],
+        [
+            (a, content[a].tweet_count, _fmt(content[a].tweet_count / duration))
+            for a in sorted(content) if content[a].tweet_count
+        ],
     )
     written.append(out_dir / "rates.csv")
+
+    # classify's whole input: JSON floats round-trip, so its means are exact
+    _atomic_write_text(
+        out_dir / "account_content.jsonl",
+        "".join(
+            json.dumps({"account_id": a, **vars(content[a])}) + "\n" for a in sorted(content)
+        ),
+    )
+    written.append(out_dir / "account_content.jsonl")
 
     _atomic_write_rows(
         out_dir / "daily_active.csv",
@@ -152,7 +171,7 @@ def stage_build(cfg: PipelineConfig) -> dict:
         "tweets_skipped": tweet_stats.skipped,
         "profiles_parsed": profile_stats.parsed,
         "profiles_skipped": profile_stats.skipped,
-        "accounts": len(corpus),
+        "accounts": len(content),
         "days": len(days),
         "follower_edges": follower.edge_count,
         "retweets_total": int(retweet_weight),
@@ -241,13 +260,7 @@ def stage_detect(cfg: PipelineConfig) -> dict:
     _atomic_write_text(bots_path, "".join(f"{b}\n" for b in sorted(bots)))
     written.append(bots_path)
 
-    pooled = botdetect.BotPosterior(
-        marginals={str(i): v for i, v in enumerate(pooled_values)},
-        converged=True,
-        residual=0.0,
-        iterations=0,
-    )
-    hist_counts, edges = botdetect.probability_histogram(pooled, cfg.histogram_bins)
+    hist_counts, edges = botdetect.probability_histogram(pooled_values, cfg.histogram_bins)
     hist_path = out_dir / "histogram.csv"
     _atomic_write_rows(
         hist_path,
@@ -282,6 +295,13 @@ def _load_rates(out_dir: Path) -> dict[str, float]:
         return {row["account_id"]: float(row["tweet_rate"]) for row in csv.DictReader(fh)}
 
 
+def _load_content(out_dir: Path) -> dict[str, ingest.AccountContent]:
+    [path] = _listed_paths(out_dir, "build", "account_content.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh]
+    return {row.pop("account_id"): ingest.AccountContent(**row) for row in rows}
+
+
 def _keyword_set(path: str, label: str) -> acc.KeywordSet:
     if path:
         return acc.load_keywords(path, label)
@@ -302,23 +322,11 @@ def stage_classify(cfg: PipelineConfig) -> dict:
         warning = f"ratings file {cfg.ratings} missing; media quality columns omitted"
         log.warning(warning)
 
-    descriptions: dict[str, str] = {}
-    for profile in ingest.load_profiles(cfg.profiles, followings_cap=cfg.followings_cap):
-        descriptions[profile.account_id] = profile.description
-
-    tweets_by_author: dict[str, list[ingest.TweetRecord]] = {}
-    for tweet in ingest.load_tweets(cfg.tweets):
-        tweets_by_author.setdefault(tweet.author_id, []).append(tweet)
-        if tweet.retweeted_author_id is not None:
-            # retweeted-only accounts stay in the table with zero activity
-            tweets_by_author.setdefault(tweet.retweeted_author_id, [])
-
     qanon_kw = _keyword_set(cfg.qanon_keywords, "qanon")
     records = acc.build_account_records(
-        tweets_by_author,
+        _load_content(out_dir),
         rates,
         bots,
-        descriptions,
         qanon_kw,
         ratings=ratings,
         cutoff=cfg.partisan_cutoff,
@@ -377,8 +385,8 @@ def stage_classify(cfg: PipelineConfig) -> dict:
 # -- ghic -----------------------------------------------------------------------------
 
 
-def _load_accounts_csv(out_dir: Path) -> list[dict]:
-    [path] = _listed_paths(out_dir, "classify", "accounts.csv")
+def _load_csv(out_dir: Path, stage: str, name: str) -> list[dict]:
+    [path] = _listed_paths(out_dir, stage, name)
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
 
@@ -419,7 +427,7 @@ def stage_ghic(cfg: PipelineConfig) -> dict:
     [follower_path] = _listed_paths(out_dir, "build", "follower.tsv")
     follower = load_edge_list(follower_path)
     rates = _load_rates(out_dir)
-    rows = _load_accounts_csv(out_dir)
+    rows = _load_csv(out_dir, "classify", "accounts.csv")
     active_by_day = _load_daily_active(out_dir)
 
     opinions = {row["account_id"]: float(row["opinion"]) for row in rows}

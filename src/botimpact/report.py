@@ -1,8 +1,11 @@
-"""Consolidated plain-text report over whatever stage outputs exist."""
+"""Consolidated plain-text report over the outputs of the stages that have run.
+
+A section whose stage has no manifest entry reads "not available"; every file
+a section reads is one its stage's entry lists, with the checksum verified.
+"""
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -11,16 +14,9 @@ import numpy as np
 from . import accounts as acc
 from .config import PipelineConfig
 from .graph import DirectedGraph, load_edge_list
-from .pipeline import _listed_paths
+from .pipeline import _listed_paths, _load_csv
 
 _MISSING = "  (not available: run the {stage} stage first)\n"
-
-
-def _read_csv(path: Path) -> list[dict] | None:
-    if not path.exists():
-        return None
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
 
 
 def _fmt_opt(value: str, digits: int = 4) -> str:
@@ -55,8 +51,10 @@ def build_report(cfg: PipelineConfig) -> str:
     else:
         parts.append(_MISSING.format(stage="build"))
 
-    rows = _read_csv(out_dir / "accounts.csv")
-    summary = _read_csv(out_dir / "group_summary.csv")
+    rows = summary = None
+    if "classify" in manifest:
+        rows = _load_csv(out_dir, "classify", "accounts.csv")
+        summary = _load_csv(out_dir, "classify", "group_summary.csv")
     parts.append(_section("Account types"))
     if rows and summary:
         parts.append(
@@ -101,8 +99,8 @@ def build_report(cfg: PipelineConfig) -> str:
         parts.append(_MISSING.format(stage="build + classify"))
 
     parts.append(_section("Network structure"))
-    follower_path = out_dir / "follower.tsv"
-    if rows and follower_path.exists():
+    if rows and build:
+        [follower_path] = _listed_paths(out_dir, "build", "follower.tsv")
         follower = load_edge_list(follower_path)
         anti_bots = {r["account_id"] for r in rows
                      if r["bot"] == "1" and r["partisanship"] == "anti"}
@@ -134,9 +132,9 @@ def build_report(cfg: PipelineConfig) -> str:
         parts.append(_MISSING.format(stage="build + classify"))
 
     parts.append(_section("Impact (daily influence centrality)"))
-    series = _read_csv(out_dir / "ghic_series.csv")
-    box = _read_csv(out_dir / "ghic_per_bot.csv")
-    if series is not None and box is not None:
+    if "ghic" in manifest:
+        series = _load_csv(out_dir, "ghic", "ghic_series.csv")
+        box = _load_csv(out_dir, "ghic", "ghic_per_bot.csv")
         by_group: dict[str, list[float]] = {}
         for row in series:
             by_group.setdefault(row["group"], []).append(float(row["ghic"]))

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
+
+from .config import read_key_values
 
 TOPOLOGIES = ("two_block_polarized", "core_periphery_qanon", "planted_bot_retweet")
 
@@ -130,34 +132,9 @@ class SynthSpec:
     @staticmethod
     def from_file(path: str | Path) -> "SynthSpec":
         """Parse a ``key = value`` spec file (# comments allowed)."""
-        known = {f.name: f for f in fields(SynthSpec)}
-        kwargs: dict = {}
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SynthSpecError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise SynthSpecError(f"{path}:{lineno}: unknown field {key!r}")
-            kwargs[key] = _coerce(known[key].type, value, key)
-        spec = SynthSpec(**kwargs)
+        spec = SynthSpec(**read_key_values(path, SynthSpec, SynthSpecError))
         spec.validate()
         return spec
-
-
-def _coerce(annotation: str, value: str, key: str):
-    try:
-        if annotation == "int":
-            return int(value)
-        if annotation == "float":
-            return float(value)
-        if annotation == "date":
-            return date.fromisoformat(value)
-        return value
-    except ValueError:
-        raise SynthSpecError(f"field {key!r}: cannot parse {value!r} as {annotation}") from None
 
 
 def _rng(seed: int, stream: str, *index: int) -> np.random.Generator:

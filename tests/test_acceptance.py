@@ -25,14 +25,13 @@ from botimpact.config import PipelineConfig
 from botimpact.ghic import ghic
 from botimpact.graph import DirectedGraph
 from botimpact.ingest import (
+    account_content,
     build_daily_retweet_network,
     build_follower_network,
     bucket_by_day,
-    corpus_accounts,
     load_profiles,
     load_tweets,
     observed_window,
-    tweet_counts,
 )
 from botimpact.opinion import StubbornAssignment, fixed_point_oracle, identify_stubborn, solve_network
 from botimpact.synth import SynthSpec, generate
@@ -240,9 +239,10 @@ def _per_bot_core_ghic(seed: int, audience: str, workdir: Path) -> float:
         labels = {r["account_id"]: r for r in csv.DictReader(fh)}
     tweets = list(load_tweets(out / "tweets.jsonl"))
     window = observed_window(tweets)
-    rates = {a: c / window.duration_days for a, c in tweet_counts(tweets, window).items()}
-    corpus = corpus_accounts(tweets)
-    follower = build_follower_network(load_profiles(out / "profiles.jsonl"), corpus)
+    content = account_content(tweets)
+    rates = {a: c.tweet_count / window.duration_days
+             for a, c in content.items() if c.tweet_count}
+    follower = build_follower_network(load_profiles(out / "profiles.jsonl"), content)
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
     for t in tweets:
@@ -359,7 +359,7 @@ def test_criterion_9_ingest_conservation(e2e_corpus):
     assert daily_weight == corpus_retweets  # exact: integer-valued weights
 
     window = observed_window(tweets)
-    counts = tweet_counts(tweets, window)
+    counts = {a: c.tweet_count for a, c in account_content(tweets).items() if c.tweet_count}
     assert sum(counts.values()) == len(tweets) == summary["tweets"]
     rates = {a: c / window.duration_days for a, c in counts.items()}
     reconstructed = round(sum(rates.values()) * window.duration_days)

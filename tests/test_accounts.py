@@ -1,5 +1,3 @@
-from datetime import datetime, timezone
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,22 +16,11 @@ from botimpact.accounts import (
     packaged_keywords,
     retweet_leaderboard,
 )
-from botimpact.ingest import TweetRecord
+from botimpact.ingest import AccountContent
 
 from conftest import graph_of
 
 QANON = packaged_keywords("qanon")
-
-
-def _tweet(author="a", urls=(), opinion=None, toxicity=None):
-    return TweetRecord(
-        tweet_id="t",
-        author_id=author,
-        timestamp=datetime(2020, 1, 1, tzinfo=timezone.utc),
-        urls=list(urls),
-        opinion=opinion,
-        toxicity=toxicity,
-    )
 
 
 # -- partisanship ------------------------------------------------------------
@@ -101,29 +88,24 @@ def ratings():
 
 
 def test_media_quality_mean(ratings):
-    tweets = [
-        _tweet(urls=["https://good.example/a", "https://www.good.example/b"]),
-        _tweet(urls=["http://bad.example/c"]),
-    ]
-    score, malformed = media_quality_score(tweets, ratings)
+    urls = ["https://good.example/a", "https://www.good.example/b", "http://bad.example/c"]
+    score, malformed = media_quality_score(urls, ratings)
     assert score == pytest.approx(3.0)
     assert malformed == 0
 
 
 def test_media_quality_absent_without_rated_links(ratings):
-    score, _ = media_quality_score([_tweet(urls=["https://unrated.example/x"])], ratings)
+    score, _ = media_quality_score(["https://unrated.example/x"], ratings)
     assert score is None
 
 
 def test_media_quality_single_link(ratings):
-    score, _ = media_quality_score([_tweet(urls=["https://m.mid.example/q"])], ratings)
+    score, _ = media_quality_score(["https://m.mid.example/q"], ratings)
     assert score == pytest.approx(2.5)
 
 
 def test_media_quality_malformed_url_tallied(ratings):
-    score, malformed = media_quality_score(
-        [_tweet(urls=["::not a url::", "https://good.example/x"])], ratings
-    )
+    score, malformed = media_quality_score(["::not a url::", "https://good.example/x"], ratings)
     assert score == pytest.approx(4.0)
     assert malformed == 1
 
@@ -142,8 +124,7 @@ def test_ratings_range_validated():
 @settings(max_examples=100)
 def test_media_quality_within_shared_domain_bounds(domains):
     table = MediaRatingsTable({"good.example": 4.0, "bad.example": 1.0, "mid.example": 2.5})
-    tweets = [_tweet(urls=[f"https://{d}/x" for d in domains])]
-    score, _ = media_quality_score(tweets, table)
+    score, _ = media_quality_score([f"https://{d}/x" for d in domains], table)
     per_domain = {"good.example": 4.0, "bad.example": 1.0, "mid.example": 2.5}
     values = [per_domain[d] for d in domains]
     assert min(values) - 1e-12 <= score <= max(values) + 1e-12
@@ -153,19 +134,18 @@ def test_media_quality_within_shared_domain_bounds(domains):
 
 
 def _records():
-    tweets_by_author = {
-        "probot1": [_tweet("probot1", opinion=0.9)] * 3,
-        "probot2": [_tweet("probot2", opinion=0.8)] * 2,
-        "probot3": [_tweet("probot3", opinion=0.7)],
-        "antihuman1": [_tweet("antihuman1", opinion=0.1)] * 4,
-        "antihuman2": [_tweet("antihuman2", opinion=0.2)],
+    content = {
+        "probot1": AccountContent(tweet_count=3, mean_opinion=0.9),
+        "probot2": AccountContent(tweet_count=2, mean_opinion=0.8),
+        "probot3": AccountContent(tweet_count=1, mean_opinion=0.7),
+        "antihuman1": AccountContent(tweet_count=4, mean_opinion=0.1),
+        "antihuman2": AccountContent(tweet_count=1, mean_opinion=0.2),
     }
-    rates = {a: float(len(ts)) for a, ts in tweets_by_author.items()}
+    rates = {a: float(c.tweet_count) for a, c in content.items()}
     return build_account_records(
-        tweets_by_author,
+        content,
         rates,
         bots={"probot1", "probot2", "probot3"},
-        descriptions={},
         qanon_keywords=QANON,
     )
 
@@ -181,9 +161,8 @@ def test_group_summary_counts():
 
 
 def test_group_summary_six_cells_when_all_categories_exist():
-    tweets_by_author = {}
+    content = {}
     bots = set()
-    descriptions = {}
     spec = [
         ("antihuman", 0.1, False, False),
         ("prohuman", 0.9, False, False),
@@ -193,21 +172,19 @@ def test_group_summary_six_cells_when_all_categories_exist():
         ("qbot", 0.9, True, True),
     ]
     for name, opinion, is_bot, is_q in spec:
-        tweets_by_author[name] = [_tweet(name, opinion=opinion)]
+        content[name] = AccountContent(
+            tweet_count=1, mean_opinion=opinion, description="WWG1WGA" if is_q else ""
+        )
         if is_bot:
             bots.add(name)
-        if is_q:
-            descriptions[name] = "WWG1WGA"
-    records = build_account_records(
-        tweets_by_author, {}, bots, descriptions, QANON
-    )
+    records = build_account_records(content, {}, bots, QANON)
     rows = group_summary(records.values())
     assert len([r for r in rows if r.partisanship]) == 6
 
 
 def test_group_summary_single_category_equals_totals():
-    tweets_by_author = {f"u{i}": [_tweet(f"u{i}", opinion=0.9)] for i in range(3)}
-    records = build_account_records(tweets_by_author, {}, set(), {}, QANON)
+    content = {f"u{i}": AccountContent(tweet_count=1, mean_opinion=0.9) for i in range(3)}
+    records = build_account_records(content, {}, set(), QANON)
     rows = group_summary(records.values())
     populated = [r for r in rows if r.partisanship]
     assert len(populated) == 1
@@ -215,7 +192,7 @@ def test_group_summary_single_category_equals_totals():
 
 
 def test_unscored_account_gets_neutral_opinion():
-    records = build_account_records({"quiet": []}, {}, set(), {}, QANON)
+    records = build_account_records({"quiet": AccountContent()}, {}, set(), QANON)
     rec = records["quiet"]
     assert rec.opinion == 0.5 and rec.scored is False
     assert rec.partisanship == "anti"  # 0.5 falls on the inclusive-anti side

@@ -216,31 +216,20 @@ def test_union_daily_bots():
 
 
 def test_histogram_single_bin():
-    post = BotPosterior(
-        marginals={f"u{i}": 0.5 for i in range(7)}, converged=True,
-        residual=0.0, iterations=0,
-    )
-    counts, edges = probability_histogram(post, bins=20)
+    counts, edges = probability_histogram([0.5] * 7, bins=20)
     assert sum(counts) == 7
     assert counts[10] == 7
     assert len(edges) == 21
 
 
 def test_histogram_boundary_one():
-    post = BotPosterior(
-        marginals={"a": 1.0, "b": 0.0}, converged=True, residual=0.0, iterations=0
-    )
-    counts, _ = probability_histogram(post, bins=20)
+    counts, _ = probability_histogram([1.0, 0.0], bins=20)
     assert counts[19] == 1 and counts[0] == 1
 
 
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64), st.integers(2, 40))
 @settings(max_examples=100)
 def test_histogram_conservation(values, bins):
-    post = BotPosterior(
-        marginals={f"u{i}": v for i, v in enumerate(values)},
-        converged=True, residual=0.0, iterations=0,
-    )
-    counts, edges = probability_histogram(post, bins=bins)
+    counts, edges = probability_histogram(values, bins=bins)
     assert sum(counts) == len(values)
     assert len(counts) == bins and len(edges) == bins + 1

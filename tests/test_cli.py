@@ -156,10 +156,57 @@ def test_stages_refuse_upstream_files_changed_since_written(tmp_path, runner, co
 
     rates.write_bytes(original)
     assert _run(runner, ["--config", str(cfg), "ghic"]).exit_code == 0
+    content = out / "account_content.jsonl"
+    original = content.read_bytes()
+    content.write_bytes(original + b'{"account_id": "intruder", "tweet_count": 9}\n')
+    result = runner.invoke(main, ["--config", str(cfg), "classify"])
+    assert result.exit_code == 3
+    assert "rerun build" in result.output
+
+    content.write_bytes(original)
+    assert _run(runner, ["--config", str(cfg), "classify"]).exit_code == 0
     (out / "bots.txt").unlink()
     result = runner.invoke(main, ["--config", str(cfg), "classify"])
     assert result.exit_code == 3
     assert "rerun detect-bots" in result.output
+
+
+def test_report_refuses_files_changed_since_their_stage(tmp_path, runner, corpus):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
+    for cmd in ("build", "detect-bots", "classify", "ghic", "report"):
+        assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0, cmd
+
+    for name, stage in (("accounts.csv", "classify"), ("ghic_per_bot.csv", "ghic"),
+                        ("follower.tsv", "build")):
+        path = out / name
+        original = path.read_bytes()
+        if name == "accounts.csv":
+            path.write_bytes(original.replace(b",anti,", b",pro,"))
+        else:
+            path.write_bytes(original + original.splitlines(keepends=True)[-1])
+        assert path.read_bytes() != original
+        result = runner.invoke(main, ["--config", str(cfg), "report"])
+        assert result.exit_code == 3, name
+        assert f"rerun {stage}" in result.output
+        path.write_bytes(original)
+    assert _run(runner, ["--config", str(cfg), "report"]).exit_code == 0
+
+
+def test_stages_after_build_read_no_raw_input(tmp_path, runner, corpus):
+    outputs = []
+    for raw_inputs_present in (True, False):
+        out = tmp_path / f"out_{raw_inputs_present}"
+        cfg = _write_config(tmp_path / f"cfg_{raw_inputs_present}.txt", corpus, out)
+        assert _run(runner, ["--config", str(cfg), "build"]).exit_code == 0
+        if not raw_inputs_present:
+            (corpus / "tweets.jsonl").rename(tmp_path / "tweets.moved")
+            (corpus / "profiles.jsonl").unlink()
+        for cmd in ("detect-bots", "classify", "ghic", "report"):
+            result = _run(runner, ["--config", str(cfg), cmd])
+            assert result.exit_code == 0, f"{cmd}: {result.output}"
+        outputs.append([(out / n).read_bytes() for n in ("accounts.csv", "report.txt")])
+    assert outputs[0] == outputs[1]
 
 
 def test_stage_order_enforced(tmp_path, runner, corpus):

@@ -9,15 +9,14 @@ from botimpact.ingest import (
     IngestError,
     ParseStats,
     TweetRecord,
+    account_content,
     active_set,
     bucket_by_day,
     build_daily_retweet_network,
     build_follower_network,
-    corpus_accounts,
     load_profiles,
     load_tweets,
     observed_window,
-    tweet_counts,
 )
 
 from conftest import edge_dict
@@ -186,7 +185,10 @@ def test_follower_network_mutual():
 
 def _rates(tweets, window) -> dict[str, float]:
     """Posting rates as build writes them: whole-window count / window duration."""
-    return {a: c / window.duration_days for a, c in tweet_counts(tweets, window).items()}
+    return {
+        a: c.tweet_count / window.duration_days
+        for a, c in account_content(tweets).items() if c.tweet_count
+    }
 
 
 def test_tweet_rates_arithmetic():
@@ -206,17 +208,10 @@ def test_tweet_rates_linearity():
     assert rates["b"] == pytest.approx(2 * rates["a"])
 
 
-def test_tweet_rates_rejects_out_of_window():
-    window = CollectionWindow(date(2020, 1, 1), date(2020, 1, 2))
-    with pytest.raises(IngestError):
-        tweet_counts([_rec("a", "2020-02-01")], window)
-
-
 def test_rate_totals_reconstruct_corpus_exactly():
-    window = CollectionWindow(date(2020, 1, 1), date(2020, 1, 7))
     tweets = [_rec(f"a{i % 5}", f"2020-01-0{1 + i % 7}") for i in range(53)]
-    counts = tweet_counts(tweets, window)
-    assert sum(counts.values()) == 53  # integer arithmetic before any division
+    content = account_content(tweets)
+    assert sum(c.tweet_count for c in content.values()) == 53  # integers before any division
 
 
 def test_active_set_rules():
@@ -246,6 +241,26 @@ def test_daily_weights_sum_to_corpus_retweet_count():
 
 def test_corpus_and_window_derivation():
     tweets = [_rec("a", "2020-01-03"), _rec("b", "2020-01-01", retweeted="c")]
-    assert corpus_accounts(tweets) == {"a", "b", "c"}
+    content = account_content(tweets)
+    assert set(content) == {"a", "b", "c"}
+    assert content["c"].tweet_count == 0  # retweeted only
     window = observed_window(tweets)
     assert window.start == date(2020, 1, 1) and window.end == date(2020, 1, 3)
+
+
+def test_account_content_aggregates():
+    def tweet(opinion, toxicity, urls):
+        return TweetRecord(
+            tweet_id="t", author_id="a", timestamp=datetime(2020, 1, 1, tzinfo=timezone.utc),
+            retweeted_author_id="b", urls=urls, opinion=opinion, toxicity=toxicity,
+        )
+
+    tweets = [tweet(0.1, None, ["u1", "u2"]), tweet(None, 0.4, []), tweet(0.7, 0.2, ["u3"])]
+    content = account_content(tweets)
+    a = content["a"]
+    assert a.tweet_count == 3
+    assert a.mean_opinion == (0.1 + 0.7) / 2  # over scored tweets only
+    assert a.mean_toxicity == (0.4 + 0.2) / 2
+    assert a.urls == ["u1", "u2", "u3"]  # in tweet order
+    b = content["b"]
+    assert (b.tweet_count, b.mean_opinion, b.mean_toxicity, b.urls) == (0, None, None, [])

@@ -1,4 +1,5 @@
 import hashlib
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -176,9 +177,18 @@ def test_labels_sidecar_never_fed_to_inference(tmp_path):
 
 def test_spec_file_parsing_and_validation(tmp_path):
     spec_path = tmp_path / "spec.txt"
-    spec_path.write_text("seed = 11\ntopology = core_periphery_qanon\ncore_bots = 5\n")
+    spec_path.write_text(
+        "seed = 11\ntopology = core_periphery_qanon\ncore_bots = 5  # comment\n"
+        "start_day = 2020-03-01\np_core = 0.25\n"
+    )
     spec = SynthSpec.from_file(spec_path)
     assert spec.seed == 11 and spec.core_bots == 5
+    assert spec.start_day == date(2020, 3, 1) and spec.p_core == 0.25
+
+    bad_date = tmp_path / "bad_date.txt"
+    bad_date.write_text("start_day = March\n")
+    with pytest.raises(SynthSpecError, match="start_day"):
+        SynthSpec.from_file(bad_date)
 
     bad = tmp_path / "bad.txt"
     bad.write_text("no_such_field = 3\n")
