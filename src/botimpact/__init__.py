@@ -16,7 +16,6 @@ from .ingest import (
     CollectionWindow,
     TweetRecord,
     UserProfileRecord,
-    active_set,
     build_daily_retweet_network,
     build_follower_network,
     load_profiles,
@@ -50,7 +49,6 @@ __all__ = [
     "StubbornAssignment",
     "TweetRecord",
     "UserProfileRecord",
-    "active_set",
     "assemble_system",
     "build_daily_retweet_network",
     "build_follower_network",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -172,8 +173,7 @@ def media_quality_score(
     Each rated URL occurrence counts once, including several in one tweet.
     Returns (score or None when no rated URL was shared, malformed URL tally).
     """
-    total = 0.0
-    n = 0
+    rated: list[float] = []
     malformed = 0
     for url in urls:
         try:
@@ -182,9 +182,8 @@ def media_quality_score(
             malformed += 1
             continue
         if rating is not None:
-            total += rating
-            n += 1
-    return (total / n if n else None), malformed
+            rated.append(rating)
+    return ordered_mean(rated), malformed
 
 
 # -- account assembly ---------------------------------------------------------
@@ -241,6 +240,12 @@ class GroupRow:
     mean_toxicity: float | None
 
 
+def ordered_mean(values: list[float]) -> float | None:
+    """Mean added left to right, None for no values.  Python 3.12's ``sum``
+    compensates rounding, so ``sum(v) / len(v)`` would differ by interpreter."""
+    return reduce(lambda total, x: total + x, values, 0.0) / len(values) if values else None
+
+
 def group_summary(accounts: Iterable[AccountRecord]) -> list[GroupRow]:
     """One row per populated (partisanship, bot, qanon) cell plus a totals row."""
     cells: dict[tuple[str, bool, bool], list[AccountRecord]] = {}
@@ -249,9 +254,6 @@ def group_summary(accounts: Iterable[AccountRecord]) -> list[GroupRow]:
         cells.setdefault((rec.partisanship, rec.bot, rec.qanon), []).append(rec)
         everyone.append(rec)
 
-    def _mean_opt(values: list[float]) -> float | None:
-        return sum(values) / len(values) if values else None
-
     def _row(key_part: str, bot, qanon, members: list[AccountRecord]) -> GroupRow:
         return GroupRow(
             partisanship=key_part,
@@ -259,11 +261,11 @@ def group_summary(accounts: Iterable[AccountRecord]) -> list[GroupRow]:
             qanon=qanon,
             accounts=len(members),
             tweets=sum(r.tweet_count for r in members),
-            mean_rate=sum(r.tweet_rate for r in members) / len(members),
-            mean_media_quality=_mean_opt(
+            mean_rate=ordered_mean([r.tweet_rate for r in members]),
+            mean_media_quality=ordered_mean(
                 [r.media_quality for r in members if r.media_quality is not None]
             ),
-            mean_toxicity=_mean_opt(
+            mean_toxicity=ordered_mean(
                 [r.mean_toxicity for r in members if r.mean_toxicity is not None]
             ),
         )

@@ -6,9 +6,10 @@ it follows (its "following"), and the *out*-neighbors are its followers /
 retweeters.
 
 Nodes are referenced externally by string account ids and internally by
-dense integer indices.  Edges added one at a time collect in a dict until
-the graph is frozen.  Freezing, loading an edge file and taking an induced
-subgraph all build the same store from (source, target, weight) columns:
+dense integer indices.  The build's networks, edge files and induced
+subgraphs are all built from (source, target, weight) index columns by one
+constructor, ``_from_arrays``; edges added one at a time (small hand-built
+graphs) collect in a dict until the graph is frozen.  The store is
 offset-indexed arrays sorted by (source, target) plus the transpose, so
 neighbor scans are O(degree) and the structure stays compact at tens of
 millions of edges.  A frozen graph is immutable and safe for concurrent
@@ -122,10 +123,6 @@ class DirectedGraph:
         self.freeze()
         return self.out_targets.size
 
-    def total_weight(self) -> float:
-        self.freeze()
-        return float(self.out_weights.sum())
-
     def index(self, label: str) -> int:
         try:
             return self._index[label]
@@ -238,16 +235,14 @@ def load_edge_list(path: str | Path) -> DirectedGraph:
 
 def save_edge_list(graph: DirectedGraph, path: str | Path) -> None:
     """Write a graph as a tab-separated edge list (isolated nodes as bare lines)."""
-    graph.freeze()
     src, tgt, w = graph.edge_arrays()
-    touched = np.zeros(graph.node_count, dtype=bool)
-    touched[src] = True
-    touched[tgt] = True
+    labels = np.array(graph.labels, dtype=object)
+    weights, which = np.unique(w, return_inverse=True)  # formatted once each; most are 1.0
+    weight_text = np.array([f"{x:.12g}" for x in weights.tolist()], dtype=object)[which]
+    isolated = np.bincount(np.concatenate((src, tgt)), minlength=graph.node_count) == 0
     with open_maybe_gzip(path, "wt") as fh:
-        for k in range(len(src)):
-            fh.write(
-                f"{graph.label(int(src[k]))}\t{graph.label(int(tgt[k]))}\t{w[k]:.12g}\n"
-            )
-        for i in range(graph.node_count):
-            if not touched[i]:
-                fh.write(f"{graph.label(i)}\n")
+        fh.write("".join(map(
+            "{}\t{}\t{}\n".format,
+            np.take(labels, src), np.take(labels, tgt), weight_text,
+        )))
+        fh.write("".join(f"{label}\n" for label in labels[isolated]))

@@ -1,18 +1,25 @@
-"""Streaming ingestion of tweet and profile files.
+"""Streaming ingestion of tweet and profile files, and the columnar build.
 
 Input files are line-delimited JSON (plain or gzip).  Malformed lines are
 skipped and tallied rather than aborting the run; an unreadable file is
-fatal.  Days are bucketed on UTC boundaries.
+fatal.  Each tweet's UTC day is computed once, at parse time.  The build
+drains the tweets into per-tweet columns (``tweet_columns``) and derives
+the window, day slices, daily retweet networks and per-account content
+from them, building every network from index arrays; no list of records
+is held.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from array import array
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
+
+import numpy as np
 
 from .graph import DirectedGraph, open_maybe_gzip
 
@@ -27,18 +34,14 @@ class IngestError(ValueError):
 
 @dataclass
 class TweetRecord:
-    tweet_id: str
+    """One parsed tweet, reduced to what the build reads."""
+
     author_id: str
-    timestamp: datetime
-    text: str = ""
+    day: date  # UTC day of the timestamp
     retweeted_author_id: str | None = None
     urls: list[str] = field(default_factory=list)
     opinion: float | None = None
     toxicity: float | None = None
-
-    @property
-    def day(self) -> date:
-        return self.timestamp.astimezone(timezone.utc).date()
 
 
 @dataclass
@@ -90,25 +93,19 @@ def _unit_interval(value) -> float | None:
 
 
 def _parse_tweet(obj: dict) -> TweetRecord:
-    tweet_id = str(obj["tweet_id"])
     author_id = str(obj["author_id"])
-    if not tweet_id or not author_id:
+    if not str(obj["tweet_id"]) or not author_id:  # required, but not kept
         raise ValueError("empty tweet_id or author_id")
     retweeted = obj.get("retweeted_author_id")
-    if retweeted is not None:
-        retweeted = str(retweeted)
-        if not retweeted:
-            retweeted = None
-        elif retweeted == author_id:
-            raise ValueError("self-retweet")
+    retweeted = None if retweeted is None else str(retweeted) or None  # "" is an original
+    if retweeted == author_id:
+        raise ValueError("self-retweet")
     urls = obj.get("urls") or []
     if not isinstance(urls, list):
         raise ValueError("urls must be a list")
     return TweetRecord(
-        tweet_id=tweet_id,
         author_id=author_id,
-        timestamp=_parse_timestamp(str(obj["timestamp"])),
-        text=str(obj.get("text") or ""),
+        day=_parse_timestamp(str(obj["timestamp"])).astimezone(timezone.utc).date(),
         retweeted_author_id=retweeted,
         urls=[str(u) for u in urls],
         opinion=_unit_interval(obj.get("opinion")),
@@ -116,10 +113,26 @@ def _parse_tweet(obj: dict) -> TweetRecord:
     )
 
 
-def load_tweets(path: str | Path, stats: ParseStats | None = None) -> Iterator[TweetRecord]:
-    """Yield tweet records in file order; bad lines are counted and skipped."""
+def _parse_profile(obj: dict, followings_cap: int) -> UserProfileRecord:
+    account_id = str(obj["account_id"])
+    if not account_id:
+        raise ValueError("empty account_id")
+    following = obj.get("following_ids") or []
+    if not isinstance(following, list):
+        raise ValueError("following_ids must be a list")
+    return UserProfileRecord(
+        account_id=account_id,
+        description=str(obj.get("description") or ""),
+        following_ids=[str(f) for f in following[:followings_cap]],
+    )
+
+
+def _parse_lines(
+    path: str | Path, kind: str, parse: Callable[[dict], object], stats: ParseStats | None
+) -> Iterator:
+    """Parse each non-blank JSON line in file order; bad lines are counted and skipped."""
     if not Path(path).exists():
-        raise IngestError(f"tweets file not found: {path}")
+        raise IngestError(f"{kind} file not found: {path}")
     stats = stats if stats is not None else ParseStats()
     with open_maybe_gzip(path) as fh:
         for line in fh:
@@ -127,7 +140,7 @@ def load_tweets(path: str | Path, stats: ParseStats | None = None) -> Iterator[T
             if not line:
                 continue
             try:
-                rec = _parse_tweet(json.loads(line))
+                rec = parse(json.loads(line))
             except (ValueError, KeyError, TypeError):
                 stats.skipped += 1
                 continue
@@ -135,6 +148,11 @@ def load_tweets(path: str | Path, stats: ParseStats | None = None) -> Iterator[T
             yield rec
     if stats.skipped:
         log.warning("%s: skipped %d malformed line(s)", path, stats.skipped)
+
+
+def load_tweets(path: str | Path, stats: ParseStats | None = None) -> Iterator[TweetRecord]:
+    """Yield tweet records in file order; bad lines are counted and skipped."""
+    yield from _parse_lines(path, "tweets", _parse_tweet, stats)
 
 
 def load_profiles(
@@ -143,37 +161,55 @@ def load_profiles(
     followings_cap: int = DEFAULT_FOLLOWINGS_CAP,
 ) -> Iterator[UserProfileRecord]:
     """Yield profile records; following lists are truncated at the cap."""
-    if not Path(path).exists():
-        raise IngestError(f"profiles file not found: {path}")
-    stats = stats if stats is not None else ParseStats()
-    with open_maybe_gzip(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                account_id = str(obj["account_id"])
-                if not account_id:
-                    raise ValueError("empty account_id")
-                following = obj.get("following_ids") or []
-                if not isinstance(following, list):
-                    raise ValueError("following_ids must be a list")
-                rec = UserProfileRecord(
-                    account_id=account_id,
-                    description=str(obj.get("description") or ""),
-                    following_ids=[str(f) for f in following[:followings_cap]],
-                )
-            except (ValueError, KeyError, TypeError):
-                stats.skipped += 1
-                continue
-            stats.parsed += 1
-            yield rec
-    if stats.skipped:
-        log.warning("%s: skipped %d malformed line(s)", path, stats.skipped)
+    yield from _parse_lines(path, "profiles", lambda o: _parse_profile(o, followings_cap), stats)
 
 
-# -- corpus-level derivations ------------------------------------------------
+# -- the columnar build ---------------------------------------------------------
+
+
+@dataclass
+class TweetColumns:
+    """A tweet corpus as per-tweet columns, in input order."""
+
+    accounts: list[str]  # every author and retweeted author, sorted
+    author: np.ndarray  # index into accounts
+    day: np.ndarray  # date.toordinal() of the UTC day
+    retweeted: np.ndarray  # index into accounts, -1 for an original tweet
+    opinion: np.ndarray  # NaN where the tweet carries no score
+    toxicity: np.ndarray
+    urls: list[list[str]]
+
+    def window(self) -> CollectionWindow:
+        return CollectionWindow(date.fromordinal(self.day.min()), date.fromordinal(self.day.max()))
+
+    def days(self) -> list[tuple[date, np.ndarray]]:
+        """Each UTC day, ascending, with its tweets' row numbers in input order."""
+        order = np.argsort(self.day, kind="stable")
+        days, starts = np.unique(self.day[order], return_index=True)
+        return list(zip(map(date.fromordinal, days.tolist()), np.split(order, starts[1:])))
+
+
+def tweet_columns(tweets: Iterable[TweetRecord]) -> TweetColumns:
+    """Drain a tweet stream into columns; account ids are indexed in sorted order."""
+    index: dict[str, int] = {}  # in order of first appearance until re-ranked below
+    author, day, retweeted = array("q"), array("q"), array("q")
+    opinion, toxicity = array("d"), array("d")
+    urls: list[list[str]] = []
+    nan = float("nan")
+    for t in tweets:
+        author.append(index.setdefault(t.author_id, len(index)))
+        day.append(t.day.toordinal())
+        rt = t.retweeted_author_id
+        retweeted.append(-1 if rt is None else index.setdefault(rt, len(index)))
+        opinion.append(nan if t.opinion is None else t.opinion)
+        toxicity.append(nan if t.toxicity is None else t.toxicity)
+        urls.append(t.urls)
+    accounts = sorted(index)
+    rank = np.full(len(index) + 1, -1, dtype=np.int64)  # the last entry maps -1 to itself
+    rank[[index[a] for a in accounts]] = np.arange(len(accounts))
+    author, day, retweeted = (np.frombuffer(c, dtype=np.int64) for c in (author, day, retweeted))
+    return TweetColumns(accounts, rank[author], day, rank[retweeted],
+                        np.frombuffer(opinion), np.frombuffer(toxicity), urls)
 
 
 @dataclass
@@ -187,72 +223,51 @@ class AccountContent:
     description: str = ""
 
 
-def _mean(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
+def _means(group: np.ndarray, values: np.ndarray, n: int) -> list[float | None]:
+    """Per-group means of the non-NaN values, added in input order (None without any)."""
+    scored = ~np.isnan(values)
+    counts = np.bincount(group[scored], minlength=n)
+    sums = np.bincount(group[scored], weights=values[scored], minlength=n)
+    return [s / c if c else None for s, c in zip(sums.tolist(), counts.tolist())]
 
 
-def account_content(tweets: Iterable[TweetRecord]) -> dict[str, AccountContent]:
+def account_content(tweets: TweetColumns) -> dict[str, AccountContent]:
     """One entry per account appearing as author or retweeted author.
 
     Retweeted-only accounts get zero tweets.  Descriptions come from the
     profiles and are filled in by the caller.
     """
-    by_author: dict[str, list[TweetRecord]] = {}
-    for t in tweets:
-        by_author.setdefault(t.author_id, []).append(t)
-        if t.retweeted_author_id is not None:
-            by_author.setdefault(t.retweeted_author_id, [])
+    n = len(tweets.accounts)
+    opinion = _means(tweets.author, tweets.opinion, n)
+    toxicity = _means(tweets.author, tweets.toxicity, n)
+    order = np.argsort(tweets.author, kind="stable")  # each author's rows in input order
+    own = np.split(order, np.searchsorted(tweets.author[order], np.arange(1, n)))
     return {
         account: AccountContent(
-            tweet_count=len(own),
-            mean_opinion=_mean([t.opinion for t in own if t.opinion is not None]),
-            mean_toxicity=_mean([t.toxicity for t in own if t.toxicity is not None]),
-            urls=[url for t in own for url in t.urls],
+            tweet_count=own[i].size,
+            mean_opinion=opinion[i],
+            mean_toxicity=toxicity[i],
+            urls=[url for row in own[i].tolist() for url in tweets.urls[row]],
         )
-        for account, own in by_author.items()
+        for i, account in enumerate(tweets.accounts)
     }
 
 
-def observed_window(tweets: Iterable[TweetRecord]) -> CollectionWindow:
-    lo: date | None = None
-    hi: date | None = None
-    for t in tweets:
-        d = t.day
-        lo = d if lo is None or d < lo else lo
-        hi = d if hi is None or d > hi else hi
-    if lo is None:
-        raise IngestError("cannot derive a collection window from an empty corpus")
-    return CollectionWindow(lo, hi)
-
-
-def bucket_by_day(tweets: Iterable[TweetRecord]) -> dict[date, list[TweetRecord]]:
-    buckets: dict[date, list[TweetRecord]] = {}
-    for t in tweets:
-        buckets.setdefault(t.day, []).append(t)
-    return buckets
-
-
-def build_daily_retweet_network(tweets: Iterable[TweetRecord], day: date) -> DirectedGraph:
-    """Retweet network for one UTC day.
-
-    Nodes are that day's authors and retweeted authors; edge (u, v) carries
-    the number of times v retweeted u that day.  Original tweets create the
-    author node only.  Nodes are inserted in sorted id order so the graph
-    layout is independent of input ordering.
-    """
-    day_tweets = [t for t in tweets if t.day == day]
-    ids: set[str] = set()
-    for t in day_tweets:
-        ids.add(t.author_id)
-        if t.retweeted_author_id is not None:
-            ids.add(t.retweeted_author_id)
-    graph = DirectedGraph()
-    for account in sorted(ids):
-        graph.add_node(account)
-    for t in day_tweets:
-        if t.retweeted_author_id is not None:
-            graph.add_interaction(t.retweeted_author_id, t.author_id, 1.0)
-    return graph
+def build_daily_retweet_network(
+    accounts: list[str], author: np.ndarray, retweeted: np.ndarray
+) -> DirectedGraph:
+    """Retweet network of one UTC day's tweets, given as indices into the sorted
+    ``accounts`` (``retweeted`` is -1 for an original tweet, which creates the
+    author node only).  Nodes are in sorted id order; edge (u, v) carries the
+    number of times v retweeted u that day."""
+    shared = retweeted >= 0
+    nodes = np.unique(np.concatenate((author, retweeted[shared])))
+    return DirectedGraph._from_arrays(
+        [accounts[i] for i in nodes.tolist()],
+        np.searchsorted(nodes, retweeted[shared]),
+        np.searchsorted(nodes, author[shared]),
+        np.ones(int(shared.sum())),
+    )
 
 
 def build_follower_network(
@@ -261,21 +276,18 @@ def build_follower_network(
     """Follower network restricted to corpus accounts.
 
     Account i following j yields the edge (j, i): information flows from the
-    followee to the follower.  Every corpus account becomes a node even if
-    isolated, so daily active subnetworks can always be induced.
+    followee to the follower.  Every corpus account becomes a node, in sorted
+    id order, even if isolated, so daily active subnetworks can always be
+    induced.
     """
-    graph = DirectedGraph()
-    for account in sorted(corpus):
-        graph.add_node(account)
+    labels = sorted(corpus)
+    index = {account: i for i, account in enumerate(labels)}
+    ends: list[int] = []  # followee, follower, followee, follower, ...
     for p in profiles:
-        if p.account_id not in corpus:
-            continue
-        for followee in p.following_ids:
-            if followee in corpus and followee != p.account_id:
-                graph.add_interaction(followee, p.account_id, 1.0)
-    return graph
-
-
-def active_set(tweets: Iterable[TweetRecord], day: date) -> set[str]:
-    """Accounts that authored at least one tweet (retweets count) on ``day``."""
-    return {t.author_id for t in tweets if t.day == day}
+        follower = index.get(p.account_id)
+        if follower is not None:
+            for followee in map(index.get, p.following_ids):
+                if followee is not None and followee != follower:
+                    ends += (followee, follower)
+    src, tgt = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    return DirectedGraph._from_arrays(labels, src, tgt, np.ones(src.size))

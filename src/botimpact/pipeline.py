@@ -18,11 +18,13 @@ from datetime import date
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from . import accounts as acc
 from . import botdetect, ingest
 from .config import PipelineConfig
 from .ghic import daily_ghic_series, ghic_per_bot
-from .graph import DirectedGraph, load_edge_list, save_edge_list
+from .graph import load_edge_list, save_edge_list
 from .opinion import identify_stubborn
 
 log = logging.getLogger(__name__)
@@ -94,18 +96,17 @@ def _pmap(fn: Callable, items: Sequence, workers: int) -> list:
 
 def stage_build(cfg: PipelineConfig) -> dict:
     """Parse raw files into networks, rates, daily activity, and the per-account
-    content table that classify reads instead of the raw files."""
+    content table that classify reads instead of the raw files; every output
+    derives from one parse of each tweet into columns (see ``ingest``)."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     tweet_stats = ingest.ParseStats()
-    tweets = list(ingest.load_tweets(cfg.tweets, stats=tweet_stats))
-    if not tweets:
+    tweets = ingest.tweet_columns(ingest.load_tweets(cfg.tweets, stats=tweet_stats))
+    if not tweets.author.size:
         raise ingest.IngestError(f"no parseable tweets in {cfg.tweets}")
-    window = ingest.observed_window(tweets)
+    window = tweets.window()
     content = ingest.account_content(tweets)
-    by_day = ingest.bucket_by_day(tweets)
-    days = sorted(by_day)
 
     # profiles are streamed once, so descriptions are noted on their way to the network
     def _noting_descriptions(profiles: Iterable[ingest.UserProfileRecord]):
@@ -118,19 +119,21 @@ def stage_build(cfg: PipelineConfig) -> dict:
     profiles = ingest.load_profiles(
         cfg.profiles, stats=profile_stats, followings_cap=cfg.followings_cap
     )
-    follower = ingest.build_follower_network(_noting_descriptions(profiles), content)
+    follower = ingest.build_follower_network(_noting_descriptions(profiles), tweets.accounts)
     save_edge_list(follower, out_dir / "follower.tsv")
 
-    def _build_day(day: date) -> tuple[date, DirectedGraph]:
-        return day, ingest.build_daily_retweet_network(by_day[day], day)
-
-    retweet_weight = 0.0
-    written: list[Path] = [out_dir / "follower.tsv"]
-    for day, net in _pmap(_build_day, days, cfg.workers):
+    written = [out_dir / "follower.tsv"]
+    days = tweets.days()
+    active: list[tuple[str, str]] = []
+    for day, rows in days:
         path = out_dir / f"retweet_{day.isoformat()}.tsv"
-        save_edge_list(net, path)
-        retweet_weight += net.total_weight()
+        author = tweets.author[rows]
+        save_edge_list(
+            ingest.build_daily_retweet_network(tweets.accounts, author, tweets.retweeted[rows]),
+            path,
+        )
         written.append(path)
+        active += ((day.isoformat(), tweets.accounts[i]) for i in np.unique(author).tolist())
 
     duration = window.duration_days
     _atomic_write_rows(
@@ -141,7 +144,6 @@ def stage_build(cfg: PipelineConfig) -> dict:
             for a in sorted(content) if content[a].tweet_count
         ],
     )
-    written.append(out_dir / "rates.csv")
 
     # classify's whole input: JSON floats round-trip, so its means are exact
     _atomic_write_text(
@@ -150,18 +152,9 @@ def stage_build(cfg: PipelineConfig) -> dict:
             json.dumps({"account_id": a, **vars(content[a])}) + "\n" for a in sorted(content)
         ),
     )
-    written.append(out_dir / "account_content.jsonl")
 
-    _atomic_write_rows(
-        out_dir / "daily_active.csv",
-        ["day", "account_id"],
-        [
-            (day.isoformat(), account)
-            for day in days
-            for account in sorted(ingest.active_set(by_day[day], day))
-        ],
-    )
-    written.append(out_dir / "daily_active.csv")
+    _atomic_write_rows(out_dir / "daily_active.csv", ["day", "account_id"], active)
+    written += [out_dir / n for n in ("rates.csv", "account_content.jsonl", "daily_active.csv")]
 
     payload = {
         "config": cfg.snapshot(),
@@ -174,7 +167,7 @@ def stage_build(cfg: PipelineConfig) -> dict:
         "accounts": len(content),
         "days": len(days),
         "follower_edges": follower.edge_count,
-        "retweets_total": int(retweet_weight),
+        "retweets_total": int(np.count_nonzero(tweets.retweeted >= 0)),
     }
     _update_manifest(out_dir, "build", payload, written)
     return payload

@@ -126,7 +126,7 @@ def build_report(cfg: PipelineConfig) -> str:
                     acc.co_partisan_fraction(follower, bot, labels) for bot in sorted(bots)
                 ) if f is not None
             ]
-            value = f"{sum(fractions) / len(fractions):.4f}" if fractions else "-"
+            value = f"{acc.ordered_mean(fractions):.4f}" if fractions else "-"
             parts.append(f"    {name:<20} {value}  (bots with labeled followers: {len(fractions)})\n")
     else:
         parts.append(_MISSING.format(stage="build + classify"))
@@ -141,7 +141,7 @@ def build_report(cfg: PipelineConfig) -> str:
         for name in sorted(by_group):
             values = by_group[name]
             parts.append(
-                f"  {name:<12} days={len(values)}  mean={sum(values) / len(values):+.6f}"
+                f"  {name:<12} days={len(values)}  mean={acc.ordered_mean(values):+.6f}"
                 f"  min={min(values):+.6f}  max={max(values):+.6f}\n"
             )
         parts.append("\n  per-bot daily efficiency:\n")

@@ -28,10 +28,9 @@ from botimpact.ingest import (
     account_content,
     build_daily_retweet_network,
     build_follower_network,
-    bucket_by_day,
     load_profiles,
     load_tweets,
-    observed_window,
+    tweet_columns,
 )
 from botimpact.opinion import StubbornAssignment, fixed_point_oracle, identify_stubborn, solve_network
 from botimpact.synth import SynthSpec, generate
@@ -208,10 +207,12 @@ def test_criterion_5_planted_bot_recovery(tmp_path):
         generate(spec, out)
         with open(out / "labels_truth.csv", newline="") as fh:
             labels = {r["account_id"]: r["is_bot"] == "1" for r in csv.DictReader(fh)}
-        tweets = list(load_tweets(out / "tweets.jsonl"))
+        tweets = tweet_columns(load_tweets(out / "tweets.jsonl"))
         scores: dict[str, float] = {}
-        for day, day_tweets in bucket_by_day(tweets).items():
-            net = build_daily_retweet_network(day_tweets, day)
+        for _, rows in tweets.days():
+            net = build_daily_retweet_network(
+                tweets.accounts, tweets.author[rows], tweets.retweeted[rows]
+            )
             post = infer_bot_probabilities(net)
             for account, prob in post.marginals.items():
                 scores[account] = max(scores.get(account, 0.0), prob)
@@ -238,8 +239,9 @@ def _per_bot_core_ghic(seed: int, audience: str, workdir: Path) -> float:
     with open(out / "labels_truth.csv", newline="") as fh:
         labels = {r["account_id"]: r for r in csv.DictReader(fh)}
     tweets = list(load_tweets(out / "tweets.jsonl"))
-    window = observed_window(tweets)
-    content = account_content(tweets)
+    columns = tweet_columns(tweets)
+    window = columns.window()
+    content = account_content(columns)
     rates = {a: c.tweet_count / window.duration_days
              for a, c in content.items() if c.tweet_count}
     follower = build_follower_network(load_profiles(out / "profiles.jsonl"), content)
@@ -353,13 +355,16 @@ def test_criterion_9_ingest_conservation(e2e_corpus):
     tweets = list(load_tweets(corpus / "tweets.jsonl"))
     corpus_retweets = sum(1 for t in tweets if t.retweeted_author_id is not None)
     assert corpus_retweets == summary["retweets"]
+    columns = tweet_columns(tweets)
     daily_weight = 0.0
-    for day, day_tweets in bucket_by_day(tweets).items():
-        daily_weight += build_daily_retweet_network(day_tweets, day).total_weight()
+    for _, rows in columns.days():
+        daily_weight += build_daily_retweet_network(
+            columns.accounts, columns.author[rows], columns.retweeted[rows]
+        ).edge_arrays()[2].sum()
     assert daily_weight == corpus_retweets  # exact: integer-valued weights
 
-    window = observed_window(tweets)
-    counts = {a: c.tweet_count for a, c in account_content(tweets).items() if c.tweet_count}
+    window = columns.window()
+    counts = {a: c.tweet_count for a, c in account_content(columns).items() if c.tweet_count}
     assert sum(counts.values()) == len(tweets) == summary["tweets"]
     rates = {a: c / window.duration_days for a, c in counts.items()}
     reconstructed = round(sum(rates.values()) * window.duration_days)

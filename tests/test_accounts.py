@@ -13,6 +13,7 @@ from botimpact.accounts import (
     label_qanon,
     load_keywords,
     media_quality_score,
+    ordered_mean,
     packaged_keywords,
     retweet_leaderboard,
 )
@@ -254,3 +255,10 @@ def test_co_partisan_fraction_absent_cases():
 def test_packaged_keyword_tables():
     assert QANON.tokens == frozenset({"qanon", "thegreatawakening", "wwg1wga"})
     assert QANON.phrases == ()
+
+
+def test_ordered_mean_adds_left_to_right():
+    # Python 3.12's compensated sum gives 1.0 / 3 here; outputs must not depend on it
+    assert ordered_mean([1e16, 1.0, -1e16]) == 0.0
+    assert ordered_mean([0.25, 0.75]) == 0.5
+    assert ordered_mean([]) is None

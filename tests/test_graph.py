@@ -137,7 +137,7 @@ def test_total_weight_invariant_under_relabeling(g):
         relabeled.add_node(g.label(i))
     for (u, v), w in edge_dict(g).items():
         relabeled.add_interaction(u, v, w)
-    assert np.isclose(relabeled.total_weight(), g.total_weight())
+    assert np.isclose(relabeled.edge_arrays()[2].sum(), g.edge_arrays()[2].sum())
 
 
 @given(random_graphs())
@@ -162,6 +162,21 @@ def test_edge_list_round_trip(tmp_path):
     assert back.node_count == g.node_count
     assert edge_dict(back) == {("a", "b"): 2.0, ("c", "a"): 1.5}
     assert "lonely" in back
+
+
+def test_edge_list_text_format(tmp_path):
+    weights = {("b", "a"): 0.1 + 0.2, ("a", "c"): 1 / 3, ("c", "a"): 2.0, ("a", "b"): 1e-7}
+    g = graph_of([(u, v, w) for (u, v), w in weights.items()], nodes=["lonely", "c", "x"])
+    path = tmp_path / "e.tsv"
+    save_edge_list(g, path)
+    # edges in index order with 12 significant digits, then isolated nodes in index order
+    src, tgt, w = g.edge_arrays()
+    expected = "".join(
+        f"{g.label(u)}\t{g.label(v)}\t{x:.12g}\n"
+        for u, v, x in zip(src.tolist(), tgt.tolist(), w.tolist())
+    ) + "lonely\nx\n"
+    assert path.read_text() == expected
+    assert "b\ta\t0.3\n" in expected and "a\tc\t0.333333333333\n" in expected
 
 
 def test_edge_list_default_weight_and_gzip(tmp_path):

@@ -1,23 +1,26 @@
+import csv
 import gzip
 import json
-from datetime import date, datetime, timezone
+import random
+from datetime import date
 
 import pytest
 
+from botimpact.accounts import ordered_mean
+from botimpact.config import PipelineConfig
 from botimpact.ingest import (
     CollectionWindow,
     IngestError,
     ParseStats,
     TweetRecord,
     account_content,
-    active_set,
-    bucket_by_day,
     build_daily_retweet_network,
     build_follower_network,
     load_profiles,
     load_tweets,
-    observed_window,
+    tweet_columns,
 )
+from botimpact.pipeline import stage_build
 
 from conftest import edge_dict
 
@@ -43,11 +46,29 @@ def _write_tweets(path, lines):
 
 def _rec(author, day_str, retweeted=None):
     return TweetRecord(
-        tweet_id=f"{author}-{day_str}",
-        author_id=author,
-        timestamp=datetime.fromisoformat(day_str + "T12:00:00+00:00"),
-        retweeted_author_id=retweeted,
+        author_id=author, day=date.fromisoformat(day_str), retweeted_author_id=retweeted
     )
+
+
+def _daily_networks(tweets):
+    """{day: retweet network}, as stage_build derives them from the columns."""
+    columns = tweet_columns(tweets)
+    return {
+        day: build_daily_retweet_network(
+            columns.accounts, columns.author[rows], columns.retweeted[rows]
+        )
+        for day, rows in columns.days()
+    }
+
+
+def _run_build(tmp_path, tweet_lines, profile_lines=()):
+    """stage_build over the given raw lines; returns the output directory."""
+    tweets, profiles = tmp_path / "tweets.jsonl", tmp_path / "profiles.jsonl"
+    _write_tweets(tweets, tweet_lines)
+    profiles.write_text("".join(line + "\n" for line in profile_lines), encoding="utf-8")
+    out = tmp_path / "out"
+    stage_build(PipelineConfig(tweets=str(tweets), profiles=str(profiles), out_dir=str(out)))
+    return out
 
 
 def test_load_tweets_all_valid(tmp_path):
@@ -101,17 +122,19 @@ def test_load_tweets_gzip(tmp_path):
     assert len(list(load_tweets(path))) == 1
 
 
-def test_utc_day_bucketing():
-    late = TweetRecord(
-        tweet_id="t", author_id="a",
-        timestamp=datetime(2020, 1, 1, 23, 59, 59, tzinfo=timezone.utc),
-    )
-    assert late.day == date(2020, 1, 1)
-    shifted = TweetRecord(
-        tweet_id="t2", author_id="a",
-        timestamp=datetime.fromisoformat("2020-01-02T01:30:00+02:00"),
-    )
-    assert shifted.day == date(2020, 1, 1)
+def test_utc_day_bucketing(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    stamps = [
+        "2020-01-01T23:59:59+00:00",  # last second of the UTC day
+        "2020-01-02T01:30:00+02:00",  # local date ahead of UTC
+        "2020-01-01T22:30:00-02:00",  # local date behind UTC
+        "2020-01-01T23:00:00Z",
+        "2020-01-01T23:00:00",  # naive: read as UTC
+    ]
+    _write_tweets(path, [_tweet_line(f"t{i}", "a", ts) for i, ts in enumerate(stamps)])
+    days = [t.day for t in load_tweets(path)]
+    assert days == [date(2020, 1, 1), date(2020, 1, 1), date(2020, 1, 2),
+                    date(2020, 1, 1), date(2020, 1, 1)]
 
 
 def test_profiles_cap_enforced(tmp_path):
@@ -131,7 +154,7 @@ def test_window_validation():
 
 def test_daily_retweet_network_weight_is_count():
     tweets = [_rec("v", "2020-01-01", retweeted="u") for _ in range(3)]
-    net = build_daily_retweet_network(tweets, date(2020, 1, 1))
+    net = _daily_networks(tweets)[date(2020, 1, 1)]
     assert edge_dict(net) == {("u", "v"): 3.0}
 
 
@@ -140,10 +163,10 @@ def test_daily_retweet_network_day_bucketing():
         _rec("v", "2020-01-01", retweeted="u"),
         _rec("v", "2020-01-02", retweeted="u"),
     ]
-    net = build_daily_retweet_network(tweets, date(2020, 1, 1))
-    assert edge_dict(net) == {("u", "v"): 1.0}
-    net2 = build_daily_retweet_network(tweets, date(2020, 1, 2))
-    assert edge_dict(net2) == {("u", "v"): 1.0}
+    nets = _daily_networks(tweets)
+    assert list(nets) == [date(2020, 1, 1), date(2020, 1, 2)]
+    assert edge_dict(nets[date(2020, 1, 1)]) == {("u", "v"): 1.0}
+    assert edge_dict(nets[date(2020, 1, 2)]) == {("u", "v"): 1.0}
 
 
 def test_daily_retweet_network_chain_matches_recount():
@@ -152,7 +175,7 @@ def test_daily_retweet_network_chain_matches_recount():
         _rec("w", "2020-01-01", retweeted="v"),
         _rec("lurker", "2020-01-01"),
     ]
-    net = build_daily_retweet_network(tweets, date(2020, 1, 1))
+    [net] = _daily_networks(tweets).values()
     # independent recount straight off the tweet list
     expected: dict[tuple[str, str], int] = {}
     for t in tweets:
@@ -161,6 +184,7 @@ def test_daily_retweet_network_chain_matches_recount():
             expected[key] = expected.get(key, 0) + 1
     assert edge_dict(net) == {k: float(v) for k, v in expected.items()}
     assert "lurker" in net  # original tweets create the author node, no edge
+    assert net.labels == ["lurker", "u", "v", "w"]  # sorted id order
 
 
 def test_follower_network_direction_and_restriction():
@@ -187,7 +211,7 @@ def _rates(tweets, window) -> dict[str, float]:
     """Posting rates as build writes them: whole-window count / window duration."""
     return {
         a: c.tweet_count / window.duration_days
-        for a, c in account_content(tweets).items() if c.tweet_count
+        for a, c in account_content(tweet_columns(tweets)).items() if c.tweet_count
     }
 
 
@@ -210,18 +234,21 @@ def test_tweet_rates_linearity():
 
 def test_rate_totals_reconstruct_corpus_exactly():
     tweets = [_rec(f"a{i % 5}", f"2020-01-0{1 + i % 7}") for i in range(53)]
-    content = account_content(tweets)
+    content = account_content(tweet_columns(tweets))
     assert sum(c.tweet_count for c in content.values()) == 53  # integers before any division
 
 
-def test_active_set_rules():
-    tweets = [
-        _rec("author", "2020-01-01"),
-        _rec("retweeter", "2020-01-01", retweeted="quiet"),
-    ]
-    active = active_set(tweets, date(2020, 1, 1))
-    assert active == {"author", "retweeter"}  # the retweeted account is not active
-    assert active_set(tweets, date(2020, 1, 2)) == set()
+def test_active_set_rules(tmp_path):
+    out = _run_build(tmp_path, [
+        _tweet_line("t1", "retweeter", "2020-01-01T10:00:00Z", retweeted="quiet"),
+        _tweet_line("t2", "author", "2020-01-01T11:00:00Z"),
+        _tweet_line("t3", "author", "2020-01-03T11:00:00Z"),
+    ])
+    with open(out / "daily_active.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    # the retweeted account is not active; a day without tweets has no rows
+    assert rows == [["day", "account_id"], ["2020-01-01", "author"],
+                    ["2020-01-01", "retweeter"], ["2020-01-03", "author"]]
 
 
 def test_daily_weights_sum_to_corpus_retweet_count():
@@ -231,32 +258,31 @@ def test_daily_weights_sum_to_corpus_retweet_count():
         tweets += [_rec("w", day, retweeted="v")]
         tweets += [_rec("u", day)]
     total_retweets = sum(1 for t in tweets if t.retweeted_author_id)
-    by_day = bucket_by_day(tweets)
-    daily_total = sum(
-        build_daily_retweet_network(day_tweets, day).total_weight()
-        for day, day_tweets in by_day.items()
-    )
+    daily_total = sum(net.edge_arrays()[2].sum() for net in _daily_networks(tweets).values())
     assert daily_total == total_retweets
 
 
-def test_corpus_and_window_derivation():
+def test_corpus_and_window_derivation(tmp_path):
     tweets = [_rec("a", "2020-01-03"), _rec("b", "2020-01-01", retweeted="c")]
-    content = account_content(tweets)
+    columns = tweet_columns(tweets)
+    content = account_content(columns)
     assert set(content) == {"a", "b", "c"}
     assert content["c"].tweet_count == 0  # retweeted only
-    window = observed_window(tweets)
+    window = columns.window()
     assert window.start == date(2020, 1, 1) and window.end == date(2020, 1, 3)
+    with pytest.raises(IngestError, match="no parseable tweets"):
+        _run_build(tmp_path, ['{"tweet_id": "t1", "author_id": ""}'])
 
 
 def test_account_content_aggregates():
     def tweet(opinion, toxicity, urls):
         return TweetRecord(
-            tweet_id="t", author_id="a", timestamp=datetime(2020, 1, 1, tzinfo=timezone.utc),
-            retweeted_author_id="b", urls=urls, opinion=opinion, toxicity=toxicity,
+            author_id="a", day=date(2020, 1, 1), retweeted_author_id="b",
+            urls=urls, opinion=opinion, toxicity=toxicity,
         )
 
     tweets = [tweet(0.1, None, ["u1", "u2"]), tweet(None, 0.4, []), tweet(0.7, 0.2, ["u3"])]
-    content = account_content(tweets)
+    content = account_content(tweet_columns(tweets))
     a = content["a"]
     assert a.tweet_count == 3
     assert a.mean_opinion == (0.1 + 0.7) / 2  # over scored tweets only
@@ -264,3 +290,19 @@ def test_account_content_aggregates():
     assert a.urls == ["u1", "u2", "u3"]  # in tweet order
     b = content["b"]
     assert (b.tweet_count, b.mean_opinion, b.mean_toxicity, b.urls) == (0, None, None, [])
+
+
+def test_account_content_means_add_left_to_right():
+    # opinions whose compensated sum differs from the left-to-right one
+    rng = random.Random(7)
+    tweets = [
+        TweetRecord(author_id=f"a{rng.randrange(5)}", day=date(2020, 1, 1 + rng.randrange(3)),
+                    opinion=rng.random() if rng.random() < 0.8 else None,
+                    toxicity=rng.random())
+        for _ in range(2000)
+    ]
+    content = account_content(tweet_columns(tweets))
+    for account, c in content.items():
+        own = [t for t in tweets if t.author_id == account]
+        assert c.mean_opinion == ordered_mean([t.opinion for t in own if t.opinion is not None])
+        assert c.mean_toxicity == ordered_mean([t.toxicity for t in own])

@@ -155,11 +155,11 @@ def test_planted_zero_bots_marginals_at_or_below_prior(tmp_path):
     labels = _load_labels(out)
     assert all(row["is_bot"] == "0" for row in labels.values())
     from botimpact.botdetect import infer_bot_probabilities
-    from botimpact.ingest import build_daily_retweet_network
-    import datetime
+    from botimpact.ingest import build_daily_retweet_network, tweet_columns
 
-    tweets = list(load_tweets(out / "tweets.jsonl"))
-    net = build_daily_retweet_network(tweets, datetime.date(2020, 1, 1))
+    tweets = tweet_columns(load_tweets(out / "tweets.jsonl"))
+    [(_, rows)] = tweets.days()
+    net = build_daily_retweet_network(tweets.accounts, tweets.author[rows], tweets.retweeted[rows])
     post = infer_bot_probabilities(net)
     assert all(p <= 0.5 + 1e-9 for p in post.marginals.values())
 
