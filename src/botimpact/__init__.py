@@ -25,7 +25,6 @@ from .opinion import (
     EquilibriumSolution,
     LinearSystem,
     SolverError,
-    StubbornAssignment,
     assemble_system,
     fixed_point_oracle,
     identify_stubborn,
@@ -46,7 +45,6 @@ __all__ = [
     "GraphError",
     "LinearSystem",
     "SolverError",
-    "StubbornAssignment",
     "TweetRecord",
     "UserProfileRecord",
     "assemble_system",

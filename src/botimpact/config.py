@@ -8,6 +8,7 @@ documented range at load time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
@@ -102,7 +103,8 @@ class PipelineConfig:
 
 def read_key_values(path: str | Path, cls: type, error: type[ValueError]) -> dict:
     """The ``key = value`` lines of ``path`` (``#`` starts a comment), each value
-    coerced to the type of the dataclass field it names; ``error`` otherwise."""
+    coerced to the type of the dataclass field it names (floats must be finite);
+    ``error`` otherwise."""
     known = {f.name: f.type for f in fields(cls)}
     kwargs: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -123,5 +125,12 @@ def read_key_values(path: str | Path, cls: type, error: type[ValueError]) -> dic
     return kwargs
 
 
+def _finite_float(value: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):  # nan passes every range check, inf every lower bound
+        raise ValueError(value)
+    return x
+
+
 # field annotations are strings under ``from __future__ import annotations``
-_COERCE = {"int": int, "float": float, "date": date.fromisoformat}
+_COERCE = {"int": int, "float": _finite_float, "date": date.fromisoformat}

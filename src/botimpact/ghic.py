@@ -13,8 +13,12 @@ what makes the centrality reflect how far S had pulled its audience.  The
 count of such reverted nodes is reported on the result.
 
 The full solve does not depend on S, so a daily series solves each day's
-network once and shares it across the groups.  Each removal masks the day's
-edge arrays, rates and opinions, which are built once per day.
+network once and shares it across the groups.  The solver works on arrays
+(see ``opinion``): each day's edge columns, rates, stubborn mask and anchor
+opinions are built once, and a removal is a mask over them.  The kept edges
+are those with ``keep[src] & keep[tgt]``, renumbered by ``cumsum(keep) - 1``;
+a monotone renumbering of sorted edges stays sorted, so the reduced arrays
+are exactly the edge arrays of the induced subgraph, and no graph is built.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .graph import DirectedGraph
-from .opinion import SolverError, StubbornAssignment, solve_network
+from .opinion import SolverError, solve_network
 
 log = logging.getLogger(__name__)
 
@@ -46,52 +50,47 @@ class GhicResult:
         )
 
 
-def _network_inputs(
+def _network_arrays(
     graph: DirectedGraph,
     rates: Mapping[str, float],
-    assignment: StubbornAssignment,
+    stubborn: Mapping[str, float],
     opinions: Mapping[str, float],
-) -> tuple[np.ndarray, dict[int, float], np.ndarray]:
-    """Index-aligned rate vector, stubborn map, measured opinions for a graph."""
+) -> tuple[np.ndarray, ...]:
+    """The solver's inputs for a graph: src, tgt, rates, stubborn mask, anchor."""
     labels = graph.labels
-    psi = {i: assignment.psi[a] for i, a in enumerate(labels) if a in assignment.psi}
+    src, tgt, _ = graph.edge_arrays()
     lam = np.array([rates.get(a, 0.0) for a in labels], dtype=np.float64)
-    return lam, psi, np.array([opinions.get(a, 0.5) for a in labels], dtype=np.float64)
-
-
-def _solve(graph: DirectedGraph, inputs: tuple) -> tuple:
-    """Every node's equilibrium opinion (fixed or solved), and which were solved for."""
-    eq = solve_network(graph, *inputs)
-    opinion = np.empty(graph.node_count)
-    opinion[list(eq.psi)] = list(eq.psi.values())
-    opinion[list(eq.theta)] = list(eq.theta.values())
-    solved = np.zeros(graph.node_count, dtype=bool)
-    solved[list(eq.theta)] = True
-    return opinion, solved
+    fixed = np.array([a in stubborn for a in labels], dtype=bool)
+    anchor = np.array(
+        [stubborn[a] if a in stubborn else opinions.get(a, 0.5) for a in labels],
+        dtype=np.float64,
+    )
+    return src, tgt, lam, fixed, anchor
 
 
 def _removal_ghic(
-    graph: DirectedGraph, inputs: tuple, full: tuple, targets: frozenset[str]
+    graph: DirectedGraph, arrays: tuple, full: tuple, targets: frozenset[str]
 ) -> GhicResult:
-    """GHIC of ``targets``, given the network's inputs and its solved equilibrium."""
+    """GHIC of ``targets``, given the network's arrays and its solved equilibrium."""
     keep = np.ones(graph.node_count, dtype=bool)
     keep[[graph.index(t) for t in targets]] = False
-    opinion, solved = full
-    population = np.flatnonzero(solved & keep)
+    opinion, fixed = full
+    population = np.flatnonzero(~fixed & keep)
     if not population.size:
         raise ValueError("no non-stubborn nodes outside the target set")
     if not targets:
         return GhicResult(targets, 0.0, population.size, 0)
 
-    # the removed network: the same arrays, masked and reindexed
+    # the removed network: the same arrays, masked and renumbered
+    src, tgt, lam, fixed, anchor = arrays
+    edge = keep[src] & keep[tgt]
     position = np.cumsum(keep) - 1
-    lam, psi, measured = inputs
-    reduced = graph.induced_subgraph([graph.label(i) for i in np.flatnonzero(keep)])
-    psi_r = {int(position[i]): value for i, value in psi.items() if keep[i]}
-    after, after_solved = _solve(reduced, (lam[keep], psi_r, measured[keep]))
+    after, after_fixed = solve_network(
+        position[src[edge]], position[tgt[edge]], lam[keep], fixed[keep], anchor[keep]
+    )
     rows = position[population]
     # nodes reclassified on the reduced network revert to their measured opinion
-    reverted = int(np.count_nonzero(~after_solved[rows]))
+    reverted = int(np.count_nonzero(after_fixed[rows]))
     diff_sum = 0.0
     for diff in (opinion[population] - after[rows]).tolist():
         diff_sum += diff  # left to right in node order; np.sum would round differently
@@ -101,24 +100,25 @@ def _removal_ghic(
 def ghic(
     graph: DirectedGraph,
     rates: Mapping[str, float],
-    assignment: StubbornAssignment,
+    stubborn: Mapping[str, float],
     opinions: Mapping[str, float],
     target_set: Iterable[str],
 ) -> GhicResult:
     """Influence centrality of ``target_set`` on ``graph``.
 
-    The averaging population is the non-stubborn set of the full network
-    (after preprocessing) minus the targets; it must be nonempty.  Removal
-    and its preprocessing are recomputed independently on the reduced
-    network.
+    ``stubborn`` maps each stubborn account to its fixed opinion, as
+    ``identify_stubborn`` returns it.  The averaging population is the
+    non-stubborn set of the full network (after preprocessing) minus the
+    targets; it must be nonempty.  Removal and its preprocessing are
+    recomputed independently on the reduced network.
     """
     graph.freeze()
     targets = frozenset(target_set)
     unknown = [t for t in targets if t not in graph]
     if unknown:
         raise ValueError(f"target accounts not in network: {sorted(unknown)[:5]}")
-    inputs = _network_inputs(graph, rates, assignment, opinions)
-    return _removal_ghic(graph, inputs, _solve(graph, inputs), targets)
+    arrays = _network_arrays(graph, rates, stubborn, opinions)
+    return _removal_ghic(graph, arrays, solve_network(*arrays), targets)
 
 
 # -- daily series ---------------------------------------------------------------
@@ -142,7 +142,7 @@ def daily_ghic_series(
     follower_network: DirectedGraph,
     active_by_day: Mapping[date, set[str]],
     rates: Mapping[str, float],
-    assignment: StubbornAssignment,
+    stubborn: Mapping[str, float],
     opinions: Mapping[str, float],
     groups: Mapping[str, set[str]],
 ) -> DailyGhicSeries:
@@ -163,11 +163,11 @@ def daily_ghic_series(
             skipped.append((day, "no active accounts in the follower network"))
             continue
         subnet = follower_network.induced_subgraph(active)
-        non_stubborn = active - assignment.stubborn
+        non_stubborn = {a for a in active if a not in stubborn}
         if not non_stubborn:
             skipped.append((day, "no non-stubborn active accounts"))
             continue
-        inputs = _network_inputs(subnet, rates, assignment, opinions)
+        arrays = _network_arrays(subnet, rates, stubborn, opinions)
         full = None  # the day's own equilibrium, solved once when a group first needs it
         results: dict[str, GhicResult] = {}
         group_active: dict[str, int] = {}
@@ -179,8 +179,8 @@ def daily_ghic_series(
                 continue
             try:
                 if full is None:
-                    full = _solve(subnet, inputs)
-                results[name] = _removal_ghic(subnet, inputs, full, frozenset(day_targets))
+                    full = solve_network(*arrays)
+                results[name] = _removal_ghic(subnet, arrays, full, frozenset(day_targets))
             except ValueError as exc:
                 skipped.append((day, f"group {name!r}: {exc}"))
             except SolverError as exc:

@@ -10,10 +10,12 @@ dense integer indices.  The build's networks, edge files and induced
 subgraphs are all built from (source, target, weight) index columns by one
 constructor, ``_from_arrays``; edges added one at a time (small hand-built
 graphs) collect in a dict until the graph is frozen.  The store is
-offset-indexed arrays sorted by (source, target) plus the transpose, so
-neighbor scans are O(degree) and the structure stays compact at tens of
-millions of edges.  A frozen graph is immutable and safe for concurrent
-reads.
+offset-indexed arrays sorted by (source, target), so follower scans are
+O(degree) and the structure stays compact at tens of millions of edges.  A
+frozen graph is immutable and safe for concurrent reads.
+
+For the equilibrium solver the graph is only a loader and an id index: it
+takes the graph's ``edge_arrays()``, never the graph itself.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ class DirectedGraph:
         self.out_offsets: np.ndarray | None = None
         self.out_targets: np.ndarray | None = None
         self.out_weights: np.ndarray | None = None
-        self.in_offsets: np.ndarray | None = None
-        self.in_sources: np.ndarray | None = None
-        self.in_weights: np.ndarray | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -96,7 +95,7 @@ class DirectedGraph:
         return graph
 
     def _build(self, src: np.ndarray, tgt: np.ndarray, w: np.ndarray) -> None:
-        """Sorted out- and in-adjacency arrays; parallel edges summed in input order."""
+        """Sorted out-adjacency arrays; parallel edges summed in input order."""
         n = len(self._labels)
         keys, inverse = np.unique(src * n + tgt, return_inverse=True)
         # bincount adds each edge's weights in input order, as add_interaction does
@@ -105,10 +104,6 @@ class DirectedGraph:
         self.out_offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
         self.out_targets = tgt
         self.out_weights = w
-        order = np.lexsort((src, tgt))
-        self.in_offsets = np.concatenate(([0], np.cumsum(np.bincount(tgt, minlength=n))))
-        self.in_sources = src[order]
-        self.in_weights = w[order]
         self._edges = None  # the arrays are the only store from here on
         self._frozen = True
 

@@ -141,7 +141,7 @@ def _parse_lines(
                 continue
             try:
                 rec = parse(json.loads(line))
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, OverflowError):
                 stats.skipped += 1
                 continue
             stats.parsed += 1

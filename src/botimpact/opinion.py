@@ -11,8 +11,13 @@ with  G_ii = -sum(rate_k for k in following of i)      (all followings),
       G_ij =  rate_j   when j is non-stubborn and i follows j,
       F_ij = -rate_j   when j is stubborn and i follows j.
 
-Preprocessing and assembly are whole-array kernels over the graph's edge
-arrays: rule (a) is one bincount of positive-rate in-edges, rule (b) one
+Every function below stubborn identification works on one network given
+as arrays: the edge columns ``src`` and ``tgt`` (node indices, sorted by
+(source, target) as ``DirectedGraph.edge_arrays`` returns them), each
+node's posting ``rates``, the stubborn mask ``fixed`` and ``anchor``, each
+node's fixed opinion where it is stubborn and its measured opinion
+elsewhere.  Preprocessing only sets mask bits, since a reclassified node
+keeps its anchor as its fixed value.  Rule (a) is one bincount of positive-rate in-edges, rule (b) one
 breadth-first search from a virtual source, and G and F come from masked
 edge arrays in one COO-to-CSR step.  Each G_ii is numpy's own sum of that
 row's rates in source order, which fixes its rounding.
@@ -40,8 +45,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order
 
-from .graph import DirectedGraph
-
 log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-10
@@ -64,25 +67,6 @@ class AssemblyError(ValueError):
 
 
 # -- stubborn identification ---------------------------------------------------
-
-
-@dataclass
-class StubbornAssignment:
-    """Dataset-level partition into stubborn (with fixed opinions) and not.
-
-    ``psi`` maps stubborn account ids to their fixed opinion.  The cut
-    values are kept for reporting; they come from the global opinion
-    distribution, not from any single day's network.
-    """
-
-    psi: dict[str, float]
-    low_cut: float
-    high_cut: float
-    all_stubborn: bool = False
-
-    @property
-    def stubborn(self) -> set[str]:
-        return set(self.psi)
 
 
 def percentile_cuts(
@@ -109,12 +93,13 @@ def identify_stubborn(
     bots: set[str],
     low_pct: float = DEFAULT_LOW_PCT,
     high_pct: float = DEFAULT_HIGH_PCT,
-) -> StubbornAssignment:
-    """Stubborn set = all bots plus humans with opinions beyond the global cuts.
+) -> dict[str, float]:
+    """Stubborn accounts, each mapped to its fixed opinion.
 
-    Every stubborn account keeps its measured opinion as its fixed value.
-    Cuts are computed once over all accounts in the dataset and reused for
-    every daily network.
+    The stubborn set is all bots plus humans with opinions beyond the global
+    cuts, and every stubborn account keeps its measured opinion as its fixed
+    value.  Cuts are computed once over all accounts in the dataset and
+    reused for every daily network.
     """
     if not opinions:
         raise ValueError("cannot identify stubborn accounts without opinions")
@@ -125,10 +110,9 @@ def identify_stubborn(
     for account, opinion in opinions.items():
         if account in bots or opinion < low_cut or opinion > high_cut:
             psi[account] = opinion
-    all_stubborn = len(psi) == len(opinions)
-    if all_stubborn:
+    if len(psi) == len(opinions):
         log.warning("every account is stubborn; equilibrium solves would be vacuous")
-    return StubbornAssignment(psi, low_cut, high_cut, all_stubborn)
+    return psi
 
 
 # -- per-network preprocessing ---------------------------------------------------
@@ -145,26 +129,23 @@ class PreprocessReport:
 
 
 def preprocess_wellposed(
-    graph: DirectedGraph,
-    rates: np.ndarray,
-    psi: dict[int, float],
-    measured: np.ndarray,
-) -> tuple[dict[int, float], PreprocessReport]:
-    """Reclassify degenerate non-stubborn nodes so the system is nonsingular.
+    src: np.ndarray, tgt: np.ndarray, rates: np.ndarray, fixed: np.ndarray
+) -> tuple[np.ndarray, PreprocessReport]:
+    """The stubborn mask with degenerate non-stubborn nodes added, so the system
+    is nonsingular.
 
     (a) a node whose followings carry zero total rate receives no influence;
     (b) a node from which no positive-rate chain of followings reaches a
         stubborn account belongs to a closed group that can never anchor.
-    Both become stubborn at their measured opinion.  Influence travels only
-    through positive-rate accounts, so reachability ignores rate-zero ones.
+    Both become stubborn at their anchor (measured) opinion.  Influence
+    travels only through positive-rate accounts, so reachability ignores
+    rate-zero ones.
     """
-    n = graph.node_count
-    src, tgt, _ = graph.edge_arrays()
+    n = fixed.size
     rated = rates[src] > 0.0
-    stubborn = _mask(psi, n)
     # (a): rates are non-negative, so a zero total means no positive-rate in-edge
-    orphan = ~stubborn & (np.bincount(tgt[rated], minlength=n) == 0)
-    stubborn |= orphan
+    orphan = ~fixed & (np.bincount(tgt[rated], minlength=n) == 0)
+    stubborn = fixed | orphan
 
     # (b): one BFS from a virtual source n, linked to every positive-rate stubborn
     # node, over the edges that relay influence (rated source, non-stubborn target)
@@ -175,21 +156,13 @@ def preprocess_wellposed(
     flow = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n + 1, n + 1))
     reached = np.zeros(n + 1, dtype=bool)
     reached[breadth_first_order(flow, n, directed=True, return_predecessors=False)] = True
+    unreachable = ~stubborn & ~reached[:n]
 
     report = PreprocessReport(
         no_rated_following=np.flatnonzero(orphan).tolist(),
-        unreachable=np.flatnonzero(~stubborn & ~reached[:n]).tolist(),
+        unreachable=np.flatnonzero(unreachable).tolist(),
     )
-    new_psi = dict(psi)
-    for i in report.no_rated_following + report.unreachable:
-        new_psi[i] = float(measured[i])
-    return new_psi, report
-
-
-def _mask(nodes: Iterable[int], n: int) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[np.fromiter(nodes, dtype=np.int64)] = True
-    return mask
+    return stubborn | unreachable, report
 
 
 # -- system assembly ----------------------------------------------------------
@@ -206,7 +179,7 @@ class LinearSystem:
 
 
 def assemble_system(
-    graph: DirectedGraph, rates: np.ndarray, psi: dict[int, float]
+    src: np.ndarray, tgt: np.ndarray, rates: np.ndarray, fixed: np.ndarray, anchor: np.ndarray
 ) -> LinearSystem:
     """Build the sparse equilibrium system for the non-stubborn nodes.
 
@@ -214,34 +187,32 @@ def assemble_system(
     positive total rate.  Verifies the weighted in-degree balance
     |G_ii| = sum_j(G_ij, j != i) + sum_j |F_ij| row by row.
     """
-    graph.freeze()
-    n = graph.node_count
-    stubborn = _mask(psi, n)
-    v1 = np.flatnonzero(~stubborn)
-    v0 = np.flatnonzero(stubborn)
+    n = fixed.size
+    v1 = np.flatnonzero(~fixed)
+    v0 = np.flatnonzero(fixed)
     if v1.size == 0:
         raise AssemblyError("no non-stubborn nodes to solve for")
-    psi_values = np.array([psi[i] for i in v0.tolist()], dtype=np.float64)
+    psi_values = anchor[v0]
     position = np.empty(n, dtype=np.int64)  # row in G for v1, column in F for v0
     position[v1] = np.arange(v1.size)
     position[v0] = np.arange(v0.size)
 
     # in-edges grouped by target, sources ascending
-    src = graph.in_sources
-    tgt = np.repeat(np.arange(n), np.diff(graph.in_offsets))
+    order = np.lexsort((src, tgt))
+    src, tgt = src[order], tgt[order]
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(tgt, minlength=n))))
     lam = rates[src]
     # one numpy sum per row: a segmented sum (np.add.reduceat) rounds differently
-    bounds = zip(graph.in_offsets[v1].tolist(), graph.in_offsets[v1 + 1].tolist())
+    bounds = zip(offsets[v1].tolist(), offsets[v1 + 1].tolist())
     totals = np.array([lam[lo:hi].sum() for lo, hi in bounds], dtype=np.float64)
     if (totals == 0.0).any():
         node = int(v1[np.argmax(totals == 0.0)])
         raise AssemblyError(
-            f"node {graph.label(node)!r} follows no positive-rate account; "
-            "run preprocess_wellposed first"
+            f"node {node} follows no positive-rate account; run preprocess_wellposed first"
         )
-    edge = ~stubborn[tgt] & (lam != 0.0)
+    edge = ~fixed[tgt] & (lam != 0.0)
     src, rows, lam = src[edge], position[tgt[edge]], lam[edge]
-    free = ~stubborn[src]
+    free = ~fixed[src]
 
     m = v1.size
     diag = np.arange(m)
@@ -276,7 +247,7 @@ def _check_row_balance(G: sp.csr_matrix, F: sp.csr_matrix) -> None:
 
 @dataclass
 class EquilibriumSolution:
-    theta: dict[int, float]  # node index -> equilibrium opinion
+    theta: np.ndarray  # equilibrium opinions aligned with the system's v1
     residual_norm: float
     iterations: int
     method: str
@@ -349,10 +320,7 @@ def solve_equilibrium(
     np.clip(theta, lo, hi, out=theta)
 
     return EquilibriumSolution(
-        theta=dict(zip(system.v1.tolist(), theta.tolist())),
-        residual_norm=residual,
-        iterations=iterations,
-        method=method,
+        theta=theta, residual_norm=residual, iterations=iterations, method=method
     )
 
 
@@ -360,74 +328,60 @@ def solve_equilibrium(
 
 
 def fixed_point_oracle(
-    graph: DirectedGraph,
+    src: np.ndarray,
+    tgt: np.ndarray,
     rates: np.ndarray,
-    psi: dict[int, float],
+    fixed: np.ndarray,
+    anchor: np.ndarray,
     sweeps: int = 200_000,
     tol: float = 1e-12,
-) -> dict[int, float]:
-    """Equilibrium by synchronous averaging sweeps, start value 0.5.
+) -> np.ndarray:
+    """Every node's equilibrium opinion by synchronous averaging sweeps.
 
     theta_i <- sum(rate_j * opinion_j for j in following of i) / sum(rate_j),
-    stubborn opinions held fixed.  Deliberately avoids the assembled matrices
-    so it can validate them.  Raises SolverError if the sweep cap is hit
-    before the max change drops below ``tol``.
+    stubborn nodes held at their anchor and the others started at 0.5.
+    Deliberately avoids the assembled matrices so it can validate them.
+    Raises SolverError if the sweep cap is hit before the max change drops
+    below ``tol``.
     """
-    graph.freeze()
-    n = graph.node_count
-    free = np.array(sorted(set(range(n)) - set(psi)), dtype=np.int64)
-    x = np.full(n, 0.5)
-    for i, value in psi.items():
-        x[i] = value
+    n = fixed.size
+    free = np.flatnonzero(~fixed)
+    x = np.where(fixed, anchor, 0.5)
     if free.size == 0:
-        return {}
+        return x
 
-    src, tgt, _ = graph.edge_arrays()
     lam_src = rates[src]
     denom = np.zeros(n)
     np.add.at(denom, tgt, lam_src)
     if np.any(denom[free] == 0.0):
         bad = int(free[np.argmax(denom[free] == 0.0)])
-        raise SolverError(f"node {graph.label(bad)!r} has no rated followings")
+        raise SolverError(f"node {bad} has no rated followings")
 
-    free_mask = np.zeros(n, dtype=bool)
-    free_mask[free] = True
     for sweep in range(sweeps):
         weighted = np.zeros(n)
         np.add.at(weighted, tgt, lam_src * x[src])
         new_free = weighted[free] / denom[free]
-        change = float(np.max(np.abs(new_free - x[free]))) if free.size else 0.0
+        change = float(np.max(np.abs(new_free - x[free])))
         x[free] = new_free
         if change < tol:
-            return {int(i): float(x[i]) for i in free}
+            return x
     raise SolverError(f"fixed-point oracle hit the sweep cap ({sweeps})")
 
 
 # -- convenience stack ----------------------------------------------------------
 
 
-@dataclass
-class NetworkEquilibrium:
-    """Preprocessed and solved equilibrium on one network."""
-
-    theta: dict[int, float]  # non-stubborn node -> equilibrium opinion
-    psi: dict[int, float]  # final stubborn map, including reclassified nodes
-    report: PreprocessReport
-    solution: EquilibriumSolution | None  # None when every node ended up stubborn
-
-
 def solve_network(
-    graph: DirectedGraph,
-    rates: np.ndarray,
-    psi: dict[int, float],
-    measured: np.ndarray,
-) -> NetworkEquilibrium:
-    """preprocess -> assemble -> solve on one network."""
-    full_psi, report = preprocess_wellposed(graph, rates, psi, measured)
-    if len(full_psi) == graph.node_count:
-        return NetworkEquilibrium(theta={}, psi=full_psi, report=report, solution=None)
-    system = assemble_system(graph, rates, full_psi)
-    solution = solve_equilibrium(system)
-    return NetworkEquilibrium(
-        theta=solution.theta, psi=full_psi, report=report, solution=solution
-    )
+    src: np.ndarray, tgt: np.ndarray, rates: np.ndarray, fixed: np.ndarray, anchor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """preprocess -> assemble -> solve on one network.
+
+    Returns every node's equilibrium opinion (its anchor where it ends up
+    stubborn) and the final stubborn mask, reclassified nodes included.
+    """
+    fixed, _ = preprocess_wellposed(src, tgt, rates, fixed)
+    opinion = anchor.copy()
+    if not fixed.all():
+        system = assemble_system(src, tgt, rates, fixed, anchor)
+        opinion[system.v1] = solve_equilibrium(system).theta
+    return opinion, fixed

@@ -425,13 +425,11 @@ def stage_ghic(cfg: PipelineConfig) -> dict:
 
     opinions = {row["account_id"]: float(row["opinion"]) for row in rows}
     bots = {row["account_id"] for row in rows if row["bot"] == "1"}
-    assignment = identify_stubborn(
-        opinions, bots, cfg.stubborn_low_pct, cfg.stubborn_high_pct
-    )
+    stubborn = identify_stubborn(opinions, bots, cfg.stubborn_low_pct, cfg.stubborn_high_pct)
     requested = [name.strip() for name in cfg.ghic_groups.split(",") if name.strip()]
     groups = ghic_groups_from_rows(rows, requested)
 
-    series = daily_ghic_series(follower, active_by_day, rates, assignment, opinions, groups)
+    series = daily_ghic_series(follower, active_by_day, rates, stubborn, opinions, groups)
     per_bot = ghic_per_bot(series, groups)
 
     series_path = out_dir / "ghic_series.csv"

@@ -32,11 +32,12 @@ def edge_dict(g: DirectedGraph) -> dict[tuple[str, str], float]:
 
 
 def random_instance(seed: int, n_lo: int = 10, n_hi: int = 200):
-    """Random opinion-dynamics instance: graph, rates, stubborn map, measured.
+    """Random opinion-dynamics instance: graph, rates, stubborn mask, anchor.
 
-    Stubborn opinions are drawn from {0, 1}; rates from (0, 10]; between 20%
-    and 40% of nodes are stubborn.  Degenerate nodes are left in on purpose:
-    preprocessing is part of the solve contract.
+    Stubborn opinions are drawn from {0, 1} and other anchors (the measured
+    opinions) from [0, 1); rates from (0, 10]; between 20% and 40% of nodes
+    are stubborn.  Degenerate nodes are left in on purpose: preprocessing is
+    part of the solve contract.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(n_lo, n_hi + 1))
@@ -53,10 +54,25 @@ def random_instance(seed: int, n_lo: int = 10, n_hi: int = 200):
     stubborn_count = max(1, int(n * rng.uniform(0.2, 0.4)))
     stubborn = rng.choice(n, size=stubborn_count, replace=False)
     psi = {int(i): float(rng.integers(0, 2)) for i in stubborn}
-    measured = rng.uniform(0.0, 1.0, size=n)
-    for i, value in psi.items():
-        measured[i] = value
-    return g, lam, psi, measured
+    anchor = rng.uniform(0.0, 1.0, size=n)
+    anchor[list(psi)] = list(psi.values())
+    fixed = np.zeros(n, dtype=bool)
+    fixed[list(psi)] = True
+    return g, lam, fixed, anchor
+
+
+def solver_inputs(g: DirectedGraph, psi, measured=0.5):
+    """(src, tgt, stubborn mask, anchor) for ``psi`` {account id: fixed opinion}.
+
+    Non-stubborn anchors are ``measured``: one value, or one per node index.
+    """
+    src, tgt, _ = g.edge_arrays()
+    fixed = np.zeros(g.node_count, dtype=bool)
+    anchor = np.full(g.node_count, measured, dtype=float)
+    for label, value in psi.items():
+        fixed[g.index(label)] = True
+        anchor[g.index(label)] = value
+    return src, tgt, fixed, anchor
 
 
 def auc_score(scores_pos, scores_neg) -> float:

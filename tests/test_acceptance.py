@@ -32,10 +32,10 @@ from botimpact.ingest import (
     load_tweets,
     tweet_columns,
 )
-from botimpact.opinion import StubbornAssignment, fixed_point_oracle, identify_stubborn, solve_network
+from botimpact.opinion import fixed_point_oracle, identify_stubborn, solve_network
 from botimpact.synth import SynthSpec, generate
 
-from conftest import auc_score, edge_dict, graph_of, random_instance
+from conftest import auc_score, edge_dict, graph_of, random_instance, solver_inputs
 from test_botdetect import _random_forest
 
 N_EQUILIBRIUM_INSTANCES = 100
@@ -51,19 +51,19 @@ ECHO_WINS_REQUIRED = 9
 
 def _solved_instances():
     for seed in range(N_EQUILIBRIUM_INSTANCES):
-        g, lam, psi, measured = random_instance(seed=1000 + seed)
-        net = solve_network(g, lam, psi, measured)
-        yield g, lam, psi, measured, net
+        g, lam, fixed, anchor = random_instance(seed=1000 + seed)
+        src, tgt, _ = g.edge_arrays()
+        yield src, tgt, lam, fixed, anchor, solve_network(src, tgt, lam, fixed, anchor)
 
 
 def test_criterion_1_equilibrium_matches_oracle():
     start = time.time()
     worst = 0.0
-    for g, lam, psi, measured, net in _solved_instances():
-        oracle = fixed_point_oracle(g, lam, net.psi)
-        assert set(oracle) == set(net.theta)
-        if oracle:
-            gap = max(abs(net.theta[i] - oracle[i]) for i in oracle)
+    for src, tgt, lam, fixed, anchor, (opinion, final) in _solved_instances():
+        oracle = fixed_point_oracle(src, tgt, lam, final, anchor)
+        assert np.array_equal(oracle[final], opinion[final])
+        if not final.all():
+            gap = float(np.max(np.abs(opinion - oracle)))
             worst = max(worst, gap)
             assert gap <= SOLVER_ORACLE_TOL
     elapsed = time.time() - start
@@ -76,17 +76,17 @@ def test_criterion_1_equilibrium_matches_oracle():
 
 def test_criterion_2_maximum_principle_and_rate_scaling():
     start = time.time()
-    for g, lam, psi, measured, net in _solved_instances():
-        if not net.theta:
+    for src, tgt, lam, fixed, anchor, (opinion, final) in _solved_instances():
+        if final.all():
             continue
-        lo = min(net.psi.values())
-        hi = max(net.psi.values())
-        for value in net.theta.values():
+        lo = anchor[final].min()
+        hi = anchor[final].max()
+        for value in opinion[~final]:
             assert lo - 1e-9 <= value <= hi + 1e-9
-        scaled = solve_network(g, lam * 4.0, psi, measured)
-        assert set(scaled.theta) == set(net.theta)
-        for i, value in net.theta.items():
-            assert scaled.theta[i] == pytest.approx(value, abs=1e-8)
+        scaled, scaled_final = solve_network(src, tgt, lam * 4.0, fixed, anchor)
+        assert np.array_equal(scaled_final, final)
+        for i in np.flatnonzero(~final):
+            assert scaled[i] == pytest.approx(opinion[i], abs=1e-8)
     print(
         "\ncriterion 2 PASS: maximum principle and rate-scale invariance on "
         f"{N_EQUILIBRIUM_INSTANCES} instances, {time.time() - start:.1f}s"
@@ -114,41 +114,37 @@ def _sign_instance(seed: int):
     opinions = {name: 0.5 for name in names}
     opinions.update({b: 1.0 for b in ones})
     opinions[anchor] = 0.0
-    assignment = StubbornAssignment(
-        psi={anchor: 0.0, **{b: 1.0 for b in ones}}, low_cut=0.0, high_cut=1.0
-    )
-    return g2, rates, assignment, opinions, ones
+    return g2, rates, {anchor: 0.0, **{b: 1.0 for b in ones}}, opinions, ones
 
 
 def test_criterion_3_ghic_axioms_and_worked_example():
     # the worked five-node network, cross-checked against the averaging oracle
     g = graph_of([("s", "h1"), ("a", "h1"), ("s", "h2"), ("a", "h2"), ("a", "h3")])
     rates = {n: 1.0 for n in g.labels}
-    assignment = StubbornAssignment(psi={"s": 1.0, "a": 0.0}, low_cut=0.0, high_cut=1.0)
+    stubborn = {"s": 1.0, "a": 0.0}
     opinions = {"s": 1.0, "a": 0.0, "h1": 0.5, "h2": 0.5, "h3": 0.5}
-    lam = np.ones(g.node_count)
-    theta = fixed_point_oracle(g, lam, {g.index("s"): 1.0, g.index("a"): 0.0})
+    src, tgt, fixed, anchor = solver_inputs(g, stubborn)
+    theta = fixed_point_oracle(src, tgt, np.ones(g.node_count), fixed, anchor)
     reduced = g.induced_subgraph({"a", "h1", "h2", "h3"})
-    theta_removed = fixed_point_oracle(
-        reduced, np.ones(reduced.node_count), {reduced.index("a"): 0.0}
-    )
+    src, tgt, fixed, anchor = solver_inputs(reduced, {"a": 0.0})
+    theta_removed = fixed_point_oracle(src, tgt, np.ones(reduced.node_count), fixed, anchor)
     expected = np.mean(
         [theta[g.index(h)] - theta_removed[reduced.index(h)] for h in ("h1", "h2", "h3")]
     )
-    result = ghic(g, rates, assignment, opinions, {"s"})
+    result = ghic(g, rates, stubborn, opinions, {"s"})
     assert expected == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert result.value == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     zero_positive = 0
     for seed in range(GHIC_INSTANCES):
-        g2, rates2, assignment2, opinions2, ones = _sign_instance(2000 + seed)
-        empty = ghic(g2, rates2, assignment2, opinions2, set())
+        g2, rates2, stubborn2, opinions2, ones = _sign_instance(2000 + seed)
+        empty = ghic(g2, rates2, stubborn2, opinions2, set())
         assert empty.value == 0.0  # exact
-        result2 = ghic(g2, rates2, assignment2, opinions2, ones)
+        result2 = ghic(g2, rates2, stubborn2, opinions2, ones)
         assert result2.value >= -1e-12  # sign semantics
         assert abs(result2.value) <= 1.0 + 1e-12  # |GHIC| <= max psi - min psi
         has_v1_follower = any(
-            g2.label(int(t)) not in assignment2.stubborn
+            g2.label(int(t)) not in stubborn2
             for b in ones
             for t in g2.followers_of(g2.index(b))[0]
         )
@@ -163,10 +159,8 @@ def test_criterion_3_ghic_axioms_and_worked_example():
         lone.add_node("offside")
         rates_l = dict(rates2, offside=5.0)
         opinions_l = dict(opinions2, offside=1.0)
-        assignment_l = StubbornAssignment(
-            psi=dict(assignment2.psi, offside=1.0), low_cut=0.0, high_cut=1.0
-        )
-        no_path = ghic(lone, rates_l, assignment_l, opinions_l, {"offside"})
+        stubborn_l = dict(stubborn2, offside=1.0)
+        no_path = ghic(lone, rates_l, stubborn_l, opinions_l, {"offside"})
         assert no_path.value == 0.0
     assert zero_positive > 0
     print(
@@ -253,10 +247,8 @@ def _per_bot_core_ghic(seed: int, audience: str, workdir: Path) -> float:
             counts[t.author_id] = counts.get(t.author_id, 0) + 1
     opinions = {a: sums[a] / counts[a] for a in sums}
     bots = {a for a, row in labels.items() if row["is_bot"] == "1" and a in follower}
-    assignment = identify_stubborn(
-        {a: o for a, o in opinions.items() if a in follower}, bots
-    )
-    result = ghic(follower, rates, assignment, opinions, bots)
+    stubborn = identify_stubborn({a: o for a, o in opinions.items() if a in follower}, bots)
+    result = ghic(follower, rates, stubborn, opinions, bots)
     return result.value / len(bots)
 
 

@@ -113,6 +113,15 @@ def test_bad_config_value_exits_2(tmp_path, runner):
     assert "bot_threshold" in result.output
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_config_value_exits_2(tmp_path, runner, value):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"bp_psi_hh = {value}\n")
+    result = runner.invoke(main, ["--config", str(cfg), "build"])
+    assert result.exit_code == 2
+    assert "bp_psi_hh" in result.output
+
+
 def test_unknown_config_key_exits_2(tmp_path, runner):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("mystery_knob = 5\n")

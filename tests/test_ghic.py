@@ -6,13 +6,9 @@ import pytest
 
 from botimpact.ghic import daily_ghic_series, ghic, ghic_per_bot
 from botimpact.graph import DirectedGraph
-from botimpact.opinion import StubbornAssignment, fixed_point_oracle
+from botimpact.opinion import fixed_point_oracle, solve_network
 
-from conftest import edge_dict, graph_of, random_instance
-
-
-def _assignment(psi: dict[str, float]) -> StubbornAssignment:
-    return StubbornAssignment(psi=dict(psi), low_cut=0.0, high_cut=1.0)
+from conftest import edge_dict, graph_of, random_instance, solver_inputs
 
 
 def _worked_example():
@@ -20,56 +16,56 @@ def _worked_example():
         [("s", "h1"), ("a", "h1"), ("s", "h2"), ("a", "h2"), ("a", "h3")]
     )
     rates = {n: 1.0 for n in ["s", "a", "h1", "h2", "h3"]}
-    assignment = _assignment({"s": 1.0, "a": 0.0})
+    stubborn = {"s": 1.0, "a": 0.0}
     opinions = {"s": 1.0, "a": 0.0, "h1": 0.5, "h2": 0.5, "h3": 0.5}
-    return g, rates, assignment, opinions
+    return g, rates, stubborn, opinions
 
 
 def test_empty_target_set_is_exact_zero():
-    g, rates, assignment, opinions = _worked_example()
-    result = ghic(g, rates, assignment, opinions, set())
+    g, rates, stubborn, opinions = _worked_example()
+    result = ghic(g, rates, stubborn, opinions, set())
     assert result.value == 0.0
     assert result.averaged_over == 3
 
 
 def test_worked_example_value_one_third():
-    g, rates, assignment, opinions = _worked_example()
-    result = ghic(g, rates, assignment, opinions, {"s"})
+    g, rates, stubborn, opinions = _worked_example()
+    result = ghic(g, rates, stubborn, opinions, {"s"})
     assert result.value == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert result.averaged_over == 3
     assert result.reverted == 0
 
 
 def test_worked_example_cross_checked_with_oracle():
-    g, rates, assignment, opinions = _worked_example()
+    g, rates, stubborn, opinions = _worked_example()
     lam = np.array([rates[g.label(i)] for i in range(g.node_count)])
-    psi = {g.index(k): v for k, v in assignment.psi.items()}
-    theta = fixed_point_oracle(g, lam, psi)
+    src, tgt, fixed, anchor = solver_inputs(g, stubborn)
+    theta = fixed_point_oracle(src, tgt, lam, fixed, anchor)
     reduced = g.induced_subgraph({"a", "h1", "h2", "h3"})
     lam_r = np.array([rates[reduced.label(i)] for i in range(reduced.node_count)])
-    psi_r = {reduced.index("a"): 0.0}
-    theta_r = fixed_point_oracle(reduced, lam_r, psi_r)
+    src, tgt, fixed, anchor = solver_inputs(reduced, {"a": 0.0})
+    theta_r = fixed_point_oracle(src, tgt, lam_r, fixed, anchor)
     manual = np.mean(
         [
             theta[g.index(h)] - theta_r[reduced.index(h)]
             for h in ("h1", "h2", "h3")
         ]
     )
-    result = ghic(g, rates, assignment, opinions, {"s"})
+    result = ghic(g, rates, stubborn, opinions, {"s"})
     assert result.value == pytest.approx(manual, abs=1e-9)
     assert manual == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_removal_without_influence_path_is_zero():
     # x only feeds stubborn nodes, so removing it cannot move anyone
-    g, rates, assignment, opinions = _worked_example()
+    g, rates, stubborn, opinions = _worked_example()
     g2 = graph_of(
         [("s", "h1"), ("a", "h1"), ("a", "h2"), ("x", "s")], nodes=["lone"]
     )
     rates = {n: 1.0 for n in g2.labels}
-    assignment = _assignment({"s": 1.0, "a": 0.0, "x": 1.0, "lone": 0.5})
+    stubborn = {"s": 1.0, "a": 0.0, "x": 1.0, "lone": 0.5}
     opinions = {n: 0.5 for n in g2.labels}
-    result = ghic(g2, rates, assignment, opinions, {"x"})
+    result = ghic(g2, rates, stubborn, opinions, {"x"})
     assert result.value == 0.0
 
 
@@ -77,9 +73,9 @@ def test_reverted_nodes_use_measured_opinion():
     # h follows only the bot: removal leaves it orphaned at its own opinion
     g = graph_of([("bot", "h"), ("anchor", "h2")])
     rates = {"bot": 1.0, "anchor": 1.0, "h": 1.0, "h2": 1.0}
-    assignment = _assignment({"bot": 1.0, "anchor": 0.0})
+    stubborn = {"bot": 1.0, "anchor": 0.0}
     opinions = {"bot": 1.0, "anchor": 0.0, "h": 0.2, "h2": 0.5}
-    result = ghic(g, rates, assignment, opinions, {"bot"})
+    result = ghic(g, rates, stubborn, opinions, {"bot"})
     # theta: h=1.0, h2=0.0 ; after removal h reverts to 0.2, h2 stays 0.0
     assert result.reverted == 1
     assert result.value == pytest.approx(((1.0 - 0.2) + 0.0) / 2.0, abs=1e-12)
@@ -93,7 +89,7 @@ def test_sign_semantics_and_bound():
         anchor, rest = names[0], names[1:]
         k = max(1, len(rest) // 5)
         ones = set(rng.choice(rest, size=k, replace=False).tolist())
-        assignment = _assignment({anchor: 0.0, **{b: 1.0 for b in ones}})
+        stubborn = {anchor: 0.0, **{b: 1.0 for b in ones}}
         # every free node follows the zero-anchor so removal stays well-posed
         g2 = DirectedGraph()
         for name in names:
@@ -109,11 +105,11 @@ def test_sign_semantics_and_bound():
         opinions = {name: 0.5 for name in names}
         opinions.update({b: 1.0 for b in ones})
         opinions[anchor] = 0.0
-        result = ghic(g2, rates, assignment, opinions, ones)
+        result = ghic(g2, rates, stubborn, opinions, ones)
         assert result.value >= -1e-12
         assert abs(result.value) <= 1.0 + 1e-12
         followers_in_v1 = any(
-            g2.label(int(t)) not in assignment.stubborn
+            g2.label(int(t)) not in stubborn
             for b in ones
             for t in g2.followers_of(g2.index(b))[0]
         )
@@ -123,30 +119,30 @@ def test_sign_semantics_and_bound():
 
 def test_rejects_target_covering_all_non_stubborn():
     g = graph_of([("s", "h")])
-    assignment = _assignment({"s": 1.0})
+    stubborn = {"s": 1.0}
     with pytest.raises(ValueError):
-        ghic(g, {"s": 1.0, "h": 1.0}, assignment, {"s": 1.0, "h": 0.5}, {"h"})
+        ghic(g, {"s": 1.0, "h": 1.0}, stubborn, {"s": 1.0, "h": 0.5}, {"h"})
 
 
 def test_rejects_unknown_target():
-    g, rates, assignment, opinions = _worked_example()
+    g, rates, stubborn, opinions = _worked_example()
     with pytest.raises(ValueError):
-        ghic(g, rates, assignment, opinions, {"martian"})
+        ghic(g, rates, stubborn, opinions, {"martian"})
 
 
 # -- daily series -----------------------------------------------------------------
 
 
 def _single_day_inputs():
-    g, rates, assignment, opinions = _worked_example()
+    g, rates, stubborn, opinions = _worked_example()
     active = {date(2020, 1, 1): {"s", "a", "h1", "h2", "h3"}}
     groups = {"bots": {"s"}}
-    return g, active, rates, assignment, opinions, groups
+    return g, active, rates, stubborn, opinions, groups
 
 
 def test_daily_series_single_day():
-    g, active, rates, assignment, opinions, groups = _single_day_inputs()
-    series = daily_ghic_series(g, active, rates, assignment, opinions, groups)
+    g, active, rates, stubborn, opinions, groups = _single_day_inputs()
+    series = daily_ghic_series(g, active, rates, stubborn, opinions, groups)
     assert len(series.entries) == 1
     entry = series.entries[0]
     assert entry.results["bots"].value == pytest.approx(1.0 / 3.0, abs=1e-9)
@@ -154,27 +150,27 @@ def test_daily_series_single_day():
 
 
 def test_daily_series_inactive_group_zero():
-    g, active, rates, assignment, opinions, _ = _single_day_inputs()
+    g, active, rates, stubborn, opinions, _ = _single_day_inputs()
     groups = {"ghosts": {"h3"}}
     active_day = {date(2020, 1, 1): {"s", "a", "h1", "h2"}}  # h3 inactive
-    series = daily_ghic_series(g, active_day, rates, assignment, opinions, groups)
+    series = daily_ghic_series(g, active_day, rates, stubborn, opinions, groups)
     assert series.entries[0].results["ghosts"].value == 0.0
     assert series.entries[0].group_active["ghosts"] == 0
 
 
 def test_daily_series_skips_day_without_non_stubborn():
-    g, _, rates, assignment, opinions, groups = _single_day_inputs()
+    g, _, rates, stubborn, opinions, groups = _single_day_inputs()
     active = {date(2020, 1, 1): {"s", "a"}}
-    series = daily_ghic_series(g, active, rates, assignment, opinions, groups)
+    series = daily_ghic_series(g, active, rates, stubborn, opinions, groups)
     assert not series.entries
     assert series.skipped_days
 
 
 def test_daily_series_deterministic_across_active_set_order():
-    g, active, rates, assignment, opinions, groups = _single_day_inputs()
-    series_a = daily_ghic_series(g, active, rates, assignment, opinions, groups)
+    g, active, rates, stubborn, opinions, groups = _single_day_inputs()
+    series_a = daily_ghic_series(g, active, rates, stubborn, opinions, groups)
     shuffled = {date(2020, 1, 1): set(reversed(sorted(active[date(2020, 1, 1)])))}
-    series_b = daily_ghic_series(g, shuffled, rates, assignment, opinions, groups)
+    series_b = daily_ghic_series(g, shuffled, rates, stubborn, opinions, groups)
     assert (
         series_a.entries[0].results["bots"].value
         == series_b.entries[0].results["bots"].value
@@ -182,55 +178,57 @@ def test_daily_series_deterministic_across_active_set_order():
 
 
 def test_ghic_per_bot_division():
-    g, active, rates, assignment, opinions, groups = _single_day_inputs()
-    series = daily_ghic_series(g, active, rates, assignment, opinions, groups)
+    g, active, rates, stubborn, opinions, groups = _single_day_inputs()
+    series = daily_ghic_series(g, active, rates, stubborn, opinions, groups)
     stats = ghic_per_bot(series, groups)["bots"]
     assert stats.values == [pytest.approx(1.0 / 3.0, abs=1e-9)]
     two_bots = {"bots": {"s", "h3"}}  # second member active but without sway
-    series2 = daily_ghic_series(g, active, rates, assignment, opinions, two_bots)
+    series2 = daily_ghic_series(g, active, rates, stubborn, opinions, two_bots)
     stats2 = ghic_per_bot(series2, two_bots)["bots"]
     assert stats2.values[0] == pytest.approx(series2.entries[0].results["bots"].value / 2)
 
 
 def test_ghic_per_bot_never_active_group_flagged():
-    g, active, rates, assignment, opinions, _ = _single_day_inputs()
+    g, active, rates, stubborn, opinions, _ = _single_day_inputs()
     groups = {"bots": {"s"}, "absent": set()}
-    series = daily_ghic_series(g, active, rates, assignment, opinions, groups)
+    series = daily_ghic_series(g, active, rates, stubborn, opinions, groups)
     stats = ghic_per_bot(series, groups)
     assert stats["absent"] is None
 
 
 def _random_series_inputs(seed):
     """A random network, three random active days, and three groups (one empty)."""
-    g, lam, psi_idx, measured = random_instance(seed=seed, n_lo=30, n_hi=120)
+    g, lam, fixed, anchor = random_instance(seed=seed, n_lo=30, n_hi=120)
     names = g.labels
     rates = {name: float(lam[i]) for i, name in enumerate(names)}
-    assignment = _assignment({g.label(i): v for i, v in psi_idx.items()})
-    opinions = {name: float(measured[i]) for i, name in enumerate(names)}
+    stubborn = {names[i]: float(anchor[i]) for i in np.flatnonzero(fixed)}
+    opinions = {name: float(anchor[i]) for i, name in enumerate(names)}
     rng = np.random.default_rng(seed)
     active_by_day = {
         date(2020, 1, day): set(rng.choice(names, size=int(0.7 * len(names)), replace=False))
         for day in (1, 2, 3)
     }
-    stubborn = sorted(assignment.psi)
+    stubborn_names = sorted(stubborn)
     groups = {
-        "stubborn": set(rng.choice(stubborn, size=max(1, len(stubborn) // 3), replace=False)),
+        "stubborn": set(
+            rng.choice(stubborn_names, size=max(1, len(stubborn_names) // 3), replace=False)
+        ),
         "anyone": set(rng.choice(names, size=max(1, len(names) // 10), replace=False)),
         "nobody": set(),
     }
-    return g, active_by_day, rates, assignment, opinions, groups
+    return g, active_by_day, rates, stubborn, opinions, groups
 
 
 def test_daily_series_equals_per_group_ghic():
     compared = 0
     for seed in range(8):
-        g, active_by_day, rates, assignment, opinions, groups = _random_series_inputs(1100 + seed)
-        series = daily_ghic_series(g, active_by_day, rates, assignment, opinions, groups)
+        g, active_by_day, rates, stubborn, opinions, groups = _random_series_inputs(1100 + seed)
+        series = daily_ghic_series(g, active_by_day, rates, stubborn, opinions, groups)
         for entry in series.entries:
             active = active_by_day[entry.day]
             subnet = g.induced_subgraph(active)
             for name, result in entry.results.items():
-                single = ghic(subnet, rates, assignment, opinions, groups[name] & active)
+                single = ghic(subnet, rates, stubborn, opinions, groups[name] & active)
                 assert single.value == result.value
                 assert single.averaged_over == result.averaged_over
                 assert single.reverted == result.reverted
@@ -243,21 +241,64 @@ def test_daily_series_solves_each_day_network_once(monkeypatch):
     solved = []
     real = ghic_module.solve_network
 
-    def counting(graph, *args, **kwargs):
-        solved.append(tuple(graph.labels))
-        return real(graph, *args, **kwargs)
+    def counting(src, tgt, rates, fixed, anchor):
+        solved.append((fixed.size, src.tobytes(), tgt.tobytes()))
+        return real(src, tgt, rates, fixed, anchor)
 
     monkeypatch.setattr(ghic_module, "solve_network", counting)
     for seed in range(8):
-        g, active_by_day, rates, assignment, opinions, groups = _random_series_inputs(1100 + seed)
+        g, active_by_day, rates, stubborn, opinions, groups = _random_series_inputs(1100 + seed)
         solved.clear()
-        series = daily_ghic_series(g, active_by_day, rates, assignment, opinions, groups)
+        series = daily_ghic_series(g, active_by_day, rates, stubborn, opinions, groups)
         assert series.entries
         for entry in series.entries:
-            day_network = tuple(g.induced_subgraph(active_by_day[entry.day]).labels)
-            assert solved.count(day_network) == 1
+            day = g.induced_subgraph(active_by_day[entry.day])
+            src, tgt, _ = day.edge_arrays()
+            assert solved.count((day.node_count, src.tobytes(), tgt.tobytes())) == 1
         removals = sum(1 for e in series.entries for r in e.results.values() if r.target_set)
         assert len(solved) == len(series.entries) + removals
+
+
+def test_masked_removal_equals_solve_on_induced_subgraph(monkeypatch):
+    ghic_module = importlib.import_module("botimpact.ghic")
+    calls = []
+    real = ghic_module.solve_network
+
+    def recording(*arrays):
+        calls.append((arrays, real(*arrays)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ghic_module, "solve_network", recording)
+    compared = 0
+    for seed in range(30):
+        g, lam, fixed, anchor = random_instance(seed=1300 + seed, n_lo=20, n_hi=150)
+        names = g.labels
+        rates = {name: float(lam[i]) for i, name in enumerate(names)}
+        stubborn = {names[i]: float(anchor[i]) for i in np.flatnonzero(fixed)}
+        opinions = {name: float(anchor[i]) for i, name in enumerate(names)}
+        rng = np.random.default_rng(seed)
+        targets = set(rng.choice(names, size=max(1, len(names) // 5), replace=False).tolist())
+        calls.clear()
+        try:
+            ghic(g, rates, stubborn, opinions, targets)
+        except ValueError:
+            continue
+        [_, ((src, tgt, *_), removed)] = calls
+
+        reduced = g.induced_subgraph(set(names) - targets)
+        r_src, r_tgt, _ = reduced.edge_arrays()
+        labels = reduced.labels
+        expected = solve_network(
+            r_src, r_tgt,
+            np.array([rates[a] for a in labels]),
+            np.array([a in stubborn for a in labels]),
+            np.array([stubborn.get(a, opinions[a]) for a in labels]),
+        )
+        assert src.tobytes() == r_src.tobytes() and tgt.tobytes() == r_tgt.tobytes()
+        for got, want in zip(removed, expected):  # opinions and final mask, bit for bit
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        compared += 1
+    assert compared >= 20
 
 
 # -- solver/oracle agreement on ghic -------------------------------------------------
@@ -267,43 +308,39 @@ def _oracle_ghic(graph, rates, psi_by_name, measured_by_name, targets):
     """Independent centrality via the fixed-point oracle on both networks."""
     from botimpact.opinion import preprocess_wellposed
 
-    lam = np.array([rates[graph.label(i)] for i in range(graph.node_count)])
-    psi = {graph.index(k): v for k, v in psi_by_name.items() if k in graph}
-    measured = np.array([measured_by_name[graph.label(i)] for i in range(graph.node_count)])
-    psi_full, _ = preprocess_wellposed(graph, lam, psi, measured)
-    theta = fixed_point_oracle(graph, lam, psi_full)
-    population = [i for i in theta if graph.label(i) not in targets]
-    keep = [name for name in graph.labels if name not in targets]
-    reduced = graph.induced_subgraph(keep)
-    lam_r = np.array([rates[reduced.label(i)] for i in range(reduced.node_count)])
-    psi_r = {reduced.index(k): v for k, v in psi_by_name.items() if k in reduced}
-    # orphaned nodes revert to their measured opinion on the reduced network
-    measured_r = np.array([measured_by_name[reduced.label(i)] for i in range(reduced.node_count)])
-    psi_r_full, _ = preprocess_wellposed(reduced, lam_r, psi_r, measured_r)
-    theta_r = fixed_point_oracle(reduced, lam_r, psi_r_full)
-    diffs = []
-    for i in population:
-        j = reduced.index(graph.label(i))
-        after = theta_r.get(j, psi_r_full.get(j))
-        diffs.append(theta[i] - after)
+    def equilibrium(g):
+        """Oracle opinions on ``g``, after preprocessing, and its final stubborn mask."""
+        lam = np.array([rates[g.label(i)] for i in range(g.node_count)])
+        measured = np.array([measured_by_name[g.label(i)] for i in range(g.node_count)])
+        psi = {k: v for k, v in psi_by_name.items() if k in g}
+        src, tgt, fixed, anchor = solver_inputs(g, psi, measured)
+        final, _ = preprocess_wellposed(src, tgt, lam, fixed)
+        # orphaned nodes revert to their measured opinion (their anchor)
+        return fixed_point_oracle(src, tgt, lam, final, anchor), final
+
+    theta, fixed = equilibrium(graph)
+    population = [i for i in np.flatnonzero(~fixed) if graph.label(i) not in targets]
+    reduced = graph.induced_subgraph([name for name in graph.labels if name not in targets])
+    theta_r, _ = equilibrium(reduced)
+    diffs = [theta[i] - theta_r[reduced.index(graph.label(i))] for i in population]
     return float(np.mean(diffs))
 
 
 def test_ghic_agrees_with_oracle_route():
     for seed in range(10):
-        g, lam, psi_idx, measured = random_instance(seed=900 + seed, n_lo=20, n_hi=120)
+        g, lam, fixed, anchor = random_instance(seed=900 + seed, n_lo=20, n_hi=120)
         names = g.labels
         rates = {name: float(lam[i]) for i, name in enumerate(names)}
-        psi_by_name = {g.label(i): v for i, v in psi_idx.items()}
-        measured_by_name = {name: float(measured[i]) for i, name in enumerate(names)}
-        assignment = _assignment(psi_by_name)
+        psi_by_name = {names[i]: float(anchor[i]) for i in np.flatnonzero(fixed)}
+        measured_by_name = {name: float(anchor[i]) for i, name in enumerate(names)}
+        stubborn = psi_by_name
         rng = np.random.default_rng(seed)
         stubborn_names = sorted(psi_by_name)
         targets = set(
             rng.choice(stubborn_names, size=max(1, len(stubborn_names) // 3), replace=False)
         )
         try:
-            result = ghic(g, rates, assignment, measured_by_name, targets)
+            result = ghic(g, rates, stubborn, measured_by_name, targets)
         except ValueError:
             continue
         oracle_value = _oracle_ghic(g, rates, psi_by_name, measured_by_name, targets)

@@ -35,10 +35,9 @@ def test_direction_preserved():
 
 
 def _following(g, i):
-    """In-neighbors of node ``i`` and their weights, read from the in-arrays."""
-    g.freeze()
-    lo, hi = g.in_offsets[i], g.in_offsets[i + 1]
-    return g.in_sources[lo:hi], g.in_weights[lo:hi]
+    """In-neighbors of node ``i`` and their weights, read from ``edge_arrays()``."""
+    src, tgt, w = g.edge_arrays()
+    return src[tgt == i], w[tgt == i]
 
 
 def test_following_is_in_neighbors():

@@ -110,6 +110,16 @@ def test_load_tweets_rejects_self_retweet(tmp_path):
     assert stats.skipped == 1
 
 
+def test_build_counts_timestamp_outside_datetime_range_as_skipped(tmp_path):
+    # valid ISO text, but the offset moves it before 0001-01-01 UTC
+    out = _run_build(tmp_path, [
+        _tweet_line("t1", "a", "2020-01-01T00:00:00Z"),
+        _tweet_line("t2", "b", "0001-01-01T00:30:00+01:00"),
+    ])
+    build = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["build"]
+    assert (build["tweets_parsed"], build["tweets_skipped"]) == (1, 1)
+
+
 def test_load_tweets_missing_file_fatal(tmp_path):
     with pytest.raises(IngestError):
         list(load_tweets(tmp_path / "nope.jsonl"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import botimpact.opinion as opinion_module
 from botimpact.opinion import (
     AssemblyError,
     SolverError,
@@ -13,12 +14,18 @@ from botimpact.opinion import (
     solve_network,
 )
 
-from conftest import graph_of, random_instance
+from conftest import graph_of, random_instance, solver_inputs
 
 
-def _solve(graph, lam, psi, measured=None):
-    measured = measured if measured is not None else np.full(graph.node_count, 0.5)
-    return solve_network(graph, np.asarray(lam, dtype=float), psi, measured)
+def _solve(graph, lam, fixed, anchor):
+    """(equilibrium opinion per node, final stubborn mask) on ``graph``."""
+    src, tgt, _ = graph.edge_arrays()
+    return solve_network(src, tgt, np.asarray(lam, dtype=float), fixed, anchor)
+
+
+def _oracle(graph, lam, fixed, anchor):
+    src, tgt, _ = graph.edge_arrays()
+    return fixed_point_oracle(src, tgt, lam, fixed, anchor)
 
 
 # -- stubborn identification -----------------------------------------------------
@@ -31,30 +38,27 @@ def test_identify_stubborn_extreme_tails():
     opinions.update({f"z{i}": 0.0 for i in range(10)})
     opinions.update({f"m{i}": 0.5 for i in range(80)})
     opinions.update({f"o{i}": 1.0 for i in range(10)})
-    assignment = identify_stubborn(opinions, bots=set())
-    stubborn = assignment.stubborn
-    assert stubborn == {f"z{i}" for i in range(10)} | {f"o{i}" for i in range(10)}
-    assert assignment.psi["z0"] == 0.0 and assignment.psi["o0"] == 1.0
+    stubborn = identify_stubborn(opinions, bots=set())
+    assert set(stubborn) == {f"z{i}" for i in range(10)} | {f"o{i}" for i in range(10)}
+    assert stubborn["z0"] == 0.0 and stubborn["o0"] == 1.0
 
 
 def test_identify_stubborn_bot_rule():
     opinions = {f"u{i}": 0.5 for i in range(20)}
     opinions["bot"] = 0.5
-    assignment = identify_stubborn(opinions, bots={"bot"})
-    assert assignment.stubborn == {"bot"}
-    assert assignment.psi["bot"] == 0.5
+    assert identify_stubborn(opinions, bots={"bot"}) == {"bot": 0.5}
 
 
 def test_identify_stubborn_extreme_thresholds_disable():
     opinions = {f"u{i}": i / 9 for i in range(10)}
-    assignment = identify_stubborn(opinions, bots=set(), low_pct=0.0, high_pct=1.0)
-    assert assignment.stubborn == set()
+    assert identify_stubborn(opinions, bots=set(), low_pct=0.0, high_pct=1.0) == {}
 
 
-def test_identify_stubborn_flags_all_stubborn():
+def test_identify_stubborn_flags_all_stubborn(caplog):
     opinions = {"a": 0.0, "b": 1.0}
-    assignment = identify_stubborn(opinions, bots={"a", "b"})
-    assert assignment.all_stubborn
+    with caplog.at_level("WARNING", logger="botimpact.opinion"):
+        assert identify_stubborn(opinions, bots={"a", "b"}) == opinions
+    assert "every account is stubborn" in caplog.text
 
 
 def test_percentile_cuts_distinct_values():
@@ -70,34 +74,34 @@ def test_percentile_cuts_distinct_values():
 def test_preprocess_isolated_node_reclassified():
     g = graph_of([("s", "a")], nodes=["iso"])
     lam = np.ones(g.node_count)
-    psi = {g.index("s"): 1.0}
-    measured = np.full(g.node_count, 0.5)
-    measured[g.index("iso")] = 0.3
-    new_psi, report = preprocess_wellposed(g, lam, psi, measured)
-    assert g.index("iso") in new_psi
-    assert new_psi[g.index("iso")] == 0.3
+    src, tgt, fixed, anchor = solver_inputs(g, {"s": 1.0})
+    anchor[g.index("iso")] = 0.3
+    stubborn, report = preprocess_wellposed(src, tgt, lam, fixed)
+    assert stubborn[g.index("iso")]
     assert g.index("iso") in report.no_rated_following
-    assert g.index("a") not in new_psi
+    assert not stubborn[g.index("a")]
+    # the reclassified node is held at its anchor, the measured opinion
+    opinion, _ = _solve(g, lam, fixed, anchor)
+    assert opinion[g.index("iso")] == 0.3
 
 
 def test_preprocess_closed_pair_reclassified():
     # x and y follow only each other; stubborn s is unreachable from them
     g = graph_of([("x", "y"), ("y", "x"), ("s", "a"), ("a", "s")])
     lam = np.ones(g.node_count)
-    psi = {g.index("s"): 1.0}
-    measured = np.full(g.node_count, 0.25)
-    new_psi, report = preprocess_wellposed(g, lam, psi, measured)
-    assert g.index("x") in new_psi and g.index("y") in new_psi
+    src, tgt, fixed, _ = solver_inputs(g, {"s": 1.0}, 0.25)
+    stubborn, report = preprocess_wellposed(src, tgt, lam, fixed)
+    assert stubborn[g.index("x")] and stubborn[g.index("y")]
     assert set(report.unreachable) == {g.index("x"), g.index("y")}
-    assert g.index("a") not in new_psi
+    assert not stubborn[g.index("a")]
 
 
 def test_preprocess_connected_instance_unchanged():
     g = graph_of([("s", "a"), ("a", "b"), ("b", "c")])
     lam = np.ones(g.node_count)
-    psi = {g.index("s"): 1.0}
-    new_psi, report = preprocess_wellposed(g, lam, psi, np.full(g.node_count, 0.5))
-    assert new_psi == psi
+    src, tgt, fixed, _ = solver_inputs(g, {"s": 1.0})
+    stubborn, report = preprocess_wellposed(src, tgt, lam, fixed)
+    assert np.array_equal(stubborn, fixed)
     assert not report.reclassified
 
 
@@ -107,13 +111,13 @@ def test_preprocess_zero_rate_chain_reclassified():
     lam = np.zeros(g.node_count)
     lam[g.index("s")] = 1.0
     lam[g.index("b")] = 1.0
-    psi = {g.index("s"): 1.0}
-    new_psi, report = preprocess_wellposed(g, lam, psi, np.full(g.node_count, 0.5))
-    assert g.index("b") in new_psi  # only following has rate zero
-    assert g.index("j") not in new_psi  # j follows s, which has positive rate
+    src, tgt, fixed, _ = solver_inputs(g, {"s": 1.0})
+    stubborn, report = preprocess_wellposed(src, tgt, lam, fixed)
+    assert stubborn[g.index("b")]  # only following has rate zero
+    assert not stubborn[g.index("j")]  # j follows s, which has positive rate
 
 
-def _reclassified_by_search(g, lam, psi):
+def _reclassified_by_search(g, lam, psi):  # psi: the stubborn node indices
     """Rules (a) and (b) by a separate depth-first search back from each node."""
     src, tgt, _ = g.edge_arrays()
     following = {i: set() for i in range(g.node_count)}
@@ -162,15 +166,17 @@ def test_preprocess_matches_per_node_search_on_random_graphs():
         psi = {i: float(rng.integers(0, 2)) for i in stubborn}
         for a in ("z", "x1", "y1", "x2", "y2", "x3", "y3"):
             psi.pop(g.index(a), None)
-        measured = rng.uniform(0.0, 1.0, g.node_count)
+        fixed = np.zeros(g.node_count, dtype=bool)
+        fixed[list(psi)] = True
 
-        new_psi, report = preprocess_wellposed(g, lam, psi, measured)
+        src, tgt, _ = g.edge_arrays()
+        final, report = preprocess_wellposed(src, tgt, lam, fixed)
         no_rated, unreachable = _reclassified_by_search(g, lam, psi)
         assert report.no_rated_following == no_rated
         assert report.unreachable == unreachable
-        assert new_psi == {**psi, **{i: float(measured[i]) for i in no_rated + unreachable}}
+        assert np.flatnonzero(final).tolist() == sorted({*psi, *no_rated, *unreachable})
         assert {g.index(a) for a in ("x1", "y1", "x2", "y2")} <= set(unreachable)
-        assert g.index("x3") not in new_psi
+        assert not final[g.index("x3")]
         unreachable_total += len(unreachable)
     assert unreachable_total > 4 * 150  # more than the gadgets alone
 
@@ -178,12 +184,16 @@ def test_preprocess_matches_per_node_search_on_random_graphs():
 # -- assembly ----------------------------------------------------------------------
 
 
+def _assembly_inputs(g, lam, psi):
+    src, tgt, fixed, anchor = solver_inputs(g, psi)
+    return src, tgt, lam, fixed, anchor
+
+
 def test_assemble_one_by_one_system():
     g = graph_of([("j", "i")])
     lam = np.zeros(2)
     lam[g.index("j")] = 2.0
-    psi = {g.index("j"): 1.0}
-    system = assemble_system(g, lam, psi)
+    system = assemble_system(*_assembly_inputs(g, lam, {"j": 1.0}))
     assert system.G.toarray() == pytest.approx(np.array([[-2.0]]))
     assert system.b == pytest.approx(np.array([-2.0]))
 
@@ -195,8 +205,7 @@ def test_assemble_mixed_row():
     lam[g.index("j")] = 1.0
     lam[g.index("k")] = 3.0
     lam[g.index("s")] = 1.0
-    psi = {g.index("k"): 1.0, g.index("s"): 0.0}
-    system = assemble_system(g, lam, psi)
+    system = assemble_system(*_assembly_inputs(g, lam, {"k": 1.0, "s": 0.0}))
     row = list(system.v1).index(g.index("i"))
     col_j = list(system.v1).index(g.index("j"))
     G = system.G.toarray()
@@ -210,13 +219,14 @@ def test_assemble_rejects_unpreprocessed_degenerate_node():
     g = graph_of([("s", "a")], nodes=["iso"])
     lam = np.ones(g.node_count)
     with pytest.raises(AssemblyError):
-        assemble_system(g, lam, {g.index("s"): 1.0})
+        assemble_system(*_assembly_inputs(g, lam, {"s": 1.0}))
 
 
 def test_row_balance_on_random_graph():
-    g, lam, psi, measured = random_instance(seed=50, n_lo=50, n_hi=50)
-    full_psi, _ = preprocess_wellposed(g, lam, psi, measured)
-    system = assemble_system(g, lam, full_psi)
+    g, lam, fixed, anchor = random_instance(seed=50, n_lo=50, n_hi=50)
+    src, tgt, _ = g.edge_arrays()
+    final, _ = preprocess_wellposed(src, tgt, lam, fixed)
+    system = assemble_system(src, tgt, lam, final, anchor)
     G, F = system.G.toarray(), system.F.toarray()
     for row in range(G.shape[0]):
         lhs = abs(G[row, row])
@@ -231,8 +241,9 @@ def test_single_follower_absorbs_stubborn_opinion():
     g = graph_of([("j", "i")])
     lam = np.zeros(2)
     lam[g.index("j")] = 2.0
-    net = _solve(g, lam, {g.index("j"): 1.0})
-    assert net.theta[g.index("i")] == pytest.approx(1.0, abs=1e-12)
+    _, _, fixed, anchor = solver_inputs(g, {"j": 1.0})
+    opinion, _ = _solve(g, lam, fixed, anchor)
+    assert opinion[g.index("i")] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weighted_average_of_two_stubborn_sources():
@@ -240,10 +251,10 @@ def test_weighted_average_of_two_stubborn_sources():
     lam = np.zeros(3)
     lam[g.index("a")] = 1.0
     lam[g.index("c")] = 3.0
-    psi = {g.index("a"): 0.0, g.index("c"): 1.0}
-    net = _solve(g, lam, psi)
-    oracle = fixed_point_oracle(g, lam, psi)
-    assert net.theta[g.index("b")] == pytest.approx(0.75, abs=1e-10)
+    _, _, fixed, anchor = solver_inputs(g, {"a": 0.0, "c": 1.0})
+    opinion, _ = _solve(g, lam, fixed, anchor)
+    oracle = _oracle(g, lam, fixed, anchor)
+    assert opinion[g.index("b")] == pytest.approx(0.75, abs=1e-10)
     assert oracle[g.index("b")] == pytest.approx(0.75, abs=1e-10)
 
 
@@ -251,104 +262,114 @@ def test_chain_example():
     # b follows a (psi=0); c follows b and d (psi=1); all rates 1
     g = graph_of([("a", "b"), ("b", "c"), ("d", "c")])
     lam = np.ones(g.node_count)
-    psi = {g.index("a"): 0.0, g.index("d"): 1.0}
-    net = _solve(g, lam, psi)
-    oracle = fixed_point_oracle(g, lam, psi)
-    assert net.theta[g.index("b")] == pytest.approx(0.0, abs=1e-10)
-    assert net.theta[g.index("c")] == pytest.approx(0.5, abs=1e-10)
+    _, _, fixed, anchor = solver_inputs(g, {"a": 0.0, "d": 1.0})
+    opinion, _ = _solve(g, lam, fixed, anchor)
+    oracle = _oracle(g, lam, fixed, anchor)
+    assert opinion[g.index("b")] == pytest.approx(0.0, abs=1e-10)
+    assert opinion[g.index("c")] == pytest.approx(0.5, abs=1e-10)
     assert oracle[g.index("b")] == pytest.approx(0.0, abs=1e-10)
     assert oracle[g.index("c")] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_consensus_absorption():
-    g, lam, psi, measured = random_instance(seed=11, n_lo=30, n_hi=30)
-    psi = {i: 0.7 for i in psi}
-    net = _solve(g, lam, psi, measured)
-    for value in net.theta.values():
+    g, lam, fixed, anchor = random_instance(seed=11, n_lo=30, n_hi=30)
+    anchor[fixed] = 0.7
+    opinion, final = _solve(g, lam, fixed, anchor)
+    for value in opinion[~final]:
         assert value == pytest.approx(0.7, abs=1e-9)
 
 
 def test_oracle_rate_scale_invariance():
-    g, lam, psi, measured = random_instance(seed=13, n_lo=40, n_hi=40)
-    full_psi, _ = preprocess_wellposed(g, lam, psi, measured)
-    base = fixed_point_oracle(g, lam, full_psi)
-    scaled = fixed_point_oracle(g, lam * 7.0, full_psi)
-    for i, value in base.items():
-        assert scaled[i] == pytest.approx(value, abs=1e-9)
+    g, lam, fixed, anchor = random_instance(seed=13, n_lo=40, n_hi=40)
+    src, tgt, _ = g.edge_arrays()
+    final, _ = preprocess_wellposed(src, tgt, lam, fixed)
+    base = _oracle(g, lam, final, anchor)
+    scaled = _oracle(g, lam * 7.0, final, anchor)
+    for i in np.flatnonzero(~final):
+        assert scaled[i] == pytest.approx(base[i], abs=1e-9)
 
 
 def test_solver_rate_scale_invariance():
-    g, lam, psi, measured = random_instance(seed=14, n_lo=60, n_hi=60)
-    base = _solve(g, lam, psi, measured)
-    scaled = _solve(g, lam * 3.0, psi, measured)
-    for i, value in base.theta.items():
-        assert scaled.theta[i] == pytest.approx(value, abs=1e-8)
+    g, lam, fixed, anchor = random_instance(seed=14, n_lo=60, n_hi=60)
+    base, final = _solve(g, lam, fixed, anchor)
+    scaled, _ = _solve(g, lam * 3.0, fixed, anchor)
+    for i in np.flatnonzero(~final):
+        assert scaled[i] == pytest.approx(base[i], abs=1e-8)
 
 
 def test_maximum_principle_enforced_on_solve():
     for seed in range(5):
-        g, lam, psi, measured = random_instance(seed=100 + seed, n_lo=10, n_hi=80)
-        net = _solve(g, lam, psi, measured)
-        if not net.theta:
+        g, lam, fixed, anchor = random_instance(seed=100 + seed, n_lo=10, n_hi=80)
+        opinion, final = _solve(g, lam, fixed, anchor)
+        if final.all():
             continue
-        lo = min(net.psi.values())
-        hi = max(net.psi.values())
-        for value in net.theta.values():
+        lo = anchor[final].min()
+        hi = anchor[final].max()
+        for value in opinion[~final]:
             assert lo - 1e-9 <= value <= hi + 1e-9
 
 
 def test_solver_oracle_agreement_sample():
     for seed in range(20):
-        g, lam, psi, measured = random_instance(seed=200 + seed)
-        net = _solve(g, lam, psi, measured)
-        oracle = fixed_point_oracle(g, lam, net.psi)
-        assert set(oracle) == set(net.theta)
-        for i, value in oracle.items():
-            assert net.theta[i] == pytest.approx(value, abs=1e-8)
+        g, lam, fixed, anchor = random_instance(seed=200 + seed)
+        opinion, final = _solve(g, lam, fixed, anchor)
+        oracle = _oracle(g, lam, final, anchor)
+        assert np.array_equal(oracle[final], opinion[final])
+        for i in np.flatnonzero(~final):
+            assert opinion[i] == pytest.approx(oracle[i], abs=1e-8)
 
 
 def test_monotone_in_stubborn_opinion():
     rng = np.random.default_rng(0)
     for seed in range(8):
-        g, lam, psi, measured = random_instance(seed=300 + seed, n_lo=30, n_hi=30)
-        net = _solve(g, lam, psi, measured)
-        if not net.theta:
+        g, lam, fixed, anchor = random_instance(seed=300 + seed, n_lo=30, n_hi=30)
+        opinion, final = _solve(g, lam, fixed, anchor)
+        if final.all():
             continue
-        target = int(rng.choice(sorted(net.psi)))
-        raised = dict(net.psi)
-        if raised[target] >= 1.0:
+        target = int(rng.choice(np.flatnonzero(final)))
+        if anchor[target] >= 1.0:
             continue
+        raised = anchor.copy()
         raised[target] = min(1.0, raised[target] + 0.5)
-        bumped = fixed_point_oracle(g, lam, raised)
-        for i, value in net.theta.items():
-            assert bumped[i] >= value - 1e-8
+        bumped = _oracle(g, lam, final, raised)
+        for i in np.flatnonzero(~final):
+            assert bumped[i] >= opinion[i] - 1e-8
 
 
 def test_oracle_sweep_cap_diagnostic():
     g = graph_of([("s", "a"), ("a", "b"), ("b", "a")])
     lam = np.ones(g.node_count)
-    psi = {g.index("s"): 1.0}
+    src, tgt, fixed, anchor = solver_inputs(g, {"s": 1.0})
     with pytest.raises(SolverError):
-        fixed_point_oracle(g, lam, psi, sweeps=2)
+        fixed_point_oracle(src, tgt, lam, fixed, anchor, sweeps=2)
 
 
-def test_gmres_path_matches_dense():
-    g, lam, psi, measured = random_instance(seed=500, n_lo=150, n_hi=150)
-    full_psi, _ = preprocess_wellposed(g, lam, psi, measured)
-    system = assemble_system(g, lam, full_psi)
+def test_gmres_path_matches_dense(monkeypatch):
+    g, lam, fixed, anchor = random_instance(seed=500, n_lo=150, n_hi=150)
+    src, tgt, _ = g.edge_arrays()
+    final, _ = preprocess_wellposed(src, tgt, lam, fixed)
+    system = assemble_system(src, tgt, lam, final, anchor)
     dense = solve_equilibrium(system, dense_cutoff=500)
     sparse = solve_equilibrium(system, dense_cutoff=10)
     assert sparse.method == "gmres"
-    for i, value in dense.theta.items():
+    for i, value in enumerate(dense.theta):
         assert sparse.theta[i] == pytest.approx(value, abs=1e-8)
     assert sparse.residual_norm <= 1e-10
 
     # solve_network picks the path by size alone: dense up to 500 unknowns, GMRES above
+    solutions = []
+
+    def recording(system):
+        solutions.append(solve_equilibrium(system))
+        return solutions[-1]
+
+    monkeypatch.setattr(opinion_module, "solve_equilibrium", recording)
     for n, method in ((150, "dense"), (1000, "gmres")):
-        g, lam, psi, measured = random_instance(seed=501, n_lo=n, n_hi=n)
-        net = solve_network(g, lam, psi, measured)
-        assert net.solution.method == method
-        assert (len(net.theta) > 500) == (method == "gmres")
-        oracle = fixed_point_oracle(g, lam, net.psi)
-        for i, value in net.theta.items():
-            assert oracle[i] == pytest.approx(value, abs=1e-8)
+        g, lam, fixed, anchor = random_instance(seed=501, n_lo=n, n_hi=n)
+        solutions.clear()
+        opinion, final = _solve(g, lam, fixed, anchor)
+        assert [solution.method for solution in solutions] == [method]
+        assert (np.count_nonzero(~final) > 500) == (method == "gmres")
+        oracle = _oracle(g, lam, final, anchor)
+        for i in np.flatnonzero(~final):
+            assert oracle[i] == pytest.approx(opinion[i], abs=1e-8)

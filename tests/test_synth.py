@@ -200,6 +200,11 @@ def test_spec_file_parsing_and_validation(tmp_path):
     with pytest.raises(SynthSpecError, match="n_humans"):
         SynthSpec.from_file(invalid)
 
+    not_finite = tmp_path / "not_finite.txt"
+    not_finite.write_text("eps = nan\n")
+    with pytest.raises(SynthSpecError, match="eps"):
+        SynthSpec.from_file(not_finite)
+
 
 def test_generate_dispatch_unknown_topology():
     spec = SynthSpec(topology="nope")
