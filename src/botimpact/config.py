@@ -49,6 +49,7 @@ class PipelineConfig:
     workers: int = 1
 
     def validate(self) -> None:
+        check_finite(self, ConfigError)
         checks = [
             ("partisan_cutoff", 0.0, 1.0),
             ("bot_threshold", 0.5, 1.0),
@@ -101,10 +102,18 @@ class PipelineConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def check_finite(obj: object, error: type[ValueError]) -> None:
+    """``error`` naming the first float field of dataclass ``obj`` that is NaN or
+    infinite: NaN passes every range check and infinity every lower bound."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value}")
+
+
 def read_key_values(path: str | Path, cls: type, error: type[ValueError]) -> dict:
     """The ``key = value`` lines of ``path`` (``#`` starts a comment), each value
-    coerced to the type of the dataclass field it names (floats must be finite);
-    ``error`` otherwise."""
+    coerced to the type of the dataclass field it names; ``error`` otherwise."""
     known = {f.name: f.type for f in fields(cls)}
     kwargs: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -125,12 +134,5 @@ def read_key_values(path: str | Path, cls: type, error: type[ValueError]) -> dic
     return kwargs
 
 
-def _finite_float(value: str) -> float:
-    x = float(value)
-    if not math.isfinite(x):  # nan passes every range check, inf every lower bound
-        raise ValueError(value)
-    return x
-
-
 # field annotations are strings under ``from __future__ import annotations``
-_COERCE = {"int": int, "float": _finite_float, "date": date.fromisoformat}
+_COERCE = {"int": int, "float": float, "date": date.fromisoformat}

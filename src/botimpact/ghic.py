@@ -14,11 +14,12 @@ count of such reverted nodes is reported on the result.
 
 The full solve does not depend on S, so a daily series solves each day's
 network once and shares it across the groups.  The solver works on arrays
-(see ``opinion``): each day's edge columns, rates, stubborn mask and anchor
-opinions are built once, and a removal is a mask over them.  The kept edges
-are those with ``keep[src] & keep[tgt]``, renumbered by ``cumsum(keep) - 1``;
-a monotone renumbering of sorted edges stays sorted, so the reduced arrays
-are exactly the edge arrays of the induced subgraph, and no graph is built.
+(see ``opinion``): edge columns, rates, stubborn mask and anchor opinions
+are built once for the whole follower network, and a day and a removal are
+both the same mask over arrays: the kept edges are those with
+``keep[src] & keep[tgt]``, renumbered by ``cumsum(keep) - 1``.  A monotone
+renumbering of sorted edges stays sorted, so the masked arrays are exactly
+the edge arrays of the induced subgraph, and no graph is built.
 """
 
 from __future__ import annotations
@@ -61,19 +62,30 @@ def _network_arrays(
     src, tgt, _ = graph.edge_arrays()
     lam = np.array([rates.get(a, 0.0) for a in labels], dtype=np.float64)
     fixed = np.array([a in stubborn for a in labels], dtype=bool)
-    anchor = np.array(
-        [stubborn[a] if a in stubborn else opinions.get(a, 0.5) for a in labels],
-        dtype=np.float64,
-    )
+    anchor = np.array([stubborn.get(a, opinions.get(a, 0.5)) for a in labels], dtype=np.float64)
     return src, tgt, lam, fixed, anchor
 
 
+def _mask(graph: DirectedGraph, accounts: Iterable[str]) -> np.ndarray:
+    """Boolean node mask of ``graph`` selecting those of ``accounts`` it holds."""
+    mask = np.zeros(graph.node_count, dtype=bool)
+    mask[[graph.index(a) for a in accounts if a in graph]] = True
+    return mask
+
+
+def _masked(arrays: tuple, keep: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The solver's inputs for the subnetwork on the nodes ``keep`` selects."""
+    src, tgt, lam, fixed, anchor = arrays
+    edge = keep[src] & keep[tgt]
+    position = np.cumsum(keep) - 1
+    return position[src[edge]], position[tgt[edge]], lam[keep], fixed[keep], anchor[keep]
+
+
 def _removal_ghic(
-    graph: DirectedGraph, arrays: tuple, full: tuple, targets: frozenset[str]
+    arrays: tuple, full: tuple, keep: np.ndarray, targets: frozenset[str]
 ) -> GhicResult:
-    """GHIC of ``targets``, given the network's arrays and its solved equilibrium."""
-    keep = np.ones(graph.node_count, dtype=bool)
-    keep[[graph.index(t) for t in targets]] = False
+    """GHIC of ``targets``, the nodes ``keep`` leaves out, given the network's
+    arrays and its solved equilibrium."""
     opinion, fixed = full
     population = np.flatnonzero(~fixed & keep)
     if not population.size:
@@ -81,14 +93,8 @@ def _removal_ghic(
     if not targets:
         return GhicResult(targets, 0.0, population.size, 0)
 
-    # the removed network: the same arrays, masked and renumbered
-    src, tgt, lam, fixed, anchor = arrays
-    edge = keep[src] & keep[tgt]
-    position = np.cumsum(keep) - 1
-    after, after_fixed = solve_network(
-        position[src[edge]], position[tgt[edge]], lam[keep], fixed[keep], anchor[keep]
-    )
-    rows = position[population]
+    after, after_fixed = solve_network(*_masked(arrays, keep))
+    rows = np.flatnonzero(~fixed[keep])  # the population, numbered on the reduced network
     # nodes reclassified on the reduced network revert to their measured opinion
     reverted = int(np.count_nonzero(after_fixed[rows]))
     diff_sum = 0.0
@@ -118,7 +124,7 @@ def ghic(
     if unknown:
         raise ValueError(f"target accounts not in network: {sorted(unknown)[:5]}")
     arrays = _network_arrays(graph, rates, stubborn, opinions)
-    return _removal_ghic(graph, arrays, solve_network(*arrays), targets)
+    return _removal_ghic(arrays, solve_network(*arrays), ~_mask(graph, targets), targets)
 
 
 # -- daily series ---------------------------------------------------------------
@@ -155,6 +161,8 @@ def daily_ghic_series(
     """
     if not groups:
         raise ValueError("at least one group is required")
+    arrays = _network_arrays(follower_network, rates, stubborn, opinions)
+    members = {name: _mask(follower_network, groups[name]) for name in groups}
     entries: list[DailyGhicEntry] = []
     skipped: list[tuple[date, str]] = []
     for day in sorted(active_by_day):
@@ -162,12 +170,12 @@ def daily_ghic_series(
         if not active:
             skipped.append((day, "no active accounts in the follower network"))
             continue
-        subnet = follower_network.induced_subgraph(active)
         non_stubborn = {a for a in active if a not in stubborn}
         if not non_stubborn:
             skipped.append((day, "no non-stubborn active accounts"))
             continue
-        arrays = _network_arrays(subnet, rates, stubborn, opinions)
+        keep = _mask(follower_network, active)
+        day_arrays = _masked(arrays, keep)
         full = None  # the day's own equilibrium, solved once when a group first needs it
         results: dict[str, GhicResult] = {}
         group_active: dict[str, int] = {}
@@ -179,22 +187,17 @@ def daily_ghic_series(
                 continue
             try:
                 if full is None:
-                    full = solve_network(*arrays)
-                results[name] = _removal_ghic(subnet, arrays, full, frozenset(day_targets))
+                    full = solve_network(*day_arrays)
+                results[name] = _removal_ghic(
+                    day_arrays, full, ~members[name][keep], frozenset(day_targets)
+                )
             except ValueError as exc:
                 skipped.append((day, f"group {name!r}: {exc}"))
             except SolverError as exc:
                 raise SolverError(
                     f"{day.isoformat()} group {name!r}: {exc}", exc.residual_history
                 ) from exc
-        entries.append(
-            DailyGhicEntry(
-                day=day,
-                active_nodes=subnet.node_count,
-                results=results,
-                group_active=group_active,
-            )
-        )
+        entries.append(DailyGhicEntry(day, len(active), results, group_active))
     for day, reason in skipped:
         log.warning("skipping %s: %s", day, reason)
     return DailyGhicSeries(entries=entries, skipped_days=skipped)

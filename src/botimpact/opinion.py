@@ -17,10 +17,10 @@ as arrays: the edge columns ``src`` and ``tgt`` (node indices, sorted by
 node's posting ``rates``, the stubborn mask ``fixed`` and ``anchor``, each
 node's fixed opinion where it is stubborn and its measured opinion
 elsewhere.  Preprocessing only sets mask bits, since a reclassified node
-keeps its anchor as its fixed value.  Rule (a) is one bincount of positive-rate in-edges, rule (b) one
-breadth-first search from a virtual source, and G and F come from masked
-edge arrays in one COO-to-CSR step.  Each G_ii is numpy's own sum of that
-row's rates in source order, which fixes its rounding.
+keeps its anchor as its fixed value.  Nothing is sorted per solve: rule (a)
+is one bincount of positive-rate in-edges, rule (b) one breadth-first
+search from a virtual source, each G_ii one bincount that adds the row's
+rates left to right in source order, and G and F come from masked edges.
 
 The system is solved directly (dense LU) up to 500 unknowns and by a
 Jacobi-preconditioned GMRES above that.  The fixed cutoff sits between
@@ -148,12 +148,14 @@ def preprocess_wellposed(
     stubborn = fixed | orphan
 
     # (b): one BFS from a virtual source n, linked to every positive-rate stubborn
-    # node, over the edges that relay influence (rated source, non-stubborn target)
+    # node, over the edges that relay influence (rated source, non-stubborn target),
+    # which come sorted by source; with n last the rows are already in CSR order
     seeds = np.flatnonzero(stubborn & (rates > 0.0))
     relay = rated & ~stubborn[tgt]
-    rows = np.concatenate((np.full(seeds.size, n), src[relay]))
-    cols = np.concatenate((seeds, tgt[relay]))
-    flow = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n + 1, n + 1))
+    rows = np.concatenate((src[relay], np.full(seeds.size, n)))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n + 1))))
+    cols = np.concatenate((tgt[relay], seeds))
+    flow = sp.csr_matrix((np.ones(rows.size), cols, indptr), shape=(n + 1, n + 1))
     reached = np.zeros(n + 1, dtype=bool)
     reached[breadth_first_order(flow, n, directed=True, return_predecessors=False)] = True
     unreachable = ~stubborn & ~reached[:n]
@@ -171,7 +173,7 @@ def preprocess_wellposed(
 @dataclass
 class LinearSystem:
     G: sp.csr_matrix
-    F: sp.csr_matrix
+    F: sp.csc_matrix
     b: np.ndarray  # F @ psi_values
     v1: np.ndarray  # non-stubborn node indices, ascending
     v0: np.ndarray  # stubborn node indices, ascending
@@ -197,14 +199,9 @@ def assemble_system(
     position[v1] = np.arange(v1.size)
     position[v0] = np.arange(v0.size)
 
-    # in-edges grouped by target, sources ascending
-    order = np.lexsort((src, tgt))
-    src, tgt = src[order], tgt[order]
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(tgt, minlength=n))))
     lam = rates[src]
-    # one numpy sum per row: a segmented sum (np.add.reduceat) rounds differently
-    bounds = zip(offsets[v1].tolist(), offsets[v1 + 1].tolist())
-    totals = np.array([lam[lo:hi].sum() for lo, hi in bounds], dtype=np.float64)
+    # the edges come sorted by source, so bincount adds each row left to right in that order
+    totals = np.bincount(tgt, weights=lam, minlength=n)[v1]
     if (totals == 0.0).any():
         node = int(v1[np.argmax(totals == 0.0)])
         raise AssemblyError(
@@ -214,7 +211,18 @@ def assemble_system(
     src, rows, lam = src[edge], position[tgt[edge]], lam[edge]
     free = ~fixed[src]
 
+    # row balance |G_ii| = sum_j |G_ij| + sum_j |F_ij|, checked before any matrix exists
     m = v1.size
+    own = np.abs(totals)
+    off, fmass = (np.bincount(rows[s], weights=np.abs(lam[s]), minlength=m) for s in (free, ~free))
+    gap = np.abs(own - off - fmass)
+    if (gap > 1e-9 * np.maximum(1.0, own)).any():
+        row = int(np.argmax(gap))
+        raise AssemblyError(
+            f"row balance violated at row {row}: |G_ii|={own[row]!r} "
+            f"vs off-diagonal {off[row]!r} + |F| {fmass[row]!r}"
+        )
+
     diag = np.arange(m)
     G = sp.csr_matrix(
         (
@@ -223,23 +231,10 @@ def assemble_system(
         ),
         shape=(m, m),
     )
-    F = sp.csr_matrix((-lam[~free], (rows[~free], position[src[~free]])), shape=(m, v0.size))
-    _check_row_balance(G, F)
+    # F by columns (sources come sorted); F @ psi adds each row in column order, as CSR does
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(position[src[~free]], minlength=v0.size))))
+    F = sp.csc_matrix((-lam[~free], rows[~free], indptr), shape=(m, v0.size))
     return LinearSystem(G=G, F=F, b=F @ psi_values, v1=v1, v0=v0, psi_values=psi_values)
-
-
-def _check_row_balance(G: sp.csr_matrix, F: sp.csr_matrix) -> None:
-    diag = np.abs(G.diagonal())
-    off = np.asarray(np.abs(G).sum(axis=1)).ravel() - diag
-    fmass = np.asarray(np.abs(F).sum(axis=1)).ravel() if F.shape[1] else np.zeros(G.shape[0])
-    gap = np.abs(diag - off - fmass)
-    bad = gap > 1e-9 * np.maximum(1.0, diag)
-    if bad.any():
-        row = int(np.argmax(gap))
-        raise AssemblyError(
-            f"row balance violated at row {row}: |G_ii|={diag[row]!r} "
-            f"vs off-diagonal {off[row]!r} + |F| {fmass[row]!r}"
-        )
 
 
 # -- solving ------------------------------------------------------------------
@@ -270,6 +265,7 @@ def solve_equilibrium(
     G, b = system.G, system.b
     m = G.shape[0]
     history: list[float] = []
+    b_norm = float(np.linalg.norm(b))
     if m <= dense_cutoff:
         theta = np.linalg.solve(G.toarray(), b)
         iterations = 0
@@ -278,14 +274,13 @@ def solve_equilibrium(
         diag = G.diagonal()
         M = sp.diags(1.0 / diag)
         x0 = np.full(m, 0.5)
-        b_scale = float(np.linalg.norm(b))
         theta, info = spla.gmres(
             G,
             b,
             x0=x0,
             M=M,
             rtol=tol * 0.1,
-            atol=tol * 0.1 * (b_scale if b_scale > 0 else 1.0),
+            atol=tol * 0.1 * (b_norm if b_norm > 0 else 1.0),
             maxiter=max_iter,
             callback=history.append,
             callback_type="pr_norm",
@@ -299,7 +294,6 @@ def solve_equilibrium(
         if info < 0:
             raise SolverError("gmres reported an illegal input", residual_history=history)
 
-    b_norm = float(np.linalg.norm(b))
     res = float(np.linalg.norm(G @ theta - b))
     residual = res / b_norm if b_norm > 0 else res
     if residual > tol:

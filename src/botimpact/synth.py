@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import read_key_values
+from .config import check_finite, read_key_values
 
 TOPOLOGIES = ("two_block_polarized", "core_periphery_qanon", "planted_bot_retweet")
 
@@ -93,6 +93,7 @@ class SynthSpec:
     follow_out: int = 10
 
     def validate(self) -> None:
+        check_finite(self, SynthSpecError)
         if self.topology not in TOPOLOGIES:
             raise SynthSpecError(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
         positive = ("days", "human_rate", "bot_rate", "opinion_concentration",

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from botimpact.cli import main
+from botimpact.config import ConfigError, PipelineConfig
 from botimpact.report import _merged_retweet_network
 
 
@@ -120,6 +121,13 @@ def test_non_finite_config_value_exits_2(tmp_path, runner, value):
     result = runner.invoke(main, ["--config", str(cfg), "build"])
     assert result.exit_code == 2
     assert "bp_psi_hh" in result.output
+
+
+def test_non_finite_config_field_rejected_without_a_file():
+    with pytest.raises(ConfigError, match="bp_psi_hh"):
+        PipelineConfig(bp_psi_hh=float("nan")).validate()
+    with pytest.raises(ConfigError, match="bp_tolerance"):
+        PipelineConfig.load(overrides={"bp_tolerance": float("inf")})
 
 
 def test_unknown_config_key_exits_2(tmp_path, runner):

@@ -259,6 +259,19 @@ def test_daily_series_solves_each_day_network_once(monkeypatch):
         assert len(solved) == len(series.entries) + removals
 
 
+def test_daily_series_builds_no_graph(monkeypatch):
+    inputs = [_random_series_inputs(1100 + seed) for seed in range(4)]
+    expected = [daily_ghic_series(*args) for args in inputs]
+
+    def refuse(self, keep):
+        raise AssertionError("a day or a removal built an induced subgraph")
+
+    monkeypatch.setattr(DirectedGraph, "induced_subgraph", refuse)
+    for args, want in zip(inputs, expected):
+        got = daily_ghic_series(*args)
+        assert got.entries and got == want
+
+
 def test_masked_removal_equals_solve_on_induced_subgraph(monkeypatch):
     ghic_module = importlib.import_module("botimpact.ghic")
     calls = []

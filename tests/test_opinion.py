@@ -234,6 +234,32 @@ def test_row_balance_on_random_graph():
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
+def test_diagonal_adds_each_row_left_to_right_in_source_order():
+    # rows of 0-300 in-edges, rates over six decades: numpy's pairwise sum differs
+    # from the left-to-right one from 8 terms on, so this pins the rounding rule
+    long_rows = 0
+    for seed in range(6):
+        rng = np.random.default_rng(4000 + seed)
+        n = 400
+        rates = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        pairs = []
+        for target in range(n):
+            sources = rng.choice(n - 1, size=int(rng.integers(0, 301)), replace=False)
+            pairs += [(int(s) + (s >= target), target) for s in sources]  # no self-loops
+        src, tgt = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
+        in_degree = np.bincount(tgt, minlength=n)
+        fixed = (in_degree == 0) | (rng.random(n) < 0.2)
+        system = assemble_system(src, tgt, rates, fixed, rng.random(n))
+        diagonal = system.G.diagonal()
+        for row, node in enumerate(system.v1.tolist()):
+            total = 0.0
+            for s in src[tgt == node].tolist():  # ascending: the edges are sorted
+                total += float(rates[s])
+            assert diagonal[row] == -total
+            long_rows += in_degree[node] >= 8
+    assert long_rows > 1000
+
+
 # -- solving -----------------------------------------------------------------------
 
 

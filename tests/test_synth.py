@@ -206,6 +206,11 @@ def test_spec_file_parsing_and_validation(tmp_path):
         SynthSpec.from_file(not_finite)
 
 
+def test_non_finite_spec_field_rejected_without_a_file():
+    with pytest.raises(SynthSpecError, match="eps"):
+        SynthSpec(eps=float("nan")).validate()
+
+
 def test_generate_dispatch_unknown_topology():
     spec = SynthSpec(topology="nope")
     with pytest.raises(SynthSpecError):
