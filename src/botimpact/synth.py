@@ -16,6 +16,14 @@ All randomness is counter-based (Philox keyed by seed, stream, and entity
 index), so identical specs produce byte-identical files regardless of
 generation order.  Planted labels go to a sidecar file that inference never
 reads.
+
+Per-account work is array draws and index arithmetic.  A two-block or core
+account's follow row is one ``rng.random(k)`` over the k other candidates in
+index order, which yields the same doubles as k scalar ``rng.random()``
+calls.  Retweet pools are shared lists, indexed rather than copied: an
+account that sits in its own pool at position ``own`` draws ``j`` from one
+fewer candidates and takes ``pool[j + (j >= own)]``, so every draw matches a
+pick from a copy of the pool with the account removed.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +51,9 @@ _STREAMS = {
 _ANTI_TERMS = ("#resist", "#voteblue", "#theresistance")
 _PRO_TERMS = ("#maga", "#kag", "#trump2020")
 _QANON_TERM = "#wwg1wga"
+
+# what json.dumps(..., sort_keys=True) builds on every call
+_JSON = json.JSONEncoder(sort_keys=True)
 
 # synthetic rated news domains, low to high trust
 _DOMAIN_POOL = tuple((f"site{k:02d}.example", 1.0 + 4.0 * k / 9.0) for k in range(10))
@@ -129,6 +140,10 @@ class SynthSpec:
                 raise SynthSpecError("n_humans must be >= 1")
             if self.amplify_targets < 1:
                 raise SynthSpecError("amplify_targets must be >= 1")
+            for name in ("follow_out", "bot_rt_human", "human_rt_human", "human_rt_bot",
+                         "bot_rt_bot"):
+                if getattr(self, name) < 0:
+                    raise SynthSpecError(f"{name} must be >= 0")
 
     @staticmethod
     def from_file(path: str | Path) -> "SynthSpec":
@@ -159,8 +174,9 @@ class _Account:
     rate: float
     description: str
     following: list[str]
-    retweet_pool: list[str]  # candidate accounts this one retweets
+    retweet_pool: list[str]  # candidate accounts this one retweets; shared, may hold this one
     domain_tier: tuple[int, int]  # index range into the rated domain pool
+    own: int = 0  # this account's position in retweet_pool; len(retweet_pool) when absent
 
 
 def generate(spec: SynthSpec, outdir: str | Path) -> dict:
@@ -236,32 +252,28 @@ def _roster_two_block(spec: SynthSpec) -> list[_Account]:
             )
             index += 1
 
-    def _side(account: _Account) -> str:
-        return "anti" if account.block.startswith("anti") else "pro"
-
-    by_side: dict[str, list[_Account]] = {"anti": [], "pro": []}
-    for acct in roster:
-        by_side[_side(acct)].append(acct)
+    ids = np.array([a.account_id for a in roster], dtype=object)
+    pro = [a.block.startswith("pro") for a in roster]
     p_cross = min(spec.eps * spec.p_intra, 1.0)
-    for acct in roster:
-        rng_f = _rng(spec.seed, "follow", acct.index)
-        following = []
-        for other in roster:
-            if other.index == acct.index:
-                continue
-            p = spec.p_intra if _side(other) == _side(acct) else p_cross
-            if rng_f.random() < p:
-                following.append(other.account_id)
-        acct.following = following
-        # retweets flow into humans: bots amplify, they rarely get amplified
-        same = [
-            a.account_id
-            for a in by_side[_side(acct)]
-            if a.index != acct.index and not a.is_bot
-        ]
-        other_side = "pro" if _side(acct) == "anti" else "anti"
-        cross = [a.account_id for a in by_side[other_side] if not a.is_bot]
-        acct.retweet_pool = same + cross[: int(round(len(cross) * min(spec.eps, 1.0)))]
+    # follow probability of every account, seen from each side
+    p_from = {side: np.where(np.array(pro) == side, spec.p_intra, p_cross)
+              for side in (False, True)}
+    # retweets flow into humans: bots amplify, they rarely get amplified; each
+    # side's pool is its humans, then a prefix of the other side's humans
+    humans = {side: [a.account_id for a, s in zip(roster, pro) if s == side and not a.is_bot]
+              for side in (False, True)}
+    share = min(spec.eps, 1.0)
+    pools = {side: humans[side] + humans[not side][: int(round(len(humans[not side]) * share))]
+             for side in (False, True)}
+    seen = {False: 0, True: 0}  # humans of each side so far, in index order
+    for acct, side in zip(roster, pro):
+        # one draw per other account, in index order
+        row = _rng(spec.seed, "follow", acct.index).random(len(roster) - 1)
+        cols = np.flatnonzero(row < np.delete(p_from[side], acct.index))
+        acct.following = ids[cols + (cols >= acct.index)].tolist()
+        acct.retweet_pool = pools[side]
+        acct.own = len(pools[side]) if acct.is_bot else seen[side]
+        seen[side] += not acct.is_bot
     return roster
 
 
@@ -311,17 +323,15 @@ def _roster_core_periphery(spec: SynthSpec) -> list[_Account]:
     for acct in roster:
         rng_f = _rng(spec.seed, "follow", acct.index)
         if acct.block == "core":
-            acct.following = [
-                other
-                for other in core_ids
-                if other != acct.account_id and rng_f.random() < spec.p_core
-            ]
-            acct.retweet_pool = [c for c in core_ids if c != acct.account_id]
+            # one draw per other core bot, in index order
+            cols = np.flatnonzero(rng_f.random(len(core_ids) - 1) < spec.p_core)
+            acct.following = [core_ids[c] for c in cols + (cols >= acct.index)]
+            acct.retweet_pool, acct.own = core_ids, acct.index
         else:
             k = min(spec.k_follow, len(core_ids))
             picks = rng_f.choice(len(core_ids), size=k, replace=False)
             acct.following = [core_ids[int(p)] for p in sorted(picks)]
-            acct.retweet_pool = list(acct.following)
+            acct.retweet_pool, acct.own = acct.following, k
     return roster
 
 
@@ -346,19 +356,19 @@ def _roster_planted_retweets(spec: SynthSpec) -> list[_Account]:
                 domain_tier=(0, 5) if is_bot else (4, 10),
             )
         )
-    ids = [a.account_id for a in roster]
-    humans = ids[spec.n_bots :]
+    ids = np.array([a.account_id for a in roster], dtype=object)
+    humans = ids[spec.n_bots :].tolist()
+    k = min(spec.follow_out, total - 1)
     for acct in roster:
         rng_f = _rng(spec.seed, "follow", acct.index)
-        k = min(spec.follow_out, total - 1)
-        picks = rng_f.choice(total - 1, size=k, replace=False)
-        pool = [i for i in range(total) if i != acct.index]
-        acct.following = [ids[pool[int(p)]] for p in sorted(picks)]
+        # picks index the other accounts, so skip over this one
+        picks = np.sort(rng_f.choice(total - 1, size=k, replace=False))
+        acct.following = ids[picks + (picks >= acct.index)].tolist()
         if acct.is_bot and humans:
             # bots amplify a fixed handful of accounts rather than spraying
             k_amp = min(spec.amplify_targets, len(humans))
-            amp = rng_f.choice(len(humans), size=k_amp, replace=False)
-            acct.retweet_pool = [humans[int(i)] for i in sorted(amp)]
+            amp = np.sort(rng_f.choice(len(humans), size=k_amp, replace=False))
+            acct.retweet_pool, acct.own = [humans[i] for i in amp], k_amp
     return roster
 
 
@@ -370,14 +380,14 @@ def _emit(spec: SynthSpec, roster: list[_Account], outdir: Path) -> dict:
     humans = [a.account_id for a in roster if not a.is_bot]
     planted = spec.topology == "planted_bot_retweet"
 
+    days = [(spec.start_day + timedelta(days=d)).isoformat() for d in range(spec.days)]
     tweets_path = outdir / "tweets.jsonl"
     n_tweets = 0
     n_retweets = 0
     with open(tweets_path, "w", encoding="utf-8") as fh:
         for acct in roster:
             rng_t = _rng(spec.seed, "tweets", acct.index)
-            for day_offset in range(spec.days):
-                day = spec.start_day + timedelta(days=day_offset)
+            for day_offset, day in enumerate(days):
                 if planted:
                     events = _planted_day_events(spec, acct, rng_t, bots, humans)
                 else:
@@ -394,13 +404,12 @@ def _emit(spec: SynthSpec, roster: list[_Account], outdir: Path) -> dict:
     with open(profiles_path, "w", encoding="utf-8") as fh:
         for acct in roster:
             fh.write(
-                json.dumps(
+                _JSON.encode(
                     {
                         "account_id": acct.account_id,
                         "description": acct.description,
                         "following_ids": acct.following,
-                    },
-                    sort_keys=True,
+                    }
                 )
             )
             fh.write("\n")
@@ -440,14 +449,26 @@ def _emit(spec: SynthSpec, roster: list[_Account], outdir: Path) -> dict:
     return summary
 
 
+def _pool_size(pool: list[str], own: int) -> int:
+    """How many accounts ``pool`` holds besides the one at position ``own``."""
+    return len(pool) - (own < len(pool))
+
+
+def _pick(rng: np.random.Generator, pool: list[str], own: int, size: int) -> str:
+    """A uniform draw from ``pool`` without position ``own``; ``size`` is ``_pool_size``."""
+    j = int(rng.integers(size))
+    return pool[j + (j >= own)]
+
+
 def _generic_day_events(
     spec: SynthSpec, acct: _Account, rng: np.random.Generator
 ) -> list[str | None]:
     count = int(rng.poisson(acct.rate))
+    size = _pool_size(acct.retweet_pool, acct.own)
     events: list[str | None] = []
     for _ in range(count):
-        if acct.retweet_pool and rng.random() < spec.retweet_frac:
-            events.append(acct.retweet_pool[int(rng.integers(len(acct.retweet_pool)))])
+        if size and rng.random() < spec.retweet_frac:
+            events.append(_pick(rng, acct.retweet_pool, acct.own, size))
         else:
             events.append(None)
     return events
@@ -460,36 +481,35 @@ def _planted_day_events(
     bots: list[str],
     humans: list[str],
 ) -> list[str | None]:
+    # bots come first in the roster, so an account's index is its position
+    # in ``bots`` or ``n_bots`` past its position in ``humans``
     if acct.is_bot:
         rt_human, rt_bot = spec.bot_rt_human, spec.bot_rt_bot
         originals = rng.poisson(max(acct.rate - rt_human - rt_bot, 0.0))
-        human_pool = acct.retweet_pool or humans
+        human_pool, human_own, bot_own = acct.retweet_pool, acct.own, acct.index
     else:
         rt_human, rt_bot = spec.human_rt_human, spec.human_rt_bot
         originals = rng.poisson(max(acct.rate, 0.1))
-        human_pool = humans
+        human_pool, human_own, bot_own = humans, acct.index - spec.n_bots, len(bots)
     events: list[str | None] = [None] * int(originals)
-    for pool, rate in ((human_pool, rt_human), (bots, rt_bot)):
-        candidates = [p for p in pool if p != acct.account_id]
-        if not candidates:
+    for pool, own, rate in ((human_pool, human_own, rt_human), (bots, bot_own, rt_bot)):
+        size = _pool_size(pool, own)
+        if not size:
             continue
         for _ in range(int(rng.poisson(rate))):
-            events.append(candidates[int(rng.integers(len(candidates)))])
+            events.append(_pick(rng, pool, own, size))
     return events
 
 
 def _tweet_json(
     spec: SynthSpec,
     acct: _Account,
-    day: date,
+    day: str,
     k: int,
     retweeted: str | None,
     rng: np.random.Generator,
 ) -> str:
     seconds = int(rng.integers(86_400))
-    ts = datetime(day.year, day.month, day.day, tzinfo=timezone.utc) + timedelta(
-        seconds=seconds
-    )
     urls: list[str] = []
     if retweeted is None and rng.random() < spec.url_prob:
         lo, hi = acct.domain_tier
@@ -498,13 +518,15 @@ def _tweet_json(
     opinion = _beta(rng, acct.opinion, spec.tweet_score_concentration)
     toxicity = _beta(rng, 0.15 if acct.is_bot else 0.25, 10.0)
     record = {
-        "tweet_id": f"t-{acct.account_id}-{day.isoformat()}-{k:04d}",
+        "tweet_id": f"t-{acct.account_id}-{day}-{k:04d}",
         "author_id": acct.account_id,
-        "timestamp": ts.isoformat(),
+        # what datetime.isoformat() writes for a whole second in UTC
+        "timestamp": f"{day}T{seconds // 3600:02d}:{seconds // 60 % 60:02d}:"
+                     f"{seconds % 60:02d}+00:00",
         "text": f"synthetic tweet {k} by {acct.account_id}",
         "retweeted_author_id": retweeted,
         "urls": urls,
         "opinion": round(opinion, 6),
         "toxicity": round(toxicity, 6),
     }
-    return json.dumps(record, sort_keys=True)
+    return _JSON.encode(record)

@@ -312,6 +312,14 @@ def test_invalid_synth_spec_exits_2(tmp_path, runner):
     assert "topology" in result.output
 
 
+def test_negative_planted_field_exits_2(tmp_path, runner):
+    spec = tmp_path / "spec.txt"
+    spec.write_text("topology = planted_bot_retweet\nfollow_out = -1\n")
+    result = runner.invoke(main, ["--out", str(tmp_path / "out"), "synth", "--spec", str(spec)])
+    assert result.exit_code == 2
+    assert "follow_out" in result.output
+
+
 def test_seed_flag_overrides_spec(tmp_path, runner):
     spec = _write_spec(tmp_path / "spec.txt", days=1)
     out_a = tmp_path / "a"

@@ -211,6 +211,17 @@ def test_non_finite_spec_field_rejected_without_a_file():
         SynthSpec(eps=float("nan")).validate()
 
 
+@pytest.mark.parametrize(
+    "field", ["follow_out", "bot_rt_human", "human_rt_human", "human_rt_bot", "bot_rt_bot"]
+)
+def test_negative_planted_field_rejected(tmp_path, field):
+    spec = SynthSpec(topology="planted_bot_retweet", days=1, n_bots=2, n_humans=5,
+                     **{field: -1})
+    with pytest.raises(SynthSpecError, match=field):
+        generate(spec, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_generate_dispatch_unknown_topology():
     spec = SynthSpec(topology="nope")
     with pytest.raises(SynthSpecError):
