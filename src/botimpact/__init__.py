@@ -14,7 +14,6 @@ from .ghic import GhicResult, daily_ghic_series, ghic, ghic_per_bot
 from .graph import DirectedGraph, GraphError, load_edge_list, save_edge_list
 from .ingest import (
     CollectionWindow,
-    TweetRecord,
     UserProfileRecord,
     build_daily_retweet_network,
     build_follower_network,
@@ -45,7 +44,6 @@ __all__ = [
     "GraphError",
     "LinearSystem",
     "SolverError",
-    "TweetRecord",
     "UserProfileRecord",
     "assemble_system",
     "build_daily_retweet_network",

@@ -1,12 +1,13 @@
 """Streaming ingestion of tweet and profile files, and the columnar build.
 
-Input files are line-delimited JSON (plain or gzip).  Malformed lines are
-skipped and tallied rather than aborting the run; an unreadable file is
-fatal.  Each tweet's UTC day is computed once, at parse time.  The build
-drains the tweets into per-tweet columns (``tweet_columns``) and derives
-the window, day slices, daily retweet networks and per-account content
-from them, building every network from index arrays; no list of records
-is held.
+Input files are line-delimited JSON (plain or gzip).  Each line is decoded
+once and must hold exactly one JSON value; malformed lines are skipped and
+tallied rather than aborting the run, and an unreadable file is fatal.
+Each tweet becomes one plain row in column order, its UTC day already an
+ordinal.  The build drains the rows into per-tweet columns
+(``tweet_columns``) and derives the window, day slices, daily retweet
+networks and per-account content from them, building every network from
+index arrays; no list of rows is held.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from array import array
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,21 +28,14 @@ log = logging.getLogger(__name__)
 
 DEFAULT_FOLLOWINGS_CAP = 2000
 
+# author, day ordinal, retweeted author or None, urls, opinion, toxicity (NaN when unscored)
+TweetRow = tuple[str, int, str | None, Sequence[str], float, float]
+_NAN = float("nan")
+_decode = json.JSONDecoder().raw_decode
+
 
 class IngestError(ValueError):
     """Fatal ingestion problem (unreadable file, invalid window...)."""
-
-
-@dataclass
-class TweetRecord:
-    """One parsed tweet, reduced to what the build reads."""
-
-    author_id: str
-    day: date  # UTC day of the timestamp
-    retweeted_author_id: str | None = None
-    urls: list[str] = field(default_factory=list)
-    opinion: float | None = None
-    toxicity: float | None = None
 
 
 @dataclass
@@ -73,48 +67,52 @@ class ParseStats:
     skipped: int = 0
 
 
-def _parse_timestamp(value: str) -> datetime:
-    # Python 3.10 fromisoformat does not accept a trailing Z.
-    if value.endswith("Z"):
-        value = value[:-1] + "+00:00"
-    ts = datetime.fromisoformat(value)
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts
+def _id(value) -> str:
+    """A tweet or account id: a JSON string, or a JSON integer as its decimal string."""
+    if type(value) is str:
+        return value
+    if type(value) is int:  # not a bool
+        return str(value)
+    raise TypeError(f"id {value!r} is not a string or an integer")
 
 
-def _unit_interval(value) -> float | None:
-    if value is None:
-        return None
-    x = float(value)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"score {x} outside [0,1]")
-    return x
-
-
-def _parse_tweet(obj: dict) -> TweetRecord:
-    author_id = str(obj["author_id"])
-    if not str(obj["tweet_id"]) or not author_id:  # required, but not kept
+def _parse_tweet(obj: dict) -> TweetRow:
+    author_id = _id(obj["author_id"])
+    if not _id(obj["tweet_id"]) or not author_id:  # required, but not kept
         raise ValueError("empty tweet_id or author_id")
     retweeted = obj.get("retweeted_author_id")
-    retweeted = None if retweeted is None else str(retweeted) or None  # "" is an original
-    if retweeted == author_id:
-        raise ValueError("self-retweet")
-    urls = obj.get("urls") or []
-    if not isinstance(urls, list):
+    if retweeted is not None:
+        retweeted = _id(retweeted) or None  # "" is an original
+        if retweeted == author_id:
+            raise ValueError("self-retweet")
+    urls = obj.get("urls")
+    if not urls:
+        urls = ()  # shared by the many tweets without a URL, so no list is kept for them
+    elif isinstance(urls, list):
+        urls = [str(u) for u in urls]
+    else:
         raise ValueError("urls must be a list")
-    return TweetRecord(
-        author_id=author_id,
-        day=_parse_timestamp(str(obj["timestamp"])).astimezone(timezone.utc).date(),
-        retweeted_author_id=retweeted,
-        urls=[str(u) for u in urls],
-        opinion=_unit_interval(obj.get("opinion")),
-        toxicity=_unit_interval(obj.get("toxicity")),
-    )
+    stamp = str(obj["timestamp"])
+    if stamp.endswith("Z"):  # fromisoformat rejects a date-only "2020-01-01Z"
+        stamp = stamp[:-1] + "+00:00"
+    ts = datetime.fromisoformat(stamp)
+    if ts.tzinfo is not None:  # a naive timestamp is read as UTC
+        ts = ts.astimezone(timezone.utc)
+    opinion = obj.get("opinion")
+    if opinion is None:
+        opinion = _NAN
+    elif not 0.0 <= (opinion := float(opinion)) <= 1.0:
+        raise ValueError(f"opinion {opinion} outside [0,1]")
+    toxicity = obj.get("toxicity")
+    if toxicity is None:
+        toxicity = _NAN
+    elif not 0.0 <= (toxicity := float(toxicity)) <= 1.0:
+        raise ValueError(f"toxicity {toxicity} outside [0,1]")
+    return author_id, ts.toordinal(), retweeted, urls, opinion, toxicity
 
 
 def _parse_profile(obj: dict, followings_cap: int) -> UserProfileRecord:
-    account_id = str(obj["account_id"])
+    account_id = _id(obj["account_id"])
     if not account_id:
         raise ValueError("empty account_id")
     following = obj.get("following_ids") or []
@@ -123,14 +121,15 @@ def _parse_profile(obj: dict, followings_cap: int) -> UserProfileRecord:
     return UserProfileRecord(
         account_id=account_id,
         description=str(obj.get("description") or ""),
-        following_ids=[str(f) for f in following[:followings_cap]],
+        following_ids=[_id(f) for f in following][:followings_cap],
     )
 
 
 def _parse_lines(
     path: str | Path, kind: str, parse: Callable[[dict], object], stats: ParseStats | None
 ) -> Iterator:
-    """Parse each non-blank JSON line in file order; bad lines are counted and skipped."""
+    """Decode each stripped non-blank line once, accepting what ``json.loads`` accepts,
+    and parse it, in file order; bad lines are counted and skipped."""
     if not Path(path).exists():
         raise IngestError(f"{kind} file not found: {path}")
     stats = stats if stats is not None else ParseStats()
@@ -140,7 +139,10 @@ def _parse_lines(
             if not line:
                 continue
             try:
-                rec = parse(json.loads(line))
+                obj, end = _decode(line)
+                if end != len(line):
+                    raise ValueError("data after the JSON value")
+                rec = parse(obj)
             except (ValueError, KeyError, TypeError, OverflowError):
                 stats.skipped += 1
                 continue
@@ -150,9 +152,9 @@ def _parse_lines(
         log.warning("%s: skipped %d malformed line(s)", path, stats.skipped)
 
 
-def load_tweets(path: str | Path, stats: ParseStats | None = None) -> Iterator[TweetRecord]:
-    """Yield tweet records in file order; bad lines are counted and skipped."""
-    yield from _parse_lines(path, "tweets", _parse_tweet, stats)
+def load_tweets(path: str | Path, stats: ParseStats | None = None) -> Iterator[TweetRow]:
+    """A generator of tweet rows (``TweetRow``) in file order; bad lines are skipped."""
+    return _parse_lines(path, "tweets", _parse_tweet, stats)
 
 
 def load_profiles(
@@ -160,8 +162,8 @@ def load_profiles(
     stats: ParseStats | None = None,
     followings_cap: int = DEFAULT_FOLLOWINGS_CAP,
 ) -> Iterator[UserProfileRecord]:
-    """Yield profile records; following lists are truncated at the cap."""
-    yield from _parse_lines(path, "profiles", lambda o: _parse_profile(o, followings_cap), stats)
+    """A generator of profile records; following lists are truncated at the cap."""
+    return _parse_lines(path, "profiles", lambda o: _parse_profile(o, followings_cap), stats)
 
 
 # -- the columnar build ---------------------------------------------------------
@@ -177,7 +179,7 @@ class TweetColumns:
     retweeted: np.ndarray  # index into accounts, -1 for an original tweet
     opinion: np.ndarray  # NaN where the tweet carries no score
     toxicity: np.ndarray
-    urls: list[list[str]]
+    urls: list[Sequence[str]]
 
     def window(self) -> CollectionWindow:
         return CollectionWindow(date.fromordinal(self.day.min()), date.fromordinal(self.day.max()))
@@ -189,21 +191,19 @@ class TweetColumns:
         return list(zip(map(date.fromordinal, days.tolist()), np.split(order, starts[1:])))
 
 
-def tweet_columns(tweets: Iterable[TweetRecord]) -> TweetColumns:
-    """Drain a tweet stream into columns; account ids are indexed in sorted order."""
+def tweet_columns(tweets: Iterable[TweetRow]) -> TweetColumns:
+    """Drain a stream of tweet rows into columns; account ids are indexed in sorted order."""
     index: dict[str, int] = {}  # in order of first appearance until re-ranked below
     author, day, retweeted = array("q"), array("q"), array("q")
     opinion, toxicity = array("d"), array("d")
-    urls: list[list[str]] = []
-    nan = float("nan")
-    for t in tweets:
-        author.append(index.setdefault(t.author_id, len(index)))
-        day.append(t.day.toordinal())
-        rt = t.retweeted_author_id
+    urls: list[Sequence[str]] = []
+    for author_id, ordinal, rt, tweet_urls, score, toxic in tweets:
+        author.append(index.setdefault(author_id, len(index)))
+        day.append(ordinal)
         retweeted.append(-1 if rt is None else index.setdefault(rt, len(index)))
-        opinion.append(nan if t.opinion is None else t.opinion)
-        toxicity.append(nan if t.toxicity is None else t.toxicity)
-        urls.append(t.urls)
+        opinion.append(score)
+        toxicity.append(toxic)
+        urls.append(tweet_urls)
     accounts = sorted(index)
     rank = np.full(len(index) + 1, -1, dtype=np.int64)  # the last entry maps -1 to itself
     rank[[index[a] for a in accounts]] = np.arange(len(accounts))

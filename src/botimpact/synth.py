@@ -45,7 +45,6 @@ _STREAMS = {
     "follow": 1,
     "tweets": 2,
     "description": 3,
-    "structure": 4,
 }
 
 _ANTI_TERMS = ("#resist", "#voteblue", "#theresistance")

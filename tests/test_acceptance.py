@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import csv
 import hashlib
 import json
+import math
 import shutil
 import time
 from datetime import date
@@ -241,10 +242,10 @@ def _per_bot_core_ghic(seed: int, audience: str, workdir: Path) -> float:
     follower = build_follower_network(load_profiles(out / "profiles.jsonl"), content)
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
-    for t in tweets:
-        if t.opinion is not None:
-            sums[t.author_id] = sums.get(t.author_id, 0.0) + t.opinion
-            counts[t.author_id] = counts.get(t.author_id, 0) + 1
+    for author, _, _, _, opinion, _ in tweets:
+        if not math.isnan(opinion):  # the tweet carries a score
+            sums[author] = sums.get(author, 0.0) + opinion
+            counts[author] = counts.get(author, 0) + 1
     opinions = {a: sums[a] / counts[a] for a in sums}
     bots = {a for a, row in labels.items() if row["is_bot"] == "1" and a in follower}
     stubborn = identify_stubborn({a: o for a, o in opinions.items() if a in follower}, bots)
@@ -345,7 +346,7 @@ def test_criterion_8_end_to_end_determinism(e2e_corpus):
 def test_criterion_9_ingest_conservation(e2e_corpus):
     _, corpus, summary = e2e_corpus
     tweets = list(load_tweets(corpus / "tweets.jsonl"))
-    corpus_retweets = sum(1 for t in tweets if t.retweeted_author_id is not None)
+    corpus_retweets = sum(1 for _, _, retweeted, *_ in tweets if retweeted is not None)
     assert corpus_retweets == summary["retweets"]
     columns = tweet_columns(tweets)
     daily_weight = 0.0

@@ -46,13 +46,20 @@ def _score(obj, key):
     return value
 
 
+def _ref_id(value):
+    """Ids are JSON strings or integers (not booleans); an integer keeps its digits."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise TypeError("id")
+    return str(value)
+
+
 def _ref_tweet(obj):
-    author = str(obj["author_id"])
-    if not str(obj["tweet_id"]) or not author:
+    author = _ref_id(obj["author_id"])
+    if not _ref_id(obj["tweet_id"]) or not author:
         raise ValueError("empty id")
     retweeted = obj.get("retweeted_author_id")
     if retweeted is not None:
-        retweeted = str(retweeted) or None
+        retweeted = _ref_id(retweeted) or None
     if retweeted == author:
         raise ValueError("self-retweet")
     urls = obj.get("urls") or []
@@ -75,13 +82,14 @@ def _ref_tweet(obj):
 
 
 def _ref_profile(obj):
-    account = str(obj["account_id"])
+    account = _ref_id(obj["account_id"])
     if not account:
         raise ValueError("empty id")
     following = obj.get("following_ids") or []
     if not isinstance(following, list):
         raise ValueError("following")
-    return account, str(obj.get("description") or ""), [str(f) for f in following[:CAP]]
+    following = [_ref_id(f) for f in following]  # every entry, also past the cap
+    return account, str(obj.get("description") or ""), following[:CAP]
 
 
 def _parse_all(path, parse):
@@ -204,6 +212,15 @@ _MALFORMED_TWEETS = [
     '{"tweet_id": "x", "author_id": "u1", "timestamp": "2020-01-01T00:00:00Z", '
     '"retweeted_author_id": "u1"}',  # self-retweet
     '{"tweet_id": "x", "author_id": "u1", "timestamp": "2020-01-01T00:00:00Z"} trailing',
+    '{"tweet_id": "x", "author_id": "u1", "timestamp": "2020-01-01T00:00:00Z"} '
+    '{"tweet_id": "y", "author_id": "u2", "timestamp": "2020-01-01T00:00:00Z"}',  # two objects
+    '\ufeff{"tweet_id": "x", "author_id": "u1", "timestamp": "2020-01-01T00:00:00Z"}',  # BOM
+    '{"tweet_id": "x", "author_id": "u1", "timestamp": "2020-01-01T00:00:00Z", '
+    '"opinion": Infinity}',
+    '{"tweet_id": "x", "author_id": null, "timestamp": "2020-01-01T00:00:00Z"}',
+    '{"tweet_id": "x", "author_id": true, "timestamp": "2020-01-01T00:00:00Z"}',
+    '{"tweet_id": "x", "author_id": "u1", "timestamp": "2020-01-01T00:00:00Z", '
+    '"retweeted_author_id": {"x": 1}}',
 ]
 
 _MALFORMED_PROFILES = [
@@ -211,17 +228,22 @@ _MALFORMED_PROFILES = [
     '{"description": "no id"}',
     '{"account_id": "u1", "following_ids": "u2"}',
     '{"account_id": "u1"',
+    '{"account_id": null}',
+    '{"account_id": "u1", "following_ids": ["u2", null]}',
 ]
 
 
 def _stamp(rng: random.Random) -> str:
-    """A time near midnight in a random offset, written as the offset, Z, or naive."""
+    """A time near midnight in a random offset, written as the offset, Z, or naive;
+    some carry fractional seconds, of one to six digits after a Z."""
     utc = datetime(2020, 1, 1, tzinfo=timezone.utc) + timedelta(
         days=rng.randrange(4), hours=rng.choice([0, 1, 22, 23, 12]), minutes=rng.randrange(60),
-        seconds=rng.randrange(60))
+        seconds=rng.randrange(60), microseconds=rng.choice([0, 0, 0, rng.randrange(10**6)]))
     style = rng.random()
     if style < 0.2:
-        return utc.strftime("%Y-%m-%dT%H:%M:%SZ")
+        digits = rng.randrange(7)
+        fraction = f".{utc.microsecond:06d}"[:digits + 1] if digits else ""
+        return utc.strftime("%Y-%m-%dT%H:%M:%S") + fraction + "Z"
     if style < 0.35:
         return utc.replace(tzinfo=None).isoformat()
     offset = timedelta(minutes=rng.choice([-600, -330, -120, 60, 120, 330, 540, 840]))
@@ -252,6 +274,8 @@ def _write_corpus(tmp_path, seed: int):
             record["opinion"] = rng.random()
         if rng.random() < 0.7:
             record["toxicity"] = rng.choice([rng.random(), 0, 1])
+        if rng.random() < 0.05:
+            record["text"] = float("nan")  # a NaN literal where nothing reads it
         if rng.random() < 0.3:
             record["urls"] = [f"https://site{rng.randrange(5)}.com/{k}"
                               for _ in range(rng.randrange(1, 3))]

@@ -1,6 +1,7 @@
 import csv
 import gzip
 import json
+import math
 import random
 from datetime import date
 
@@ -12,7 +13,6 @@ from botimpact.ingest import (
     CollectionWindow,
     IngestError,
     ParseStats,
-    TweetRecord,
     account_content,
     build_daily_retweet_network,
     build_follower_network,
@@ -44,10 +44,13 @@ def _write_tweets(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _rec(author, day_str, retweeted=None):
-    return TweetRecord(
-        author_id=author, day=date.fromisoformat(day_str), retweeted_author_id=retweeted
-    )
+NAN = float("nan")
+
+
+def _row(author, day, retweeted=None, urls=(), opinion=NAN, toxicity=NAN):
+    """A tweet row as load_tweets yields it; ``day`` is an ISO date or a date."""
+    day = date.fromisoformat(day) if isinstance(day, str) else day
+    return author, day.toordinal(), retweeted, list(urls), opinion, toxicity
 
 
 def _daily_networks(tweets):
@@ -142,7 +145,7 @@ def test_utc_day_bucketing(tmp_path):
         "2020-01-01T23:00:00",  # naive: read as UTC
     ]
     _write_tweets(path, [_tweet_line(f"t{i}", "a", ts) for i, ts in enumerate(stamps)])
-    days = [t.day for t in load_tweets(path)]
+    days = [date.fromordinal(day) for _, day, *_ in load_tweets(path)]
     assert days == [date(2020, 1, 1), date(2020, 1, 1), date(2020, 1, 2),
                     date(2020, 1, 1), date(2020, 1, 1)]
 
@@ -163,15 +166,15 @@ def test_window_validation():
 
 
 def test_daily_retweet_network_weight_is_count():
-    tweets = [_rec("v", "2020-01-01", retweeted="u") for _ in range(3)]
+    tweets = [_row("v", "2020-01-01", retweeted="u") for _ in range(3)]
     net = _daily_networks(tweets)[date(2020, 1, 1)]
     assert edge_dict(net) == {("u", "v"): 3.0}
 
 
 def test_daily_retweet_network_day_bucketing():
     tweets = [
-        _rec("v", "2020-01-01", retweeted="u"),
-        _rec("v", "2020-01-02", retweeted="u"),
+        _row("v", "2020-01-01", retweeted="u"),
+        _row("v", "2020-01-02", retweeted="u"),
     ]
     nets = _daily_networks(tweets)
     assert list(nets) == [date(2020, 1, 1), date(2020, 1, 2)]
@@ -181,16 +184,16 @@ def test_daily_retweet_network_day_bucketing():
 
 def test_daily_retweet_network_chain_matches_recount():
     tweets = [
-        _rec("v", "2020-01-01", retweeted="u"),
-        _rec("w", "2020-01-01", retweeted="v"),
-        _rec("lurker", "2020-01-01"),
+        _row("v", "2020-01-01", retweeted="u"),
+        _row("w", "2020-01-01", retweeted="v"),
+        _row("lurker", "2020-01-01"),
     ]
     [net] = _daily_networks(tweets).values()
     # independent recount straight off the tweet list
     expected: dict[tuple[str, str], int] = {}
-    for t in tweets:
-        if t.retweeted_author_id:
-            key = (t.retweeted_author_id, t.author_id)
+    for author, _, retweeted, *_ in tweets:
+        if retweeted:
+            key = (retweeted, author)
             expected[key] = expected.get(key, 0) + 1
     assert edge_dict(net) == {k: float(v) for k, v in expected.items()}
     assert "lurker" in net  # original tweets create the author node, no edge
@@ -228,22 +231,22 @@ def _rates(tweets, window) -> dict[str, float]:
 def test_tweet_rates_arithmetic():
     window = CollectionWindow(date(2020, 1, 1), date(2020, 4, 12))
     assert window.duration_days == 103
-    tweets = [_rec("a", "2020-01-01") for _ in range(206)]
+    tweets = [_row("a", "2020-01-01") for _ in range(206)]
     rates = _rates(tweets, window)
     assert rates["a"] == pytest.approx(2.0)
-    single = _rates([_rec("b", "2020-02-01")], window)
+    single = _rates([_row("b", "2020-02-01")], window)
     assert single["b"] == pytest.approx(1 / 103, abs=1e-9)
 
 
 def test_tweet_rates_linearity():
     window = CollectionWindow(date(2020, 1, 1), date(2020, 4, 12))
-    tweets = [_rec("a", "2020-01-01")] * 103 + [_rec("b", "2020-01-02")] * 206
+    tweets = [_row("a", "2020-01-01")] * 103 + [_row("b", "2020-01-02")] * 206
     rates = _rates(tweets, window)
     assert rates["b"] == pytest.approx(2 * rates["a"])
 
 
 def test_rate_totals_reconstruct_corpus_exactly():
-    tweets = [_rec(f"a{i % 5}", f"2020-01-0{1 + i % 7}") for i in range(53)]
+    tweets = [_row(f"a{i % 5}", f"2020-01-0{1 + i % 7}") for i in range(53)]
     content = account_content(tweet_columns(tweets))
     assert sum(c.tweet_count for c in content.values()) == 53  # integers before any division
 
@@ -264,16 +267,16 @@ def test_active_set_rules(tmp_path):
 def test_daily_weights_sum_to_corpus_retweet_count():
     tweets = []
     for day in ("2020-01-01", "2020-01-02", "2020-01-03"):
-        tweets += [_rec("v", day, retweeted="u")] * 2
-        tweets += [_rec("w", day, retweeted="v")]
-        tweets += [_rec("u", day)]
-    total_retweets = sum(1 for t in tweets if t.retweeted_author_id)
+        tweets += [_row("v", day, retweeted="u")] * 2
+        tweets += [_row("w", day, retweeted="v")]
+        tweets += [_row("u", day)]
+    total_retweets = sum(1 for _, _, retweeted, *_ in tweets if retweeted)
     daily_total = sum(net.edge_arrays()[2].sum() for net in _daily_networks(tweets).values())
     assert daily_total == total_retweets
 
 
 def test_corpus_and_window_derivation(tmp_path):
-    tweets = [_rec("a", "2020-01-03"), _rec("b", "2020-01-01", retweeted="c")]
+    tweets = [_row("a", "2020-01-03"), _row("b", "2020-01-01", retweeted="c")]
     columns = tweet_columns(tweets)
     content = account_content(columns)
     assert set(content) == {"a", "b", "c"}
@@ -286,12 +289,9 @@ def test_corpus_and_window_derivation(tmp_path):
 
 def test_account_content_aggregates():
     def tweet(opinion, toxicity, urls):
-        return TweetRecord(
-            author_id="a", day=date(2020, 1, 1), retweeted_author_id="b",
-            urls=urls, opinion=opinion, toxicity=toxicity,
-        )
+        return _row("a", "2020-01-01", "b", urls, opinion, toxicity)
 
-    tweets = [tweet(0.1, None, ["u1", "u2"]), tweet(None, 0.4, []), tweet(0.7, 0.2, ["u3"])]
+    tweets = [tweet(0.1, NAN, ["u1", "u2"]), tweet(NAN, 0.4, []), tweet(0.7, 0.2, ["u3"])]
     content = account_content(tweet_columns(tweets))
     a = content["a"]
     assert a.tweet_count == 3
@@ -306,13 +306,12 @@ def test_account_content_means_add_left_to_right():
     # opinions whose compensated sum differs from the left-to-right one
     rng = random.Random(7)
     tweets = [
-        TweetRecord(author_id=f"a{rng.randrange(5)}", day=date(2020, 1, 1 + rng.randrange(3)),
-                    opinion=rng.random() if rng.random() < 0.8 else None,
-                    toxicity=rng.random())
+        _row(f"a{rng.randrange(5)}", date(2020, 1, 1 + rng.randrange(3)),
+             opinion=rng.random() if rng.random() < 0.8 else NAN, toxicity=rng.random())
         for _ in range(2000)
     ]
     content = account_content(tweet_columns(tweets))
     for account, c in content.items():
-        own = [t for t in tweets if t.author_id == account]
-        assert c.mean_opinion == ordered_mean([t.opinion for t in own if t.opinion is not None])
-        assert c.mean_toxicity == ordered_mean([t.toxicity for t in own])
+        own = [t for t in tweets if t[0] == account]
+        assert c.mean_opinion == ordered_mean([t[4] for t in own if not math.isnan(t[4])])
+        assert c.mean_toxicity == ordered_mean([t[5] for t in own])
