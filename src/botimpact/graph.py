@@ -6,7 +6,7 @@ it follows (its "following"), and the *out*-neighbors are its followers /
 retweeters.
 
 Nodes are referenced externally by string account ids and internally by
-dense integer indices.  The build's networks, edge files and induced
+dense integer indices.  The build's networks, loaded networks and induced
 subgraphs are all built from (source, target, weight) index columns by one
 constructor, ``_from_arrays``; edges added one at a time (small hand-built
 graphs) collect in a dict until the graph is frozen.  The store is
@@ -14,15 +14,19 @@ offset-indexed arrays sorted by (source, target), so follower scans are
 O(degree) and the structure stays compact at tens of millions of edges.  A
 frozen graph is immutable and safe for concurrent reads.
 
+A network file is four ``np.save`` records of fixed dtype (``_COLUMNS``):
+``nodes``, positions in an account list kept apart (so any string id is
+exact); ``sources`` and ``targets``, positions in ``nodes``; ``weights``.
+It holds no timestamp, and a load runs no Python loop over edges.
+
 For the equilibrium solver the graph is only a loader and an id index: it
 takes the graph's ``edge_arrays()``, never the graph itself.
 """
 
 from __future__ import annotations
 
-import gzip
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,11 +67,12 @@ class DirectedGraph:
         return idx
 
     def add_interaction(self, source: str, target: str, weight: float = 1.0) -> None:
-        """Accumulate ``weight`` onto the edge source -> target.
-
-        Raises GraphError on self-loops or non-positive weight.
-        """
-        _check_edge(source, target, weight)
+        """Accumulate ``weight`` onto the edge source -> target; a self-loop or a
+        non-positive weight raises GraphError."""
+        if source == target:
+            raise GraphError(f"self-loop rejected for account {source!r}")
+        if weight <= 0:
+            raise GraphError(f"edge weight must be positive, got {weight}")
         if self._frozen:
             raise GraphError("graph is frozen; cannot add edges")
         u = self.add_node(source)
@@ -168,76 +173,51 @@ class DirectedGraph:
         )
 
 
-def _check_edge(source: str, target: str, weight: float) -> None:
-    if source == target:
-        raise GraphError(f"self-loop rejected for account {source!r}")
-    if weight <= 0:
-        raise GraphError(f"edge weight must be positive, got {weight}")
+# -- network files ---------------------------------------------------------
+
+_COLUMNS = (("nodes", "<i8"), ("sources", "<i8"), ("targets", "<i8"), ("weights", "<f8"))
 
 
-# -- edge list files -------------------------------------------------------
+def save_edge_list(graph: DirectedGraph, path: str | Path, index: Mapping[str, int]) -> None:
+    """Write ``graph`` as a network file; ``index`` maps each of its labels to
+    that account's position in the list the file will be read against."""
+    nodes = np.fromiter(map(index.__getitem__, graph.labels), np.int64, graph.node_count)
+    with open(path, "wb") as fh:
+        for column, (_, dtype) in zip((nodes, *graph.edge_arrays()), _COLUMNS):
+            np.save(fh, column.astype(dtype, copy=False))
 
 
-def open_maybe_gzip(path: str | Path, mode: str = "rt"):
-    """Open a file, transparently decoding gzip (detected by magic bytes)."""
-    path = Path(path)
-    if "r" in mode:
+def load_columns(path: str | Path, accounts: Sequence[str]) -> list[np.ndarray]:
+    """[nodes, sources, targets, weights] of a network file, checked against the
+    ``accounts`` it was written for; a truncated, mistyped or inconsistent file
+    raises GraphError naming it."""
+    try:
         with open(path, "rb") as fh:
-            magic = fh.read(2)
-        if magic == b"\x1f\x8b":
-            return gzip.open(path, mode, encoding="utf-8" if "t" in mode else None)
-        return open(path, mode, encoding="utf-8" if "t" in mode else None)
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode, encoding="utf-8" if "t" in mode else None)
-    return open(path, mode, encoding="utf-8" if "t" in mode else None)
+            columns = [np.load(fh, allow_pickle=False) for _ in _COLUMNS]
+            trailing = fh.read(1)
+    except (ValueError, EOFError) as exc:
+        raise GraphError(f"{path}: not a network file ({exc})") from None
+    nodes, src, tgt, w = columns
+    n = nodes.size
+    mistyped = [f"{name} is not a 1-d {dtype} column" for column, (name, dtype)
+                in zip(columns, _COLUMNS) if column.dtype != dtype or column.ndim != 1]
+    problem = (
+        mistyped[0] if mistyped
+        else "data after the last column" if trailing
+        else "edge columns of unequal length" if not src.size == tgt.size == w.size
+        else "a node outside the account list" if np.any((nodes < 0) | (nodes >= len(accounts)))
+        else "a repeated node" if np.unique(nodes).size < n
+        else "an edge to no node" if np.any((src < 0) | (src >= n) | (tgt < 0) | (tgt >= n))
+        else "a self-loop" if np.any(src == tgt)
+        else "a weight that is not positive" if not np.all(w > 0)
+        else None
+    )
+    if problem:
+        raise GraphError(f"{path}: {problem}")
+    return columns
 
 
-def load_edge_list(path: str | Path) -> DirectedGraph:
-    """Read a tab-separated ``source<TAB>target[<TAB>weight]`` edge file.
-
-    Missing weight defaults to 1.  Node lines (single column) register an
-    isolated node, which keeps induced subgraphs well-defined for accounts
-    that have no edges.  Nodes are indexed in order of first appearance
-    (source before target) and repeated lines sum in file order.
-    """
-    index: dict[str, int] = {}
-    ends: list[int] = []  # source, target, source, target, ...
-    weights: list[float] = []
-    with open_maybe_gzip(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) == 1:
-                index.setdefault(parts[0], len(index))
-                continue
-            if len(parts) not in (2, 3):
-                raise GraphError(f"{path}:{lineno}: expected 1-3 tab-separated fields")
-            weight = 1.0
-            if len(parts) == 3:
-                try:
-                    weight = float(parts[2])
-                except ValueError:
-                    raise GraphError(f"{path}:{lineno}: bad weight {parts[2]!r}") from None
-            _check_edge(parts[0], parts[1], weight)
-            ends.append(index.setdefault(parts[0], len(index)))
-            ends.append(index.setdefault(parts[1], len(index)))
-            weights.append(weight)
-    src, tgt = np.array(ends, dtype=np.int64).reshape(-1, 2).T
-    return DirectedGraph._from_arrays(list(index), src, tgt, np.array(weights, dtype=np.float64))
-
-
-def save_edge_list(graph: DirectedGraph, path: str | Path) -> None:
-    """Write a graph as a tab-separated edge list (isolated nodes as bare lines)."""
-    src, tgt, w = graph.edge_arrays()
-    labels = np.array(graph.labels, dtype=object)
-    weights, which = np.unique(w, return_inverse=True)  # formatted once each; most are 1.0
-    weight_text = np.array([f"{x:.12g}" for x in weights.tolist()], dtype=object)[which]
-    isolated = np.bincount(np.concatenate((src, tgt)), minlength=graph.node_count) == 0
-    with open_maybe_gzip(path, "wt") as fh:
-        fh.write("".join(map(
-            "{}\t{}\t{}\n".format,
-            np.take(labels, src), np.take(labels, tgt), weight_text,
-        )))
-        fh.write("".join(f"{label}\n" for label in labels[isolated]))
+def load_edge_list(path: str | Path, accounts: Sequence[str]) -> DirectedGraph:
+    """The network a ``save_edge_list`` file holds, labelled from ``accounts``."""
+    nodes, src, tgt, w = load_columns(path, accounts)
+    return DirectedGraph._from_arrays([accounts[i] for i in nodes.tolist()], src, tgt, w)

@@ -1,9 +1,11 @@
 """File-to-file pipeline stages behind the CLI.
 
-Every stage reads flat files, writes flat files atomically (temp then
-rename), and updates ``manifest.json`` with row counts and content
-checksums.  Outputs carry no timestamps, so identical inputs and
-configuration reproduce byte-identical results.
+Every stage reads flat files, writes flat files (text ones atomically: temp
+then rename), and updates ``manifest.json`` with row counts and content
+checksums.  ``build`` writes its networks as network files (see ``graph``)
+on the sorted account list in ``accounts.json``.  Outputs carry no
+timestamps, so identical inputs and configuration reproduce byte-identical
+results.
 """
 
 from __future__ import annotations
@@ -49,11 +51,13 @@ def _atomic_write_text(path: Path, text: str) -> None:
     tmp.replace(path)
 
 
-def _atomic_write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _atomic_write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence],
+                       **fmt) -> None:
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        writer = csv.writer(fh, **fmt)
+        if header:
+            writer.writerow(header)
         writer.writerows(rows)
     tmp.replace(path)
 
@@ -120,17 +124,19 @@ def stage_build(cfg: PipelineConfig) -> dict:
         cfg.profiles, stats=profile_stats, followings_cap=cfg.followings_cap
     )
     follower = ingest.build_follower_network(_noting_descriptions(profiles), tweets.accounts)
-    save_edge_list(follower, out_dir / "follower.tsv")
+    _atomic_write_text(out_dir / "accounts.json", json.dumps(tweets.accounts) + "\n")
+    index = {account: i for i, account in enumerate(tweets.accounts)}
+    save_edge_list(follower, out_dir / "follower.cols", index)
 
-    written = [out_dir / "follower.tsv"]
+    written = [out_dir / "accounts.json", out_dir / "follower.cols"]
     days = tweets.days()
     active: list[tuple[str, str]] = []
     for day, rows in days:
-        path = out_dir / f"retweet_{day.isoformat()}.tsv"
+        path = out_dir / f"retweet_{day.isoformat()}.cols"
         author = tweets.author[rows]
         save_edge_list(
             ingest.build_daily_retweet_network(tweets.accounts, author, tweets.retweeted[rows]),
-            path,
+            path, index,
         )
         written.append(path)
         active += ((day.isoformat(), tweets.accounts[i]) for i in np.unique(author).tolist())
@@ -209,10 +215,17 @@ def _listed_paths(out_dir: Path, stage: str, pattern: str) -> list[Path]:
     return paths
 
 
+def load_accounts(out_dir: Path) -> list[str]:
+    """The sorted corpus account list that build's network files index."""
+    [path] = _listed_paths(out_dir, "build", "accounts.json")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def stage_detect(cfg: PipelineConfig) -> dict:
     """Daily factor-graph inference, threshold, and cross-day union."""
     out_dir = Path(cfg.out_dir)
-    day_paths = _listed_paths(out_dir, "build", "retweet_*.tsv")
+    accounts = load_accounts(out_dir)
+    day_paths = _listed_paths(out_dir, "build", "retweet_*.cols")
     params = botdetect.FactorGraphParams(
         prior_bot=cfg.bp_prior_bot,
         psi_hh=cfg.bp_psi_hh,
@@ -227,7 +240,7 @@ def stage_detect(cfg: PipelineConfig) -> dict:
 
     def _infer(path: Path) -> tuple[str, botdetect.BotPosterior]:
         day = path.stem.removeprefix("retweet_")
-        return day, botdetect.infer_bot_probabilities(load_edge_list(path), params)
+        return day, botdetect.infer_bot_probabilities(load_edge_list(path, accounts), params)
 
     results = _pmap(_infer, day_paths, cfg.workers)
 
@@ -250,7 +263,8 @@ def stage_detect(cfg: PipelineConfig) -> dict:
 
     bots = botdetect.union_daily_bots(daily_sets)
     bots_path = out_dir / "bots.txt"
-    _atomic_write_text(bots_path, "".join(f"{b}\n" for b in sorted(bots)))
+    # one id a line, quoted when it holds a comma, a quote or a line break
+    _atomic_write_rows(bots_path, (), ([b] for b in sorted(bots)), lineterminator="\n")
     written.append(bots_path)
 
     hist_counts, edges = botdetect.probability_histogram(pooled_values, cfg.histogram_bins)
@@ -279,7 +293,8 @@ def stage_detect(cfg: PipelineConfig) -> dict:
 
 def _load_bots(out_dir: Path) -> set[str]:
     [path] = _listed_paths(out_dir, "detect", "bots.txt")
-    return {line.strip() for line in path.read_text(encoding="utf-8").splitlines() if line.strip()}
+    with open(path, newline="", encoding="utf-8") as fh:
+        return {row[0] for row in csv.reader(fh)}
 
 
 def _load_rates(out_dir: Path) -> dict[str, float]:
@@ -417,8 +432,8 @@ def ghic_groups_from_rows(rows: list[dict], requested: Iterable[str]) -> dict[st
 def stage_ghic(cfg: PipelineConfig) -> dict:
     """Daily influence series and per-bot efficiency distributions."""
     out_dir = Path(cfg.out_dir)
-    [follower_path] = _listed_paths(out_dir, "build", "follower.tsv")
-    follower = load_edge_list(follower_path)
+    [follower_path] = _listed_paths(out_dir, "build", "follower.cols")
+    follower = load_edge_list(follower_path, load_accounts(out_dir))
     rates = _load_rates(out_dir)
     rows = _load_csv(out_dir, "classify", "accounts.csv")
     active_by_day = _load_daily_active(out_dir)

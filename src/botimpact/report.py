@@ -13,8 +13,8 @@ import numpy as np
 
 from . import accounts as acc
 from .config import PipelineConfig
-from .graph import DirectedGraph, load_edge_list
-from .pipeline import _listed_paths, _load_csv
+from .graph import DirectedGraph, load_columns, load_edge_list
+from .pipeline import _listed_paths, _load_csv, load_accounts
 
 _MISSING = "  (not available: run the {stage} stage first)\n"
 
@@ -77,7 +77,8 @@ def build_report(cfg: PipelineConfig) -> str:
         parts.append(_MISSING.format(stage="classify"))
 
     parts.append(_section("Retweet leaderboards"))
-    merged = _merged_retweet_network(out_dir, build)
+    accounts = load_accounts(out_dir) if build else None
+    merged = _merged_retweet_network(out_dir, accounts)
     if rows and merged is not None:
         bot_side = {
             "anti-Trump bots": {r["account_id"] for r in rows
@@ -100,8 +101,8 @@ def build_report(cfg: PipelineConfig) -> str:
 
     parts.append(_section("Network structure"))
     if rows and build:
-        [follower_path] = _listed_paths(out_dir, "build", "follower.tsv")
-        follower = load_edge_list(follower_path)
+        [follower_path] = _listed_paths(out_dir, "build", "follower.cols")
+        follower = load_edge_list(follower_path, accounts)
         anti_bots = {r["account_id"] for r in rows
                      if r["bot"] == "1" and r["partisanship"] == "anti"}
         pro_bots = {r["account_id"] for r in rows
@@ -164,20 +165,12 @@ def _prevalence_groups(rows: list[dict]) -> dict[str, list[dict]]:
     }
 
 
-def _merged_retweet_network(out_dir: Path, build: dict | None) -> DirectedGraph | None:
-    """Every daily retweet network the last build listed, in one graph.
-
-    None without a build entry; a listed file that is missing or changed
-    raises StageError ("rerun build").
-    """
-    if build is None:
+def _merged_retweet_network(out_dir: Path, accounts: list[str] | None) -> DirectedGraph | None:
+    """Every daily retweet network the last build listed, in one graph on ``accounts``
+    (None without them); a listed file missing or changed raises StageError."""
+    if accounts is None:
         return None
-    index: dict[str, int] = {}
-    columns = []
-    for path in _listed_paths(out_dir, "build", "retweet_*.tsv"):
-        daily = load_edge_list(path)
-        local = np.array([index.setdefault(a, len(index)) for a in daily.labels], dtype=np.int64)
-        src, tgt, w = daily.edge_arrays()
-        columns.append((local[src], local[tgt], w))
-    src, tgt, w = (np.concatenate(column) for column in zip(*columns))
-    return DirectedGraph._from_arrays(list(index), src, tgt, w)
+    days = [load_columns(path, accounts)
+            for path in _listed_paths(out_dir, "build", "retweet_*.cols")]
+    columns = zip(*((nodes[src], nodes[tgt], w) for nodes, src, tgt, w in days))
+    return DirectedGraph._from_arrays(accounts, *(np.concatenate(c) for c in columns))

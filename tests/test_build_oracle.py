@@ -2,9 +2,9 @@
 
 The reference below parses each line into a dict and derives every build
 file with plain dicts, sets and ``sorted``.  It shares nothing with the
-package but the standard library's JSON and CSV writers, so any change in
-parse rules, day bucketing, node order, edge weights, means or file format
-shows up as a byte difference on the randomized corpora.
+package but the standard library's JSON and CSV writers and ``np.save``, so
+any change in parse rules, day bucketing, node order, edge weights, means or
+file format shows up as a byte difference on the randomized corpora.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import random
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from botimpact.config import PipelineConfig
@@ -63,9 +64,11 @@ def _ref_tweet(obj):
     if retweeted == author:
         raise ValueError("self-retweet")
     urls = obj.get("urls") or []
-    if not isinstance(urls, list):
+    if not isinstance(urls, list) or not all(isinstance(u, str) for u in urls):
         raise ValueError("urls")
-    stamp = str(obj["timestamp"])
+    stamp = obj["timestamp"]
+    if not isinstance(stamp, str):
+        raise TypeError("timestamp")
     if stamp.endswith("Z"):
         stamp = stamp[:-1] + "+00:00"
     ts = datetime.fromisoformat(stamp)
@@ -75,7 +78,7 @@ def _ref_tweet(obj):
         "author": author,
         "day": ts.astimezone(timezone.utc).date(),
         "retweeted": retweeted,
-        "urls": [str(u) for u in urls],
+        "urls": urls,
         "opinion": _score(obj, "opinion"),
         "toxicity": _score(obj, "toxicity"),
     }
@@ -89,7 +92,10 @@ def _ref_profile(obj):
     if not isinstance(following, list):
         raise ValueError("following")
     following = [_ref_id(f) for f in following]  # every entry, also past the cap
-    return account, str(obj.get("description") or ""), following[:CAP]
+    description = obj.get("description") or ""  # a falsy value is no description
+    if not isinstance(description, str):
+        raise TypeError("description")
+    return account, description, following[:CAP]
 
 
 def _parse_all(path, parse):
@@ -104,12 +110,29 @@ def _parse_all(path, parse):
     return records, skipped
 
 
-def _edge_file(nodes, weights):
-    """nodes: sorted ids; weights: {(source, target): count}."""
-    lines = [f"{u}\t{v}\t{float(weights[u, v]):.12g}\n" for u, v in sorted(weights)]
-    touched = {x for edge in weights for x in edge}
-    lines += [f"{a}\n" for a in nodes if a not in touched]
-    return "".join(lines)
+def _network_file(corpus, order, weights):
+    """corpus: sorted ids; order: the network's ids in node order;
+    weights: {(source, target): count}.
+
+    Four .npy records: the nodes' positions in the corpus; the edges' source
+    and target positions in ``order``, sorted; their weights.
+    """
+    position = {a: i for i, a in enumerate(order)}
+    edges = sorted(weights, key=lambda e: (position[e[0]], position[e[1]]))
+    buf = io.BytesIO()
+    for column, dtype in (([corpus.index(a) for a in order], "<i8"),
+                          ([position[u] for u, _ in edges], "<i8"),
+                          ([position[v] for _, v in edges], "<i8"),
+                          ([weights[e] for e in edges], "<f8")):
+        np.save(buf, np.array(column, dtype=dtype))
+    return buf.getvalue()
+
+
+def _first_named(nodes, weights):
+    """A day network's node order: as the id-sorted edges first name them,
+    source before target, then the isolated nodes in sorted order."""
+    named = dict.fromkeys(x for edge in sorted(weights) for x in edge)
+    return list(named) + [a for a in nodes if a not in named]
 
 
 def _csv(header, rows):
@@ -130,7 +153,7 @@ def _mean(values):
 
 
 def reference_build(tweets_path, profiles_path):
-    """({file name: text}, manifest counts) as the build writes them."""
+    """({file name: bytes}, manifest counts) as the build writes them."""
     tweets, tweets_skipped = _parse_all(tweets_path, _ref_tweet)
     profiles, profiles_skipped = _parse_all(profiles_path, _ref_profile)
     corpus = sorted({t["author"] for t in tweets}
@@ -138,7 +161,7 @@ def reference_build(tweets_path, profiles_path):
     members = set(corpus)
     days = sorted({t["day"] for t in tweets})
     duration = (days[-1] - days[0]).days + 1
-    files = {}
+    files = {"accounts.json": json.dumps(corpus) + "\n"}
 
     follows: dict = {}
     descriptions = {}
@@ -149,7 +172,7 @@ def reference_build(tweets_path, profiles_path):
         for followee in following:
             if followee in members and followee != account:
                 follows[followee, account] = follows.get((followee, account), 0) + 1
-    files["follower.tsv"] = _edge_file(corpus, follows)
+    files["follower.cols"] = _network_file(corpus, corpus, follows)
 
     active_rows = []
     for day in days:
@@ -161,7 +184,8 @@ def reference_build(tweets_path, profiles_path):
             if t["retweeted"]:
                 key = (t["retweeted"], t["author"])
                 retweets[key] = retweets.get(key, 0) + 1
-        files[f"retweet_{day.isoformat()}.tsv"] = _edge_file(nodes, retweets)
+        files[f"retweet_{day.isoformat()}.cols"] = _network_file(
+            corpus, _first_named(nodes, retweets), retweets)
         active_rows += [(day.isoformat(), a) for a in sorted({t["author"] for t in own})]
     files["daily_active.csv"] = _csv(["day", "account_id"], active_rows)
 
@@ -193,7 +217,8 @@ def reference_build(tweets_path, profiles_path):
         "follower_edges": len(follows),
         "retweets_total": sum(1 for t in tweets if t["retweeted"]),
     }
-    return files, counts
+    return {name: f if isinstance(f, bytes) else f.encode("utf-8")
+            for name, f in files.items()}, counts
 
 
 # -- randomized corpora ---------------------------------------------------------------
@@ -221,6 +246,11 @@ _MALFORMED_TWEETS = [
     '{"tweet_id": "x", "author_id": true, "timestamp": "2020-01-01T00:00:00Z"}',
     '{"tweet_id": "x", "author_id": "u1", "timestamp": "2020-01-01T00:00:00Z", '
     '"retweeted_author_id": {"x": 1}}',
+    '{"tweet_id": "x", "author_id": "u1", "timestamp": "2020-01-01T00:00:00Z", '
+    '"urls": ["a.com", null]}',
+    '{"tweet_id": "x", "author_id": "u1", "timestamp": "2020-01-01T00:00:00Z", '
+    '"urls": [{"x": 1}]}',
+    '{"tweet_id": "x", "author_id": "u1", "timestamp": 20200101}',
 ]
 
 _MALFORMED_PROFILES = [
@@ -230,6 +260,8 @@ _MALFORMED_PROFILES = [
     '{"account_id": "u1"',
     '{"account_id": null}',
     '{"account_id": "u1", "following_ids": ["u2", null]}',
+    '{"account_id": "u1", "description": {"x": 1}}',
+    '{"account_id": "u1", "description": 5}',
 ]
 
 
@@ -252,8 +284,10 @@ def _stamp(rng: random.Random) -> str:
 
 def _write_corpus(tmp_path, seed: int):
     rng = random.Random(seed)
-    # ids whose sorted order differs from first appearance; one JSON integer id
-    ids = [f"u{i}" for i in rng.sample(range(40), 25)] + ["Zed", "ápex", 17]
+    # ids whose sorted order differs from first appearance; one JSON integer id;
+    # ids holding a tab, a line break, a comma and a quote
+    ids = [f"u{i}" for i in rng.sample(range(40), 25)] + [
+        "Zed", "ápex", 17, "tab\tbed", "two\nlines", 'com,ma "q"']
     tweet_lines = []
     for k in range(300):
         if rng.random() < 0.05:
@@ -316,8 +350,8 @@ def test_build_matches_naive_reference(tmp_path, seed):
     expected, counts = reference_build(tweets, profiles)
     written = {p.name for p in out.iterdir()} - {"manifest.json"}
     assert written == set(expected)
-    for name, text in expected.items():
-        assert (out / name).read_bytes() == text.encode("utf-8"), name
+    for name, data in expected.items():
+        assert (out / name).read_bytes() == data, name
     assert {key: payload[key] for key in counts} == counts
     # the corpus exercises what it claims to
     assert counts["tweets_skipped"] > 0 and counts["profiles_skipped"] > 0

@@ -1,4 +1,7 @@
+import csv
 import json
+import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -6,7 +9,14 @@ from click.testing import CliRunner
 
 from botimpact.cli import main
 from botimpact.config import ConfigError, PipelineConfig
-from botimpact.report import _merged_retweet_network
+from botimpact.pipeline import (
+    load_accounts,
+    stage_build,
+    stage_classify,
+    stage_detect,
+    stage_ghic,
+)
+from botimpact.report import _merged_retweet_network, build_report
 
 
 @pytest.fixture
@@ -195,7 +205,7 @@ def test_report_refuses_files_changed_since_their_stage(tmp_path, runner, corpus
         assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0, cmd
 
     for name, stage in (("accounts.csv", "classify"), ("ghic_per_bot.csv", "ghic"),
-                        ("follower.tsv", "build")):
+                        ("follower.cols", "build"), ("accounts.json", "build")):
         path = out / name
         original = path.read_bytes()
         if name == "accounts.csv":
@@ -257,18 +267,18 @@ def test_detect_reads_only_the_days_build_listed(tmp_path, runner):
     out = tmp_path / "out"
     cfg = _five_then_two_days(tmp_path, runner, out, ("build", "detect-bots"))
     # the files only the 5-day entries listed went with those entries
-    assert len(list(out.glob("retweet_*.tsv"))) == 2
+    assert len(list(out.glob("retweet_*.cols"))) == 2
     assert len(list(out.glob("posterior_*.csv"))) == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["build"]["days"] == 2
     assert manifest["detect"]["days"] == 2
-    days = [n[len("retweet_"):-len(".tsv")] for n in manifest["build"]["checksums"]
+    days = [n[len("retweet_"):-len(".cols")] for n in manifest["build"]["checksums"]
             if n.startswith("retweet_")]
     posteriors = [n for n in manifest["detect"]["checksums"] if n.startswith("posterior_")]
     assert sorted(posteriors) == sorted(f"posterior_{day}.csv" for day in days)
 
     # a day file that build did not list is never read
-    (out / "retweet_1999-01-01.tsv").write_text("ghost\tghoster\t5\n")
+    (out / "retweet_1999-01-01.cols").write_text("ghost\tghoster\t5\n")
     assert _run(runner, ["--config", str(cfg), "detect-bots"]).exit_code == 0
     assert json.loads((out / "manifest.json").read_text())["detect"]["days"] == 2
     assert not (out / "posterior_1999-01-01.csv").exists()
@@ -282,10 +292,10 @@ def test_detect_reads_only_the_days_build_listed(tmp_path, runner):
 def test_report_reads_only_the_days_build_listed(tmp_path, runner):
     out = tmp_path / "out"
     cfg = _five_then_two_days(tmp_path, runner, out, ("build", "detect-bots", "classify"))
-    (out / "retweet_1999-01-01.tsv").write_text("ghost\tghoster\t50\n")  # not listed
+    (out / "retweet_1999-01-01.cols").write_text("ghost\tghoster\t50\n")  # not listed
     manifest_path = out / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    merged = _merged_retweet_network(out, manifest["build"])
+    merged = _merged_retweet_network(out, load_accounts(out))
     assert merged.edge_arrays()[2].sum() == manifest["build"]["retweets_total"]
     assert "ghost" not in merged
     assert _run(runner, ["--config", str(cfg), "report"]).exit_code == 0
@@ -418,3 +428,64 @@ def test_classify_without_ratings_warns_and_omits_media(tmp_path, runner, corpus
     with open(out / "accounts.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert all(row["media_quality"] == "" for row in rows)
+
+
+def _renamed_corpus(corpus: Path, dst: Path, rename) -> Path:
+    """A copy of a synth corpus with every account id passed through ``rename``."""
+    dst.mkdir()
+    for name in ("tweets.jsonl", "profiles.jsonl"):
+        lines = []
+        for line in (corpus / name).read_text(encoding="utf-8").splitlines():
+            obj = json.loads(line)
+            for key in ("author_id", "retweeted_author_id", "account_id"):
+                if obj.get(key):
+                    obj[key] = rename(obj[key])
+            if "following_ids" in obj:
+                obj["following_ids"] = [rename(f) for f in obj["following_ids"]]
+            lines.append(json.dumps(obj, ensure_ascii=False) + "\n")
+        (dst / name).write_text("".join(lines), encoding="utf-8")
+    shutil.copy(corpus / "ratings.csv", dst / "ratings.csv")
+    return dst
+
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_ids_with_tabs_line_breaks_and_non_ascii_survive_every_stage(tmp_path, runner):
+    # a common prefix and a suffix below every id character keep the sorted order
+    def rename(account: str) -> str:
+        return f"\t{account},\n\"é☃"
+
+    corpus = tmp_path / "corpus"
+    spec = _write_spec(tmp_path / "spec.txt", bot_rate=20.0, retweet_frac=0.6)
+    assert _run(runner, ["--out", str(corpus), "synth", "--spec", str(spec)]).exit_code == 0
+    runs = {}
+    for name, source in (("plain", corpus),
+                         ("odd", _renamed_corpus(corpus, tmp_path / "odd", rename))):
+        out = tmp_path / f"out_{name}"
+        cfg = PipelineConfig(
+            tweets=str(source / "tweets.jsonl"), profiles=str(source / "profiles.jsonl"),
+            ratings=str(source / "ratings.csv"), out_dir=str(out),
+            bp_psi_hh=1.5, bp_psi_hb=2.0, bp_psi_bh=1.0, bp_psi_bb=0.5,
+        )
+        for stage in (stage_build, stage_detect, stage_classify, stage_ghic):
+            stage(cfg)
+        runs[name] = (out, build_report(cfg))
+    (plain, plain_report), (odd, odd_report) = runs["plain"], runs["odd"]
+
+    bots = [row[0] for row in _csv_rows(plain / "bots.txt")]
+    assert bots
+    assert [row[0] for row in _csv_rows(odd / "bots.txt")] == [rename(b) for b in bots]
+    for name in ["accounts.csv"] + [p.name for p in plain.glob("posterior_*.csv")]:
+        rows = _csv_rows(plain / name)
+        assert _csv_rows(odd / name) == [rows[0]] + [[rename(r[0])] + r[1:] for r in rows[1:]]
+    for name in ("histogram.csv", "group_summary.csv", "ghic_series.csv", "ghic_per_bot.csv"):
+        assert (odd / name).read_bytes() == (plain / name).read_bytes(), name
+
+    leaders = re.findall(r"^    (u\d+) +(\d+)$", plain_report, flags=re.MULTILINE)
+    assert leaders
+    for account, count in leaders:
+        assert f"    {rename(account):<16} {count}\n" in odd_report
+    assert odd_report.count("\t") == len(leaders)

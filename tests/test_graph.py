@@ -1,4 +1,4 @@
-import gzip
+import hashlib
 
 import numpy as np
 import pytest
@@ -153,57 +153,70 @@ def test_following_and_followers_are_transposes(g):
             assert i in sources_j.tolist()
 
 
+def _index(accounts):
+    return {a: i for i, a in enumerate(accounts)}
+
+
 def test_edge_list_round_trip(tmp_path):
-    g = graph_of([("a", "b", 2.0), ("c", "a", 1.5)], nodes=["lonely"])
-    path = tmp_path / "edges.tsv"
-    save_edge_list(g, path)
-    back = load_edge_list(path)
-    assert back.node_count == g.node_count
-    assert edge_dict(back) == {("a", "b"): 2.0, ("c", "a"): 1.5}
-    assert "lonely" in back
+    """Node order, isolated nodes and weights survive, bit for bit."""
+    g = graph_of([("a", "b", 2.0), ("c", "a", 1.5), ("a", "c", 1 / 3)], nodes=["lonely"])
+    accounts = ["a", "b", "c", "lonely", "unused"]
+    path = tmp_path / "net.cols"
+    save_edge_list(g, path, _index(accounts))
+    back = load_edge_list(path, accounts)
+    assert back.labels == g.labels == ["lonely", "a", "b", "c"]
+    for column, expected in zip(back.edge_arrays(), g.edge_arrays()):
+        assert column.tolist() == expected.tolist()  # weights bit for bit
 
 
-def test_edge_list_text_format(tmp_path):
-    weights = {("b", "a"): 0.1 + 0.2, ("a", "c"): 1 / 3, ("c", "a"): 2.0, ("a", "b"): 1e-7}
-    g = graph_of([(u, v, w) for (u, v), w in weights.items()], nodes=["lonely", "c", "x"])
-    path = tmp_path / "e.tsv"
-    save_edge_list(g, path)
-    # edges in index order with 12 significant digits, then isolated nodes in index order
-    src, tgt, w = g.edge_arrays()
-    expected = "".join(
-        f"{g.label(u)}\t{g.label(v)}\t{x:.12g}\n"
-        for u, v, x in zip(src.tolist(), tgt.tolist(), w.tolist())
-    ) + "lonely\nx\n"
-    assert path.read_text() == expected
-    assert "b\ta\t0.3\n" in expected and "a\tc\t0.333333333333\n" in expected
+def test_edge_list_bytes_are_pinned(tmp_path):
+    """Four plain .npy records; any numpy writes the same bytes for the same graph."""
+    g = graph_of([("b", "a", 3.0), ("a", "c", 0.5)], nodes=["z"])
+    path = tmp_path / "net.cols"
+    save_edge_list(g, path, _index(["a", "b", "c", "z"]))
+    with open(path, "rb") as fh:
+        columns = [np.load(fh, allow_pickle=False).tolist() for _ in range(4)]
+    assert columns == [[3, 1, 0, 2], [1, 2], [2, 3], [3.0, 0.5]]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "6193fdc01b8667c2cb99bd12c07f1659465998002b9dd88127ad4ffa4e835bd5"
+    )
 
 
-def test_edge_list_default_weight_and_gzip(tmp_path):
-    raw = "a\tb\nb\tc\t4\n"
-    plain = tmp_path / "e.tsv"
-    plain.write_text(raw)
-    zipped = tmp_path / "e.tsv.gz"
-    with gzip.open(zipped, "wt") as fh:
-        fh.write(raw)
-    for path in (plain, zipped):
-        g = load_edge_list(path)
-        assert edge_dict(g) == {("a", "b"): 1.0, ("b", "c"): 4.0}
+def _write_columns(path, nodes, src, tgt, w, node_dtype="<i8"):
+    with open(path, "wb") as fh:
+        for column, dtype in ((nodes, node_dtype), (src, "<i8"), (tgt, "<i8"), (w, "<f8")):
+            np.save(fh, np.array(column, dtype=dtype))
 
 
-def test_edge_list_node_order_and_repeated_lines(tmp_path):
-    path = tmp_path / "e.tsv"
-    path.write_text("solo\nb\ta\t0.1\nc\tb\nb\ta\t0.2\nb\ta\t0.3\n")
-    g = load_edge_list(path)
-    assert g.labels == ["solo", "b", "a", "c"]  # first appearance, source before target
-    assert edge_dict(g) == {("b", "a"): (0.1 + 0.2) + 0.3, ("c", "b"): 1.0}  # file order
-
-
-def test_edge_list_errors_name_the_line(tmp_path):
-    for text, message in (("a\tb\n\na\tb\tx\n", r":3: bad weight 'x'"),
-                          ("a\tb\tc\td\n", r":1: expected 1-3 tab-separated fields"),
-                          ("a\ta\n", "self-loop rejected for account 'a'"),
-                          ("a\tb\t0\n", "edge weight must be positive")):
-        path = tmp_path / "bad.tsv"
-        path.write_text(text)
-        with pytest.raises(GraphError, match=message):
-            load_edge_list(path)
+def test_bad_network_files_are_refused_naming_the_file(tmp_path):
+    accounts = ["a", "b", "c"]
+    good = tmp_path / "good.cols"
+    _write_columns(good, [0, 1, 2], [0, 1], [1, 2], [1.0, 2.0])
+    assert edge_dict(load_edge_list(good, accounts)) == {("a", "b"): 1.0, ("b", "c"): 2.0}
+    data = good.read_bytes()
+    cases = {
+        "empty": (lambda p: p.write_bytes(b""), "not a network file"),
+        "truncated": (lambda p: p.write_bytes(data[:-3]), "not a network file"),
+        "cut_between_records": (lambda p: p.write_bytes(data[:data.rindex(b"\x93NUMPY")]),
+                                "not a network file"),
+        "text": (lambda p: p.write_text("a\tb\t1\n"), "not a network file"),
+        "trailing": (lambda p: p.write_bytes(data + b"\n"), "data after the last column"),
+        "int32_nodes": (lambda p: _write_columns(p, [0, 1, 2], [0], [1], [1.0], "<i4"),
+                        "nodes is not a 1-d <i8 column"),
+        "unequal": (lambda p: _write_columns(p, [0, 1], [0, 1], [1], [1.0]),
+                    "edge columns of unequal length"),
+        "unknown_account": (lambda p: _write_columns(p, [0, 3], [0], [1], [1.0]),
+                            "a node outside the account list"),
+        "repeated_node": (lambda p: _write_columns(p, [0, 0], [0], [1], [1.0]),
+                          "a repeated node"),
+        "dangling_edge": (lambda p: _write_columns(p, [0, 1], [0], [2], [1.0]),
+                          "an edge to no node"),
+        "self_loop": (lambda p: _write_columns(p, [0, 1], [1], [1], [1.0]), "a self-loop"),
+        "zero_weight": (lambda p: _write_columns(p, [0, 1], [0], [1], [0.0]),
+                        "a weight that is not positive"),
+    }
+    for name, (write, message) in cases.items():
+        path = tmp_path / f"{name}.cols"
+        write(path)
+        with pytest.raises(GraphError, match=f"{name}.cols: {message}"):
+            load_edge_list(path, accounts)

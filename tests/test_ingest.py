@@ -197,7 +197,8 @@ def test_daily_retweet_network_chain_matches_recount():
             expected[key] = expected.get(key, 0) + 1
     assert edge_dict(net) == {k: float(v) for k, v in expected.items()}
     assert "lurker" in net  # original tweets create the author node, no edge
-    assert net.labels == ["lurker", "u", "v", "w"]  # sorted id order
+    # as the id-sorted edges first name them, then the authors without a retweet
+    assert net.labels == ["u", "v", "w", "lurker"]
 
 
 def test_follower_network_direction_and_restriction():
