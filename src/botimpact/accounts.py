@@ -5,6 +5,11 @@ tweets (anti at or below the cutoff, pro above).  Qanon status is a
 keyword rule over profile descriptions, applied to pro accounts only.
 Media quality averages fact-checker trust ratings over the rated news
 domains an account linked to.
+
+The network statistics (leaderboard, follower overlap, co-partisan
+fraction) take a network as its edge columns: ``src`` and ``tgt`` are
+positions in the sorted account list, so boolean account masks select
+groups and ties in id order are ties in position order.
 """
 
 from __future__ import annotations
@@ -15,10 +20,11 @@ from dataclasses import dataclass
 from functools import reduce
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 from urllib.parse import urlsplit
 
-from .graph import DirectedGraph
+import numpy as np
+
 from .ingest import AccountContent
 
 PARTISAN_CUTOFF = 0.5
@@ -280,63 +286,42 @@ def group_summary(accounts: Iterable[AccountRecord]) -> list[GroupRow]:
 
 
 def retweet_leaderboard(
-    retweet_network: DirectedGraph,
-    retweeter_filter: Callable[[str], bool],
-    k: int,
-) -> list[tuple[str, float]]:
-    """Top-k accounts by retweets received from retweeters passing the filter.
+    src: np.ndarray, tgt: np.ndarray, w: np.ndarray, retweeters: np.ndarray, k: int
+) -> list[tuple[int, float]]:
+    """Top-k (account position, retweets received) over the edges whose
+    retweeter ``tgt`` is in the boolean account mask ``retweeters``.
 
-    Descending by count; ties broken by account id ascending.
+    Descending by count; ties broken by position, which is account id order
+    on the sorted account list.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    src, tgt, w = retweet_network.edge_arrays()
-    received: dict[str, float] = {}
-    for e in range(len(src)):
-        retweeter = retweet_network.label(int(tgt[e]))
-        if retweeter_filter(retweeter):
-            author = retweet_network.label(int(src[e]))
-            received[author] = received.get(author, 0.0) + float(w[e])
-    ranked = sorted(received.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]
+    kept = retweeters[tgt]
+    received = np.bincount(src[kept], weights=w[kept], minlength=retweeters.size)
+    authors = np.flatnonzero(received)
+    top = authors[np.argsort(-received[authors], kind="stable")[:k]]
+    return list(zip(top.tolist(), received[top].tolist()))
 
 
 def follower_overlap(
-    follower_network: DirectedGraph, set_a: set[str], set_b: set[str]
+    src: np.ndarray, tgt: np.ndarray, set_a: np.ndarray, set_b: np.ndarray
 ) -> tuple[int, int, int]:
-    """(A-only, B-only, both) follower counts for two account sets."""
-
-    def _followers(ids: set[str]) -> set[str]:
-        out: set[str] = set()
-        for account in ids:
-            targets, _ = follower_network.followers_of(follower_network.index(account))
-            out.update(follower_network.label(int(t)) for t in targets)
-        return out
-
-    fa = _followers(set_a)
-    fb = _followers(set_b)
-    both = fa & fb
-    return len(fa - both), len(fb - both), len(both)
+    """(A-only, B-only, both) follower counts for two boolean account masks."""
+    fa, fb = (np.bincount(tgt[m[src]], minlength=m.size) > 0 for m in (set_a, set_b))
+    both = int(np.count_nonzero(fa & fb))
+    return int(np.count_nonzero(fa)) - both, int(np.count_nonzero(fb)) - both, both
 
 
 def co_partisan_fraction(
-    follower_network: DirectedGraph, bot: str, labels: Mapping[str, str]
-) -> float | None:
-    """Fraction of a bot's labeled followers sharing the bot's partisanship.
+    src: np.ndarray, tgt: np.ndarray, bots: np.ndarray, side: np.ndarray
+) -> np.ndarray:
+    """Per bot of the boolean account mask ``bots``, in account order, the
+    fraction of its labeled followers sharing the bot's partisanship.
 
-    None (not 0) when the bot has no labeled followers.
+    ``side`` codes each account's partisanship, 0 for unlabeled.  A bot that
+    is unlabeled or has no labeled follower has no fraction (not 0).
     """
-    own = labels.get(bot)
-    if own is None:
-        return None
-    targets, _ = follower_network.followers_of(follower_network.index(bot))
-    labeled = 0
-    shared = 0
-    for t in targets:
-        side = labels.get(follower_network.label(int(t)))
-        if side is None:
-            continue
-        labeled += 1
-        if side == own:
-            shared += 1
-    return shared / labeled if labeled else None
+    labeled = bots[src] & (side[src] > 0) & (side[tgt] > 0)
+    followers = np.bincount(src[labeled], minlength=bots.size)
+    shared = np.bincount(src[labeled & (side[src] == side[tgt])], minlength=bots.size)
+    return shared[followers > 0] / followers[followers > 0]

@@ -9,10 +9,10 @@ Nodes are referenced externally by string account ids and internally by
 dense integer indices.  The build's networks, loaded networks and induced
 subgraphs are all built from (source, target, weight) index columns by one
 constructor, ``_from_arrays``; edges added one at a time (small hand-built
-graphs) collect in a dict until the graph is frozen.  The store is
-offset-indexed arrays sorted by (source, target), so follower scans are
-O(degree) and the structure stays compact at tens of millions of edges.  A
-frozen graph is immutable and safe for concurrent reads.
+graphs) collect in a dict until the graph is frozen.  The store is those
+three columns, parallel edges summed and sorted by (source, target), and
+``edge_arrays()`` hands them out as they are.  A frozen graph is immutable
+and safe for concurrent reads.
 
 A network file is four ``np.save`` records of fixed dtype (``_COLUMNS``):
 ``nodes``, positions in an account list kept apart (so any string id is
@@ -45,12 +45,8 @@ class DirectedGraph:
     def __init__(self) -> None:
         self._index: dict[str, int] = {}
         self._labels: list[str] = []
-        self._edges: dict[tuple[int, int], float] | None = {}  # until frozen
-        self._frozen = False
-        # CSR-style views, built by freeze()
-        self.out_offsets: np.ndarray | None = None
-        self.out_targets: np.ndarray | None = None
-        self.out_weights: np.ndarray | None = None
+        self._edges: dict[tuple[int, int], float] | None = {}  # None once frozen
+        self._columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # by freeze()
 
     # -- construction ------------------------------------------------------
 
@@ -59,7 +55,7 @@ class DirectedGraph:
         idx = self._index.get(label)
         if idx is not None:
             return idx
-        if self._frozen:
+        if self._edges is None:
             raise GraphError("graph is frozen; cannot add nodes")
         idx = len(self._labels)
         self._index[label] = idx
@@ -73,7 +69,7 @@ class DirectedGraph:
             raise GraphError(f"self-loop rejected for account {source!r}")
         if weight <= 0:
             raise GraphError(f"edge weight must be positive, got {weight}")
-        if self._frozen:
+        if self._edges is None:
             raise GraphError("graph is frozen; cannot add edges")
         u = self.add_node(source)
         v = self.add_node(target)
@@ -81,8 +77,8 @@ class DirectedGraph:
         self._edges[key] = self._edges.get(key, 0.0) + weight
 
     def freeze(self) -> "DirectedGraph":
-        """Build the sorted adjacency index; further mutation raises."""
-        if self._frozen:
+        """Build the sorted edge columns; further mutation raises."""
+        if self._edges is None:
             return self
         src, tgt = np.array(list(self._edges), dtype=np.int64).reshape(-1, 2).T
         self._build(src, tgt, np.array(list(self._edges.values()), dtype=np.float64))
@@ -100,17 +96,13 @@ class DirectedGraph:
         return graph
 
     def _build(self, src: np.ndarray, tgt: np.ndarray, w: np.ndarray) -> None:
-        """Sorted out-adjacency arrays; parallel edges summed in input order."""
+        """Edge columns sorted by (source, target); parallel edges summed in input order."""
         n = len(self._labels)
         keys, inverse = np.unique(src * n + tgt, return_inverse=True)
         # bincount adds each edge's weights in input order, as add_interaction does
         w = np.bincount(inverse, weights=w, minlength=keys.size).astype(np.float64, copy=False)
-        src, tgt = np.divmod(keys, max(n, 1))
-        self.out_offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-        self.out_targets = tgt
-        self.out_weights = w
-        self._edges = None  # the arrays are the only store from here on
-        self._frozen = True
+        self._columns = (*np.divmod(keys, max(n, 1)), w)
+        self._edges = None  # the columns are the only store from here on
 
     # -- queries -----------------------------------------------------------
 
@@ -120,8 +112,7 @@ class DirectedGraph:
 
     @property
     def edge_count(self) -> int:
-        self.freeze()
-        return self.out_targets.size
+        return self.edge_arrays()[1].size
 
     def index(self, label: str) -> int:
         try:
@@ -142,18 +133,7 @@ class DirectedGraph:
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sources, targets, weights) arrays sorted by (source, target)."""
         self.freeze()
-        n = self.node_count
-        counts = np.diff(self.out_offsets)
-        src = np.repeat(np.arange(n, dtype=np.int64), counts)
-        return src, self.out_targets, self.out_weights
-
-    def followers_of(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Out-neighbors of node ``i`` (the accounts that receive i's content)."""
-        self.freeze()
-        if not 0 <= i < self.node_count:
-            raise GraphError(f"unknown node index {i}")
-        lo, hi = self.out_offsets[i], self.out_offsets[i + 1]
-        return self.out_targets[lo:hi], self.out_weights[lo:hi]
+        return self._columns
 
     def induced_subgraph(self, keep: Iterable[str]) -> "DirectedGraph":
         """Subgraph on the given account ids, edge weights unchanged.

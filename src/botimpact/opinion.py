@@ -13,7 +13,7 @@ with  G_ii = -sum(rate_k for k in following of i)      (all followings),
 
 Every function below stubborn identification works on one network given
 as arrays: the edge columns ``src`` and ``tgt`` (node indices, sorted by
-(source, target) as ``DirectedGraph.edge_arrays`` returns them), each
+(source, target), the columns a ``DirectedGraph`` stores), each
 node's posting ``rates``, the stubborn mask ``fixed`` and ``anchor``, each
 node's fixed opinion where it is stubborn and its measured opinion
 elsewhere.  Preprocessing only sets mask bits, since a reclassified node

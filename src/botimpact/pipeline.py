@@ -70,19 +70,40 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _read_manifest(out_dir: Path) -> dict:
+    """The stage entries of ``manifest.json``, {} before any stage has run; an
+    unreadable manifest raises StageError ("rerun build")."""
+    path = out_dir / "manifest.json"
+    if not path.exists():
+        return {}
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise StageError(f"{path} unreadable ({exc}); rerun build") from None
+
+
 def _update_manifest(out_dir: Path, stage: str, payload: dict, files: Iterable[Path]) -> None:
-    """Record the stage's outputs, then delete those its previous entry listed and
-    this one does not, so no reader finds a stale file from an earlier run."""
-    manifest_path = out_dir / "manifest.json"
-    manifest = {}
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    previous = manifest.get(stage, {}).get("checksums", {})
+    """Record the stage's outputs and drop the entries of the later stages, which
+    read them; then delete the files a previous or dropped entry listed and this
+    one does not, so no reader finds a stale file from an earlier run.
+
+    ``build`` replaces an unreadable manifest: it drops every other entry anyway.
+    """
+    try:
+        manifest = _read_manifest(out_dir)
+    except StageError:
+        if stage != "build":
+            raise
+        manifest = {}
+    later = list(_COMMANDS)[list(_COMMANDS).index(stage) + 1:]
+    previous = [manifest.get(stage, {})] + [manifest.pop(name, {}) for name in later]
     payload = dict(payload)
     payload["checksums"] = {p.name: _sha256(p) for p in sorted(files)}
     manifest[stage] = payload
-    _atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    for name in sorted(set(previous) - set(payload["checksums"])):
+    _atomic_write_text(out_dir / "manifest.json",
+                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    listed = {name for entry in previous for name in entry.get("checksums", {})}
+    for name in sorted(listed - set(payload["checksums"])):
         if Path(name).name == name:  # a bare file name, as the stages write them
             (out_dir / name).unlink(missing_ok=True)
 
@@ -192,12 +213,7 @@ def _listed_paths(out_dir: Path, stage: str, pattern: str) -> list[Path]:
     """
     rerun = f"rerun {_COMMANDS[stage]}"
     manifest_path = out_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise StageError(f"{manifest_path} missing; {rerun}")
-    try:
-        entry = json.loads(manifest_path.read_text(encoding="utf-8")).get(stage)
-    except json.JSONDecodeError as exc:
-        raise StageError(f"{manifest_path} unreadable ({exc}); {rerun}") from None
+    entry = _read_manifest(out_dir).get(stage)
     if entry is None:
         raise StageError(f"{manifest_path} has no {stage} entry; {rerun}")
     paths = []

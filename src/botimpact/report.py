@@ -6,15 +6,15 @@ a section reads is one its stage's entry lists, with the checksum verified.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from . import accounts as acc
 from .config import PipelineConfig
-from .graph import DirectedGraph, load_columns, load_edge_list
-from .pipeline import _listed_paths, _load_csv, load_accounts
+from .graph import load_columns
+from .pipeline import (GROUP_NAMES, _listed_paths, _load_csv, _read_manifest,
+                       ghic_groups_from_rows, load_accounts)
 
 _MISSING = "  (not available: run the {stage} stage first)\n"
 
@@ -31,10 +31,7 @@ def build_report(cfg: PipelineConfig) -> str:
     out_dir = Path(cfg.out_dir)
     parts: list[str] = ["botimpact pipeline report\n=========================\n"]
 
-    manifest = {}
-    manifest_path = out_dir / "manifest.json"
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_manifest(out_dir)
 
     parts.append(_section("Corpus"))
     build = manifest.get("build")
@@ -69,64 +66,47 @@ def build_report(cfg: PipelineConfig) -> str:
                 f"  {_fmt_opt(row['mean_toxicity']):>8}\n"
             )
         parts.append("\n  bot prevalence:\n")
-        for name, members in _prevalence_groups(rows).items():
-            if members:
+        for name, key, value in (("anti", "partisanship", acc.ANTI),
+                                 ("pro", "partisanship", acc.PRO), ("qanon", "qanon", "1")):
+            if members := [r for r in rows if r[key] == value]:
                 fraction = sum(1 for r in members if r["bot"] == "1") / len(members)
                 parts.append(f"    {name:<12} {fraction:.4f}  (n={len(members)})\n")
     else:
         parts.append(_MISSING.format(stage="classify"))
 
     parts.append(_section("Retweet leaderboards"))
-    accounts = load_accounts(out_dir) if build else None
-    merged = _merged_retweet_network(out_dir, accounts)
-    if rows and merged is not None:
-        bot_side = {
-            "anti-Trump bots": {r["account_id"] for r in rows
-                                if r["bot"] == "1" and r["partisanship"] == "anti"},
-            "pro-Trump bots": {r["account_id"] for r in rows
-                               if r["bot"] == "1" and r["partisanship"] == "pro"},
-        }
-        for title, bots in bot_side.items():
+    if rows and build:
+        accounts = load_accounts(out_dir)
+        groups, side = _account_masks(rows, accounts)
+        retweets = _merged_retweet_network(out_dir, accounts)
+        anti, pro = groups["anti_bots"], groups["pro_bots"] | groups["qanon_bots"]
+        for title, bots in (("anti-Trump bots", anti), ("pro-Trump bots", pro)):
             parts.append(f"  most retweeted by {title}:\n")
-            if not bots:
+            if not bots.any():
                 parts.append("    (no such bots detected)\n")
                 continue
-            board = acc.retweet_leaderboard(merged, lambda a, b=bots: a in b, k=10)
+            board = acc.retweet_leaderboard(*retweets, bots, k=10)
             if not board:
                 parts.append("    (no retweets from this group)\n")
-            for account, count in board:
-                parts.append(f"    {account:<16} {int(count)}\n")
+            for i, count in board:
+                parts.append(f"    {accounts[i]:<16} {int(count)}\n")
     else:
         parts.append(_MISSING.format(stage="build + classify"))
 
     parts.append(_section("Network structure"))
     if rows and build:
         [follower_path] = _listed_paths(out_dir, "build", "follower.cols")
-        follower = load_edge_list(follower_path, accounts)
-        anti_bots = {r["account_id"] for r in rows
-                     if r["bot"] == "1" and r["partisanship"] == "anti"}
-        pro_bots = {r["account_id"] for r in rows
-                    if r["bot"] == "1" and r["partisanship"] == "pro"}
-        a_only, b_only, both = acc.follower_overlap(follower, anti_bots, pro_bots)
+        src, tgt, _ = _global_columns(follower_path, accounts)
+        a_only, b_only, both = acc.follower_overlap(src, tgt, anti, pro)
         parts.append(
             f"  followers of anti-Trump bots only: {a_only}\n"
             f"  followers of pro-Trump bots only:  {b_only}\n"
             f"  following both sides:              {both}\n"
         )
-        labels = {r["account_id"]: r["partisanship"] for r in rows if r["scored"] == "1"}
         parts.append("  mean co-partisan follower fraction:\n")
-        for name, bots in (
-            ("anti bots", anti_bots),
-            ("pro non-Qanon bots",
-             {r["account_id"] for r in rows
-              if r["bot"] == "1" and r["partisanship"] == "pro" and r["qanon"] != "1"}),
-            ("Qanon bots", {r["account_id"] for r in rows if r["qanon"] == "1" and r["bot"] == "1"}),
-        ):
-            fractions = [
-                f for f in (
-                    acc.co_partisan_fraction(follower, bot, labels) for bot in sorted(bots)
-                ) if f is not None
-            ]
+        for name, group in (("anti bots", "anti_bots"), ("pro non-Qanon bots", "pro_bots"),
+                            ("Qanon bots", "qanon_bots")):
+            fractions = acc.co_partisan_fraction(src, tgt, groups[group], side).tolist()
             value = f"{acc.ordered_mean(fractions):.4f}" if fractions else "-"
             parts.append(f"    {name:<20} {value}  (bots with labeled followers: {len(fractions)})\n")
     else:
@@ -157,20 +137,35 @@ def build_report(cfg: PipelineConfig) -> str:
     return "".join(parts)
 
 
-def _prevalence_groups(rows: list[dict]) -> dict[str, list[dict]]:
-    return {
-        "anti": [r for r in rows if r["partisanship"] == "anti"],
-        "pro": [r for r in rows if r["partisanship"] == "pro"],
-        "qanon": [r for r in rows if r["qanon"] == "1"],
-    }
+def _account_masks(rows: list[dict], accounts: list[str]) -> tuple[dict, np.ndarray]:
+    """The bot groups of ``pipeline`` as boolean masks over ``accounts``, and
+    partisanship codes (0 unscored, 1 anti, 2 pro), placed through the
+    account list's index rather than the row order of accounts.csv."""
+    position = {account: i for i, account in enumerate(accounts)}
+
+    def _mask(ids) -> np.ndarray:
+        mask = np.zeros(len(accounts), dtype=bool)
+        mask[np.fromiter(map(position.__getitem__, ids), np.int64)] = True
+        return mask
+
+    groups = {name: _mask(ids) for name, ids in ghic_groups_from_rows(rows, GROUP_NAMES).items()}
+    side = np.zeros(len(accounts), dtype=np.int8)
+    for code, partisanship in enumerate((acc.ANTI, acc.PRO), 1):
+        side[_mask(r["account_id"] for r in rows
+                   if r["scored"] == "1" and r["partisanship"] == partisanship)] = code
+    return groups, side
 
 
-def _merged_retweet_network(out_dir: Path, accounts: list[str] | None) -> DirectedGraph | None:
-    """Every daily retweet network the last build listed, in one graph on ``accounts``
-    (None without them); a listed file missing or changed raises StageError."""
-    if accounts is None:
-        return None
-    days = [load_columns(path, accounts)
+def _global_columns(path: Path, accounts: list[str]) -> tuple[np.ndarray, ...]:
+    """(sources, targets, weights) of a network file, as positions in ``accounts``."""
+    nodes, src, tgt, w = load_columns(path, accounts)
+    return nodes[src], nodes[tgt], w
+
+
+def _merged_retweet_network(out_dir: Path, accounts: list[str]) -> tuple[np.ndarray, ...]:
+    """(authors, retweeters, counts) of every daily retweet network the last build
+    listed, as positions in ``accounts``; a listed file missing or changed raises
+    StageError."""
+    days = [_global_columns(path, accounts)
             for path in _listed_paths(out_dir, "build", "retweet_*.cols")]
-    columns = zip(*((nodes[src], nodes[tgt], w) for nodes, src, tgt, w in days))
-    return DirectedGraph._from_arrays(accounts, *(np.concatenate(c) for c in columns))
+    return tuple(np.concatenate(column) for column in zip(*days))

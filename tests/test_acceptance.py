@@ -144,10 +144,11 @@ def test_criterion_3_ghic_axioms_and_worked_example():
         result2 = ghic(g2, rates2, stubborn2, opinions2, ones)
         assert result2.value >= -1e-12  # sign semantics
         assert abs(result2.value) <= 1.0 + 1e-12  # |GHIC| <= max psi - min psi
+        src2, tgt2, _ = g2.edge_arrays()
         has_v1_follower = any(
             g2.label(int(t)) not in stubborn2
             for b in ones
-            for t in g2.followers_of(g2.index(b))[0]
+            for t in tgt2[src2 == g2.index(b)]
         )
         if has_v1_follower and result2.reverted == 0 and result2.value > 0:
             zero_positive += 1

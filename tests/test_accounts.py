@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -202,54 +203,80 @@ def test_unscored_account_gets_neutral_opinion():
 # -- leaderboard / overlap / co-partisan -----------------------------------------
 
 
+def _columns(edges):
+    """Sorted account list and the (src, tgt, w) positions in it, as build writes them."""
+    g = graph_of(edges, nodes=sorted({name for edge in edges for name in edge[:2]}))
+    return g.labels, *g.edge_arrays()
+
+
+def _mask(accounts, ids):
+    return np.array([a in ids for a in accounts], dtype=bool)
+
+
+def _sides(accounts, labels):
+    return np.array([{"anti": 1, "pro": 2}.get(labels.get(a), 0) for a in accounts], np.int8)
+
+
 def test_retweet_leaderboard_order_and_ties():
-    net = graph_of(
+    accounts, *net = _columns(
         [("x", "bot1", 3.0), ("x", "bot2", 2.0), ("y", "bot1", 4.0), ("z", "human", 9.0)]
     )
     bots = {"bot1", "bot2"}
-    board = retweet_leaderboard(net, lambda a: a in bots, k=10)
-    assert board == [("x", 5.0), ("y", 4.0)]
-    tie_net = graph_of([("b", "bot1", 4.0), ("a", "bot2", 4.0)])
-    board = retweet_leaderboard(tie_net, lambda a: a in bots, k=2)
-    assert board == [("a", 4.0), ("b", 4.0)]  # tie broken by id ascending
+    board = retweet_leaderboard(*net, _mask(accounts, bots), k=10)
+    assert [(accounts[i], c) for i, c in board] == [("x", 5.0), ("y", 4.0)]
+    accounts, *tie_net = _columns([("b", "bot1", 4.0), ("a", "bot2", 4.0)])
+    board = retweet_leaderboard(*tie_net, _mask(accounts, bots), k=2)
+    # tie broken by id ascending
+    assert [(accounts[i], c) for i, c in board] == [("a", 4.0), ("b", 4.0)]
 
 
 def test_retweet_leaderboard_empty_filter():
-    net = graph_of([("x", "y", 1.0)])
-    assert retweet_leaderboard(net, lambda a: False, k=3) == []
+    accounts, *net = _columns([("x", "y", 1.0)])
+    assert retweet_leaderboard(*net, _mask(accounts, set()), k=3) == []
 
 
 def test_retweet_leaderboard_counts_bounded():
-    net = graph_of([("x", "r1", 2.0), ("y", "r1", 1.0), ("x", "r2", 5.0)])
-    total = sum(net.edge_arrays()[2])
-    board = retweet_leaderboard(net, lambda a: True, k=10)
-    assert sum(c for _, c in board) == pytest.approx(total)
+    accounts, *net = _columns([("x", "r1", 2.0), ("y", "r1", 1.0), ("x", "r2", 5.0)])
+    board = retweet_leaderboard(*net, _mask(accounts, set(accounts)), k=10)
+    assert sum(c for _, c in board) == pytest.approx(sum(net[2]))
+    with pytest.raises(ValueError):
+        retweet_leaderboard(*net, _mask(accounts, set(accounts)), k=0)
 
 
 def test_follower_overlap(tiny_follower_graph):
-    a_only, b_only, both = follower_overlap(tiny_follower_graph, {"botA"}, {"botB"})
-    assert (a_only, b_only, both) == (1, 1, 1)
+    g = tiny_follower_graph
+    src, tgt, _ = g.edge_arrays()
+    overlap = follower_overlap(src, tgt, _mask(g.labels, {"botA"}), _mask(g.labels, {"botB"}))
+    assert overlap == (1, 1, 1)
 
 
-def test_follower_overlap_disjoint_and_equal(tiny_follower_graph):
-    g = graph_of([("botA", "f1"), ("botB", "f2")])
-    assert follower_overlap(g, {"botA"}, {"botB"}) == (1, 1, 0)
-    assert follower_overlap(g, {"botA"}, {"botA"}) == (0, 0, 1)
+def test_follower_overlap_disjoint_and_equal():
+    accounts, src, tgt, _ = _columns([("botA", "f1"), ("botB", "f2")])
+    a, b = _mask(accounts, {"botA"}), _mask(accounts, {"botB"})
+    assert follower_overlap(src, tgt, a, b) == (1, 1, 0)
+    assert follower_overlap(src, tgt, a, a) == (0, 0, 1)
 
 
 def test_co_partisan_fraction():
-    g = graph_of([("bot", "f1"), ("bot", "f2"), ("bot", "f3"), ("bot", "f4")])
+    accounts, src, tgt, _ = _columns([("bot", "f1"), ("bot", "f2"), ("bot", "f3"), ("bot", "f4")])
+    bot = _mask(accounts, {"bot"})
     labels = {"bot": "pro", "f1": "pro", "f2": "pro", "f3": "anti", "f4": "pro"}
-    assert co_partisan_fraction(g, "bot", labels) == pytest.approx(0.75)
+    assert co_partisan_fraction(src, tgt, bot, _sides(accounts, labels)).tolist() == [0.75]
     all_co = {"bot": "pro", "f1": "pro", "f2": "pro", "f3": "pro", "f4": "pro"}
-    assert co_partisan_fraction(g, "bot", all_co) == 1.0
+    assert co_partisan_fraction(src, tgt, bot, _sides(accounts, all_co)).tolist() == [1.0]
 
 
 def test_co_partisan_fraction_absent_cases():
     g = graph_of([], nodes=["bot"])
-    assert co_partisan_fraction(g, "bot", {"bot": "pro"}) is None
-    g2 = graph_of([("bot", "f1")])
-    assert co_partisan_fraction(g2, "bot", {"bot": "pro"}) is None  # follower unlabeled
+    src, tgt, _ = g.edge_arrays()
+    bot = _mask(g.labels, {"bot"})
+    assert co_partisan_fraction(src, tgt, bot, _sides(g.labels, {"bot": "pro"})).size == 0
+    accounts, src, tgt, _ = _columns([("bot", "f1")])
+    bot = _mask(accounts, {"bot"})
+    # follower unlabeled
+    assert co_partisan_fraction(src, tgt, bot, _sides(accounts, {"bot": "pro"})).size == 0
+    # bot unlabeled
+    assert co_partisan_fraction(src, tgt, bot, _sides(accounts, {"f1": "pro"})).size == 0
 
 
 def test_packaged_keyword_tables():

@@ -243,6 +243,59 @@ def test_stage_order_enforced(tmp_path, runner, corpus):
     assert result.exit_code == 3  # build outputs missing
 
 
+def test_a_new_build_retires_every_later_stage(tmp_path, runner, corpus):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
+    for cmd in ("build", "detect-bots", "classify", "ghic"):
+        assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0, cmd
+    later = {n for stage in ("detect", "classify", "ghic")
+             for n in json.loads((out / "manifest.json").read_text())[stage]["checksums"]}
+
+    # a larger corpus built into the same directory
+    spec = _write_spec(tmp_path / "spec_b.txt", seed=4, humans_per_block=20)
+    corpus_b = tmp_path / "corpus_b"
+    assert _run(runner, ["--out", str(corpus_b), "synth", "--spec", str(spec)]).exit_code == 0
+    cfg_b = _write_config(tmp_path / "cfg_b.txt", corpus_b, out)
+    assert _run(runner, ["--config", str(cfg_b), "build"]).exit_code == 0
+    assert list(json.loads((out / "manifest.json").read_text())) == ["build"]
+    assert not any((out / name).exists() for name in later)
+
+    result = runner.invoke(main, ["--config", str(cfg_b), "ghic"])
+    assert result.exit_code == 3
+    assert "rerun classify" in result.output
+    result = _run(runner, ["--config", str(cfg_b), "report"])
+    assert result.exit_code == 0
+    account_types = result.output.split("Account types")[1].split("Retweet leaderboards")[0]
+    assert "not available" in account_types
+
+    # detect retires classify and ghic, classify retires ghic
+    for cmd in ("detect-bots", "classify", "ghic"):
+        assert _run(runner, ["--config", str(cfg_b), cmd]).exit_code == 0, cmd
+    assert _run(runner, ["--config", str(cfg_b), "detect-bots"]).exit_code == 0
+    assert sorted(json.loads((out / "manifest.json").read_text())) == ["build", "detect"]
+    assert not (out / "accounts.csv").exists() and not (out / "ghic_series.csv").exists()
+    assert _run(runner, ["--config", str(cfg_b), "classify"]).exit_code == 0
+    assert sorted(json.loads((out / "manifest.json").read_text())) == [
+        "build", "classify", "detect"]
+
+
+def test_an_unreadable_manifest_exits_3_and_build_starts_afresh(tmp_path, runner, corpus):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
+    for cmd in ("build", "detect-bots"):
+        assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0, cmd
+    (out / "manifest.json").write_text("{not json")
+    for cmd in ("report", "detect-bots"):
+        result = runner.invoke(main, ["--config", str(cfg), cmd])
+        assert result.exit_code == 3, cmd
+        assert "unreadable" in result.output and "rerun build" in result.output
+
+    assert _run(runner, ["--config", str(cfg), "build"]).exit_code == 0
+    assert list(json.loads((out / "manifest.json").read_text())) == ["build"]
+    for cmd in ("detect-bots", "classify", "ghic", "report"):
+        assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0, cmd
+
+
 def _five_then_two_days(tmp_path, runner, out, commands) -> Path:
     """Run ``commands`` on a 5-day corpus, then on a 2-day one, into ``out``."""
     for days in (5, 2):
@@ -295,9 +348,11 @@ def test_report_reads_only_the_days_build_listed(tmp_path, runner):
     (out / "retweet_1999-01-01.cols").write_text("ghost\tghoster\t50\n")  # not listed
     manifest_path = out / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    merged = _merged_retweet_network(out, load_accounts(out))
-    assert merged.edge_arrays()[2].sum() == manifest["build"]["retweets_total"]
-    assert "ghost" not in merged
+    accounts = load_accounts(out)
+    authors, retweeters, counts = _merged_retweet_network(out, accounts)
+    assert counts.sum() == manifest["build"]["retweets_total"]
+    assert "ghost" not in accounts
+    assert max(authors.max(), retweeters.max()) < len(accounts)
     assert _run(runner, ["--config", str(cfg), "report"]).exit_code == 0
 
     # without a build entry the leaderboards are not available

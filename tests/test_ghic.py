@@ -108,10 +108,11 @@ def test_sign_semantics_and_bound():
         result = ghic(g2, rates, stubborn, opinions, ones)
         assert result.value >= -1e-12
         assert abs(result.value) <= 1.0 + 1e-12
+        src2, tgt2, _ = g2.edge_arrays()
         followers_in_v1 = any(
             g2.label(int(t)) not in stubborn
             for b in ones
-            for t in g2.followers_of(g2.index(b))[0]
+            for t in tgt2[src2 == g2.index(b)]
         )
         if followers_in_v1 and result.reverted == 0:
             assert result.value > 0.0

@@ -74,6 +74,15 @@ def test_round_trip_through_ingest_zero_skips(tmp_path):
         assert len(profiles) == summary["accounts"]
 
 
+def _bot_fractions(net, labels) -> list[float]:
+    """Co-partisan fraction of each planted bot with a labeled follower, blocks as sides."""
+    src, tgt, _ = net.edge_arrays()
+    blocks = sorted({row["block"] for row in labels.values()})
+    bots = np.array([labels[a]["is_bot"] == "1" for a in net.labels], dtype=bool)
+    side = np.array([1 + blocks.index(labels[a]["block"]) for a in net.labels])
+    return co_partisan_fraction(src, tgt, bots, side).tolist()
+
+
 def test_two_block_eps_zero_no_cross_edges(tmp_path):
     out = tmp_path / "tb"
     spec = _small_two_block(eps=0.0, p_intra=0.5)
@@ -87,12 +96,7 @@ def test_two_block_eps_zero_no_cross_edges(tmp_path):
     # with an all-corpus follower network, every bot's followers are co-partisan
     corpus = set(labels)
     net = build_follower_network(profiles, corpus)
-    partisan = {a: row["block"] for a, row in labels.items()}
-    for account, row in labels.items():
-        if row["is_bot"] == "1":
-            fraction = co_partisan_fraction(net, account, partisan)
-            if fraction is not None:
-                assert fraction == 1.0
+    assert all(fraction == 1.0 for fraction in _bot_fractions(net, labels))
 
 
 def test_two_block_eps_one_mixes_followers(tmp_path):
@@ -110,12 +114,7 @@ def test_two_block_eps_one_mixes_followers(tmp_path):
         labels = _load_labels(out)
         profiles = list(load_profiles(out / "profiles.jsonl"))
         net = build_follower_network(profiles, set(labels))
-        partisan = {a: row["block"] for a, row in labels.items()}
-        for account, row in labels.items():
-            if row["is_bot"] == "1":
-                fraction = co_partisan_fraction(net, account, partisan)
-                if fraction is not None:
-                    fractions.append(fraction)
+        fractions += _bot_fractions(net, labels)
     assert abs(float(np.mean(fractions)) - 0.5) < 0.05
 
 
