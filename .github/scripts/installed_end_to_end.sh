@@ -1,0 +1,39 @@
+#!/usr/bin/env bash
+# The installed console script end to end: packaged keyword data, no PYTHONPATH.
+# Run it from an empty scratch directory, with the package installed:
+#   bash .github/scripts/installed_end_to_end.sh
+set -eu
+unset PYTHONPATH
+mkdir -p installed-run && cd installed-run
+printf '%s\n' 'seed = 3' 'topology = two_block_polarized' 'days = 2' \
+  'humans_per_block = 12' 'bots_per_block = 3' 'qanon_bot_frac = 0.5' \
+  'bot_rate = 20.0' 'retweet_frac = 0.6' > spec.txt
+printf '%s\n' 'tweets = corpus/tweets.jsonl' 'profiles = corpus/profiles.jsonl' \
+  'ratings = corpus/ratings.csv' 'out_dir = out' \
+  'bp_psi_hh = 1.5' 'bp_psi_hb = 2.0' 'bp_psi_bh = 1.0' 'bp_psi_bb = 0.5' > run.cfg
+botimpact --out corpus synth --spec spec.txt
+for stage in build detect-bots classify ghic report; do
+  botimpact --config run.cfg "$stage"
+done
+test -s out/report.txt
+# the five stages again in fresh processes, so with other string hash
+# seeds; in a copy of the directory, as the manifest records out_dir
+mkdir out2 && cp -r corpus run.cfg out2/
+(cd out2 && for stage in build detect-bots classify ghic report; do
+  botimpact --config run.cfg "$stage"
+done)
+diff -r out out2/out
+# a second corpus built into out retires classify, so ghic must refuse,
+# and the first corpus's report is gone
+botimpact --out corpus --seed 4 synth --spec spec.txt
+botimpact --config run.cfg build
+test ! -e out/report.txt
+status=0
+botimpact --config run.cfg ghic || status=$?
+test "$status" -eq 3
+# an unknown ghic group is a configuration problem, before any stage runs
+cp run.cfg martians.cfg
+echo 'ghic_groups = martians' >> martians.cfg
+status=0
+botimpact --config martians.cfg build || status=$?
+test "$status" -eq 2

@@ -32,12 +32,8 @@ def _fail(code: int, message: str) -> None:
 
 def _load_config(ctx: click.Context) -> PipelineConfig:
     opts = ctx.obj
-    overrides = {
-        "out_dir": opts.get("out"),
-        "workers": opts.get("workers"),
-    }
     try:
-        return PipelineConfig.load(opts.get("config"), overrides)
+        return PipelineConfig.load(opts.get("config"), {"out_dir": opts.get("out")})
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
 
@@ -58,17 +54,16 @@ def _run_stage(ctx: click.Context, stage) -> dict:
 @click.option("--config", type=click.Path(), default=None, help="key = value config file")
 @click.option("--out", type=click.Path(), default=None, help="output directory (overrides config)")
 @click.option("--seed", type=int, default=None, help="seed for synth generation")
-@click.option("--workers", type=int, default=None, help="bounded worker pool size")
 @click.option("-v", "--verbose", is_flag=True, help="debug logging")
 @click.pass_context
-def main(ctx: click.Context, config, out, seed, workers, verbose) -> None:
+def main(ctx: click.Context, config, out, seed, verbose) -> None:
     """Information-flow network analysis: bots, opinions, and influence."""
     logging.basicConfig(
         level=logging.DEBUG if verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    ctx.obj = {"config": config, "out": out, "seed": seed, "workers": workers}
+    ctx.obj = {"config": config, "out": out, "seed": seed}
 
 
 @main.command()

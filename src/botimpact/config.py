@@ -14,6 +14,10 @@ from datetime import date
 from pathlib import Path
 
 
+# the bot groups ``ghic_groups`` may name, defined over accounts.csv by ``pipeline``
+GROUP_NAMES = ("all_bots", "anti_bots", "pro_bots", "qanon_bots")
+
+
 class ConfigError(ValueError):
     """Bad configuration file or field value."""
 
@@ -45,7 +49,7 @@ class PipelineConfig:
     histogram_bins: int = 20
     # ghic
     ghic_groups: str = "all_bots,anti_bots,pro_bots,qanon_bots"
-    # execution
+    # stages run serially; the key is kept, at 1, for configs that still set it
     workers: int = 1
 
     def validate(self) -> None:
@@ -68,15 +72,24 @@ class PipelineConfig:
             raise ConfigError("bot_threshold must exceed 0.5")
         positive = (
             "followings_cap", "bp_psi_hh", "bp_psi_hb", "bp_psi_bh", "bp_psi_bb",
-            "bp_weight_cap", "bp_max_iterations", "bp_tolerance", "workers",
+            "bp_weight_cap", "bp_max_iterations", "bp_tolerance",
         )
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.histogram_bins < 2:
             raise ConfigError("histogram_bins must be >= 2")
-        if not self.ghic_groups.strip():
+        if self.workers != 1:
+            raise ConfigError(f"workers must be 1 (stages run serially), got {self.workers}")
+        if not self.group_names():
             raise ConfigError("ghic_groups must name at least one group")
+        unknown = sorted(set(self.group_names()) - set(GROUP_NAMES))
+        if unknown:
+            raise ConfigError(f"unknown ghic_groups {unknown}; known: {', '.join(GROUP_NAMES)}")
+
+    def group_names(self) -> list[str]:
+        """The names in ``ghic_groups``."""
+        return [name.strip() for name in self.ghic_groups.split(",") if name.strip()]
 
     @staticmethod
     def load(path: str | Path | None = None, overrides: dict | None = None) -> "PipelineConfig":

@@ -11,16 +11,19 @@ with  G_ii = -sum(rate_k for k in following of i)      (all followings),
       G_ij =  rate_j   when j is non-stubborn and i follows j,
       F_ij = -rate_j   when j is stubborn and i follows j.
 
-Every function below stubborn identification works on one network given
-as arrays: the edge columns ``src`` and ``tgt`` (node indices, sorted by
-(source, target), the columns a ``DirectedGraph`` stores), each
-node's posting ``rates``, the stubborn mask ``fixed`` and ``anchor``, each
-node's fixed opinion where it is stubborn and its measured opinion
-elsewhere.  Preprocessing only sets mask bits, since a reclassified node
-keeps its anchor as its fixed value.  Nothing is sorted per solve: rule (a)
-is one bincount of positive-rate in-edges, rule (b) one breadth-first
-search from a virtual source, each G_ii one bincount that adds the row's
-rates left to right in source order, and G and F come from masked edges.
+Everything here works on arrays over node positions.  Stubborn
+identification takes the measured-opinion column and the bot mask and
+returns the stubborn mask; the opinion column itself is the anchor.  Every
+function below it works on one network given as arrays: the edge columns
+``src`` and ``tgt`` (node indices, sorted by (source, target), the columns
+a ``DirectedGraph`` stores), each node's posting ``rates``, the stubborn
+mask ``fixed`` and ``anchor``, each node's fixed opinion where it is
+stubborn and its measured opinion elsewhere.  Preprocessing only sets mask
+bits, since a reclassified node keeps its anchor as its fixed value.
+Nothing is sorted per solve: rule (a) is one bincount of positive-rate
+in-edges, rule (b) one breadth-first search from a virtual source, each
+G_ii one bincount that adds the row's rates left to right in source order,
+and G and F come from masked edges.
 
 The system is solved directly (dense LU) up to 500 unknowns and by a
 Jacobi-preconditioned GMRES above that.  The fixed cutoff sits between
@@ -38,7 +41,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,30 +92,26 @@ def percentile_cuts(
 
 
 def identify_stubborn(
-    opinions: Mapping[str, float],
-    bots: set[str],
+    opinion: np.ndarray,
+    bot: np.ndarray,
     low_pct: float = DEFAULT_LOW_PCT,
     high_pct: float = DEFAULT_HIGH_PCT,
-) -> dict[str, float]:
-    """Stubborn accounts, each mapped to its fixed opinion.
+) -> np.ndarray:
+    """The stubborn mask over accounts, given each account's measured
+    ``opinion`` and the boolean ``bot`` mask.
 
     The stubborn set is all bots plus humans with opinions beyond the global
     cuts, and every stubborn account keeps its measured opinion as its fixed
-    value.  Cuts are computed once over all accounts in the dataset and
-    reused for every daily network.
+    value, so ``opinion`` is the solver's anchor.  Cuts are computed once
+    over all accounts in the dataset and reused for every daily network.
     """
-    if not opinions:
-        raise ValueError("cannot identify stubborn accounts without opinions")
     if not 0.0 <= low_pct < high_pct <= 1.0:
         raise ValueError(f"bad percentile thresholds ({low_pct}, {high_pct})")
-    low_cut, high_cut = percentile_cuts(opinions.values(), low_pct, high_pct)
-    psi: dict[str, float] = {}
-    for account, opinion in opinions.items():
-        if account in bots or opinion < low_cut or opinion > high_cut:
-            psi[account] = opinion
-    if len(psi) == len(opinions):
+    low_cut, high_cut = percentile_cuts(opinion.tolist(), low_pct, high_pct)
+    fixed = bot | (opinion < low_cut) | (opinion > high_cut)
+    if fixed.all():
         log.warning("every account is stubborn; equilibrium solves would be vacuous")
-    return psi
+    return fixed
 
 
 # -- per-network preprocessing ---------------------------------------------------

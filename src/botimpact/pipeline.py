@@ -15,23 +15,21 @@ import fnmatch
 import hashlib
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import accounts as acc
 from . import botdetect, ingest
-from .config import PipelineConfig
+from .config import GROUP_NAMES, PipelineConfig
 from .ghic import daily_ghic_series, ghic_per_bot
-from .graph import load_edge_list, save_edge_list
+from .graph import load_columns, load_edge_list, save_edge_list
 from .opinion import identify_stubborn
 
 log = logging.getLogger(__name__)
-
-GROUP_NAMES = ("all_bots", "anti_bots", "pro_bots", "qanon_bots")
 
 # manifest entry -> the command that writes it
 _COMMANDS = {"build": "build", "detect": "detect-bots", "classify": "classify", "ghic": "ghic"}
@@ -85,7 +83,8 @@ def _read_manifest(out_dir: Path) -> dict:
 def _update_manifest(out_dir: Path, stage: str, payload: dict, files: Iterable[Path]) -> None:
     """Record the stage's outputs and drop the entries of the later stages, which
     read them; then delete the files a previous or dropped entry listed and this
-    one does not, so no reader finds a stale file from an earlier run.
+    one does not, and ``report.txt``, so no reader finds a stale file from an
+    earlier run.
 
     ``build`` replaces an unreadable manifest: it drops every other entry anyway.
     """
@@ -103,17 +102,9 @@ def _update_manifest(out_dir: Path, stage: str, payload: dict, files: Iterable[P
     _atomic_write_text(out_dir / "manifest.json",
                        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     listed = {name for entry in previous for name in entry.get("checksums", {})}
-    for name in sorted(listed - set(payload["checksums"])):
+    for name in sorted(listed - set(payload["checksums"])) + ["report.txt"]:
         if Path(name).name == name:  # a bare file name, as the stages write them
             (out_dir / name).unlink(missing_ok=True)
-
-
-def _pmap(fn: Callable, items: Sequence, workers: int) -> list:
-    """Order-preserving map over a bounded thread pool."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- build ------------------------------------------------------------------------
@@ -254,11 +245,11 @@ def stage_detect(cfg: PipelineConfig) -> dict:
         tolerance=cfg.bp_tolerance,
     )
 
-    def _infer(path: Path) -> tuple[str, botdetect.BotPosterior]:
-        day = path.stem.removeprefix("retweet_")
-        return day, botdetect.infer_bot_probabilities(load_edge_list(path, accounts), params)
-
-    results = _pmap(_infer, day_paths, cfg.workers)
+    results = [
+        (path.stem.removeprefix("retweet_"),
+         botdetect.infer_bot_probabilities(load_edge_list(path, accounts), params))
+        for path in day_paths
+    ]
 
     written: list[Path] = []
     daily_sets = []
@@ -415,90 +406,102 @@ def _load_csv(out_dir: Path, stage: str, name: str) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def _load_daily_active(out_dir: Path) -> dict[date, set[str]]:
+@dataclass
+class AccountTable:
+    """accounts.csv as columns over the positions of the sorted account list."""
+
+    opinion: np.ndarray  # measured opinion
+    tweet_rate: np.ndarray
+    side: np.ndarray  # partisanship of scored accounts: 0 unscored, 1 anti, 2 pro
+    groups: dict[str, np.ndarray]  # each of GROUP_NAMES -> bool mask
+
+
+def account_table(rows: list[dict], accounts: list[str]) -> AccountTable:
+    """The rows of accounts.csv placed by their position in ``accounts``, and the
+    bot groups: all bots, anti-Trump bots, pro-Trump non-Qanon bots and Qanon
+    bots.  Rows that are not exactly the accounts raise StageError ("rerun
+    classify")."""
+    index = {account: i for i, account in enumerate(accounts)}
+    position = [index.get(row["account_id"], -1) for row in rows]
+    if sorted(position) != list(range(len(accounts))):
+        raise StageError("accounts.csv does not list the accounts of accounts.json; "
+                         "rerun classify")
+    ordered = [rows[i] for i in np.argsort(position)]
+
+    def flag(key: str, value: str) -> np.ndarray:
+        return np.array([row[key] == value for row in ordered], dtype=bool)
+
+    bot, qanon, anti, pro = (flag("bot", "1"), flag("qanon", "1"),
+                             flag("partisanship", acc.ANTI), flag("partisanship", acc.PRO))
+    return AccountTable(
+        opinion=np.array([float(row["opinion"]) for row in ordered], dtype=np.float64),
+        tweet_rate=np.array([float(row["tweet_rate"]) for row in ordered], dtype=np.float64),
+        side=np.where(flag("scored", "1"), anti + 2 * pro, 0).astype(np.int8),
+        groups=dict(zip(GROUP_NAMES, (bot, bot & anti, bot & pro & ~qanon, bot & qanon))),
+    )
+
+
+def _load_daily_active(out_dir: Path, accounts: list[str]) -> dict[date, np.ndarray]:
+    """Each day's active accounts as a mask over ``accounts``; an id not in the
+    list raises StageError ("rerun build")."""
     [path] = _listed_paths(out_dir, "build", "daily_active.csv")
-    active: dict[date, set[str]] = {}
+    index = {account: i for i, account in enumerate(accounts)}
+    positions: dict[date, list[int]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            active.setdefault(date.fromisoformat(row["day"]), set()).add(row["account_id"])
-    return active
-
-
-def ghic_groups_from_rows(rows: list[dict], requested: Iterable[str]) -> dict[str, set[str]]:
-    """Bot group definitions over the classified account table."""
-    groups: dict[str, set[str]] = {name: set() for name in requested}
-    unknown = set(groups) - set(GROUP_NAMES)
-    if unknown:
-        raise StageError(f"unknown ghic groups: {sorted(unknown)}; known: {GROUP_NAMES}")
-    for row in rows:
-        if row["bot"] != "1":
-            continue
-        account = row["account_id"]
-        if "all_bots" in groups:
-            groups["all_bots"].add(account)
-        if row["partisanship"] == "anti" and "anti_bots" in groups:
-            groups["anti_bots"].add(account)
-        if row["partisanship"] == "pro" and row["qanon"] != "1" and "pro_bots" in groups:
-            groups["pro_bots"].add(account)
-        if row["qanon"] == "1" and "qanon_bots" in groups:
-            groups["qanon_bots"].add(account)
-    return groups
+            if row["account_id"] not in index:
+                raise StageError(f"{path} names {row['account_id']!r}, which accounts.json "
+                                 "does not list; rerun build")
+            positions.setdefault(date.fromisoformat(row["day"]), []).append(
+                index[row["account_id"]])
+    return {day: np.bincount(p, minlength=len(accounts)) > 0 for day, p in positions.items()}
 
 
 def stage_ghic(cfg: PipelineConfig) -> dict:
-    """Daily influence series and per-bot efficiency distributions."""
+    """Daily influence series and per-bot efficiency distributions.
+
+    The follower network, the accounts.csv columns and each day's active
+    accounts all index the sorted account list in accounts.json; the
+    follower network holds every account, in that order.
+    """
     out_dir = Path(cfg.out_dir)
+    accounts = load_accounts(out_dir)
     [follower_path] = _listed_paths(out_dir, "build", "follower.cols")
-    follower = load_edge_list(follower_path, load_accounts(out_dir))
-    rates = _load_rates(out_dir)
-    rows = _load_csv(out_dir, "classify", "accounts.csv")
-    active_by_day = _load_daily_active(out_dir)
+    nodes, src, tgt, _ = load_columns(follower_path, accounts)
+    if not np.array_equal(nodes, np.arange(len(accounts))):
+        raise StageError(f"{follower_path} does not hold the accounts of accounts.json "
+                         "in order; rerun build")
+    table = account_table(_load_csv(out_dir, "classify", "accounts.csv"), accounts)
+    active_by_day = _load_daily_active(out_dir, accounts)
 
-    opinions = {row["account_id"]: float(row["opinion"]) for row in rows}
-    bots = {row["account_id"] for row in rows if row["bot"] == "1"}
-    stubborn = identify_stubborn(opinions, bots, cfg.stubborn_low_pct, cfg.stubborn_high_pct)
-    requested = [name.strip() for name in cfg.ghic_groups.split(",") if name.strip()]
-    groups = ghic_groups_from_rows(rows, requested)
-
-    series = daily_ghic_series(follower, active_by_day, rates, stubborn, opinions, groups)
+    fixed = identify_stubborn(table.opinion, table.groups["all_bots"], cfg.stubborn_low_pct,
+                              cfg.stubborn_high_pct)
+    groups = {name: table.groups[name] for name in cfg.group_names()}
+    arrays = (src, tgt, table.tweet_rate, fixed, table.opinion)
+    series = daily_ghic_series(arrays, active_by_day, groups)
     per_bot = ghic_per_bot(series, groups)
 
     series_path = out_dir / "ghic_series.csv"
-    series_rows = []
-    for entry in series.entries:
-        for name in sorted(groups):
-            if name not in entry.results:
-                continue
-            result = entry.results[name]
-            active_members = entry.group_active[name]
-            per_bot_value = _fmt(result.value / active_members) if active_members else ""
-            series_rows.append(
-                (
-                    entry.day.isoformat(), name, _fmt(result.value),
-                    entry.active_nodes, active_members, per_bot_value,
-                )
-            )
     _atomic_write_rows(
         series_path,
         ["day", "group", "ghic", "active_nodes", "group_active_count", "ghic_per_bot"],
-        series_rows,
+        [
+            (entry.day.isoformat(), name, _fmt(result.value), entry.active_nodes,
+             entry.group_active[name],
+             _fmt(result.value / entry.group_active[name]) if entry.group_active[name] else "")
+            for entry in series.entries for name, result in sorted(entry.results.items())
+        ],
     )
 
     box_path = out_dir / "ghic_per_bot.csv"
-    box_rows = []
-    for name in sorted(groups):
-        stats = per_bot.get(name)
-        if stats is None:
-            box_rows.append((name, "", "", "", "", "", "", 0))
-        else:
-            box_rows.append(
-                (
-                    name, _fmt(stats.minimum), _fmt(stats.q1), _fmt(stats.median),
-                    _fmt(stats.q3), _fmt(stats.maximum), _fmt(stats.mean), stats.n,
-                )
-            )
     _atomic_write_rows(
-        box_path, ["group", "min", "q1", "median", "q3", "max", "mean", "n"], box_rows
+        box_path, ["group", "min", "q1", "median", "q3", "max", "mean", "n"],
+        [
+            (name, "", "", "", "", "", "", 0) if stats is None else
+            (name, *map(_fmt, (stats.minimum, stats.q1, stats.median, stats.q3,
+                               stats.maximum, stats.mean)), stats.n)
+            for name, stats in per_bot.items()  # in group order
+        ],
     )
 
     payload = {

@@ -13,8 +13,7 @@ import numpy as np
 from . import accounts as acc
 from .config import PipelineConfig
 from .graph import load_columns
-from .pipeline import (GROUP_NAMES, _listed_paths, _load_csv, _read_manifest,
-                       ghic_groups_from_rows, load_accounts)
+from .pipeline import _listed_paths, _load_csv, _read_manifest, account_table, load_accounts
 
 _MISSING = "  (not available: run the {stage} stage first)\n"
 
@@ -77,7 +76,8 @@ def build_report(cfg: PipelineConfig) -> str:
     parts.append(_section("Retweet leaderboards"))
     if rows and build:
         accounts = load_accounts(out_dir)
-        groups, side = _account_masks(rows, accounts)
+        table = account_table(rows, accounts)
+        groups, side = table.groups, table.side
         retweets = _merged_retweet_network(out_dir, accounts)
         anti, pro = groups["anti_bots"], groups["pro_bots"] | groups["qanon_bots"]
         for title, bots in (("anti-Trump bots", anti), ("pro-Trump bots", pro)):
@@ -135,25 +135,6 @@ def build_report(cfg: PipelineConfig) -> str:
         parts.append(_MISSING.format(stage="ghic"))
 
     return "".join(parts)
-
-
-def _account_masks(rows: list[dict], accounts: list[str]) -> tuple[dict, np.ndarray]:
-    """The bot groups of ``pipeline`` as boolean masks over ``accounts``, and
-    partisanship codes (0 unscored, 1 anti, 2 pro), placed through the
-    account list's index rather than the row order of accounts.csv."""
-    position = {account: i for i, account in enumerate(accounts)}
-
-    def _mask(ids) -> np.ndarray:
-        mask = np.zeros(len(accounts), dtype=bool)
-        mask[np.fromiter(map(position.__getitem__, ids), np.int64)] = True
-        return mask
-
-    groups = {name: _mask(ids) for name, ids in ghic_groups_from_rows(rows, GROUP_NAMES).items()}
-    side = np.zeros(len(accounts), dtype=np.int8)
-    for code, partisanship in enumerate((acc.ANTI, acc.PRO), 1):
-        side[_mask(r["account_id"] for r in rows
-                   if r["scored"] == "1" and r["partisanship"] == partisanship)] = code
-    return groups, side
 
 
 def _global_columns(path: Path, accounts: list[str]) -> tuple[np.ndarray, ...]:

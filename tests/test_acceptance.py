@@ -38,6 +38,7 @@ from botimpact.synth import SynthSpec, generate
 
 from conftest import auc_score, edge_dict, graph_of, random_instance, solver_inputs
 from test_botdetect import _random_forest
+from test_ghic import _ghic
 
 N_EQUILIBRIUM_INSTANCES = 100
 SOLVER_ORACLE_TOL = 1e-8
@@ -132,16 +133,16 @@ def test_criterion_3_ghic_axioms_and_worked_example():
     expected = np.mean(
         [theta[g.index(h)] - theta_removed[reduced.index(h)] for h in ("h1", "h2", "h3")]
     )
-    result = ghic(g, rates, stubborn, opinions, {"s"})
+    result = _ghic(g, rates, stubborn, opinions, {"s"})
     assert expected == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert result.value == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     zero_positive = 0
     for seed in range(GHIC_INSTANCES):
         g2, rates2, stubborn2, opinions2, ones = _sign_instance(2000 + seed)
-        empty = ghic(g2, rates2, stubborn2, opinions2, set())
+        empty = _ghic(g2, rates2, stubborn2, opinions2, set())
         assert empty.value == 0.0  # exact
-        result2 = ghic(g2, rates2, stubborn2, opinions2, ones)
+        result2 = _ghic(g2, rates2, stubborn2, opinions2, ones)
         assert result2.value >= -1e-12  # sign semantics
         assert abs(result2.value) <= 1.0 + 1e-12  # |GHIC| <= max psi - min psi
         src2, tgt2, _ = g2.edge_arrays()
@@ -162,7 +163,7 @@ def test_criterion_3_ghic_axioms_and_worked_example():
         rates_l = dict(rates2, offside=5.0)
         opinions_l = dict(opinions2, offside=1.0)
         stubborn_l = dict(stubborn2, offside=1.0)
-        no_path = ghic(lone, rates_l, stubborn_l, opinions_l, {"offside"})
+        no_path = _ghic(lone, rates_l, stubborn_l, opinions_l, {"offside"})
         assert no_path.value == 0.0
     assert zero_positive > 0
     print(
@@ -248,10 +249,17 @@ def _per_bot_core_ghic(seed: int, audience: str, workdir: Path) -> float:
             sums[author] = sums.get(author, 0.0) + opinion
             counts[author] = counts.get(author, 0) + 1
     opinions = {a: sums[a] / counts[a] for a in sums}
-    bots = {a for a, row in labels.items() if row["is_bot"] == "1" and a in follower}
-    stubborn = identify_stubborn({a: o for a, o in opinions.items() if a in follower}, bots)
-    result = ghic(follower, rates, stubborn, opinions, bots)
-    return result.value / len(bots)
+    nodes = follower.labels
+    src, tgt, _ = follower.edge_arrays()
+    opinion = np.array([opinions.get(a, 0.5) for a in nodes])
+    bot = np.array([labels[a]["is_bot"] == "1" for a in nodes])
+    # the percentile cuts are taken over the accounts with a scored tweet
+    scored = np.array([a in opinions for a in nodes])
+    fixed = np.zeros(len(nodes), dtype=bool)
+    fixed[scored] = identify_stubborn(opinion[scored], bot[scored])
+    lam = np.array([rates.get(a, 0.0) for a in nodes])
+    result = ghic(src, tgt, lam, fixed, opinion, bot)
+    return result.value / np.count_nonzero(bot)
 
 
 def test_criterion_6_echo_chamber_lowers_per_bot_impact(tmp_path):

@@ -176,12 +176,21 @@ def test_stages_refuse_upstream_files_changed_since_written(tmp_path, runner, co
     original = rates.read_bytes()
     header, first, *rest = original.splitlines(keepends=True)
     rates.write_bytes(header + first.rsplit(b",", 1)[0] + b",99\r\n" + b"".join(rest))
-    for cmd in ("ghic", "classify"):
-        result = runner.invoke(main, ["--config", str(cfg), cmd])
-        assert result.exit_code == 3, cmd
-        assert "rerun build" in result.output
-
+    result = runner.invoke(main, ["--config", str(cfg), "classify"])
+    assert result.exit_code == 3
+    assert "rerun build" in result.output
+    # ghic takes the rates from accounts.csv, so it does not read rates.csv
+    assert _run(runner, ["--config", str(cfg), "ghic"]).exit_code == 0
     rates.write_bytes(original)
+
+    active = out / "daily_active.csv"
+    original = active.read_bytes()
+    active.write_bytes(original + original.splitlines(keepends=True)[-1])
+    result = runner.invoke(main, ["--config", str(cfg), "ghic"])
+    assert result.exit_code == 3
+    assert "rerun build" in result.output
+
+    active.write_bytes(original)
     assert _run(runner, ["--config", str(cfg), "ghic"]).exit_code == 0
     content = out / "account_content.jsonl"
     original = content.read_bytes()
@@ -408,19 +417,47 @@ def test_report_without_ghic_notes_missing_section(tmp_path, runner, corpus):
     assert "not available" in result.output
 
 
-def test_workers_flag_matches_serial_output(tmp_path, runner, corpus):
-    out1, out2 = tmp_path / "w1", tmp_path / "w4"
-    cfg1 = _write_config(tmp_path / "c1.txt", corpus, out1)
-    cfg2 = _write_config(tmp_path / "c2.txt", corpus, out2)
-    for cfg, workers in ((cfg1, "1"), (cfg2, "4")):
-        for cmd in ("build", "detect-bots"):
-            result = _run(runner, ["--config", str(cfg), "--workers", workers, cmd])
-            assert result.exit_code == 0
-    posts1 = sorted(p.name for p in out1.glob("posterior_*.csv"))
-    posts2 = sorted(p.name for p in out2.glob("posterior_*.csv"))
-    assert posts1 == posts2
-    for name in posts1:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+def test_workers_other_than_one_exits_2(tmp_path, runner, corpus):
+    cfg = _write_config(tmp_path / "cfg.txt", corpus, tmp_path / "out")
+    result = runner.invoke(main, ["--config", str(cfg), "--workers", "2", "build"])
+    assert result.exit_code == 2
+    assert "--workers" in result.output
+    cfg.write_text(cfg.read_text() + "workers = 2\n")
+    result = runner.invoke(main, ["--config", str(cfg), "build"])
+    assert result.exit_code == 2
+    assert "workers must be 1" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_unknown_ghic_group_exits_2_before_any_stage_runs(tmp_path, runner, corpus):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
+    cfg.write_text(cfg.read_text() + "ghic_groups = all_bots, martians\n")
+    for cmd in ("build", "detect-bots", "classify", "ghic", "report"):
+        result = runner.invoke(main, ["--config", str(cfg), cmd])
+        assert result.exit_code == 2, cmd
+        assert "unknown ghic_groups ['martians']" in result.output
+    assert not out.exists()
+
+
+def test_every_stage_retires_the_report(tmp_path, runner, corpus):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
+    for cmd in ("build", "detect-bots", "classify", "ghic"):
+        if cmd != "build":
+            assert _run(runner, ["--config", str(cfg), "report"]).exit_code == 0
+            assert (out / "report.txt").exists()
+        assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0, cmd
+        assert not (out / "report.txt").exists(), cmd
+
+    # a full run, then a build of another corpus: no report of the old corpus stays
+    assert _run(runner, ["--config", str(cfg), "report"]).exit_code == 0
+    spec = _write_spec(tmp_path / "spec_b.txt", seed=4, humans_per_block=20)
+    corpus_b = tmp_path / "corpus_b"
+    assert _run(runner, ["--out", str(corpus_b), "synth", "--spec", str(spec)]).exit_code == 0
+    cfg_b = _write_config(tmp_path / "cfg_b.txt", corpus_b, out)
+    assert _run(runner, ["--config", str(cfg_b), "build"]).exit_code == 0
+    assert not (out / "report.txt").exists()
 
 
 def test_planted_qanon_bot_prevalence_reported(tmp_path, runner):

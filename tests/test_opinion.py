@@ -34,30 +34,27 @@ def _oracle(graph, lam, fixed, anchor):
 def test_identify_stubborn_extreme_tails():
     # frozen from the sorted-order-statistic rule: cuts land on 0.5, so the
     # 0.0 and 1.0 blocks are strictly outside and become stubborn
-    opinions = {}
-    opinions.update({f"z{i}": 0.0 for i in range(10)})
-    opinions.update({f"m{i}": 0.5 for i in range(80)})
-    opinions.update({f"o{i}": 1.0 for i in range(10)})
-    stubborn = identify_stubborn(opinions, bots=set())
-    assert set(stubborn) == {f"z{i}" for i in range(10)} | {f"o{i}" for i in range(10)}
-    assert stubborn["z0"] == 0.0 and stubborn["o0"] == 1.0
+    opinion = np.array([0.0] * 10 + [0.5] * 80 + [1.0] * 10)
+    fixed = identify_stubborn(opinion, np.zeros(100, dtype=bool))
+    assert fixed.dtype == bool
+    assert fixed.tolist() == [True] * 10 + [False] * 80 + [True] * 10
 
 
 def test_identify_stubborn_bot_rule():
-    opinions = {f"u{i}": 0.5 for i in range(20)}
-    opinions["bot"] = 0.5
-    assert identify_stubborn(opinions, bots={"bot"}) == {"bot": 0.5}
+    bot = np.zeros(21, dtype=bool)
+    bot[7] = True
+    assert np.flatnonzero(identify_stubborn(np.full(21, 0.5), bot)).tolist() == [7]
 
 
 def test_identify_stubborn_extreme_thresholds_disable():
-    opinions = {f"u{i}": i / 9 for i in range(10)}
-    assert identify_stubborn(opinions, bots=set(), low_pct=0.0, high_pct=1.0) == {}
+    opinion = np.arange(10) / 9
+    fixed = identify_stubborn(opinion, np.zeros(10, dtype=bool), low_pct=0.0, high_pct=1.0)
+    assert not fixed.any()
 
 
 def test_identify_stubborn_flags_all_stubborn(caplog):
-    opinions = {"a": 0.0, "b": 1.0}
     with caplog.at_level("WARNING", logger="botimpact.opinion"):
-        assert identify_stubborn(opinions, bots={"a", "b"}) == opinions
+        assert identify_stubborn(np.array([0.0, 1.0]), np.ones(2, dtype=bool)).all()
     assert "every account is stubborn" in caplog.text
 
 

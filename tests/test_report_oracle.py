@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from botimpact import accounts as acc
 from botimpact import report
 from botimpact.config import PipelineConfig
 from botimpact.graph import DirectedGraph, load_edge_list
-from botimpact.pipeline import (GROUP_NAMES, _listed_paths, _load_csv, ghic_groups_from_rows,
-                                load_accounts, stage_build, stage_classify, stage_detect)
+from botimpact.pipeline import (StageError, _listed_paths, _load_csv, account_table, load_accounts,
+                                stage_build, stage_classify, stage_detect)
 from botimpact.synth import SynthSpec, generate
 
 SPECS = {
@@ -69,6 +71,17 @@ def _ref_co_partisan(followers, bot: str, labels: dict[str, str]) -> float | Non
         return None
     sides = [labels[f] for f in followers.get(bot, ()) if f in labels]
     return sum(1 for side in sides if side == own) / len(sides) if sides else None
+
+
+def _ref_groups(rows: list[dict]) -> dict[str, set[str]]:
+    bots = [row for row in rows if row["bot"] == "1"]
+    return {
+        "all_bots": {row["account_id"] for row in bots},
+        "anti_bots": {row["account_id"] for row in bots if row["partisanship"] == "anti"},
+        "pro_bots": {row["account_id"] for row in bots
+                     if row["partisanship"] == "pro" and row["qanon"] != "1"},
+        "qanon_bots": {row["account_id"] for row in bots if row["qanon"] == "1"},
+    }
 
 
 def _ref_merged(out, accounts) -> DirectedGraph:
@@ -123,8 +136,9 @@ def test_network_statistics_match_the_per_edge_reference(tmp_path):
             followers = _ref_followers(load_edge_list(follower_path, accounts))
 
             for rows in (classified, _perturbed(classified, seed)):
-                masks, side = report._account_masks(rows, accounts)
-                ids = ghic_groups_from_rows(rows, GROUP_NAMES)
+                table = account_table(rows, accounts)
+                masks, side = dict(table.groups), table.side
+                ids = _ref_groups(rows)
                 ids["pro_trump"] = ids["pro_bots"] | ids["qanon_bots"]
                 masks["pro_trump"] = masks["pro_bots"] | masks["qanon_bots"]
                 ids["nobody"], masks["nobody"] = set(), masks["all_bots"] & False
@@ -160,12 +174,25 @@ def test_network_statistics_match_the_per_edge_reference(tmp_path):
 def test_groups_and_sides_follow_the_account_list_not_the_row_order(tmp_path):
     out, rows = _classified(tmp_path, "two_block_polarized", 0)
     accounts = load_accounts(out)
-    masks, side = report._account_masks(rows, accounts)
-    shuffled, shuffled_side = report._account_masks(rows[::-1], accounts)
-    assert all((masks[name] == shuffled[name]).all() for name in masks)
-    assert (side == shuffled_side).all()
+    table = account_table(rows, accounts)
+    shuffled = account_table(rows[::-1], accounts)
+    for name in ("opinion", "tweet_rate", "side"):
+        assert (getattr(table, name) == getattr(shuffled, name)).all(), name
+    assert all((table.groups[name] == shuffled.groups[name]).all() for name in table.groups)
+    side = table.side
     codes = {"anti": 1, "pro": 2}
     for row in rows:
         i = accounts.index(row["account_id"])
         assert side[i] == (codes[row["partisanship"]] if row["scored"] == "1" else 0)
+        assert table.opinion[i] == float(row["opinion"])
+        assert table.tweet_rate[i] == float(row["tweet_rate"])
+
+
+def test_an_account_table_of_other_accounts_is_refused(tmp_path):
+    out, rows = _classified(tmp_path, "two_block_polarized", 0)
+    accounts = load_accounts(out)
+    renamed = [dict(rows[0], account_id="someone-else")] + rows[1:]
+    for bad in (rows[1:], rows + rows[:1], renamed):
+        with pytest.raises(StageError, match="rerun classify"):
+            account_table(bad, accounts)
 
