@@ -16,6 +16,16 @@ for stage in build detect-bots classify ghic report; do
   botimpact --config run.cfg "$stage"
 done
 test -s out/report.txt
+# out holds exactly the files the manifest entries list, plus the manifest
+# and the report, so a file written but not listed fails
+python3 -c '
+import json, os, sys
+listed = {"manifest.json", "report.txt"}
+for entry in json.load(open("out/manifest.json")).values():
+    listed |= set(entry["checksums"])
+odd = sorted(listed.symmetric_difference(os.listdir("out")))
+sys.exit(f"out/ and its manifest disagree on {odd}" if odd else 0)
+'
 # the five stages again in fresh processes, so with other string hash
 # seeds; in a copy of the directory, as the manifest records out_dir
 mkdir out2 && cp -r corpus run.cfg out2/
@@ -36,4 +46,10 @@ cp run.cfg martians.cfg
 echo 'ghic_groups = martians' >> martians.cfg
 status=0
 botimpact --config martians.cfg build || status=$?
+test "$status" -eq 2
+# so is a belief-propagation setting outside its range
+cp run.cfg damping.cfg
+echo 'bp_damping = 1.0' >> damping.cfg
+status=0
+botimpact --config damping.cfg build || status=$?
 test "$status" -eq 2

@@ -25,7 +25,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .ingest import AccountContent
+from .ingest import AccountContent, IngestError
 
 PARTISAN_CUTOFF = 0.5
 ANTI = "anti"
@@ -134,9 +134,10 @@ class MediaRatingsTable:
     avoids carrying a public-suffix database.
     """
 
-    def __init__(self, ratings: Mapping[str, float]):
+    def __init__(self, ratings: Iterable[tuple[str, float | str]]):
+        """From (domain, rating) pairs, in order; a later pair for a domain wins."""
         self._ratings: dict[str, float] = {}
-        for domain, rating in ratings.items():
+        for domain, rating in ratings:
             domain = domain.strip().casefold().lstrip(".")
             rating = float(rating)
             if not 1.0 <= rating <= 5.0:
@@ -145,12 +146,16 @@ class MediaRatingsTable:
 
     @staticmethod
     def from_csv(path: str | Path) -> "MediaRatingsTable":
-        """Read ``domain,rating`` rows (header required)."""
-        ratings: dict[str, float] = {}
+        """Read ``domain,rating`` rows (header required); a malformed header or
+        row raises IngestError naming the file and the line."""
         with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                ratings[row["domain"]] = float(row["rating"])
-        return MediaRatingsTable(ratings)
+            reader = csv.DictReader(fh, restval="")
+            try:  # the table takes the rows one by one, so line_num is the bad row's
+                if not {"domain", "rating"} <= set(reader.fieldnames or ()):
+                    raise ValueError("the header must name the domain and rating columns")
+                return MediaRatingsTable((row["domain"], row["rating"]) for row in reader)
+            except ValueError as exc:
+                raise IngestError(f"{path}, line {reader.line_num}: {exc}") from None
 
     def rating_for_url(self, url: str) -> float | None:
         """Rating of the URL's site, or None when unrated.
@@ -197,13 +202,14 @@ def media_quality_score(
 
 def build_account_records(
     content: Mapping[str, AccountContent],
-    rates: Mapping[str, float],
+    duration_days: int,
     bots: set[str],
     qanon_keywords: KeywordSet,
     ratings: MediaRatingsTable | None = None,
     cutoff: float = PARTISAN_CUTOFF,
 ) -> dict[str, AccountRecord]:
-    """Assemble one AccountRecord per corpus account.
+    """Assemble one AccountRecord per corpus account; its tweet rate is its
+    tweet count over the window's ``duration_days``.
 
     Accounts with zero scored tweets get the neutral opinion 0.5 and are
     flagged unscored so partisan statistics can exclude them.
@@ -219,7 +225,7 @@ def build_account_records(
         out[account] = AccountRecord(
             account_id=account,
             opinion=opinion,
-            tweet_rate=rates.get(account, 0.0),
+            tweet_rate=c.tweet_count / duration_days,
             tweet_count=c.tweet_count,
             partisanship=partisanship,
             qanon=label_qanon(c.description, partisanship, qanon_keywords),

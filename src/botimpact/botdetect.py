@@ -66,15 +66,15 @@ class FactorGraphParams:
     tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
+        # each message starts with the field it names; config prefixes "bp_"
         if not 0.0 < self.prior_bot < 1.0:
             raise ValueError(f"prior_bot must be in (0,1), got {self.prior_bot}")
-        for name in ("psi_hh", "psi_hb", "psi_bh", "psi_bb"):
+        if not 0.0 <= self.damping < 1.0:
+            raise ValueError(f"damping must be in [0,1), got {self.damping}")
+        for name in ("psi_hh", "psi_hb", "psi_bh", "psi_bb", "weight_cap", "max_iterations",
+                     "tolerance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.weight_cap <= 0:
-            raise ValueError("weight_cap must be positive")
-        if not 0.0 <= self.damping < 1.0:
-            raise ValueError("damping must be in [0,1)")
 
     def log_table(self) -> np.ndarray:
         """log psi indexed [x_source, x_retweeter] with H=0, B=1."""

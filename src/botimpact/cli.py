@@ -69,7 +69,7 @@ def main(ctx: click.Context, config, out, seed, verbose) -> None:
 @main.command()
 @click.pass_context
 def build(ctx: click.Context) -> None:
-    """Parse tweets/profiles into networks, rates, and daily activity."""
+    """Parse tweets/profiles into networks, daily activity and account content."""
     payload = _run_stage(ctx, pipeline.stage_build)
     click.echo(
         f"build: {payload['tweets_parsed']} tweets over {payload['days']} day(s), "

@@ -3,7 +3,8 @@
 Defaults carry the analysis constants: partisan cutoff 0.5 (anti at or
 below), bot threshold 0.8 (strictly above), stubborn percentiles 10/90,
 followings cap 2000.  Every numeric field is validated against its
-documented range at load time.
+documented range at load time; the ``bp_`` ranges are those of
+``botdetect.FactorGraphParams``, kept there only.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
 
+from .botdetect import FactorGraphParams
 
 # the bot groups ``ghic_groups`` may name, defined over accounts.csv by ``pipeline``
 GROUP_NAMES = ("all_bots", "anti_bots", "pro_bots", "qanon_bots")
@@ -59,8 +61,6 @@ class PipelineConfig:
             ("bot_threshold", 0.5, 1.0),
             ("stubborn_low_pct", 0.0, 1.0),
             ("stubborn_high_pct", 0.0, 1.0),
-            ("bp_prior_bot", 0.0, 1.0),
-            ("bp_damping", 0.0, 1.0),
         ]
         for name, lo, hi in checks:
             value = getattr(self, name)
@@ -70,13 +70,12 @@ class PipelineConfig:
             raise ConfigError("stubborn_low_pct must be below stubborn_high_pct")
         if self.bot_threshold <= 0.5:
             raise ConfigError("bot_threshold must exceed 0.5")
-        positive = (
-            "followings_cap", "bp_psi_hh", "bp_psi_hb", "bp_psi_bh", "bp_psi_bb",
-            "bp_weight_cap", "bp_max_iterations", "bp_tolerance",
-        )
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        if self.followings_cap <= 0:
+            raise ConfigError("followings_cap must be positive")
+        try:
+            self.bp_params()
+        except ValueError as exc:  # its ranges are kept in one place
+            raise ConfigError(f"bp_{exc}") from None
         if self.histogram_bins < 2:
             raise ConfigError("histogram_bins must be >= 2")
         if self.workers != 1:
@@ -86,6 +85,11 @@ class PipelineConfig:
         unknown = sorted(set(self.group_names()) - set(GROUP_NAMES))
         if unknown:
             raise ConfigError(f"unknown ghic_groups {unknown}; known: {', '.join(GROUP_NAMES)}")
+
+    def bp_params(self) -> FactorGraphParams:
+        """The ``bp_`` settings as belief propagation's parameters."""
+        return FactorGraphParams(
+            **{f.name: getattr(self, f"bp_{f.name}") for f in fields(FactorGraphParams)})
 
     def group_names(self) -> list[str]:
         """The names in ``ghic_groups``."""

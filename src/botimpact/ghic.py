@@ -127,7 +127,8 @@ def daily_ghic_series(
     over its nodes.  A group's daily target set is its members among that
     day's active accounts; a group with no active member contributes an
     exact zero.  Days whose active network has no non-stubborn node are
-    skipped with a note.
+    skipped with a note, and so is a group that covers every non-stubborn
+    active account.
     """
     if not groups:
         raise ValueError("at least one group is required")
@@ -136,8 +137,7 @@ def daily_ghic_series(
     skipped: list[tuple[date, str]] = []
     for day in sorted(active_by_day):
         active = active_by_day[day]
-        free = ~fixed[active]  # the day's non-stubborn accounts
-        if not free.any():
+        if fixed[active].all():
             skipped.append((day, "no non-stubborn active accounts"))
             continue
         day_arrays = _masked(arrays, active)
@@ -147,9 +147,6 @@ def daily_ghic_series(
         for name in sorted(groups):
             members = groups[name][active]
             group_active[name] = int(np.count_nonzero(members))
-            if not (free & ~members).any():
-                skipped.append((day, f"group {name!r} covers every non-stubborn account"))
-                continue
             try:
                 if full is None:
                     full = solve_network(*day_arrays)

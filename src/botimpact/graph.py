@@ -5,34 +5,42 @@ or retweets u.  Consequently the *in*-neighbors of a node are the accounts
 it follows (its "following"), and the *out*-neighbors are its followers /
 retweeters.
 
-Nodes are referenced externally by string account ids and internally by
-dense integer indices.  The build's networks, loaded networks and induced
-subgraphs are all built from (source, target, weight) index columns by one
-constructor, ``_from_arrays``; edges added one at a time (small hand-built
-graphs) collect in a dict until the graph is frozen.  The store is those
-three columns, parallel edges summed and sorted by (source, target), and
-``edge_arrays()`` hands them out as they are.  A frozen graph is immutable
-and safe for concurrent reads.
+A network is edge columns over dense node positions, ``sources``,
+``targets`` and ``weights``: parallel edges summed and sorted by (source,
+target), as ``merge_edges`` makes them for the build and for
+``DirectedGraph.freeze``.  A network file is four ``np.save`` records of
+fixed dtype (``_COLUMNS``): ``nodes``, positions in an account list kept
+apart (so any string id is exact), then the three edge columns, which must
+be in (source, target) order with no repeated edge.  It holds no
+timestamp, and a load checks it with array operations and stores it as read.
 
-A network file is four ``np.save`` records of fixed dtype (``_COLUMNS``):
-``nodes``, positions in an account list kept apart (so any string id is
-exact); ``sources`` and ``targets``, positions in ``nodes``; ``weights``.
-It holds no timestamp, and a load runs no Python loop over edges.
-
-For the equilibrium solver the graph is only a loader and an id index: it
-takes the graph's ``edge_arrays()``, never the graph itself.
+``DirectedGraph`` puts labels on the columns, for belief propagation
+(``load_edge_list``) and for small hand-built graphs, whose edges added one
+at a time collect in a dict until the graph is frozen.  ``edge_arrays()``
+hands the columns out as they are; a frozen graph is immutable.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 
 class GraphError(ValueError):
     """Invalid graph construction or query."""
+
+
+def merge_edges(
+    n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge columns over ``n`` nodes sorted by (source, target); parallel edges
+    summed in input order."""
+    keys, inverse = np.unique(src * n + tgt, return_inverse=True)
+    # bincount adds each edge's weights in input order, as add_interaction does
+    w = np.bincount(inverse, weights=w, minlength=keys.size).astype(np.float64, copy=False)
+    return (*np.divmod(keys, max(n, 1)), w)
 
 
 class DirectedGraph:
@@ -81,28 +89,23 @@ class DirectedGraph:
         if self._edges is None:
             return self
         src, tgt = np.array(list(self._edges), dtype=np.int64).reshape(-1, 2).T
-        self._build(src, tgt, np.array(list(self._edges.values()), dtype=np.float64))
+        self._columns = merge_edges(self.node_count, src, tgt,
+                                    np.array(list(self._edges.values()), dtype=np.float64))
+        self._edges = None  # the columns are the only store from here on
         return self
 
     @classmethod
     def _from_arrays(
         cls, labels: list[str], src: np.ndarray, tgt: np.ndarray, w: np.ndarray
     ) -> "DirectedGraph":
-        """Frozen graph on ``labels`` (in index order) from edge columns."""
+        """Frozen graph on ``labels`` (in index order) from edge columns already
+        sorted by (source, target) with no repeated edge."""
         graph = cls()
         graph._labels = labels
         graph._index = {label: i for i, label in enumerate(labels)}
-        graph._build(src, tgt, w)
+        graph._columns = (src, tgt, w)
+        graph._edges = None
         return graph
-
-    def _build(self, src: np.ndarray, tgt: np.ndarray, w: np.ndarray) -> None:
-        """Edge columns sorted by (source, target); parallel edges summed in input order."""
-        n = len(self._labels)
-        keys, inverse = np.unique(src * n + tgt, return_inverse=True)
-        # bincount adds each edge's weights in input order, as add_interaction does
-        w = np.bincount(inverse, weights=w, minlength=keys.size).astype(np.float64, copy=False)
-        self._columns = (*np.divmod(keys, max(n, 1)), w)
-        self._edges = None  # the columns are the only store from here on
 
     # -- queries -----------------------------------------------------------
 
@@ -158,12 +161,11 @@ class DirectedGraph:
 _COLUMNS = (("nodes", "<i8"), ("sources", "<i8"), ("targets", "<i8"), ("weights", "<f8"))
 
 
-def save_edge_list(graph: DirectedGraph, path: str | Path, index: Mapping[str, int]) -> None:
-    """Write ``graph`` as a network file; ``index`` maps each of its labels to
-    that account's position in the list the file will be read against."""
-    nodes = np.fromiter(map(index.__getitem__, graph.labels), np.int64, graph.node_count)
+def save_edge_list(path: str | Path, columns: Sequence[np.ndarray]) -> None:
+    """Write a network's four columns ``[nodes, sources, targets, weights]``;
+    ``nodes`` are positions in the account list the file will be read against."""
     with open(path, "wb") as fh:
-        for column, (_, dtype) in zip((nodes, *graph.edge_arrays()), _COLUMNS):
+        for column, (_, dtype) in zip(columns, _COLUMNS):
             np.save(fh, column.astype(dtype, copy=False))
 
 
@@ -190,6 +192,8 @@ def load_columns(path: str | Path, accounts: Sequence[str]) -> list[np.ndarray]:
         else "an edge to no node" if np.any((src < 0) | (src >= n) | (tgt < 0) | (tgt >= n))
         else "a self-loop" if np.any(src == tgt)
         else "a weight that is not positive" if not np.all(w > 0)
+        else "edges out of (source, target) order" if np.any((step := np.diff(src * n + tgt)) < 0)
+        else "a repeated edge" if np.any(step == 0)
         else None
     )
     if problem:

@@ -6,8 +6,9 @@ tallied rather than aborting the run, and an unreadable file is fatal.
 Each tweet becomes one plain row in column order, its UTC day already an
 ordinal.  The build drains the rows into per-tweet columns
 (``tweet_columns``) and derives the window, day slices, daily retweet
-networks and per-account content from them, building every network from
-index arrays; no list of rows is held.
+networks and per-account content from them; no list of rows is held.  A
+network comes out as the four columns of its file (see ``graph``): node
+positions in the sorted account list, then edge columns over those nodes.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from array import array
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import DirectedGraph
+from .graph import merge_edges
 
 log = logging.getLogger(__name__)
 
@@ -259,14 +260,15 @@ def account_content(tweets: TweetColumns) -> dict[str, AccountContent]:
 
 def build_daily_retweet_network(
     accounts: list[str], author: np.ndarray, retweeted: np.ndarray
-) -> DirectedGraph:
-    """Retweet network of one UTC day's tweets, given as indices into the sorted
-    ``accounts`` (``retweeted`` is -1 for an original tweet, which creates the
-    author node only); edge (u, v) carries the number of times v retweeted u
-    that day.  Nodes come as the (source, target)-sorted edges first name them,
-    then the authors without a retweet: the order in which belief propagation
-    has always added messages (sorted order moves some marginals at 1/2 by an
-    ulp, across a histogram bin edge)."""
+) -> list[np.ndarray]:
+    """Retweet network ``[nodes, sources, targets, weights]`` of one UTC day's
+    tweets, given as positions in the sorted ``accounts`` (``retweeted`` is -1
+    for an original tweet, which creates the author node only); edge (u, v)
+    carries the number of times v retweeted u that day.  Nodes come as the
+    (source, target)-sorted edges first name them, then the authors without a
+    retweet: the order in which belief propagation has always added messages
+    (sorted order moves some marginals at 1/2 by an ulp, across a histogram
+    bin edge)."""
     shared = retweeted >= 0
     src, tgt = retweeted[shared], author[shared]
     n = len(accounts)
@@ -275,23 +277,20 @@ def build_daily_retweet_network(
     nodes = np.concatenate((named, np.setdiff1d(author, named)))
     rank = np.empty(n, dtype=np.int64)
     rank[nodes] = np.arange(nodes.size)
-    return DirectedGraph._from_arrays(
-        [accounts[i] for i in nodes.tolist()], rank[src], rank[tgt], np.ones(src.size)
-    )
+    return [nodes, *merge_edges(nodes.size, rank[src], rank[tgt], np.ones(src.size))]
 
 
 def build_follower_network(
-    profiles: Iterable[UserProfileRecord], corpus: Collection[str]
-) -> DirectedGraph:
-    """Follower network restricted to corpus accounts.
+    profiles: Iterable[UserProfileRecord], accounts: list[str]
+) -> list[np.ndarray]:
+    """Follower network ``[nodes, sources, targets, weights]`` over the sorted
+    corpus ``accounts``.
 
     Account i following j yields the edge (j, i): information flows from the
-    followee to the follower.  Every corpus account becomes a node, in sorted
-    id order, even if isolated, so daily active subnetworks can always be
-    induced.
+    followee to the follower.  Every corpus account is a node, in list order,
+    even if isolated, so daily active subnetworks can always be induced.
     """
-    labels = sorted(corpus)
-    index = {account: i for i, account in enumerate(labels)}
+    index = {account: i for i, account in enumerate(accounts)}
     ends: list[int] = []  # followee, follower, followee, follower, ...
     for p in profiles:
         follower = index.get(p.account_id)
@@ -300,4 +299,5 @@ def build_follower_network(
                 if followee is not None and followee != follower:
                     ends += (followee, follower)
     src, tgt = np.array(ends, dtype=np.int64).reshape(-1, 2).T
-    return DirectedGraph._from_arrays(labels, src, tgt, np.ones(src.size))
+    n = len(accounts)
+    return [np.arange(n), *merge_edges(n, src, tgt, np.ones(src.size))]

@@ -3,9 +3,10 @@
 Every stage reads flat files, writes flat files (text ones atomically: temp
 then rename), and updates ``manifest.json`` with row counts and content
 checksums.  ``build`` writes its networks as network files (see ``graph``)
-on the sorted account list in ``accounts.json``.  Outputs carry no
-timestamps, so identical inputs and configuration reproduce byte-identical
-results.
+on the sorted account list in ``accounts.json``, straight from the columns
+``ingest`` returns; every later stage but ``detect-bots`` works on positions
+in that list too.  Outputs carry no timestamps, so identical inputs and
+configuration reproduce byte-identical results.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def _update_manifest(out_dir: Path, stage: str, payload: dict, files: Iterable[P
 
 
 def stage_build(cfg: PipelineConfig) -> dict:
-    """Parse raw files into networks, rates, daily activity, and the per-account
+    """Parse raw files into networks, daily activity, and the per-account
     content table that classify reads instead of the raw files; every output
     derives from one parse of each tweet into columns (see ``ingest``)."""
     out_dir = Path(cfg.out_dir)
@@ -137,8 +138,7 @@ def stage_build(cfg: PipelineConfig) -> dict:
     )
     follower = ingest.build_follower_network(_noting_descriptions(profiles), tweets.accounts)
     _atomic_write_text(out_dir / "accounts.json", json.dumps(tweets.accounts) + "\n")
-    index = {account: i for i, account in enumerate(tweets.accounts)}
-    save_edge_list(follower, out_dir / "follower.cols", index)
+    save_edge_list(out_dir / "follower.cols", follower)
 
     written = [out_dir / "accounts.json", out_dir / "follower.cols"]
     days = tweets.days()
@@ -146,22 +146,10 @@ def stage_build(cfg: PipelineConfig) -> dict:
     for day, rows in days:
         path = out_dir / f"retweet_{day.isoformat()}.cols"
         author = tweets.author[rows]
-        save_edge_list(
-            ingest.build_daily_retweet_network(tweets.accounts, author, tweets.retweeted[rows]),
-            path, index,
-        )
+        save_edge_list(path, ingest.build_daily_retweet_network(
+            tweets.accounts, author, tweets.retweeted[rows]))
         written.append(path)
         active += ((day.isoformat(), tweets.accounts[i]) for i in np.unique(author).tolist())
-
-    duration = window.duration_days
-    _atomic_write_rows(
-        out_dir / "rates.csv",
-        ["account_id", "tweet_count", "tweet_rate"],
-        [
-            (a, content[a].tweet_count, _fmt(content[a].tweet_count / duration))
-            for a in sorted(content) if content[a].tweet_count
-        ],
-    )
 
     # classify's whole input: JSON floats round-trip, so its means are exact
     _atomic_write_text(
@@ -172,19 +160,19 @@ def stage_build(cfg: PipelineConfig) -> dict:
     )
 
     _atomic_write_rows(out_dir / "daily_active.csv", ["day", "account_id"], active)
-    written += [out_dir / n for n in ("rates.csv", "account_content.jsonl", "daily_active.csv")]
+    written += [out_dir / n for n in ("account_content.jsonl", "daily_active.csv")]
 
     payload = {
         "config": cfg.snapshot(),
         "window": {"start": window.start.isoformat(), "end": window.end.isoformat(),
-                   "duration_days": duration},
+                   "duration_days": window.duration_days},
         "tweets_parsed": tweet_stats.parsed,
         "tweets_skipped": tweet_stats.skipped,
         "profiles_parsed": profile_stats.parsed,
         "profiles_skipped": profile_stats.skipped,
         "accounts": len(content),
         "days": len(days),
-        "follower_edges": follower.edge_count,
+        "follower_edges": follower[1].size,
         "retweets_total": int(np.count_nonzero(tweets.retweeted >= 0)),
     }
     _update_manifest(out_dir, "build", payload, written)
@@ -233,17 +221,7 @@ def stage_detect(cfg: PipelineConfig) -> dict:
     out_dir = Path(cfg.out_dir)
     accounts = load_accounts(out_dir)
     day_paths = _listed_paths(out_dir, "build", "retweet_*.cols")
-    params = botdetect.FactorGraphParams(
-        prior_bot=cfg.bp_prior_bot,
-        psi_hh=cfg.bp_psi_hh,
-        psi_hb=cfg.bp_psi_hb,
-        psi_bh=cfg.bp_psi_bh,
-        psi_bb=cfg.bp_psi_bb,
-        weight_cap=cfg.bp_weight_cap,
-        damping=cfg.bp_damping,
-        max_iterations=cfg.bp_max_iterations,
-        tolerance=cfg.bp_tolerance,
-    )
+    params = cfg.bp_params()
 
     results = [
         (path.stem.removeprefix("retweet_"),
@@ -304,12 +282,6 @@ def _load_bots(out_dir: Path) -> set[str]:
         return {row[0] for row in csv.reader(fh)}
 
 
-def _load_rates(out_dir: Path) -> dict[str, float]:
-    [path] = _listed_paths(out_dir, "build", "rates.csv")
-    with open(path, newline="", encoding="utf-8") as fh:
-        return {row["account_id"]: float(row["tweet_rate"]) for row in csv.DictReader(fh)}
-
-
 def _load_content(out_dir: Path) -> dict[str, ingest.AccountContent]:
     [path] = _listed_paths(out_dir, "build", "account_content.jsonl")
     with open(path, encoding="utf-8") as fh:
@@ -326,7 +298,7 @@ def _keyword_set(path: str, label: str) -> acc.KeywordSet:
 def stage_classify(cfg: PipelineConfig) -> dict:
     """Per-account labels and aggregates plus the group summary table."""
     out_dir = Path(cfg.out_dir)
-    rates = _load_rates(out_dir)
+    content = _load_content(out_dir)
     bots = _load_bots(out_dir)
 
     ratings = None
@@ -339,8 +311,8 @@ def stage_classify(cfg: PipelineConfig) -> dict:
 
     qanon_kw = _keyword_set(cfg.qanon_keywords, "qanon")
     records = acc.build_account_records(
-        _load_content(out_dir),
-        rates,
+        content,
+        _read_manifest(out_dir)["build"]["window"]["duration_days"],
         bots,
         qanon_kw,
         ratings=ratings,

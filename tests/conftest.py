@@ -31,6 +31,23 @@ def edge_dict(g: DirectedGraph) -> dict[tuple[str, str], float]:
     }
 
 
+def column_edges(columns, accounts) -> dict[tuple[str, str], float]:
+    """{(source id, target id): weight} of a network's ``[nodes, sources, targets,
+    weights]`` over the account list ``accounts``."""
+    nodes, src, tgt, w = (column.tolist() for column in columns)
+    return {
+        (accounts[nodes[u]], accounts[nodes[v]]): weight
+        for u, v, weight in zip(src, tgt, w)
+    }
+
+
+def network_graph(columns, accounts) -> DirectedGraph:
+    """The graph ``load_edge_list`` returns for a network's columns: same node
+    order, same edges."""
+    edges = [(u, v, w) for (u, v), w in column_edges(columns, accounts).items()]
+    return graph_of(edges, nodes=[accounts[i] for i in columns[0].tolist()])
+
+
 def random_instance(seed: int, n_lo: int = 10, n_hi: int = 200):
     """Random opinion-dynamics instance: graph, rates, stubborn mask, anchor.
 

@@ -36,7 +36,9 @@ from botimpact.ingest import (
 from botimpact.opinion import fixed_point_oracle, identify_stubborn, solve_network
 from botimpact.synth import SynthSpec, generate
 
-from conftest import auc_score, edge_dict, graph_of, random_instance, solver_inputs
+from conftest import (
+    auc_score, edge_dict, graph_of, network_graph, random_instance, solver_inputs,
+)
 from test_botdetect import _random_forest
 from test_ghic import _ghic
 
@@ -210,7 +212,7 @@ def test_criterion_5_planted_bot_recovery(tmp_path):
             net = build_daily_retweet_network(
                 tweets.accounts, tweets.author[rows], tweets.retweeted[rows]
             )
-            post = infer_bot_probabilities(net)
+            post = infer_bot_probabilities(network_graph(net, tweets.accounts))
             for account, prob in post.marginals.items():
                 scores[account] = max(scores.get(account, 0.0), prob)
         pos = [scores.get(a, 0.0) for a, is_bot in labels.items() if is_bot]
@@ -241,7 +243,8 @@ def _per_bot_core_ghic(seed: int, audience: str, workdir: Path) -> float:
     content = account_content(columns)
     rates = {a: c.tweet_count / window.duration_days
              for a, c in content.items() if c.tweet_count}
-    follower = build_follower_network(load_profiles(out / "profiles.jsonl"), content)
+    nodes = columns.accounts
+    _, src, tgt, _ = build_follower_network(load_profiles(out / "profiles.jsonl"), nodes)
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
     for author, _, _, _, opinion, _ in tweets:
@@ -249,8 +252,6 @@ def _per_bot_core_ghic(seed: int, audience: str, workdir: Path) -> float:
             sums[author] = sums.get(author, 0.0) + opinion
             counts[author] = counts.get(author, 0) + 1
     opinions = {a: sums[a] / counts[a] for a in sums}
-    nodes = follower.labels
-    src, tgt, _ = follower.edge_arrays()
     opinion = np.array([opinions.get(a, 0.5) for a in nodes])
     bot = np.array([labels[a]["is_bot"] == "1" for a in nodes])
     # the percentile cuts are taken over the accounts with a scored tweet
@@ -362,7 +363,7 @@ def test_criterion_9_ingest_conservation(e2e_corpus):
     for _, rows in columns.days():
         daily_weight += build_daily_retweet_network(
             columns.accounts, columns.author[rows], columns.retweeted[rows]
-        ).edge_arrays()[2].sum()
+        )[3].sum()
     assert daily_weight == corpus_retweets  # exact: integer-valued weights
 
     window = columns.window()

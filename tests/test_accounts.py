@@ -84,9 +84,12 @@ def test_keyword_file_comments_ignored(tmp_path):
 # -- media quality ------------------------------------------------------------
 
 
+RATED = {"good.example": 4.0, "bad.example": 1.0, "mid.example": 2.5}
+
+
 @pytest.fixture
 def ratings():
-    return MediaRatingsTable({"good.example": 4.0, "bad.example": 1.0, "mid.example": 2.5})
+    return MediaRatingsTable(RATED.items())
 
 
 def test_media_quality_mean(ratings):
@@ -119,16 +122,15 @@ def test_registrable_domain_no_false_suffix(ratings):
 
 def test_ratings_range_validated():
     with pytest.raises(ValueError):
-        MediaRatingsTable({"x.example": 7.0})
+        MediaRatingsTable([("x.example", 7.0)])
 
 
 @given(st.lists(st.sampled_from(["good.example", "bad.example", "mid.example"]), min_size=1))
 @settings(max_examples=100)
 def test_media_quality_within_shared_domain_bounds(domains):
-    table = MediaRatingsTable({"good.example": 4.0, "bad.example": 1.0, "mid.example": 2.5})
+    table = MediaRatingsTable(RATED.items())
     score, _ = media_quality_score([f"https://{d}/x" for d in domains], table)
-    per_domain = {"good.example": 4.0, "bad.example": 1.0, "mid.example": 2.5}
-    values = [per_domain[d] for d in domains]
+    values = [RATED[d] for d in domains]
     assert min(values) - 1e-12 <= score <= max(values) + 1e-12
 
 
@@ -143,10 +145,9 @@ def _records():
         "antihuman1": AccountContent(tweet_count=4, mean_opinion=0.1),
         "antihuman2": AccountContent(tweet_count=1, mean_opinion=0.2),
     }
-    rates = {a: float(c.tweet_count) for a, c in content.items()}
     return build_account_records(
         content,
-        rates,
+        duration_days=1,
         bots={"probot1", "probot2", "probot3"},
         qanon_keywords=QANON,
     )
@@ -179,14 +180,14 @@ def test_group_summary_six_cells_when_all_categories_exist():
         )
         if is_bot:
             bots.add(name)
-    records = build_account_records(content, {}, bots, QANON)
+    records = build_account_records(content, 1, bots, QANON)
     rows = group_summary(records.values())
     assert len([r for r in rows if r.partisanship]) == 6
 
 
 def test_group_summary_single_category_equals_totals():
     content = {f"u{i}": AccountContent(tweet_count=1, mean_opinion=0.9) for i in range(3)}
-    records = build_account_records(content, {}, set(), QANON)
+    records = build_account_records(content, 1, set(), QANON)
     rows = group_summary(records.values())
     populated = [r for r in rows if r.partisanship]
     assert len(populated) == 1
@@ -194,9 +195,10 @@ def test_group_summary_single_category_equals_totals():
 
 
 def test_unscored_account_gets_neutral_opinion():
-    records = build_account_records({"quiet": AccountContent()}, {}, set(), QANON)
+    records = build_account_records({"quiet": AccountContent()}, 3, set(), QANON)
     rec = records["quiet"]
     assert rec.opinion == 0.5 and rec.scored is False
+    assert rec.tweet_rate == 0.0
     assert rec.partisanship == "anti"  # 0.5 falls on the inclusive-anti side
 
 

@@ -189,11 +189,9 @@ def reference_build(tweets_path, profiles_path):
         active_rows += [(day.isoformat(), a) for a in sorted({t["author"] for t in own})]
     files["daily_active.csv"] = _csv(["day", "account_id"], active_rows)
 
-    content_lines, rate_rows = [], []
+    content_lines = []
     for account in corpus:
         own = [t for t in tweets if t["author"] == account]
-        if own:
-            rate_rows.append((account, len(own), f"{len(own) / duration:.10g}"))
         content_lines.append(json.dumps({
             "account_id": account,
             "tweet_count": len(own),
@@ -202,7 +200,6 @@ def reference_build(tweets_path, profiles_path):
             "urls": [u for t in own for u in t["urls"]],
             "description": descriptions.get(account, ""),
         }) + "\n")
-    files["rates.csv"] = _csv(["account_id", "tweet_count", "tweet_rate"], rate_rows)
     files["account_content.jsonl"] = "".join(content_lines)
 
     counts = {

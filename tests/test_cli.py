@@ -133,6 +133,17 @@ def test_non_finite_config_value_exits_2(tmp_path, runner, value):
     assert "bp_psi_hh" in result.output
 
 
+@pytest.mark.parametrize("line", ["bp_damping = 1.0", "bp_prior_bot = 0", "bp_prior_bot = 1.0"])
+def test_out_of_range_bp_setting_exits_2_at_build(tmp_path, runner, line):
+    """Config holds belief propagation to its own ranges, so detect-bots cannot
+    be the first to find a bad one."""
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    result = runner.invoke(main, ["--config", str(cfg), "build"])
+    assert result.exit_code == 2
+    assert f"error: {line.split()[0]} must be in" in result.output
+
+
 def test_non_finite_config_field_rejected_without_a_file():
     with pytest.raises(ConfigError, match="bp_psi_hh"):
         PipelineConfig(bp_psi_hh=float("nan")).validate()
@@ -171,17 +182,6 @@ def test_stages_refuse_upstream_files_changed_since_written(tmp_path, runner, co
     cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
     for cmd in ("build", "detect-bots", "classify", "ghic", "report"):
         assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0, cmd
-
-    rates = out / "rates.csv"
-    original = rates.read_bytes()
-    header, first, *rest = original.splitlines(keepends=True)
-    rates.write_bytes(header + first.rsplit(b",", 1)[0] + b",99\r\n" + b"".join(rest))
-    result = runner.invoke(main, ["--config", str(cfg), "classify"])
-    assert result.exit_code == 3
-    assert "rerun build" in result.output
-    # ghic takes the rates from accounts.csv, so it does not read rates.csv
-    assert _run(runner, ["--config", str(cfg), "ghic"]).exit_code == 0
-    rates.write_bytes(original)
 
     active = out / "daily_active.csv"
     original = active.read_bytes()
@@ -520,6 +520,26 @@ def test_classify_without_ratings_warns_and_omits_media(tmp_path, runner, corpus
     with open(out / "accounts.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert all(row["media_quality"] == "" for row in rows)
+
+
+@pytest.mark.parametrize("header, row, message", [
+    ("domain,rating", "site01.example,9", "line 3: rating for 'site01.example' outside"),
+    ("domain,rating", "site01.example,abc", "line 3: could not convert"),
+    ("domain,score", "site01.example,3", "line 1: the header must name"),
+])
+def test_malformed_ratings_file_exits_3_naming_the_line(tmp_path, runner, corpus, header,
+                                                        row, message):
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text(f"{header}\nsite02.example,2\n{row}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
+    cfg.write_text(cfg.read_text() + f"ratings = {ratings}\n")
+    for cmd in ("build", "detect-bots"):
+        assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0
+    result = runner.invoke(main, ["--config", str(cfg), "classify"])
+    assert result.exit_code == 3
+    assert f"{ratings}, {message}" in result.output
+    assert not (out / "accounts.csv").exists()
 
 
 def _renamed_corpus(corpus: Path, dst: Path, rename) -> Path:

@@ -183,15 +183,40 @@ def test_daily_series_skips_day_without_non_stubborn():
     assert series.skipped_days
 
 
-def test_daily_series_deterministic_across_active_set_order():
-    g, active, rates, stubborn, opinions, groups = _single_day_inputs()
-    series_a = _series(g, active, rates, stubborn, opinions, groups)
-    shuffled = {date(2020, 1, 1): set(reversed(sorted(active[date(2020, 1, 1)])))}
-    series_b = _series(g, shuffled, rates, stubborn, opinions, groups)
-    assert (
-        series_a.entries[0].results["bots"].value
-        == series_b.entries[0].results["bots"].value
-    )
+def test_daily_series_skips_a_group_covering_every_non_stubborn_account():
+    g, active, rates, stubborn, opinions, _ = _single_day_inputs()
+    groups = {"humans": {"h1", "h2", "h3"}, "bots": {"s"}}
+    series = _series(g, active, rates, stubborn, opinions, groups)
+    [entry] = series.entries
+    assert list(entry.results) == ["bots"]
+    assert entry.group_active == {"bots": 1, "humans": 3}
+    assert series.skipped_days == [
+        (date(2020, 1, 1), "group 'humans': no non-stubborn nodes outside the target set")
+    ]
+
+
+def test_daily_series_independent_of_day_and_group_insertion_order():
+    """The mappings' insertion order is the only order a caller controls."""
+    g, active_by_day, rates, stubborn, opinions, groups = _random_series_inputs(1200)
+    humans = set(g.labels) - set(stubborn)
+    groups["every human"] = humans  # a skipped group, so skipped_days has entries
+    arrays = _ref_network_arrays(g, rates, stubborn, opinions)
+
+    def run(reverse):
+        return daily_ghic_series(
+            arrays,
+            {day: _ref_mask(g, active_by_day[day]) for day in sorted(active_by_day,
+                                                                     reverse=reverse)},
+            {name: _ref_mask(g, groups[name]) for name in sorted(groups, reverse=reverse)},
+        )
+
+    def identity(series):
+        return ([(e.day, e.active_nodes, list(e.results.items()), list(e.group_active.items()))
+                 for e in series.entries], series.skipped_days)
+
+    forward, backward = run(False), run(True)
+    assert identity(forward) == identity(backward)
+    assert len(forward.entries) == 3 and len(forward.skipped_days) == 3
 
 
 def test_ghic_per_bot_division():

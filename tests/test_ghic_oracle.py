@@ -2,8 +2,9 @@
 
 The reference below is how ``stage_ghic`` used to turn its input files into
 the solver's arrays: a ``DirectedGraph`` of the follower network, the rates
-from ``rates.csv``, stubborn accounts as a dict of ids, and groups and daily
-active accounts as sets of ids, with each day's network an induced subgraph.
+from build's tweet counts and window, stubborn accounts as a dict of ids,
+and groups and daily active accounts as sets of ids, with each day's
+network an induced subgraph.
 It then solves each (day, group) pair afresh with ``ghic.ghic``.  The stage
 works on account positions and shares each day's solve across the groups.
 Both run on the same stage outputs, and every array, mask and ``GhicResult``
@@ -11,8 +12,8 @@ must agree bit for bit.
 
 The corpora are small synth corpora of every topology, with their account
 tables raw and with more bots and Qanon bots, and one hand-written corpus.
-That one has an account that is only retweeted (so it has no row in
-``rates.csv`` and a zero rate in ``accounts.csv``), an empty group, a
+That one has an account that is only retweeted (so it has no tweet and a
+zero rate), an empty group, a
 removal that leaves a follower without a rated following, a day on which no
 non-stubborn account is left to average over once the network is
 preprocessed, and a day on which only bots are active.
@@ -76,7 +77,11 @@ def _reference(out, cfg: PipelineConfig):
     """(follower graph, its arrays, active ids by day, groups, series) the old way."""
     accounts = json.loads((out / "accounts.json").read_text(encoding="utf-8"))
     follower = load_edge_list(out / "follower.cols", accounts)
-    rates = {r["account_id"]: float(r["tweet_rate"]) for r in _read_rows(out / "rates.csv")}
+    duration = json.loads((out / "manifest.json").read_text())["build"]["window"]["duration_days"]
+    with open(out / "account_content.jsonl", encoding="utf-8") as fh:
+        counts = {row["account_id"]: row["tweet_count"] for row in map(json.loads, fh)}
+    # as accounts.csv writes them, to ten significant digits
+    rates = {a: float(f"{count / duration:.10g}") for a, count in counts.items()}
     rows = _read_rows(out / "accounts.csv")
     opinions = {r["account_id"]: float(r["opinion"]) for r in rows}
     bots = {r["account_id"] for r in rows if r["bot"] == "1"}

@@ -162,8 +162,9 @@ def test_following_and_followers_are_transposes(g):
             assert i in sources_j.tolist()
 
 
-def _index(accounts):
-    return {a: i for i, a in enumerate(accounts)}
+def _columns(g, accounts):
+    """The graph's four network-file columns, its nodes as positions in ``accounts``."""
+    return [np.array([accounts.index(a) for a in g.labels]), *g.edge_arrays()]
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -171,7 +172,7 @@ def test_edge_list_round_trip(tmp_path):
     g = graph_of([("a", "b", 2.0), ("c", "a", 1.5), ("a", "c", 1 / 3)], nodes=["lonely"])
     accounts = ["a", "b", "c", "lonely", "unused"]
     path = tmp_path / "net.cols"
-    save_edge_list(g, path, _index(accounts))
+    save_edge_list(path, _columns(g, accounts))
     back = load_edge_list(path, accounts)
     assert back.labels == g.labels == ["lonely", "a", "b", "c"]
     for column, expected in zip(back.edge_arrays(), g.edge_arrays()):
@@ -182,7 +183,7 @@ def test_edge_list_bytes_are_pinned(tmp_path):
     """Four plain .npy records; any numpy writes the same bytes for the same graph."""
     g = graph_of([("b", "a", 3.0), ("a", "c", 0.5)], nodes=["z"])
     path = tmp_path / "net.cols"
-    save_edge_list(g, path, _index(["a", "b", "c", "z"]))
+    save_edge_list(path, _columns(g, ["a", "b", "c", "z"]))
     with open(path, "rb") as fh:
         columns = [np.load(fh, allow_pickle=False).tolist() for _ in range(4)]
     assert columns == [[3, 1, 0, 2], [1, 2], [2, 3], [3.0, 0.5]]
@@ -223,6 +224,10 @@ def test_bad_network_files_are_refused_naming_the_file(tmp_path):
         "self_loop": (lambda p: _write_columns(p, [0, 1], [1], [1], [1.0]), "a self-loop"),
         "zero_weight": (lambda p: _write_columns(p, [0, 1], [0], [1], [0.0]),
                         "a weight that is not positive"),
+        "out_of_order": (lambda p: _write_columns(p, [0, 1, 2], [1, 0], [2, 1], [1.0, 1.0]),
+                         r"edges out of \(source, target\) order"),
+        "repeated_edge": (lambda p: _write_columns(p, [0, 1], [0, 0], [1, 1], [1.0, 1.0]),
+                          "a repeated edge"),
     }
     for name, (write, message) in cases.items():
         path = tmp_path / f"{name}.cols"

@@ -22,7 +22,7 @@ from botimpact.ingest import (
 )
 from botimpact.pipeline import stage_build
 
-from conftest import edge_dict
+from conftest import column_edges, edge_dict, network_graph
 
 
 def _tweet_line(tweet_id, author, ts, retweeted=None, opinion=0.5, **extra):
@@ -54,12 +54,13 @@ def _row(author, day, retweeted=None, urls=(), opinion=NAN, toxicity=NAN):
 
 
 def _daily_networks(tweets):
-    """{day: retweet network}, as stage_build derives them from the columns."""
+    """{day: retweet network}, as stage_build derives them from the columns and
+    detect-bots loads them."""
     columns = tweet_columns(tweets)
     return {
-        day: build_daily_retweet_network(
+        day: network_graph(build_daily_retweet_network(
             columns.accounts, columns.author[rows], columns.retweeted[rows]
-        )
+        ), columns.accounts)
         for day, rows in columns.days()
     }
 
@@ -205,9 +206,9 @@ def test_follower_network_direction_and_restriction():
     from botimpact.ingest import UserProfileRecord
 
     profiles = [UserProfileRecord(account_id="i", following_ids=["j", "ghost"])]
-    net = build_follower_network(profiles, corpus={"i", "j"})
-    assert edge_dict(net) == {("j", "i"): 1.0}  # information flows followee -> follower
-    assert "ghost" not in net
+    net = build_follower_network(profiles, ["i", "j"])
+    assert column_edges(net, ["i", "j"]) == {("j", "i"): 1.0}  # followee -> follower
+    assert net[0].tolist() == [0, 1]  # every account, in list order, and no "ghost"
 
 
 def test_follower_network_mutual():
@@ -217,8 +218,8 @@ def test_follower_network_mutual():
         UserProfileRecord(account_id="a", following_ids=["b"]),
         UserProfileRecord(account_id="b", following_ids=["a"]),
     ]
-    net = build_follower_network(profiles, corpus={"a", "b"})
-    assert set(edge_dict(net)) == {("a", "b"), ("b", "a")}
+    net = build_follower_network(profiles, ["a", "b"])
+    assert set(column_edges(net, ["a", "b"])) == {("a", "b"), ("b", "a")}
 
 
 def _rates(tweets, window) -> dict[str, float]:

@@ -18,6 +18,8 @@ from botimpact.synth import (
     generate,
 )
 
+from conftest import network_graph
+
 
 def _digest_dir(path: Path) -> dict[str, str]:
     return {
@@ -74,12 +76,14 @@ def test_round_trip_through_ingest_zero_skips(tmp_path):
         assert len(profiles) == summary["accounts"]
 
 
-def _bot_fractions(net, labels) -> list[float]:
-    """Co-partisan fraction of each planted bot with a labeled follower, blocks as sides."""
-    src, tgt, _ = net.edge_arrays()
+def _bot_fractions(profiles, labels) -> list[float]:
+    """Co-partisan fraction of each planted bot with a labeled follower, blocks as
+    sides, on the follower network over every labelled account."""
+    accounts = sorted(labels)
+    _, src, tgt, _ = build_follower_network(profiles, accounts)
     blocks = sorted({row["block"] for row in labels.values()})
-    bots = np.array([labels[a]["is_bot"] == "1" for a in net.labels], dtype=bool)
-    side = np.array([1 + blocks.index(labels[a]["block"]) for a in net.labels])
+    bots = np.array([labels[a]["is_bot"] == "1" for a in accounts], dtype=bool)
+    side = np.array([1 + blocks.index(labels[a]["block"]) for a in accounts])
     return co_partisan_fraction(src, tgt, bots, side).tolist()
 
 
@@ -94,9 +98,7 @@ def test_two_block_eps_zero_no_cross_edges(tmp_path):
         for followee in p.following_ids:
             assert blocks[followee] == blocks[p.account_id]
     # with an all-corpus follower network, every bot's followers are co-partisan
-    corpus = set(labels)
-    net = build_follower_network(profiles, corpus)
-    assert all(fraction == 1.0 for fraction in _bot_fractions(net, labels))
+    assert all(fraction == 1.0 for fraction in _bot_fractions(profiles, labels))
 
 
 def test_two_block_eps_one_mixes_followers(tmp_path):
@@ -113,8 +115,7 @@ def test_two_block_eps_one_mixes_followers(tmp_path):
         generate(spec, out)
         labels = _load_labels(out)
         profiles = list(load_profiles(out / "profiles.jsonl"))
-        net = build_follower_network(profiles, set(labels))
-        fractions += _bot_fractions(net, labels)
+        fractions += _bot_fractions(profiles, labels)
     assert abs(float(np.mean(fractions)) - 0.5) < 0.05
 
 
@@ -159,7 +160,7 @@ def test_planted_zero_bots_marginals_at_or_below_prior(tmp_path):
     tweets = tweet_columns(load_tweets(out / "tweets.jsonl"))
     [(_, rows)] = tweets.days()
     net = build_daily_retweet_network(tweets.accounts, tweets.author[rows], tweets.retweeted[rows])
-    post = infer_bot_probabilities(net)
+    post = infer_bot_probabilities(network_graph(net, tweets.accounts))
     assert all(p <= 0.5 + 1e-9 for p in post.marginals.values())
 
 
