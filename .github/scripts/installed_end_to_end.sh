@@ -53,3 +53,25 @@ echo 'bp_damping = 1.0' >> damping.cfg
 status=0
 botimpact --config damping.cfg build || status=$?
 test "$status" -eq 2
+# without a ratings file classify warns, exits 0 and leaves media_quality empty
+cp run.cfg noratings.cfg
+echo 'ratings = corpus/no_such_ratings.csv' >> noratings.cfg
+botimpact --config noratings.cfg detect-bots
+botimpact --config noratings.cfg classify 2> classify.err
+grep -q 'no_such_ratings.csv missing' classify.err
+python3 -c '
+import csv, sys
+rows = list(csv.DictReader(open("out/accounts.csv", newline="", encoding="utf-8")))
+sys.exit(0 if rows and all(r["media_quality"] == "" for r in rows) else "media_quality is set")
+'
+# a tweets line that is not UTF-8 is counted as skipped, not fatal
+cp corpus/tweets.jsonl not_utf8.jsonl
+printf '{"x": "\377"}\n' >> not_utf8.jsonl
+cp run.cfg not_utf8.cfg
+echo 'tweets = not_utf8.jsonl' >> not_utf8.cfg
+botimpact --config not_utf8.cfg build
+python3 -c '
+import json, sys
+skipped = json.load(open("out/manifest.json"))["build"]["tweets_skipped"]
+sys.exit(0 if skipped == 1 else f"tweets_skipped is {skipped}, not 1")
+'

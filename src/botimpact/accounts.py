@@ -1,9 +1,11 @@
-"""Per-account labels, aggregates, and group statistics.
+"""The account table, its labels and group statistics.
 
-Partisanship comes from the mean opinion score of an account's scored
-tweets (anti at or below the cutoff, pro above).  Qanon status is a
-keyword rule over profile descriptions, applied to pro accounts only.
-Media quality averages fact-checker trust ratings over the rated news
+``AccountTable`` holds the accounts.csv columns over the positions of the
+sorted account list, and ``classify``, ``ghic`` and ``report`` pass it
+between them.  Partisanship comes from the mean opinion score of an
+account's scored tweets (anti at or below the cutoff, pro above).  Qanon
+status is a keyword rule over profile descriptions, applied to pro accounts
+only.  Media quality averages fact-checker trust ratings over the rated news
 domains an account linked to.
 
 The network statistics (leaderboard, follower overlap, co-partisan
@@ -15,37 +17,25 @@ groups and ties in id order are ties in position order.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
 from functools import reduce
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
 
-from .ingest import AccountContent, IngestError
+from .config import GROUP_NAMES, read_text
+from .ingest import IngestError, group_means
 
 PARTISAN_CUTOFF = 0.5
 ANTI = "anti"
 PRO = "pro"
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
-
-
-@dataclass
-class AccountRecord:
-    account_id: str
-    opinion: float
-    tweet_rate: float
-    tweet_count: int
-    partisanship: str
-    qanon: bool
-    bot: bool
-    media_quality: float | None = None
-    mean_toxicity: float | None = None
-    scored: bool = True  # False when no tweet carried an opinion score
 
 
 # -- keyword sets ------------------------------------------------------------
@@ -92,7 +82,7 @@ def load_keywords(path: str | Path, label: str) -> KeywordSet:
     ``#MAGA``); matching ignores hashtag marks anyway.
     """
     terms = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path, IngestError).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -105,21 +95,6 @@ def packaged_keywords(label: str) -> KeywordSet:
     ref = resources.files("botimpact.data").joinpath(f"{label}_keywords.txt")
     with resources.as_file(ref) as path:
         return load_keywords(path, label)
-
-
-# -- labels ------------------------------------------------------------------
-
-
-def label_partisanship(mean_opinion: float, cutoff: float = PARTISAN_CUTOFF) -> str:
-    """``anti`` at or below the cutoff, ``pro`` above it."""
-    if not 0.0 <= mean_opinion <= 1.0:
-        raise ValueError(f"mean opinion {mean_opinion} outside [0,1]")
-    return ANTI if mean_opinion <= cutoff else PRO
-
-
-def label_qanon(description: str, partisanship: str, qanon_keywords: KeywordSet) -> bool:
-    """True iff the account is pro and its description matches a Qanon term."""
-    return partisanship == PRO and qanon_keywords.matches(description)
 
 
 # -- media quality -----------------------------------------------------------
@@ -147,15 +122,15 @@ class MediaRatingsTable:
     @staticmethod
     def from_csv(path: str | Path) -> "MediaRatingsTable":
         """Read ``domain,rating`` rows (header required); a malformed header or
-        row raises IngestError naming the file and the line."""
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh, restval="")
-            try:  # the table takes the rows one by one, so line_num is the bad row's
-                if not {"domain", "rating"} <= set(reader.fieldnames or ()):
-                    raise ValueError("the header must name the domain and rating columns")
-                return MediaRatingsTable((row["domain"], row["rating"]) for row in reader)
-            except ValueError as exc:
-                raise IngestError(f"{path}, line {reader.line_num}: {exc}") from None
+        row raises IngestError naming the file and the line, and a file that
+        cannot be read or is not UTF-8 one naming the file."""
+        reader = csv.DictReader(io.StringIO(read_text(path, IngestError), newline=""), restval="")
+        try:  # the table takes the rows one by one, so line_num is the bad row's
+            if not {"domain", "rating"} <= set(reader.fieldnames or ()):
+                raise ValueError("the header must name the domain and rating columns")
+            return MediaRatingsTable((row["domain"], row["rating"]) for row in reader)
+        except ValueError as exc:
+            raise IngestError(f"{path}, line {reader.line_num}: {exc}") from None
 
     def rating_for_url(self, url: str) -> float | None:
         """Rating of the URL's site, or None when unrated.
@@ -197,59 +172,76 @@ def media_quality_score(
     return ordered_mean(rated), malformed
 
 
-# -- account assembly ---------------------------------------------------------
-
-
-def build_account_records(
-    content: Mapping[str, AccountContent],
-    duration_days: int,
-    bots: set[str],
-    qanon_keywords: KeywordSet,
-    ratings: MediaRatingsTable | None = None,
-    cutoff: float = PARTISAN_CUTOFF,
-) -> dict[str, AccountRecord]:
-    """Assemble one AccountRecord per corpus account; its tweet rate is its
-    tweet count over the window's ``duration_days``.
-
-    Accounts with zero scored tweets get the neutral opinion 0.5 and are
-    flagged unscored so partisan statistics can exclude them.
-    """
-    out: dict[str, AccountRecord] = {}
-    for account in sorted(content):
-        c = content[account]
-        opinion = 0.5 if c.mean_opinion is None else c.mean_opinion
-        partisanship = label_partisanship(opinion, cutoff)
-        quality = None
-        if ratings is not None:
-            quality, _ = media_quality_score(c.urls, ratings)
-        out[account] = AccountRecord(
-            account_id=account,
-            opinion=opinion,
-            tweet_rate=c.tweet_count / duration_days,
-            tweet_count=c.tweet_count,
-            partisanship=partisanship,
-            qanon=label_qanon(c.description, partisanship, qanon_keywords),
-            bot=account in bots,
-            media_quality=quality,
-            mean_toxicity=c.mean_toxicity,
-            scored=c.mean_opinion is not None,
-        )
-    return out
-
-
-# -- group statistics ----------------------------------------------------------
+# -- the account table ---------------------------------------------------------
 
 
 @dataclass
-class GroupRow:
-    partisanship: str  # "" on the totals row
-    bot: bool | None
-    qanon: bool | None
-    accounts: int
-    tweets: int
-    mean_rate: float
-    mean_media_quality: float | None
-    mean_toxicity: float | None
+class AccountTable:
+    """The accounts.csv columns over the positions of the sorted account list."""
+
+    opinion: np.ndarray  # mean opinion score, 0.5 where unscored
+    scored: np.ndarray  # some tweet carried an opinion score
+    tweet_count: np.ndarray
+    tweet_rate: np.ndarray  # tweet_count over the window's days
+    pro: np.ndarray  # opinion above the partisan cutoff; every other account is anti
+    qanon: np.ndarray
+    bot: np.ndarray
+    media_quality: np.ndarray  # NaN where no rated URL was shared, or no ratings were read
+    mean_toxicity: np.ndarray  # NaN where no tweet carried a toxicity score
+
+    @property
+    def side(self) -> np.ndarray:
+        """Partisanship of scored accounts: 0 unscored, 1 anti, 2 pro."""
+        return np.where(self.scored, 1 + self.pro, 0).astype(np.int8)
+
+    @property
+    def groups(self) -> dict[str, np.ndarray]:
+        """The bot groups as masks: all bots, anti-Trump bots, pro-Trump
+        non-Qanon bots and Qanon bots."""
+        bot = self.bot
+        return dict(zip(GROUP_NAMES, (bot, bot & ~self.pro, bot & self.pro & ~self.qanon,
+                                      bot & self.qanon)))
+
+
+def _floats(values: Iterable[float | None]) -> np.ndarray:
+    return np.array([np.nan if v is None else v for v in values], dtype=np.float64)
+
+
+def build_account_records(
+    content: Sequence[Mapping],
+    duration_days: int,
+    bot: np.ndarray,
+    qanon_keywords: KeywordSet,
+    ratings: MediaRatingsTable | None = None,
+    cutoff: float = PARTISAN_CUTOFF,
+) -> AccountTable:
+    """The account table from the rows of account_content.jsonl, in account
+    order, and the bot mask; a tweet rate is the tweet count over the window's
+    ``duration_days``.
+
+    Accounts with no scored tweet get the neutral opinion 0.5, and so fall on
+    the inclusive anti side of the default cutoff, and are flagged unscored so
+    partisan statistics can exclude them.  Qanon is the keyword rule over the
+    descriptions of pro accounts.
+    """
+    mean_opinion = _floats([c["mean_opinion"] for c in content])
+    scored = ~np.isnan(mean_opinion)
+    opinion = np.where(scored, mean_opinion, 0.5)
+    pro = opinion > cutoff
+    count = np.array([c["tweet_count"] for c in content], dtype=np.int64)
+    return AccountTable(
+        opinion=opinion, scored=scored, tweet_count=count, tweet_rate=count / duration_days,
+        pro=pro,
+        qanon=np.array([p and qanon_keywords.matches(c["description"])
+                        for p, c in zip(pro.tolist(), content)], dtype=bool),
+        bot=bot,
+        media_quality=_floats([None if ratings is None else
+                               media_quality_score(c["urls"], ratings)[0] for c in content]),
+        mean_toxicity=_floats([c["mean_toxicity"] for c in content]),
+    )
+
+
+# -- group statistics ----------------------------------------------------------
 
 
 def ordered_mean(values: list[float]) -> float | None:
@@ -258,37 +250,33 @@ def ordered_mean(values: list[float]) -> float | None:
     return reduce(lambda total, x: total + x, values, 0.0) / len(values) if values else None
 
 
-def group_summary(accounts: Iterable[AccountRecord]) -> list[GroupRow]:
-    """One row per populated (partisanship, bot, qanon) cell plus a totals row."""
-    cells: dict[tuple[str, bool, bool], list[AccountRecord]] = {}
-    everyone: list[AccountRecord] = []
-    for rec in accounts:
-        cells.setdefault((rec.partisanship, rec.bot, rec.qanon), []).append(rec)
-        everyone.append(rec)
+_CELLS = [(part, bot, qanon) for part in (ANTI, PRO) for bot in (0, 1) for qanon in (0, 1)]
 
-    def _row(key_part: str, bot, qanon, members: list[AccountRecord]) -> GroupRow:
-        return GroupRow(
-            partisanship=key_part,
-            bot=bot,
-            qanon=qanon,
-            accounts=len(members),
-            tweets=sum(r.tweet_count for r in members),
-            mean_rate=ordered_mean([r.tweet_rate for r in members]),
-            mean_media_quality=ordered_mean(
-                [r.media_quality for r in members if r.media_quality is not None]
-            ),
-            mean_toxicity=ordered_mean(
-                [r.mean_toxicity for r in members if r.mean_toxicity is not None]
-            ),
-        )
 
-    rows = [
-        _row(part, bot, qanon, members)
-        for (part, bot, qanon), members in sorted(cells.items())
-    ]
-    if everyone:
-        rows.append(_row("", None, None, everyone))
-    return rows
+def group_summary(table: AccountTable) -> list[tuple]:
+    """The rows of group_summary.csv: (partisanship, bot, qanon, accounts,
+    tweets, mean tweet rate, mean media quality, mean toxicity) for each
+    populated cell in that key order, then the totals row ("all", "", "", ...).
+    A mean without values is NaN.
+
+    Each account's cell code ``4*pro + 2*bot + qanon`` is its position in the
+    key order.  Every sum is a ``bincount``, which adds each cell's accounts in
+    position order as ``ordered_mean`` does (``np.sum`` adds pairwise and
+    would round differently).
+    """
+    code = 4 * table.pro + 2 * table.bot + table.qanon
+    return (_cell_rows(table, code, _CELLS)
+            + _cell_rows(table, np.zeros_like(code), [("all", "", "")]))
+
+
+def _cell_rows(table: AccountTable, cell: np.ndarray, keys: list[tuple]) -> list[tuple]:
+    n = len(keys)
+    accounts = np.bincount(cell, minlength=n)
+    tweets = np.bincount(cell, weights=table.tweet_count, minlength=n).astype(np.int64)
+    means = [group_means(cell, values, n).tolist()
+             for values in (table.tweet_rate, table.media_quality, table.mean_toxicity)]
+    return [(*keys[c], int(accounts[c]), int(tweets[c]), *(m[c] for m in means))
+            for c in np.flatnonzero(accounts).tolist()]
 
 
 def retweet_leaderboard(

@@ -133,7 +133,7 @@ def read_key_values(path: str | Path, cls: type, error: type[ValueError]) -> dic
     coerced to the type of the dataclass field it names; ``error`` otherwise."""
     known = {f.name: f.type for f in fields(cls)}
     kwargs: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path, error).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -149,6 +149,17 @@ def read_key_values(path: str | Path, cls: type, error: type[ValueError]) -> dic
                 f"{path}:{lineno}: field {key!r}: cannot parse {value!r} as {known[key]}"
             ) from None
     return kwargs
+
+
+def read_text(path: str | Path, error: type[ValueError]) -> str:
+    """The text of the UTF-8 file ``path``, line ends as written; a file that
+    exists but cannot be read, or is not UTF-8, raises ``error`` naming it."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except FileNotFoundError:
+        raise  # a missing input keeps its own exit code
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: unreadable ({exc})") from None
 
 
 # field annotations are strings under ``from __future__ import annotations``

@@ -51,7 +51,7 @@ class DirectedGraph:
     """
 
     def __init__(self) -> None:
-        self._index: dict[str, int] = {}
+        self._index: dict[str, int] = {}  # add_node's lookup, for graphs built by hand
         self._labels: list[str] = []
         self._edges: dict[tuple[int, int], float] | None = {}  # None once frozen
         self._columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # by freeze()
@@ -102,7 +102,6 @@ class DirectedGraph:
         sorted by (source, target) with no repeated edge."""
         graph = cls()
         graph._labels = labels
-        graph._index = {label: i for i, label in enumerate(labels)}
         graph._columns = (src, tgt, w)
         graph._edges = None
         return graph
@@ -117,21 +116,12 @@ class DirectedGraph:
     def edge_count(self) -> int:
         return self.edge_arrays()[1].size
 
-    def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise GraphError(f"unknown account id {label!r}") from None
-
     def label(self, idx: int) -> str:
         return self._labels[idx]
 
     @property
     def labels(self) -> list[str]:
         return self._labels
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sources, targets, weights) arrays sorted by (source, target)."""
@@ -145,8 +135,12 @@ class DirectedGraph:
         graphs built with sorted node insertion stay canonically ordered.
         Unknown ids are rejected.
         """
+        keep = set(keep)
+        index = {label: i for i, label in enumerate(self._labels)}
+        if unknown := keep - index.keys():
+            raise GraphError(f"unknown account id {min(unknown)!r}")
         mask = np.zeros(self.node_count, dtype=bool)
-        mask[np.fromiter((self.index(label) for label in set(keep)), dtype=np.int64)] = True
+        mask[np.fromiter((index[label] for label in keep), dtype=np.int64)] = True
         new_index = np.cumsum(mask) - 1
         src, tgt, w = self.edge_arrays()
         kept = mask[src] & mask[tgt]

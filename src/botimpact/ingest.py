@@ -1,8 +1,9 @@
 """Streaming ingestion of tweet and profile files, and the columnar build.
 
 Input files are line-delimited JSON (plain or gzip).  Each line is decoded
-once and must hold exactly one JSON value; malformed lines are skipped and
-tallied rather than aborting the run, and an unreadable file is fatal.
+once and must be UTF-8 holding exactly one JSON value; malformed lines are
+skipped and tallied rather than aborting the run, and an unreadable file is
+fatal.
 Each tweet becomes one plain row in column order, its UTC day already an
 ordinal.  The build drains the rows into per-tweet columns
 (``tweet_columns``) and derives the window, day slices, daily retweet
@@ -132,18 +133,23 @@ def _parse_lines(
     path: str | Path, kind: str, parse: Callable[[dict], object], stats: ParseStats | None
 ) -> Iterator:
     """Decode each stripped non-blank line once, accepting what ``json.loads`` accepts,
-    and parse it, in file order; bad lines are counted and skipped."""
+    and parse it, in file order; bad lines, those that are not UTF-8 included,
+    are counted and skipped."""
     if not Path(path).exists():
         raise IngestError(f"{kind} file not found: {path}")
     stats = stats if stats is not None else ParseStats()
     with open(path, "rb") as fh:
         gzipped = fh.read(2) == b"\x1f\x8b"
-    with (gzip.open if gzipped else open)(path, "rt", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 decodes to a lone surrogate, which encode() refuses
+    with (gzip.open if gzipped else open)(path, "rt", encoding="utf-8",
+                                          errors="surrogateescape") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             try:
+                if not line.isascii():
+                    line.encode()
                 obj, end = _decode(line)
                 if end != len(line):
                     raise ValueError("data after the JSON value")
@@ -217,45 +223,34 @@ def tweet_columns(tweets: Iterable[TweetRow]) -> TweetColumns:
                         np.frombuffer(opinion), np.frombuffer(toxicity), urls)
 
 
-@dataclass
-class AccountContent:
-    """One corpus account's tweets, reduced to what classification reads."""
-
-    tweet_count: int = 0
-    mean_opinion: float | None = None  # over the tweets carrying a score
-    mean_toxicity: float | None = None
-    urls: list[str] = field(default_factory=list)  # in tweet order
-    description: str = ""
-
-
-def _means(group: np.ndarray, values: np.ndarray, n: int) -> list[float | None]:
-    """Per-group means of the non-NaN values, added in input order (None without any)."""
+def group_means(group: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Means of the non-NaN ``values`` over the ``n`` groups that ``group`` numbers,
+    each added in input order, as ``accounts.ordered_mean`` adds; NaN for a
+    group without any."""
     scored = ~np.isnan(values)
     counts = np.bincount(group[scored], minlength=n)
     sums = np.bincount(group[scored], weights=values[scored], minlength=n)
-    return [s / c if c else None for s, c in zip(sums.tolist(), counts.tolist())]
+    return np.divide(sums, counts, out=np.full(n, np.nan), where=counts > 0)
 
 
-def account_content(tweets: TweetColumns) -> dict[str, AccountContent]:
-    """One entry per account appearing as author or retweeted author.
+def account_content(tweets: TweetColumns) -> list[dict]:
+    """The rows of account_content.jsonl but the description, in account order:
+    ``account_id``, ``tweet_count``, ``mean_opinion`` and ``mean_toxicity`` over
+    the tweets carrying a score (None without any), and ``urls`` in tweet order.
 
-    Retweeted-only accounts get zero tweets.  Descriptions come from the
-    profiles and are filled in by the caller.
+    Retweeted-only accounts get zero tweets.
     """
     n = len(tweets.accounts)
-    opinion = _means(tweets.author, tweets.opinion, n)
-    toxicity = _means(tweets.author, tweets.toxicity, n)
+    opinion, toxicity = ([None if m != m else m for m in group_means(tweets.author, v, n).tolist()]
+                         for v in (tweets.opinion, tweets.toxicity))
     order = np.argsort(tweets.author, kind="stable")  # each author's rows in input order
     own = np.split(order, np.searchsorted(tweets.author[order], np.arange(1, n)))
-    return {
-        account: AccountContent(
-            tweet_count=own[i].size,
-            mean_opinion=opinion[i],
-            mean_toxicity=toxicity[i],
-            urls=[url for row in own[i].tolist() for url in tweets.urls[row]],
-        )
+    return [
+        {"account_id": account, "tweet_count": own[i].size, "mean_opinion": opinion[i],
+         "mean_toxicity": toxicity[i],
+         "urls": [url for row in own[i].tolist() for url in tweets.urls[row]]}
         for i, account in enumerate(tweets.accounts)
-    }
+    ]
 
 
 def build_daily_retweet_network(

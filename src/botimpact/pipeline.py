@@ -5,7 +5,10 @@ then rename), and updates ``manifest.json`` with row counts and content
 checksums.  ``build`` writes its networks as network files (see ``graph``)
 on the sorted account list in ``accounts.json``, straight from the columns
 ``ingest`` returns; every later stage but ``detect-bots`` works on positions
-in that list too.  Outputs carry no timestamps, so identical inputs and
+in that list too.  ``classify`` builds the account table (see ``accounts``)
+from build's per-account content and the bot list and writes it as
+accounts.csv, which ``account_table`` alone reads back for ``ghic`` and
+``report``.  Outputs carry no timestamps, so identical inputs and
 configuration reproduce byte-identical results.
 """
 
@@ -16,7 +19,7 @@ import fnmatch
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+import math
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import accounts as acc
 from . import botdetect, ingest
-from .config import GROUP_NAMES, PipelineConfig
+from .config import PipelineConfig
 from .ghic import daily_ghic_series, ghic_per_bot
 from .graph import load_columns, load_edge_list, save_edge_list
 from .opinion import identify_stubborn
@@ -123,13 +126,13 @@ def stage_build(cfg: PipelineConfig) -> dict:
     if not tweets.author.size:
         raise ingest.IngestError(f"no parseable tweets in {cfg.tweets}")
     window = tweets.window()
-    content = ingest.account_content(tweets)
 
     # profiles are streamed once, so descriptions are noted on their way to the network
+    descriptions: dict[str, str] = {}
+
     def _noting_descriptions(profiles: Iterable[ingest.UserProfileRecord]):
         for profile in profiles:
-            if profile.account_id in content:
-                content[profile.account_id].description = profile.description
+            descriptions[profile.account_id] = profile.description
             yield profile
 
     profile_stats = ingest.ParseStats()
@@ -151,11 +154,12 @@ def stage_build(cfg: PipelineConfig) -> dict:
         written.append(path)
         active += ((day.isoformat(), tweets.accounts[i]) for i in np.unique(author).tolist())
 
-    # classify's whole input: JSON floats round-trip, so its means are exact
+    # classify's whole input, in account order: JSON floats round-trip, so its means are exact
     _atomic_write_text(
         out_dir / "account_content.jsonl",
         "".join(
-            json.dumps({"account_id": a, **vars(content[a])}) + "\n" for a in sorted(content)
+            json.dumps({**row, "description": descriptions.get(row["account_id"], "")}) + "\n"
+            for row in ingest.account_content(tweets)
         ),
     )
 
@@ -170,7 +174,7 @@ def stage_build(cfg: PipelineConfig) -> dict:
         "tweets_skipped": tweet_stats.skipped,
         "profiles_parsed": profile_stats.parsed,
         "profiles_skipped": profile_stats.skipped,
-        "accounts": len(content),
+        "accounts": len(tweets.accounts),
         "days": len(days),
         "follower_edges": follower[1].size,
         "retweets_total": int(np.count_nonzero(tweets.retweeted >= 0)),
@@ -276,17 +280,15 @@ def stage_detect(cfg: PipelineConfig) -> dict:
 # -- classification ------------------------------------------------------------------
 
 
-def _load_bots(out_dir: Path) -> set[str]:
-    [path] = _listed_paths(out_dir, "detect", "bots.txt")
-    with open(path, newline="", encoding="utf-8") as fh:
-        return {row[0] for row in csv.reader(fh)}
-
-
-def _load_content(out_dir: Path) -> dict[str, ingest.AccountContent]:
-    [path] = _listed_paths(out_dir, "build", "account_content.jsonl")
-    with open(path, encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh]
-    return {row.pop("account_id"): ingest.AccountContent(**row) for row in rows}
+def _positions(path: Path, ids: list[str], accounts: list[str], rerun: str) -> np.ndarray:
+    """The positions in ``accounts`` of the ids a file names; an id not in the
+    list raises StageError naming the file."""
+    index = {account: i for i, account in enumerate(accounts)}
+    for account in ids:
+        if account not in index:
+            raise StageError(f"{path} names {account!r}, which accounts.json does not list; "
+                             f"{rerun}")
+    return np.array([index[account] for account in ids], dtype=np.int64)
 
 
 def _keyword_set(path: str, label: str) -> acc.KeywordSet:
@@ -295,11 +297,30 @@ def _keyword_set(path: str, label: str) -> acc.KeywordSet:
     return acc.packaged_keywords(label)
 
 
+def _opt(x: float) -> str:
+    return "" if math.isnan(x) else _fmt(x)
+
+
 def stage_classify(cfg: PipelineConfig) -> dict:
-    """Per-account labels and aggregates plus the group summary table."""
+    """The account table over the positions of accounts.json, written as
+    accounts.csv, and the group summary table.
+
+    account_content.jsonl must list the accounts of accounts.json in order
+    ("rerun build"), and bots.txt only accounts it lists ("rerun detect-bots").
+    """
     out_dir = Path(cfg.out_dir)
-    content = _load_content(out_dir)
-    bots = _load_bots(out_dir)
+    accounts = load_accounts(out_dir)
+    [content_path] = _listed_paths(out_dir, "build", "account_content.jsonl")
+    with open(content_path, encoding="utf-8") as fh:
+        content = [json.loads(line) for line in fh]
+    if [row["account_id"] for row in content] != accounts:
+        raise StageError(f"{content_path} does not list the accounts of accounts.json in order; "
+                         "rerun build")
+    [bots_path] = _listed_paths(out_dir, "detect", "bots.txt")
+    with open(bots_path, newline="", encoding="utf-8") as fh:
+        bot_ids = [row[0] for row in csv.reader(fh)]
+    bot = np.zeros(len(accounts), dtype=bool)
+    bot[_positions(bots_path, bot_ids, accounts, "rerun detect-bots")] = True
 
     ratings = None
     warning = None
@@ -309,60 +330,39 @@ def stage_classify(cfg: PipelineConfig) -> dict:
         warning = f"ratings file {cfg.ratings} missing; media quality columns omitted"
         log.warning(warning)
 
-    qanon_kw = _keyword_set(cfg.qanon_keywords, "qanon")
-    records = acc.build_account_records(
+    table = acc.build_account_records(
         content,
         _read_manifest(out_dir)["build"]["window"]["duration_days"],
-        bots,
-        qanon_kw,
+        bot,
+        _keyword_set(cfg.qanon_keywords, "qanon"),
         ratings=ratings,
         cutoff=cfg.partisan_cutoff,
     )
-
-    def _opt(x: float | None) -> str:
-        return "" if x is None else _fmt(x)
 
     accounts_path = out_dir / "accounts.csv"
     _atomic_write_rows(
         accounts_path,
         ["account_id", "opinion", "partisanship", "qanon", "bot", "scored",
          "tweet_count", "tweet_rate", "media_quality", "mean_toxicity"],
-        [
-            (
-                r.account_id, _fmt(r.opinion), r.partisanship, int(r.qanon),
-                int(r.bot), int(r.scored), r.tweet_count, _fmt(r.tweet_rate),
-                _opt(r.media_quality), _opt(r.mean_toxicity),
-            )
-            for r in (records[a] for a in sorted(records))
-        ],
+        zip(accounts, map(_fmt, table.opinion.tolist()),
+            [acc.PRO if pro else acc.ANTI for pro in table.pro.tolist()],
+            *(column.astype(int).tolist() for column in (table.qanon, table.bot, table.scored)),
+            table.tweet_count.tolist(), map(_fmt, table.tweet_rate.tolist()),
+            map(_opt, table.media_quality.tolist()), map(_opt, table.mean_toxicity.tolist())),
     )
 
     summary_path = out_dir / "group_summary.csv"
-    rows = []
-    for row in acc.group_summary(records.values()):
-        rows.append(
-            (
-                row.partisanship or "all",
-                "" if row.bot is None else int(row.bot),
-                "" if row.qanon is None else int(row.qanon),
-                row.accounts,
-                row.tweets,
-                _fmt(row.mean_rate),
-                _opt(row.mean_media_quality),
-                _opt(row.mean_toxicity),
-            )
-        )
     _atomic_write_rows(
         summary_path,
         ["partisanship", "bot", "qanon", "accounts", "tweets",
          "mean_tweet_rate", "mean_media_quality", "mean_toxicity"],
-        rows,
+        [(*row[:5], *map(_opt, row[5:])) for row in acc.group_summary(table)],
     )
 
     payload = {
-        "accounts": len(records),
-        "bots": sum(1 for r in records.values() if r.bot),
-        "qanon": sum(1 for r in records.values() if r.qanon),
+        "accounts": len(accounts),
+        "bots": int(np.count_nonzero(table.bot)),
+        "qanon": int(np.count_nonzero(table.qanon)),
         "warning": warning,
     }
     _update_manifest(out_dir, "classify", payload, [accounts_path, summary_path])
@@ -378,38 +378,30 @@ def _load_csv(out_dir: Path, stage: str, name: str) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-@dataclass
-class AccountTable:
-    """accounts.csv as columns over the positions of the sorted account list."""
-
-    opinion: np.ndarray  # measured opinion
-    tweet_rate: np.ndarray
-    side: np.ndarray  # partisanship of scored accounts: 0 unscored, 1 anti, 2 pro
-    groups: dict[str, np.ndarray]  # each of GROUP_NAMES -> bool mask
-
-
-def account_table(rows: list[dict], accounts: list[str]) -> AccountTable:
-    """The rows of accounts.csv placed by their position in ``accounts``, and the
-    bot groups: all bots, anti-Trump bots, pro-Trump non-Qanon bots and Qanon
-    bots.  Rows that are not exactly the accounts raise StageError ("rerun
-    classify")."""
-    index = {account: i for i, account in enumerate(accounts)}
-    position = [index.get(row["account_id"], -1) for row in rows]
-    if sorted(position) != list(range(len(accounts))):
-        raise StageError("accounts.csv does not list the accounts of accounts.json; "
+def account_table(out_dir: Path, accounts: list[str]) -> acc.AccountTable:
+    """The account table that accounts.csv holds (this is its one reader), over
+    the positions of ``accounts``; a file that does not list exactly those
+    accounts, in that order, raises StageError ("rerun classify")."""
+    [path] = _listed_paths(out_dir, "classify", "accounts.csv")
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    if [row[0] for row in rows] != accounts:
+        raise StageError(f"{path} does not list the accounts of accounts.json in order; "
                          "rerun classify")
-    ordered = [rows[i] for i in np.argsort(position)]
+    columns = dict(zip(header, zip(*rows)))
 
-    def flag(key: str, value: str) -> np.ndarray:
-        return np.array([row[key] == value for row in ordered], dtype=bool)
+    def floats(name: str) -> np.ndarray:
+        return np.array([float(x) if x else np.nan for x in columns[name]], dtype=np.float64)
 
-    bot, qanon, anti, pro = (flag("bot", "1"), flag("qanon", "1"),
-                             flag("partisanship", acc.ANTI), flag("partisanship", acc.PRO))
-    return AccountTable(
-        opinion=np.array([float(row["opinion"]) for row in ordered], dtype=np.float64),
-        tweet_rate=np.array([float(row["tweet_rate"]) for row in ordered], dtype=np.float64),
-        side=np.where(flag("scored", "1"), anti + 2 * pro, 0).astype(np.int8),
-        groups=dict(zip(GROUP_NAMES, (bot, bot & anti, bot & pro & ~qanon, bot & qanon))),
+    def flags(name: str, value: str = "1") -> np.ndarray:
+        return np.array([x == value for x in columns[name]], dtype=bool)
+
+    return acc.AccountTable(
+        opinion=floats("opinion"), scored=flags("scored"),
+        tweet_count=np.array([int(x) for x in columns["tweet_count"]], dtype=np.int64),
+        tweet_rate=floats("tweet_rate"), pro=flags("partisanship", acc.PRO),
+        qanon=flags("qanon"), bot=flags("bot"), media_quality=floats("media_quality"),
+        mean_toxicity=floats("mean_toxicity"),
     )
 
 
@@ -417,16 +409,13 @@ def _load_daily_active(out_dir: Path, accounts: list[str]) -> dict[date, np.ndar
     """Each day's active accounts as a mask over ``accounts``; an id not in the
     list raises StageError ("rerun build")."""
     [path] = _listed_paths(out_dir, "build", "daily_active.csv")
-    index = {account: i for i, account in enumerate(accounts)}
-    positions: dict[date, list[int]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            if row["account_id"] not in index:
-                raise StageError(f"{path} names {row['account_id']!r}, which accounts.json "
-                                 "does not list; rerun build")
-            positions.setdefault(date.fromisoformat(row["day"]), []).append(
-                index[row["account_id"]])
-    return {day: np.bincount(p, minlength=len(accounts)) > 0 for day, p in positions.items()}
+        rows = list(csv.reader(fh))[1:]
+    position = _positions(path, [account for _, account in rows], accounts, "rerun build")
+    active: dict[date, np.ndarray] = {}
+    for (day, _), i in zip(rows, position.tolist()):
+        active.setdefault(date.fromisoformat(day), np.zeros(len(accounts), dtype=bool))[i] = True
+    return active
 
 
 def stage_ghic(cfg: PipelineConfig) -> dict:
@@ -443,7 +432,7 @@ def stage_ghic(cfg: PipelineConfig) -> dict:
     if not np.array_equal(nodes, np.arange(len(accounts))):
         raise StageError(f"{follower_path} does not hold the accounts of accounts.json "
                          "in order; rerun build")
-    table = account_table(_load_csv(out_dir, "classify", "accounts.csv"), accounts)
+    table = account_table(out_dir, accounts)
     active_by_day = _load_daily_active(out_dir, accounts)
 
     fixed = identify_stubborn(table.opinion, table.groups["all_bots"], cfg.stubborn_low_pct,

@@ -2,6 +2,8 @@
 
 A section whose stage has no manifest entry reads "not available"; every file
 a section reads is one its stage's entry lists, with the checksum verified.
+The bot prevalence, leaderboard and network sections read accounts.csv as the
+account table, masks over the positions of ``accounts.json``.
 """
 
 from __future__ import annotations
@@ -47,12 +49,14 @@ def build_report(cfg: PipelineConfig) -> str:
     else:
         parts.append(_MISSING.format(stage="build"))
 
-    rows = summary = None
+    table = summary = None
     if "classify" in manifest:
-        rows = _load_csv(out_dir, "classify", "accounts.csv")
         summary = _load_csv(out_dir, "classify", "group_summary.csv")
+        if build:
+            accounts = load_accounts(out_dir)
+            table = account_table(out_dir, accounts)
     parts.append(_section("Account types"))
-    if rows and summary:
+    if summary:
         parts.append(
             "  partisanship  bot  qanon  accounts  tweets  mean_rate  media_q  toxicity\n"
         )
@@ -65,18 +69,19 @@ def build_report(cfg: PipelineConfig) -> str:
                 f"  {_fmt_opt(row['mean_toxicity']):>8}\n"
             )
         parts.append("\n  bot prevalence:\n")
-        for name, key, value in (("anti", "partisanship", acc.ANTI),
-                                 ("pro", "partisanship", acc.PRO), ("qanon", "qanon", "1")):
-            if members := [r for r in rows if r[key] == value]:
-                fraction = sum(1 for r in members if r["bot"] == "1") / len(members)
-                parts.append(f"    {name:<12} {fraction:.4f}  (n={len(members)})\n")
+        if table is None:
+            parts.append(_MISSING.format(stage="build"))
+        else:  # by the written partisanship, scored or not
+            for name, members in (("anti", ~table.pro), ("pro", table.pro),
+                                  ("qanon", table.qanon)):
+                if n := int(np.count_nonzero(members)):
+                    fraction = int(np.count_nonzero(members & table.bot)) / n
+                    parts.append(f"    {name:<12} {fraction:.4f}  (n={n})\n")
     else:
         parts.append(_MISSING.format(stage="classify"))
 
     parts.append(_section("Retweet leaderboards"))
-    if rows and build:
-        accounts = load_accounts(out_dir)
-        table = account_table(rows, accounts)
+    if table is not None:
         groups, side = table.groups, table.side
         retweets = _merged_retweet_network(out_dir, accounts)
         anti, pro = groups["anti_bots"], groups["pro_bots"] | groups["qanon_bots"]
@@ -94,7 +99,7 @@ def build_report(cfg: PipelineConfig) -> str:
         parts.append(_MISSING.format(stage="build + classify"))
 
     parts.append(_section("Network structure"))
-    if rows and build:
+    if table is not None:
         [follower_path] = _listed_paths(out_dir, "build", "follower.cols")
         src, tgt, _ = _global_columns(follower_path, accounts)
         a_only, b_only, both = acc.follower_overlap(src, tgt, anti, pro)

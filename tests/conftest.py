@@ -87,8 +87,8 @@ def solver_inputs(g: DirectedGraph, psi, measured=0.5):
     fixed = np.zeros(g.node_count, dtype=bool)
     anchor = np.full(g.node_count, measured, dtype=float)
     for label, value in psi.items():
-        fixed[g.index(label)] = True
-        anchor[g.index(label)] = value
+        fixed[g.labels.index(label)] = True
+        anchor[g.labels.index(label)] = value
     return src, tgt, fixed, anchor
 
 

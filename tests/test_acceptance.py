@@ -133,7 +133,8 @@ def test_criterion_3_ghic_axioms_and_worked_example():
     src, tgt, fixed, anchor = solver_inputs(reduced, {"a": 0.0})
     theta_removed = fixed_point_oracle(src, tgt, np.ones(reduced.node_count), fixed, anchor)
     expected = np.mean(
-        [theta[g.index(h)] - theta_removed[reduced.index(h)] for h in ("h1", "h2", "h3")]
+        [theta[g.labels.index(h)] - theta_removed[reduced.labels.index(h)]
+         for h in ("h1", "h2", "h3")]
     )
     result = _ghic(g, rates, stubborn, opinions, {"s"})
     assert expected == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -151,7 +152,7 @@ def test_criterion_3_ghic_axioms_and_worked_example():
         has_v1_follower = any(
             g2.label(int(t)) not in stubborn2
             for b in ones
-            for t in tgt2[src2 == g2.index(b)]
+            for t in tgt2[src2 == g2.labels.index(b)]
         )
         if has_v1_follower and result2.reverted == 0 and result2.value > 0:
             zero_positive += 1
@@ -241,8 +242,8 @@ def _per_bot_core_ghic(seed: int, audience: str, workdir: Path) -> float:
     columns = tweet_columns(tweets)
     window = columns.window()
     content = account_content(columns)
-    rates = {a: c.tweet_count / window.duration_days
-             for a, c in content.items() if c.tweet_count}
+    rates = {c["account_id"]: c["tweet_count"] / window.duration_days
+             for c in content if c["tweet_count"]}
     nodes = columns.accounts
     _, src, tgt, _ = build_follower_network(load_profiles(out / "profiles.jsonl"), nodes)
     sums: dict[str, float] = {}
@@ -286,10 +287,13 @@ def test_criterion_7_paper_anchored_defaults():
     assert cfg.stubborn_high_pct == 0.90
     assert cfg.followings_cap == 2000
     # the cutoff is inclusive on the anti side
-    from botimpact.accounts import label_partisanship
+    from botimpact.accounts import build_account_records, packaged_keywords
 
-    assert label_partisanship(0.5, cfg.partisan_cutoff) == "anti"
-    assert label_partisanship(0.5 + 1e-9, cfg.partisan_cutoff) == "pro"
+    content = [{"tweet_count": 1, "mean_opinion": opinion, "mean_toxicity": None, "urls": [],
+                "description": ""} for opinion in (0.5, 0.5 + 1e-9)]
+    table = build_account_records(content, 1, np.zeros(2, dtype=bool),
+                                  packaged_keywords("qanon"), cutoff=cfg.partisan_cutoff)
+    assert table.pro.tolist() == [False, True]
     params = FactorGraphParams()
     assert params.psi_hb > params.psi_bb and params.psi_hh > params.psi_bh
     print(
@@ -367,7 +371,8 @@ def test_criterion_9_ingest_conservation(e2e_corpus):
     assert daily_weight == corpus_retweets  # exact: integer-valued weights
 
     window = columns.window()
-    counts = {a: c.tweet_count for a, c in account_content(columns).items() if c.tweet_count}
+    counts = {c["account_id"]: c["tweet_count"]
+              for c in account_content(columns) if c["tweet_count"]}
     assert sum(counts.values()) == len(tweets) == summary["tweets"]
     rates = {a: c / window.duration_days for a, c in counts.items()}
     reconstructed = round(sum(rates.values()) * window.duration_days)

@@ -4,62 +4,73 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botimpact.accounts import (
+    AccountTable,
     KeywordSet,
     MediaRatingsTable,
     build_account_records,
     co_partisan_fraction,
     follower_overlap,
     group_summary,
-    label_partisanship,
-    label_qanon,
     load_keywords,
     media_quality_score,
     ordered_mean,
     packaged_keywords,
     retweet_leaderboard,
 )
-from botimpact.ingest import AccountContent
 
 from conftest import graph_of
 
 QANON = packaged_keywords("qanon")
 
 
+def _content(tweet_count=0, mean_opinion=None, description="", mean_toxicity=None, urls=()):
+    """One row of account_content.jsonl, without its account id."""
+    return {"tweet_count": tweet_count, "mean_opinion": mean_opinion,
+            "mean_toxicity": mean_toxicity, "urls": list(urls), "description": description}
+
+
+def _table(content, bots=(), duration_days=1, **kwargs) -> AccountTable:
+    """The account table of ``{account: content row}``, positions in sorted id order."""
+    names = sorted(content)
+    bot = np.array([name in bots for name in names], dtype=bool)
+    return build_account_records([content[name] for name in names], duration_days, bot, QANON,
+                                 **kwargs)
+
+
 # -- partisanship ------------------------------------------------------------
 
 
 def test_partisan_cutoff_is_inclusive_anti():
-    assert label_partisanship(0.5) == "anti"
-    assert label_partisanship(0.0) == "anti"
-    assert label_partisanship(1.0) == "pro"
-    assert label_partisanship(0.5000001) == "pro"
-
-
-def test_partisan_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        label_partisanship(1.2)
+    opinions = [0.5, 0.0, 1.0, 0.5000001]
+    table = _table({f"a{i}": _content(1, o) for i, o in enumerate(opinions)})
+    assert table.pro.tolist() == [False, False, True, True]
 
 
 @given(st.floats(0, 1), st.floats(0, 1))
 @settings(max_examples=200)
 def test_partisan_labeling_monotone(a, b):
     lo, hi = min(a, b), max(a, b)
-    pair = (label_partisanship(lo), label_partisanship(hi))
-    assert pair != ("pro", "anti")
+    table = _table({"lo": _content(1, lo), "hi": _content(1, hi)})
+    assert (table.pro[1], table.pro[0]) != (True, False)  # "hi" sorts before "lo"
 
 
 # -- qanon -----------------------------------------------------------------
 
 
 def test_qanon_requires_pro_and_keyword():
-    assert label_qanon("proud member WWG1WGA", "pro", QANON) is True
-    assert label_qanon("proud member WWG1WGA", "anti", QANON) is False
-    assert label_qanon("", "pro", QANON) is False
+    table = _table({
+        "a_pro": _content(1, 0.9, "proud member WWG1WGA"),
+        "b_anti": _content(1, 0.1, "proud member WWG1WGA"),
+        "c_pro_plain": _content(1, 0.9, ""),
+        "d_unscored": _content(0, None, "proud member WWG1WGA"),  # 0.5 is anti
+    })
+    assert table.qanon.tolist() == [True, False, False, False]
 
 
 def test_qanon_matches_hashtag_form():
-    assert label_qanon("posting #WWG1WGA daily", "pro", QANON) is True
-    assert label_qanon("the great awakening is here #TheGreatAwakening", "pro", QANON) is True
+    table = _table({"a": _content(1, 0.9, "posting #WWG1WGA daily"),
+                    "b": _content(1, 0.9, "the great awakening is here #TheGreatAwakening")})
+    assert table.qanon.tolist() == [True, True]
 
 
 def test_keyword_token_matching_is_whole_token():
@@ -139,28 +150,28 @@ def test_media_quality_within_shared_domain_bounds(domains):
 
 def _records():
     content = {
-        "probot1": AccountContent(tweet_count=3, mean_opinion=0.9),
-        "probot2": AccountContent(tweet_count=2, mean_opinion=0.8),
-        "probot3": AccountContent(tweet_count=1, mean_opinion=0.7),
-        "antihuman1": AccountContent(tweet_count=4, mean_opinion=0.1),
-        "antihuman2": AccountContent(tweet_count=1, mean_opinion=0.2),
+        "probot1": _content(tweet_count=3, mean_opinion=0.9),
+        "probot2": _content(tweet_count=2, mean_opinion=0.8),
+        "probot3": _content(tweet_count=1, mean_opinion=0.7),
+        "antihuman1": _content(tweet_count=4, mean_opinion=0.1),
+        "antihuman2": _content(tweet_count=1, mean_opinion=0.2),
     }
-    return build_account_records(
-        content,
-        duration_days=1,
-        bots={"probot1", "probot2", "probot3"},
-        qanon_keywords=QANON,
-    )
+    return _table(content, bots={"probot1", "probot2", "probot3"})
+
+
+def _cells(rows) -> dict[tuple, tuple[int, int]]:
+    """(accounts, tweets) of each populated cell, keyed by (partisanship, bot, qanon)."""
+    return {tuple(row[:3]): (row[3], row[4]) for row in rows if row[0] != "all"}
 
 
 def test_group_summary_counts():
-    rows = group_summary(_records().values())
-    by_key = {(r.partisanship, r.bot, r.qanon): r for r in rows if r.partisanship}
-    assert by_key[("pro", True, False)].accounts == 3
-    assert by_key[("anti", False, False)].accounts == 2
-    totals = [r for r in rows if not r.partisanship][0]
-    assert totals.accounts == 5
-    assert totals.tweets == sum(r.tweets for r in rows if r.partisanship)
+    rows = group_summary(_records())
+    cells = _cells(rows)
+    assert cells[("pro", 1, 0)][0] == 3
+    assert cells[("anti", 0, 0)][0] == 2
+    totals = rows[-1]
+    assert totals[:3] == ("all", "", "") and totals[3] == 5
+    assert totals[4] == sum(tweets for _, tweets in cells.values()) == 11
 
 
 def test_group_summary_six_cells_when_all_categories_exist():
@@ -175,31 +186,53 @@ def test_group_summary_six_cells_when_all_categories_exist():
         ("qbot", 0.9, True, True),
     ]
     for name, opinion, is_bot, is_q in spec:
-        content[name] = AccountContent(
+        content[name] = _content(
             tweet_count=1, mean_opinion=opinion, description="WWG1WGA" if is_q else ""
         )
         if is_bot:
             bots.add(name)
-    records = build_account_records(content, 1, bots, QANON)
-    rows = group_summary(records.values())
-    assert len([r for r in rows if r.partisanship]) == 6
+    rows = group_summary(_table(content, bots))
+    # in (partisanship, bot, qanon) order
+    assert list(_cells(rows)) == [("anti", 0, 0), ("anti", 1, 0), ("pro", 0, 0), ("pro", 0, 1),
+                                  ("pro", 1, 0), ("pro", 1, 1)]
 
 
 def test_group_summary_single_category_equals_totals():
-    content = {f"u{i}": AccountContent(tweet_count=1, mean_opinion=0.9) for i in range(3)}
-    records = build_account_records(content, 1, set(), QANON)
-    rows = group_summary(records.values())
-    populated = [r for r in rows if r.partisanship]
-    assert len(populated) == 1
-    assert populated[0].accounts == 3
+    content = {f"u{i}": _content(tweet_count=1, mean_opinion=0.9) for i in range(3)}
+    rows = group_summary(_table(content))
+    populated = _cells(rows)
+    assert list(populated.values()) == [(3, 3)]
+    assert rows[0][3:6] == rows[-1][3:6]  # accounts, tweets, mean rate
+
+
+def test_group_summary_means_add_left_to_right():
+    # values whose compensated or pairwise sum differs from the left-to-right one
+    rng = np.random.default_rng(3)
+    n = 3000
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+    flags = rng.random((3, n)) < 0.5
+    toxicity = np.where(rng.random(n) < 0.3, np.nan, rng.random(n))
+    table = AccountTable(
+        opinion=np.full(n, 0.9), scored=np.ones(n, bool), tweet_count=np.ones(n, np.int64),
+        tweet_rate=values, pro=flags[0], qanon=flags[0] & flags[1], bot=flags[2],
+        media_quality=np.full(n, np.nan), mean_toxicity=toxicity,
+    )
+    code = 4 * table.pro + 2 * table.bot + table.qanon
+    for part, bot, qanon, accounts, tweets, rate, quality, toxic in group_summary(table):
+        members = (np.ones(n, bool) if part == "all" else
+                   code == 4 * (part == "pro") + 2 * bot + qanon)
+        assert accounts == tweets == np.count_nonzero(members)
+        assert rate == ordered_mean(values[members].tolist())
+        assert np.isnan(quality)
+        assert toxic == ordered_mean([t for t in toxicity[members].tolist() if t == t])
 
 
 def test_unscored_account_gets_neutral_opinion():
-    records = build_account_records({"quiet": AccountContent()}, 3, set(), QANON)
-    rec = records["quiet"]
-    assert rec.opinion == 0.5 and rec.scored is False
-    assert rec.tweet_rate == 0.0
-    assert rec.partisanship == "anti"  # 0.5 falls on the inclusive-anti side
+    table = _table({"quiet": _content()}, duration_days=3)
+    assert table.opinion.tolist() == [0.5] and table.scored.tolist() == [False]
+    assert table.tweet_rate.tolist() == [0.0]
+    assert table.pro.tolist() == [False]  # 0.5 falls on the inclusive-anti side
+    assert table.side.tolist() == [0]  # but counts for no side
 
 
 # -- leaderboard / overlap / co-partisan -----------------------------------------

@@ -1,0 +1,175 @@
+"""stage_classify, byte for byte, against a naive per-record reference.
+
+The reference below is how classification used to be computed: it keys
+every account by its id, builds one record per account, groups the records
+by (partisanship, bot, qanon) cell in a dict of lists and averages each cell
+left to right.  Both run on the build and detect-bots outputs of small synth
+corpora of every topology, perturbed so that every corner occurs: unscored
+accounts, malformed URLs, Qanon descriptions on anti accounts, no ratings
+file, empty cells and a window whose length does not divide the tweet counts.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import random
+from functools import reduce
+
+from botimpact.accounts import MediaRatingsTable, media_quality_score, packaged_keywords
+from botimpact.config import PipelineConfig
+from botimpact.pipeline import stage_build, stage_classify, stage_detect
+from botimpact.synth import SynthSpec, generate
+
+SPECS = {
+    "two_block_polarized": dict(days=3, humans_per_block=12, bots_per_block=3,
+                                qanon_bot_frac=0.5, human_rate=1.0, bot_rate=8.0),
+    "planted_bot_retweet": dict(days=2, n_bots=6, n_humans=40, bot_rate=6.0,
+                                bot_rt_human=4.0, human_rt_human=2.0, follow_out=4),
+    "core_periphery_qanon": dict(days=3, core_bots=4, periphery_humans=30),
+}
+SEEDS = range(3)
+QANON = packaged_keywords("qanon")
+
+
+# -- the reference -------------------------------------------------------------------
+
+
+def _mean(values):
+    return reduce(lambda total, x: total + x, values, 0.0) / len(values) if values else None
+
+
+def _fmt(x):
+    return f"{x:.10g}"
+
+
+def _opt(x):
+    return "" if x is None else _fmt(x)
+
+
+def _csv(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def _reference(out, ratings_path, cutoff, seen) -> tuple[bytes, bytes]:
+    content = {}
+    with open(out / "account_content.jsonl", encoding="utf-8") as fh:
+        for line in fh:
+            row = json.loads(line)
+            content[row.pop("account_id")] = row
+    with open(out / "bots.txt", newline="", encoding="utf-8") as fh:
+        bots = {row[0] for row in csv.reader(fh)}
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    duration = manifest["build"]["window"]["duration_days"]
+    ratings = MediaRatingsTable.from_csv(ratings_path) if ratings_path.exists() else None
+    seen["no ratings file"] += ratings is None
+
+    records = {}
+    for account in sorted(content):
+        c = content[account]
+        opinion = 0.5 if c["mean_opinion"] is None else c["mean_opinion"]
+        partisanship = "anti" if opinion <= cutoff else "pro"
+        quality = None
+        if ratings is not None:
+            quality, malformed = media_quality_score(c["urls"], ratings)
+            seen["malformed url"] += malformed
+        matches = QANON.matches(c["description"])
+        seen["anti qanon description"] += matches and partisanship == "anti"
+        seen["unscored"] += c["mean_opinion"] is None
+        seen["uneven window"] += c["tweet_count"] % duration != 0
+        seen["bot"] += account in bots
+        seen["qanon"] += partisanship == "pro" and matches
+        records[account] = dict(
+            opinion=opinion, partisanship=partisanship,
+            qanon=partisanship == "pro" and matches, bot=account in bots,
+            scored=c["mean_opinion"] is not None, tweet_count=c["tweet_count"],
+            tweet_rate=c["tweet_count"] / duration, media_quality=quality,
+            mean_toxicity=c["mean_toxicity"],
+        )
+
+    accounts_csv = _csv(
+        ["account_id", "opinion", "partisanship", "qanon", "bot", "scored",
+         "tweet_count", "tweet_rate", "media_quality", "mean_toxicity"],
+        [(a, _fmt(r["opinion"]), r["partisanship"], int(r["qanon"]), int(r["bot"]),
+          int(r["scored"]), r["tweet_count"], _fmt(r["tweet_rate"]), _opt(r["media_quality"]),
+          _opt(r["mean_toxicity"])) for a, r in records.items()],
+    )
+
+    cells = {}
+    for r in records.values():
+        cells.setdefault((r["partisanship"], r["bot"], r["qanon"]), []).append(r)
+    seen["empty cell"] += 8 - len(cells)
+
+    def row(part, bot, qanon, members):
+        return (part, bot, qanon, len(members), sum(r["tweet_count"] for r in members),
+                _fmt(_mean([r["tweet_rate"] for r in members])),
+                _opt(_mean([r["media_quality"] for r in members
+                            if r["media_quality"] is not None])),
+                _opt(_mean([r["mean_toxicity"] for r in members
+                            if r["mean_toxicity"] is not None])))
+
+    rows = [row(p, int(b), int(q), members) for (p, b, q), members in sorted(cells.items())]
+    if records:
+        rows.append(row("all", "", "", list(records.values())))
+    summary_csv = _csv(["partisanship", "bot", "qanon", "accounts", "tweets",
+                        "mean_tweet_rate", "mean_media_quality", "mean_toxicity"], rows)
+    return accounts_csv, summary_csv
+
+
+# -- the comparison --------------------------------------------------------------------
+
+
+def _perturb(corpus, seed: int) -> None:
+    """Some accounts lose every opinion score, some tweets their toxicity or a
+    well-formed URL to a malformed one, and some profiles gain a Qanon term."""
+    rng = random.Random(seed)
+    tweets = [json.loads(line) for line in
+              (corpus / "tweets.jsonl").read_text(encoding="utf-8").splitlines()]
+    unscored = {t["author_id"] for t in tweets if rng.random() < 0.05}
+    for tweet in tweets:
+        if tweet["author_id"] in unscored:
+            tweet["opinion"] = None
+        if rng.random() < 0.1:
+            del tweet["toxicity"]
+        if rng.random() < 0.1:
+            tweet["urls"] = tweet.get("urls", []) + [rng.choice(["::not a url::", "http://"])]
+    (corpus / "tweets.jsonl").write_text(
+        "".join(json.dumps(t) + "\n" for t in tweets), encoding="utf-8")
+    profiles = [json.loads(line) for line in
+                (corpus / "profiles.jsonl").read_text(encoding="utf-8").splitlines()]
+    for profile in profiles:
+        if rng.random() < 0.2:
+            profile["description"] = (profile.get("description") or "") + " WWG1WGA"
+    (corpus / "profiles.jsonl").write_text(
+        "".join(json.dumps(p) + "\n" for p in profiles), encoding="utf-8")
+
+
+def test_classify_matches_the_per_record_reference(tmp_path):
+    seen = dict.fromkeys(("unscored", "no ratings file", "malformed url",
+                          "anti qanon description", "empty cell", "uneven window", "bot",
+                          "qanon"), 0)
+    for topology in SPECS:
+        for seed in SEEDS:
+            corpus, out = tmp_path / f"{topology}-{seed}", tmp_path / f"{topology}-{seed}-out"
+            generate(SynthSpec(seed=seed, topology=topology, **SPECS[topology]), corpus)
+            _perturb(corpus, seed)
+            # the README potentials and a lower threshold, so that bots are found
+            cfg = PipelineConfig(tweets=str(corpus / "tweets.jsonl"),
+                                 profiles=str(corpus / "profiles.jsonl"), out_dir=str(out),
+                                 bp_psi_hh=1.5, bot_threshold=0.6)
+            stage_build(cfg)
+            stage_detect(cfg)
+            for ratings, cutoff in ((corpus / "ratings.csv", 0.5),
+                                    (corpus / "missing.csv", 0.5),
+                                    (corpus / "ratings.csv", 0.6)):
+                cfg.ratings, cfg.partisan_cutoff = str(ratings), cutoff
+                stage_classify(cfg)
+                accounts_csv, summary_csv = _reference(out, ratings, cutoff, seen)
+                assert (out / "accounts.csv").read_bytes() == accounts_csv, (topology, seed)
+                assert (out / "group_summary.csv").read_bytes() == summary_csv, (topology, seed)
+    assert all(seen.values()), seen

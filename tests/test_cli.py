@@ -55,6 +55,17 @@ def _run(runner, args):
     return result
 
 
+def _unreadable(tmp_path: Path, kind: str) -> Path:
+    """A file holding a byte that is not UTF-8, or a directory."""
+    if kind == "not utf-8":
+        path = tmp_path / "not_utf8.txt"
+        path.write_bytes(b"# caf\xff\n")
+    else:
+        path = tmp_path / "a_directory"
+        path.mkdir()
+    return path
+
+
 @pytest.fixture
 def corpus(tmp_path, runner):
     spec = _write_spec(tmp_path / "spec.txt")
@@ -122,6 +133,12 @@ def test_bad_config_value_exits_2(tmp_path, runner):
     result = runner.invoke(main, ["--config", str(cfg), "build"])
     assert result.exit_code == 2
     assert "bot_threshold" in result.output
+    # so is a config file that is not UTF-8, or a directory
+    for kind in ("not utf-8", "directory"):
+        path = _unreadable(tmp_path, kind)
+        result = runner.invoke(main, ["--config", str(path), "build"])
+        assert result.exit_code == 2, result.output
+        assert f"error: {path}: unreadable" in result.output
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -384,6 +401,12 @@ def test_invalid_synth_spec_exits_2(tmp_path, runner):
     result = runner.invoke(main, ["synth", "--spec", str(spec)])
     assert result.exit_code == 2
     assert "topology" in result.output
+    # so is a spec that is not UTF-8, or a directory
+    for kind in ("not utf-8", "directory"):
+        path = _unreadable(tmp_path, kind)
+        result = runner.invoke(main, ["--out", str(tmp_path / "out"), "synth", "--spec", str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"error: {path}: unreadable" in result.output
 
 
 def test_negative_planted_field_exits_2(tmp_path, runner):
@@ -539,6 +562,22 @@ def test_malformed_ratings_file_exits_3_naming_the_line(tmp_path, runner, corpus
     result = runner.invoke(main, ["--config", str(cfg), "classify"])
     assert result.exit_code == 3
     assert f"{ratings}, {message}" in result.output
+    assert not (out / "accounts.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["qanon_keywords", "ratings"])
+@pytest.mark.parametrize("kind", ["not utf-8", "directory"])
+def test_unreadable_keywords_or_ratings_file_exits_3_naming_it(tmp_path, runner, corpus, key,
+                                                                kind):
+    path = _unreadable(tmp_path, kind)
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
+    cfg.write_text(cfg.read_text() + f"{key} = {path}\n")
+    for cmd in ("build", "detect-bots"):
+        assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0
+    result = runner.invoke(main, ["--config", str(cfg), "classify"])
+    assert result.exit_code == 3, result.output
+    assert f"error: {path}: unreadable" in result.output  # the file, and no line in it
     assert not (out / "accounts.csv").exists()
 
 

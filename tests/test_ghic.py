@@ -62,7 +62,7 @@ def test_worked_example_cross_checked_with_oracle():
     theta_r = fixed_point_oracle(src, tgt, lam_r, fixed, anchor)
     manual = np.mean(
         [
-            theta[g.index(h)] - theta_r[reduced.index(h)]
+            theta[g.labels.index(h)] - theta_r[reduced.labels.index(h)]
             for h in ("h1", "h2", "h3")
         ]
     )
@@ -127,7 +127,7 @@ def test_sign_semantics_and_bound():
         followers_in_v1 = any(
             g2.label(int(t)) not in stubborn
             for b in ones
-            for t in tgt2[src2 == g2.index(b)]
+            for t in tgt2[src2 == g2.labels.index(b)]
         )
         if followers_in_v1 and result.reverted == 0:
             assert result.value > 0.0
@@ -354,7 +354,7 @@ def _oracle_ghic(graph, rates, psi_by_name, measured_by_name, targets):
         """Oracle opinions on ``g``, after preprocessing, and its final stubborn mask."""
         lam = np.array([rates[g.label(i)] for i in range(g.node_count)])
         measured = np.array([measured_by_name[g.label(i)] for i in range(g.node_count)])
-        psi = {k: v for k, v in psi_by_name.items() if k in g}
+        psi = {k: v for k, v in psi_by_name.items() if k in g.labels}
         src, tgt, fixed, anchor = solver_inputs(g, psi, measured)
         final, _ = preprocess_wellposed(src, tgt, lam, fixed)
         # orphaned nodes revert to their measured opinion (their anchor)
@@ -364,7 +364,7 @@ def _oracle_ghic(graph, rates, psi_by_name, measured_by_name, targets):
     population = [i for i in np.flatnonzero(~fixed) if graph.label(i) not in targets]
     reduced = graph.induced_subgraph([name for name in graph.labels if name not in targets])
     theta_r, _ = equilibrium(reduced)
-    diffs = [theta[i] - theta_r[reduced.index(graph.label(i))] for i in population]
+    diffs = [theta[i] - theta_r[reduced.labels.index(graph.label(i))] for i in population]
     return float(np.mean(diffs))
 
 

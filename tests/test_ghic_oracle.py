@@ -64,7 +64,7 @@ def _ref_network_arrays(graph: DirectedGraph, rates, stubborn, opinions):
 
 def _ref_mask(graph: DirectedGraph, accounts) -> np.ndarray:
     mask = np.zeros(graph.node_count, dtype=bool)
-    mask[[graph.index(a) for a in accounts if a in graph]] = True
+    mask[[graph.labels.index(a) for a in accounts if a in graph.labels]] = True
     return mask
 
 
@@ -95,7 +95,7 @@ def _reference(out, cfg: PipelineConfig):
 
     entries, skipped = [], []
     for day in sorted(active_by_day):
-        active = {a for a in active_by_day[day] if a in follower}
+        active = active_by_day[day] & set(follower.labels)
         if not active:
             skipped.append((day, "no active accounts in the follower network"))
             continue

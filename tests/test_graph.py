@@ -48,24 +48,24 @@ def _followers(g, i):
 
 def test_following_is_in_neighbors():
     g = graph_of([("j", "i", 1.0)])
-    sources, weights = _following(g, g.index("i"))
+    sources, weights = _following(g, g.labels.index("i"))
     assert [g.label(int(s)) for s in sources] == ["j"]
     assert list(weights) == [1.0]
-    assert _following(g, g.index("j"))[0].size == 0
+    assert _following(g, g.labels.index("j"))[0].size == 0
 
 
 def test_star_following():
     g = graph_of([("h", "s1"), ("h", "s2")])
-    sources, _ = _following(g, g.index("s1"))
+    sources, _ = _following(g, g.labels.index("s1"))
     assert [g.label(int(s)) for s in sources] == ["h"]
-    targets, _ = _followers(g, g.index("h"))
+    targets, _ = _followers(g, g.labels.index("h"))
     assert sorted(g.label(int(t)) for t in targets) == ["s1", "s2"]
 
 
 def test_unknown_node_rejected():
     g = graph_of([("a", "b")])
-    with pytest.raises(GraphError):
-        g.index("zz")
+    with pytest.raises(GraphError, match="'zz'"):
+        g.induced_subgraph(["a", "zz"])
 
 
 def test_induced_subgraph_triangle():
@@ -123,8 +123,8 @@ def random_graphs(draw):
 @given(random_graphs(), st.sets(st.integers(0, 11)), st.sets(st.integers(0, 11)))
 @settings(max_examples=60, deadline=None)
 def test_induced_subgraph_composes_with_intersection(g, keep1, keep2):
-    names1 = {f"v{i}" for i in keep1 if f"v{i}" in g}
-    names2 = {f"v{i}" for i in keep2 if f"v{i}" in g}
+    names1 = {f"v{i}" for i in keep1 if f"v{i}" in g.labels}
+    names2 = {f"v{i}" for i in keep2 if f"v{i}" in g.labels}
     direct = g.induced_subgraph(names1 & names2)
     stepwise = g.induced_subgraph(names1).induced_subgraph(names1 & names2)
     assert direct.node_count == stepwise.node_count

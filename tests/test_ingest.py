@@ -136,6 +136,35 @@ def test_load_tweets_gzip(tmp_path):
     assert len(list(load_tweets(path))) == 1
 
 
+@pytest.mark.parametrize("gzipped", [False, True])
+def test_a_line_that_is_not_utf8_counts_as_skipped(tmp_path, gzipped):
+    tweets = [_tweet_line(f"t{i}", "a", "2020-01-01T00:00:00Z").encode() for i in range(20)]
+    tweets.insert(5, b'{"x": "\xff"}')
+    # UTF-8 beyond ASCII is read as before
+    accented = json.loads(_tweet_line("t20", "é", "2020-01-02T00:00:00Z"))
+    tweets.append(json.dumps(accented, ensure_ascii=False).encode())
+    profiles = [b'{"account_id": "a", "description": "caf\xe9"}',
+                json.dumps({"account_id": "é", "following_ids": ["a"]},
+                           ensure_ascii=False).encode()]
+    paths = tmp_path / "tweets.jsonl", tmp_path / "profiles.jsonl"
+    for path, lines in zip(paths, (tweets, profiles)):
+        data = b"".join(line + b"\n" for line in lines)
+        path.write_bytes(gzip.compress(data) if gzipped else data)
+
+    stats = ParseStats()
+    assert [row[0] for row in load_tweets(paths[0], stats)] == ["a"] * 20 + ["é"]
+    assert (stats.parsed, stats.skipped) == (21, 1)
+    stats = ParseStats()
+    assert [p.account_id for p in load_profiles(paths[1], stats)] == ["é"]
+    assert (stats.parsed, stats.skipped) == (1, 1)
+
+    out = tmp_path / "out"
+    payload = stage_build(PipelineConfig(tweets=str(paths[0]), profiles=str(paths[1]),
+                                         out_dir=str(out)))
+    assert (payload["tweets_skipped"], payload["profiles_skipped"]) == (1, 1)
+    assert payload["follower_edges"] == 1
+
+
 def test_utc_day_bucketing(tmp_path):
     path = tmp_path / "tweets.jsonl"
     stamps = [
@@ -197,7 +226,7 @@ def test_daily_retweet_network_chain_matches_recount():
             key = (retweeted, author)
             expected[key] = expected.get(key, 0) + 1
     assert edge_dict(net) == {k: float(v) for k, v in expected.items()}
-    assert "lurker" in net  # original tweets create the author node, no edge
+    assert "lurker" in net.labels  # original tweets create the author node, no edge
     # as the id-sorted edges first name them, then the authors without a retweet
     assert net.labels == ["u", "v", "w", "lurker"]
 
@@ -225,8 +254,8 @@ def test_follower_network_mutual():
 def _rates(tweets, window) -> dict[str, float]:
     """Posting rates as build writes them: whole-window count / window duration."""
     return {
-        a: c.tweet_count / window.duration_days
-        for a, c in account_content(tweet_columns(tweets)).items() if c.tweet_count
+        c["account_id"]: c["tweet_count"] / window.duration_days
+        for c in account_content(tweet_columns(tweets)) if c["tweet_count"]
     }
 
 
@@ -250,7 +279,7 @@ def test_tweet_rates_linearity():
 def test_rate_totals_reconstruct_corpus_exactly():
     tweets = [_row(f"a{i % 5}", f"2020-01-0{1 + i % 7}") for i in range(53)]
     content = account_content(tweet_columns(tweets))
-    assert sum(c.tweet_count for c in content.values()) == 53  # integers before any division
+    assert sum(c["tweet_count"] for c in content) == 53  # integers before any division
 
 
 def test_active_set_rules(tmp_path):
@@ -281,8 +310,8 @@ def test_corpus_and_window_derivation(tmp_path):
     tweets = [_row("a", "2020-01-03"), _row("b", "2020-01-01", retweeted="c")]
     columns = tweet_columns(tweets)
     content = account_content(columns)
-    assert set(content) == {"a", "b", "c"}
-    assert content["c"].tweet_count == 0  # retweeted only
+    assert [c["account_id"] for c in content] == ["a", "b", "c"]  # sorted
+    assert content[2]["tweet_count"] == 0  # retweeted only
     window = columns.window()
     assert window.start == date(2020, 1, 1) and window.end == date(2020, 1, 3)
     with pytest.raises(IngestError, match="no parseable tweets"):
@@ -294,14 +323,12 @@ def test_account_content_aggregates():
         return _row("a", "2020-01-01", "b", urls, opinion, toxicity)
 
     tweets = [tweet(0.1, NAN, ["u1", "u2"]), tweet(NAN, 0.4, []), tweet(0.7, 0.2, ["u3"])]
-    content = account_content(tweet_columns(tweets))
-    a = content["a"]
-    assert a.tweet_count == 3
-    assert a.mean_opinion == (0.1 + 0.7) / 2  # over scored tweets only
-    assert a.mean_toxicity == (0.4 + 0.2) / 2
-    assert a.urls == ["u1", "u2", "u3"]  # in tweet order
-    b = content["b"]
-    assert (b.tweet_count, b.mean_opinion, b.mean_toxicity, b.urls) == (0, None, None, [])
+    a, b = account_content(tweet_columns(tweets))
+    assert a == {"account_id": "a", "tweet_count": 3,
+                 "mean_opinion": (0.1 + 0.7) / 2,  # over scored tweets only
+                 "mean_toxicity": (0.4 + 0.2) / 2, "urls": ["u1", "u2", "u3"]}  # in tweet order
+    assert b == {"account_id": "b", "tweet_count": 0, "mean_opinion": None,
+                 "mean_toxicity": None, "urls": []}
 
 
 def test_account_content_means_add_left_to_right():
@@ -312,8 +339,7 @@ def test_account_content_means_add_left_to_right():
              opinion=rng.random() if rng.random() < 0.8 else NAN, toxicity=rng.random())
         for _ in range(2000)
     ]
-    content = account_content(tweet_columns(tweets))
-    for account, c in content.items():
-        own = [t for t in tweets if t[0] == account]
-        assert c.mean_opinion == ordered_mean([t[4] for t in own if not math.isnan(t[4])])
-        assert c.mean_toxicity == ordered_mean([t[5] for t in own])
+    for c in account_content(tweet_columns(tweets)):
+        own = [t for t in tweets if t[0] == c["account_id"]]
+        assert c["mean_opinion"] == ordered_mean([t[4] for t in own if not math.isnan(t[4])])
+        assert c["mean_toxicity"] == ordered_mean([t[5] for t in own])

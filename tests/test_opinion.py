@@ -72,14 +72,14 @@ def test_preprocess_isolated_node_reclassified():
     g = graph_of([("s", "a")], nodes=["iso"])
     lam = np.ones(g.node_count)
     src, tgt, fixed, anchor = solver_inputs(g, {"s": 1.0})
-    anchor[g.index("iso")] = 0.3
+    anchor[g.labels.index("iso")] = 0.3
     stubborn, report = preprocess_wellposed(src, tgt, lam, fixed)
-    assert stubborn[g.index("iso")]
-    assert g.index("iso") in report.no_rated_following
-    assert not stubborn[g.index("a")]
+    assert stubborn[g.labels.index("iso")]
+    assert g.labels.index("iso") in report.no_rated_following
+    assert not stubborn[g.labels.index("a")]
     # the reclassified node is held at its anchor, the measured opinion
     opinion, _ = _solve(g, lam, fixed, anchor)
-    assert opinion[g.index("iso")] == 0.3
+    assert opinion[g.labels.index("iso")] == 0.3
 
 
 def test_preprocess_closed_pair_reclassified():
@@ -88,9 +88,9 @@ def test_preprocess_closed_pair_reclassified():
     lam = np.ones(g.node_count)
     src, tgt, fixed, _ = solver_inputs(g, {"s": 1.0}, 0.25)
     stubborn, report = preprocess_wellposed(src, tgt, lam, fixed)
-    assert stubborn[g.index("x")] and stubborn[g.index("y")]
-    assert set(report.unreachable) == {g.index("x"), g.index("y")}
-    assert not stubborn[g.index("a")]
+    assert stubborn[g.labels.index("x")] and stubborn[g.labels.index("y")]
+    assert set(report.unreachable) == {g.labels.index("x"), g.labels.index("y")}
+    assert not stubborn[g.labels.index("a")]
 
 
 def test_preprocess_connected_instance_unchanged():
@@ -106,12 +106,12 @@ def test_preprocess_zero_rate_chain_reclassified():
     # b follows only zero-rate j; influence cannot travel through j
     g = graph_of([("s", "j"), ("j", "b")])
     lam = np.zeros(g.node_count)
-    lam[g.index("s")] = 1.0
-    lam[g.index("b")] = 1.0
+    lam[g.labels.index("s")] = 1.0
+    lam[g.labels.index("b")] = 1.0
     src, tgt, fixed, _ = solver_inputs(g, {"s": 1.0})
     stubborn, report = preprocess_wellposed(src, tgt, lam, fixed)
-    assert stubborn[g.index("b")]  # only following has rate zero
-    assert not stubborn[g.index("j")]  # j follows s, which has positive rate
+    assert stubborn[g.labels.index("b")]  # only following has rate zero
+    assert not stubborn[g.labels.index("j")]  # j follows s, which has positive rate
 
 
 def _reclassified_by_search(g, lam, psi):  # psi: the stubborn node indices
@@ -156,13 +156,13 @@ def test_preprocess_matches_per_node_search_on_random_graphs():
                    ("s", "m"), ("m", "x3"), ("x3", "y3"), ("y3", "x3")]
         g = graph_of(edges + gadgets, nodes=[f"v{i}" for i in range(n)])
         lam = np.where(rng.random(g.node_count) < 0.3, 0.0, rng.uniform(0.1, 5.0, g.node_count))
-        lam[[g.index(a) for a in ("s", "m", "x1", "y1", "x2", "y2", "x3", "y3")]] = 1.0
-        lam[[g.index("z"), g.index("t")]] = 0.0
+        lam[[g.labels.index(a) for a in ("s", "m", "x1", "y1", "x2", "y2", "x3", "y3")]] = 1.0
+        lam[[g.labels.index("z"), g.labels.index("t")]] = 0.0
         stubborn = [i for i in range(g.node_count) if rng.random() < 0.2]
-        stubborn += [g.index(a) for a in ("s", "t", "m")]
+        stubborn += [g.labels.index(a) for a in ("s", "t", "m")]
         psi = {i: float(rng.integers(0, 2)) for i in stubborn}
         for a in ("z", "x1", "y1", "x2", "y2", "x3", "y3"):
-            psi.pop(g.index(a), None)
+            psi.pop(g.labels.index(a), None)
         fixed = np.zeros(g.node_count, dtype=bool)
         fixed[list(psi)] = True
 
@@ -172,8 +172,8 @@ def test_preprocess_matches_per_node_search_on_random_graphs():
         assert report.no_rated_following == no_rated
         assert report.unreachable == unreachable
         assert np.flatnonzero(final).tolist() == sorted({*psi, *no_rated, *unreachable})
-        assert {g.index(a) for a in ("x1", "y1", "x2", "y2")} <= set(unreachable)
-        assert not final[g.index("x3")]
+        assert {g.labels.index(a) for a in ("x1", "y1", "x2", "y2")} <= set(unreachable)
+        assert not final[g.labels.index("x3")]
         unreachable_total += len(unreachable)
     assert unreachable_total > 4 * 150  # more than the gadgets alone
 
@@ -189,7 +189,7 @@ def _assembly_inputs(g, lam, psi):
 def test_assemble_one_by_one_system():
     g = graph_of([("j", "i")])
     lam = np.zeros(2)
-    lam[g.index("j")] = 2.0
+    lam[g.labels.index("j")] = 2.0
     system = assemble_system(*_assembly_inputs(g, lam, {"j": 1.0}))
     assert system.G.toarray() == pytest.approx(np.array([[-2.0]]))
     assert system.b == pytest.approx(np.array([-2.0]))
@@ -199,16 +199,16 @@ def test_assemble_mixed_row():
     # i follows j in V1 (lam 1) and k in V0 (lam 3)
     g = graph_of([("j", "i"), ("k", "i"), ("s", "j")])
     lam = np.zeros(g.node_count)
-    lam[g.index("j")] = 1.0
-    lam[g.index("k")] = 3.0
-    lam[g.index("s")] = 1.0
+    lam[g.labels.index("j")] = 1.0
+    lam[g.labels.index("k")] = 3.0
+    lam[g.labels.index("s")] = 1.0
     system = assemble_system(*_assembly_inputs(g, lam, {"k": 1.0, "s": 0.0}))
-    row = list(system.v1).index(g.index("i"))
-    col_j = list(system.v1).index(g.index("j"))
+    row = list(system.v1).index(g.labels.index("i"))
+    col_j = list(system.v1).index(g.labels.index("j"))
     G = system.G.toarray()
     assert G[row, row] == pytest.approx(-4.0)
     assert G[row, col_j] == pytest.approx(1.0)
-    col_k = list(system.v0).index(g.index("k"))
+    col_k = list(system.v0).index(g.labels.index("k"))
     assert system.F.toarray()[row, col_k] == pytest.approx(-3.0)
 
 
@@ -263,22 +263,22 @@ def test_diagonal_adds_each_row_left_to_right_in_source_order():
 def test_single_follower_absorbs_stubborn_opinion():
     g = graph_of([("j", "i")])
     lam = np.zeros(2)
-    lam[g.index("j")] = 2.0
+    lam[g.labels.index("j")] = 2.0
     _, _, fixed, anchor = solver_inputs(g, {"j": 1.0})
     opinion, _ = _solve(g, lam, fixed, anchor)
-    assert opinion[g.index("i")] == pytest.approx(1.0, abs=1e-12)
+    assert opinion[g.labels.index("i")] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weighted_average_of_two_stubborn_sources():
     g = graph_of([("a", "b"), ("c", "b")])
     lam = np.zeros(3)
-    lam[g.index("a")] = 1.0
-    lam[g.index("c")] = 3.0
+    lam[g.labels.index("a")] = 1.0
+    lam[g.labels.index("c")] = 3.0
     _, _, fixed, anchor = solver_inputs(g, {"a": 0.0, "c": 1.0})
     opinion, _ = _solve(g, lam, fixed, anchor)
     oracle = _oracle(g, lam, fixed, anchor)
-    assert opinion[g.index("b")] == pytest.approx(0.75, abs=1e-10)
-    assert oracle[g.index("b")] == pytest.approx(0.75, abs=1e-10)
+    assert opinion[g.labels.index("b")] == pytest.approx(0.75, abs=1e-10)
+    assert oracle[g.labels.index("b")] == pytest.approx(0.75, abs=1e-10)
 
 
 def test_chain_example():
@@ -288,10 +288,10 @@ def test_chain_example():
     _, _, fixed, anchor = solver_inputs(g, {"a": 0.0, "d": 1.0})
     opinion, _ = _solve(g, lam, fixed, anchor)
     oracle = _oracle(g, lam, fixed, anchor)
-    assert opinion[g.index("b")] == pytest.approx(0.0, abs=1e-10)
-    assert opinion[g.index("c")] == pytest.approx(0.5, abs=1e-10)
-    assert oracle[g.index("b")] == pytest.approx(0.0, abs=1e-10)
-    assert oracle[g.index("c")] == pytest.approx(0.5, abs=1e-10)
+    assert opinion[g.labels.index("b")] == pytest.approx(0.0, abs=1e-10)
+    assert opinion[g.labels.index("c")] == pytest.approx(0.5, abs=1e-10)
+    assert oracle[g.labels.index("b")] == pytest.approx(0.0, abs=1e-10)
+    assert oracle[g.labels.index("c")] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_consensus_absorption():

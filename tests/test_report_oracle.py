@@ -12,15 +12,20 @@ empty groups.
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+import hashlib
+import json
 import random
 
+import numpy as np
 import pytest
 
 from botimpact import accounts as acc
 from botimpact import report
 from botimpact.config import PipelineConfig
 from botimpact.graph import DirectedGraph, load_edge_list
-from botimpact.pipeline import (StageError, _listed_paths, _load_csv, account_table, load_accounts,
+from botimpact.pipeline import (StageError, _listed_paths, account_table, load_accounts,
                                 stage_build, stage_classify, stage_detect)
 from botimpact.synth import SynthSpec, generate
 
@@ -105,7 +110,12 @@ def _classified(tmp_path, topology: str, seed: int):
                          ratings=str(corpus / "ratings.csv"), out_dir=str(out))
     for stage in (stage_build, stage_detect, stage_classify):
         stage(cfg)
-    return out, _load_csv(out, "classify", "accounts.csv")
+    with open(out / "accounts.csv", newline="", encoding="utf-8") as fh:
+        return out, list(csv.DictReader(fh))
+
+
+def _flags(rows: list[dict], key: str) -> np.ndarray:
+    return np.array([row[key] == "1" for row in rows], dtype=bool)
 
 
 def _perturbed(rows: list[dict], seed: int) -> list[dict]:
@@ -134,9 +144,13 @@ def test_network_statistics_match_the_per_edge_reference(tmp_path):
             src, tgt, _ = report._global_columns(follower_path, accounts)
             ref_retweets = _ref_merged(out, accounts)
             followers = _ref_followers(load_edge_list(follower_path, accounts))
+            classified_table = account_table(out, accounts)
+            assert [row["account_id"] for row in classified] == accounts
 
             for rows in (classified, _perturbed(classified, seed)):
-                table = account_table(rows, accounts)
+                table = dataclasses.replace(classified_table, bot=_flags(rows, "bot"),
+                                            qanon=_flags(rows, "qanon"),
+                                            scored=_flags(rows, "scored"))
                 masks, side = dict(table.groups), table.side
                 ids = _ref_groups(rows)
                 ids["pro_trump"] = ids["pro_bots"] | ids["qanon_bots"]
@@ -171,28 +185,44 @@ def test_network_statistics_match_the_per_edge_reference(tmp_path):
     assert all(seen.values()), seen
 
 
-def test_groups_and_sides_follow_the_account_list_not_the_row_order(tmp_path):
+def test_the_account_table_holds_accounts_csv_by_position(tmp_path):
     out, rows = _classified(tmp_path, "two_block_polarized", 0)
     accounts = load_accounts(out)
-    table = account_table(rows, accounts)
-    shuffled = account_table(rows[::-1], accounts)
-    for name in ("opinion", "tweet_rate", "side"):
-        assert (getattr(table, name) == getattr(shuffled, name)).all(), name
-    assert all((table.groups[name] == shuffled.groups[name]).all() for name in table.groups)
-    side = table.side
+    table = account_table(out, accounts)
     codes = {"anti": 1, "pro": 2}
-    for row in rows:
-        i = accounts.index(row["account_id"])
-        assert side[i] == (codes[row["partisanship"]] if row["scored"] == "1" else 0)
-        assert table.opinion[i] == float(row["opinion"])
-        assert table.tweet_rate[i] == float(row["tweet_rate"])
+    assert len(rows) == len(accounts) == table.opinion.size
+    for i, (account, row) in enumerate(zip(accounts, rows)):
+        assert row["account_id"] == account
+        assert table.side[i] == (codes[row["partisanship"]] if row["scored"] == "1" else 0)
+        assert table.pro[i] == (row["partisanship"] == "pro")
+        for name in ("bot", "qanon", "scored"):
+            assert getattr(table, name)[i] == (row[name] == "1"), name
+        assert table.tweet_count[i] == int(row["tweet_count"])
+        for name in ("opinion", "tweet_rate", "media_quality", "mean_toxicity"):
+            value = getattr(table, name)[i]
+            assert (np.isnan(value) if row[name] == "" else value == float(row[name])), name
+
+
+def _rewrite_accounts_csv(out, rows: list[dict]) -> None:
+    """accounts.csv replaced by ``rows``, its manifest checksum updated to match."""
+    path = out / "accounts.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest["classify"]["checksums"]["accounts.csv"] = hashlib.sha256(
+        path.read_bytes()).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
 
 
 def test_an_account_table_of_other_accounts_is_refused(tmp_path):
     out, rows = _classified(tmp_path, "two_block_polarized", 0)
     accounts = load_accounts(out)
     renamed = [dict(rows[0], account_id="someone-else")] + rows[1:]
-    for bad in (rows[1:], rows + rows[:1], renamed):
+    for bad in (rows[1:], rows + rows[:1], renamed, rows[::-1]):
+        _rewrite_accounts_csv(out, bad)
         with pytest.raises(StageError, match="rerun classify"):
-            account_table(bad, accounts)
-
+            account_table(out, accounts)
+    _rewrite_accounts_csv(out, rows)
+    account_table(out, accounts)
