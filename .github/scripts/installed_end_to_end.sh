@@ -75,3 +75,21 @@ import json, sys
 skipped = json.load(open("out/manifest.json"))["build"]["tweets_skipped"]
 sys.exit(0 if skipped == 1 else f"tweets_skipped is {skipped}, not 1")
 '
+# detect-bots with 7 histogram bins: the bins count every posterior row once,
+# and bots.txt is the sorted ids with some posterior above the 0.8 default
+cp run.cfg bins.cfg
+echo 'histogram_bins = 7' >> bins.cfg
+botimpact --config bins.cfg detect-bots
+python3 -c '
+import csv, glob, sys
+def rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+posteriors = [row for path in glob.glob("out/posterior_*.csv") for row in rows(path)[1:]]
+counts = [int(row[2]) for row in rows("out/histogram.csv")[1:]]
+if len(counts) != 7 or sum(counts) != len(posteriors):
+    sys.exit(f"histogram counts {counts} for {len(posteriors)} posterior rows")
+flagged = sorted({row[0] for row in posteriors if float(row[1]) > 0.8})
+bots = [row[0] for row in rows("out/bots.txt")]
+sys.exit(0 if bots == flagged else f"bots.txt lists {bots}, posteriors above 0.8 {flagged}")
+'

@@ -7,8 +7,6 @@ from .botdetect import (
     exhaustive_oracle,
     infer_bot_probabilities,
     probability_histogram,
-    threshold_bots,
-    union_daily_bots,
 )
 from .ghic import GhicResult, daily_ghic_series, ghic, ghic_per_bot
 from .graph import DirectedGraph, GraphError, load_edge_list, save_edge_list
@@ -63,6 +61,4 @@ __all__ = [
     "save_edge_list",
     "solve_equilibrium",
     "solve_network",
-    "threshold_bots",
-    "union_daily_bots",
 ]

@@ -12,6 +12,8 @@ Marginals come from sum-product message passing in the log domain:
 exact two-direction flooding on forests, damped flooding with a fixed
 iteration cap on loopy graphs.  An exhaustive enumeration oracle, built
 from the raw edges, covers networks small enough to sum over all labelings.
+Both return one array of bot probabilities in the network's node order and
+never read its labels.
 
 The kernel works on whole arrays.  One ``np.unique`` merges parallel and
 mutual retweets into one factor per unordered pair, and one
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -89,7 +90,7 @@ class FactorGraphParams:
 
 @dataclass
 class BotPosterior:
-    marginals: dict[str, float]  # account id -> P(label = B)
+    marginals: np.ndarray  # P(label = B) of each node, in the network's node order
     converged: bool
     residual: float
     iterations: int
@@ -166,7 +167,7 @@ def infer_bot_probabilities(
     p = len(a)
     if p == 0:
         return BotPosterior(
-            marginals={label: float(params.prior_bot) for label in graph.labels},
+            marginals=np.full(n, params.prior_bot),
             converged=True,
             residual=0.0,
             iterations=0,
@@ -229,7 +230,7 @@ def infer_bot_probabilities(
     degree = np.bincount(msg_dst, minlength=n)
     prob_b[degree == 0] = params.prior_bot  # isolated accounts keep the exact prior
     return BotPosterior(
-        marginals=dict(zip(graph.labels, prob_b.tolist())),
+        marginals=prob_b,
         converged=converged,
         residual=residual,
         iterations=iterations,
@@ -241,8 +242,8 @@ MAX_EXHAUSTIVE_NODES = 20
 
 def exhaustive_oracle(
     graph: DirectedGraph, params: FactorGraphParams | None = None
-) -> dict[str, float]:
-    """Exact marginals by summing the joint over all 2^n labelings.
+) -> np.ndarray:
+    """Exact marginals, in node order, by summing the joint over all 2^n labelings.
 
     Works from the raw edges, independently of the pair merge that
     belief propagation uses.  Rejects networks above MAX_EXHAUSTIVE_NODES
@@ -252,8 +253,6 @@ def exhaustive_oracle(
     n = graph.node_count
     if n > MAX_EXHAUSTIVE_NODES:
         raise ValueError(f"exhaustive enumeration limited to {MAX_EXHAUSTIVE_NODES} nodes")
-    if n == 0:
-        return {}
     states = 1 << n
     labels = (np.arange(states)[:, None] >> np.arange(n)[None, :]) & 1  # (states, n)
     bot_count = labels.sum(axis=1)
@@ -265,40 +264,19 @@ def exhaustive_oracle(
     for u, v, wt in zip(src.tolist(), tgt.tolist(), w.tolist()):
         logw += min(wt, params.weight_cap) * logpsi[labels[:, u], labels[:, v]]
     total = logsumexp(logw)
-    out: dict[str, float] = {}
-    for i in range(n):
-        mask = labels[:, i] == B
-        out[graph.label(i)] = float(np.exp(logsumexp(logw[mask]) - total))
-    return out
-
-
-def threshold_bots(posterior: BotPosterior, threshold: float = 0.8) -> set[str]:
-    """Accounts whose bot marginal strictly exceeds the threshold."""
-    if not 0.5 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0.5, 1], got {threshold}")
-    return {a for a, prob in posterior.marginals.items() if prob > threshold}
-
-
-def union_daily_bots(daily_sets) -> set[str]:
-    """Accounts flagged on at least one day."""
-    out: set[str] = set()
-    for s in daily_sets:
-        out |= set(s)
-    return out
+    return np.array([np.exp(logsumexp(logw[labels[:, i] == B]) - total) for i in range(n)])
 
 
 def probability_histogram(
-    probabilities: Iterable[float], bins: int = 20
+    probabilities: np.ndarray, bins: int = 20
 ) -> tuple[list[int], list[float]]:
-    """Equal-width histogram of probabilities over [0,1]; last bin right-closed.
+    """Equal-width histogram of probabilities in [0,1]; last bin right-closed.
 
     Returns (counts, bin edges); counts sum to the number of probabilities.
     """
     if bins < 2:
         raise ValueError("need at least 2 bins")
-    counts = [0] * bins
-    for prob in probabilities:
-        idx = min(int(prob * bins), bins - 1)
-        counts[idx] += 1
+    index = np.minimum((np.asarray(probabilities) * bins).astype(np.int64), bins - 1)
+    counts = np.bincount(index, minlength=bins).tolist()
     edges = [i / bins for i in range(bins + 1)]
     return counts, edges

@@ -14,9 +14,10 @@ apart (so any string id is exact), then the three edge columns, which must
 be in (source, target) order with no repeated edge.  It holds no
 timestamp, and a load checks it with array operations and stores it as read.
 
-``DirectedGraph`` puts labels on the columns, for belief propagation
-(``load_edge_list``) and for small hand-built graphs, whose edges added one
-at a time collect in a dict until the graph is frozen.  ``edge_arrays()``
+``DirectedGraph`` puts labels on the columns: a loaded network
+(``load_edge_list``) is labelled by its ``nodes`` column, the account
+positions, and a small hand-built graph by the ids its edges name, added
+one at a time into a dict until the graph is frozen.  ``edge_arrays()``
 hands the columns out as they are; a frozen graph is immutable.
 """
 
@@ -96,10 +97,10 @@ class DirectedGraph:
 
     @classmethod
     def _from_arrays(
-        cls, labels: list[str], src: np.ndarray, tgt: np.ndarray, w: np.ndarray
+        cls, labels: Sequence, src: np.ndarray, tgt: np.ndarray, w: np.ndarray
     ) -> "DirectedGraph":
-        """Frozen graph on ``labels`` (in index order) from edge columns already
-        sorted by (source, target) with no repeated edge."""
+        """Frozen graph on ``labels`` (in index order; ids or positions) from edge
+        columns already sorted by (source, target) with no repeated edge."""
         graph = cls()
         graph._labels = labels
         graph._columns = (src, tgt, w)
@@ -120,7 +121,7 @@ class DirectedGraph:
         return self._labels[idx]
 
     @property
-    def labels(self) -> list[str]:
+    def labels(self) -> Sequence:
         return self._labels
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,6 +197,6 @@ def load_columns(path: str | Path, accounts: Sequence[str]) -> list[np.ndarray]:
 
 
 def load_edge_list(path: str | Path, accounts: Sequence[str]) -> DirectedGraph:
-    """The network a ``save_edge_list`` file holds, labelled from ``accounts``."""
-    nodes, src, tgt, w = load_columns(path, accounts)
-    return DirectedGraph._from_arrays([accounts[i] for i in nodes.tolist()], src, tgt, w)
+    """The network a ``save_edge_list`` file holds, labelled by its ``nodes``
+    column: positions in ``accounts``."""
+    return DirectedGraph._from_arrays(*load_columns(path, accounts))

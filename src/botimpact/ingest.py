@@ -100,17 +100,20 @@ def _parse_tweet(obj: dict) -> TweetRow:
     ts = datetime.fromisoformat(stamp)
     if ts.tzinfo is not None:  # a naive timestamp is read as UTC
         ts = ts.astimezone(timezone.utc)
-    opinion = obj.get("opinion")
-    if opinion is None:
-        opinion = _NAN
-    elif not 0.0 <= (opinion := float(opinion)) <= 1.0:
-        raise ValueError(f"opinion {opinion} outside [0,1]")
-    toxicity = obj.get("toxicity")
-    if toxicity is None:
-        toxicity = _NAN
-    elif not 0.0 <= (toxicity := float(toxicity)) <= 1.0:
-        raise ValueError(f"toxicity {toxicity} outside [0,1]")
-    return author_id, ts.toordinal(), retweeted, urls, opinion, toxicity
+    return (author_id, ts.toordinal(), retweeted, urls, _score(obj.get("opinion"), "opinion"),
+            _score(obj.get("toxicity"), "toxicity"))
+
+
+def _score(value, name: str) -> float:
+    """An opinion or toxicity score: null (NaN) or a JSON number, not a string or
+    a boolean, in [0, 1]."""
+    if value is None:
+        return _NAN
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(f"{name} {value!r} is not a number")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} {value} outside [0,1]")
+    return float(value)
 
 
 def _parse_profile(obj: dict, followings_cap: int) -> UserProfileRecord:

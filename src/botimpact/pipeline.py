@@ -4,11 +4,11 @@ Every stage reads flat files, writes flat files (text ones atomically: temp
 then rename), and updates ``manifest.json`` with row counts and content
 checksums.  ``build`` writes its networks as network files (see ``graph``)
 on the sorted account list in ``accounts.json``, straight from the columns
-``ingest`` returns; every later stage but ``detect-bots`` works on positions
-in that list too.  ``classify`` builds the account table (see ``accounts``)
-from build's per-account content and the bot list and writes it as
-accounts.csv, which ``account_table`` alone reads back for ``ghic`` and
-``report``.  Outputs carry no timestamps, so identical inputs and
+``ingest`` returns; every later stage works on positions in that list too,
+and uses ids only in the rows it writes.  ``classify`` builds the account
+table (see ``accounts``) from build's per-account content and the bot list
+and writes it as accounts.csv, which ``account_table`` alone reads back for
+``ghic`` and ``report``.  Outputs carry no timestamps, so identical inputs and
 configuration reproduce byte-identical results.
 """
 
@@ -221,42 +221,44 @@ def load_accounts(out_dir: Path) -> list[str]:
 
 
 def stage_detect(cfg: PipelineConfig) -> dict:
-    """Daily factor-graph inference, threshold, and cross-day union."""
+    """Daily factor-graph inference, threshold, and cross-day union, one day
+    file at a time, each in its file's node order; accounts.json is sorted, so
+    rows in position order are in id order."""
     out_dir = Path(cfg.out_dir)
     accounts = load_accounts(out_dir)
     day_paths = _listed_paths(out_dir, "build", "retweet_*.cols")
     params = cfg.bp_params()
 
-    results = [
-        (path.stem.removeprefix("retweet_"),
-         botdetect.infer_bot_probabilities(load_edge_list(path, accounts), params))
-        for path in day_paths
-    ]
-
     written: list[Path] = []
-    daily_sets = []
-    pooled_values: list[float] = []
-    for day, posterior in results:
-        path = out_dir / f"posterior_{day}.csv"
+    bot = np.zeros(len(accounts), dtype=bool)
+    marginals = []
+    unconverged = 0
+    for day_path in day_paths:
+        network = load_edge_list(day_path, accounts)
+        posterior = botdetect.infer_bot_probabilities(network, params)
+        nodes, p = network.labels, posterior.marginals
+        order = np.argsort(nodes)
+        converged = str(posterior.converged).lower()
+        path = out_dir / f"posterior_{day_path.stem.removeprefix('retweet_')}.csv"
         _atomic_write_rows(
             path,
             ["account_id", "bot_probability", "converged"],
-            [
-                (a, _fmt(p), str(posterior.converged).lower())
-                for a, p in sorted(posterior.marginals.items())
-            ],
+            ((accounts[i], _fmt(x), converged)
+             for i, x in zip(nodes[order].tolist(), p[order].tolist())),
         )
         written.append(path)
-        daily_sets.append(botdetect.threshold_bots(posterior, cfg.bot_threshold))
-        pooled_values.extend(posterior.marginals.values())
+        bot[nodes[p > cfg.bot_threshold]] = True
+        marginals.append(p)
+        unconverged += not posterior.converged
 
-    bots = botdetect.union_daily_bots(daily_sets)
     bots_path = out_dir / "bots.txt"
     # one id a line, quoted when it holds a comma, a quote or a line break
-    _atomic_write_rows(bots_path, (), ([b] for b in sorted(bots)), lineterminator="\n")
+    _atomic_write_rows(bots_path, (), ([accounts[i]] for i in np.flatnonzero(bot).tolist()),
+                       lineterminator="\n")
     written.append(bots_path)
 
-    hist_counts, edges = botdetect.probability_histogram(pooled_values, cfg.histogram_bins)
+    hist_counts, edges = botdetect.probability_histogram(np.concatenate(marginals),
+                                                         cfg.histogram_bins)
     hist_path = out_dir / "histogram.csv"
     _atomic_write_rows(
         hist_path,
@@ -269,9 +271,9 @@ def stage_detect(cfg: PipelineConfig) -> dict:
     written.append(hist_path)
 
     payload = {
-        "days": len(results),
-        "bots": len(bots),
-        "unconverged_days": sum(1 for _, post in results if not post.converged),
+        "days": len(day_paths),
+        "bots": int(np.count_nonzero(bot)),
+        "unconverged_days": unconverged,
     }
     _update_manifest(out_dir, "detect", payload, written)
     return payload
@@ -280,7 +282,7 @@ def stage_detect(cfg: PipelineConfig) -> dict:
 # -- classification ------------------------------------------------------------------
 
 
-def _positions(path: Path, ids: list[str], accounts: list[str], rerun: str) -> np.ndarray:
+def _positions(path: Path, ids: Sequence[str], accounts: list[str], rerun: str) -> np.ndarray:
     """The positions in ``accounts`` of the ids a file names; an id not in the
     list raises StageError naming the file."""
     index = {account: i for i, account in enumerate(accounts)}
@@ -410,12 +412,13 @@ def _load_daily_active(out_dir: Path, accounts: list[str]) -> dict[date, np.ndar
     list raises StageError ("rerun build")."""
     [path] = _listed_paths(out_dir, "build", "daily_active.csv")
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))[1:]
-    position = _positions(path, [account for _, account in rows], accounts, "rerun build")
-    active: dict[date, np.ndarray] = {}
-    for (day, _), i in zip(rows, position.tolist()):
-        active.setdefault(date.fromisoformat(day), np.zeros(len(accounts), dtype=bool))[i] = True
-    return active
+        _, *rows = csv.reader(fh)
+    days, ids = zip(*rows)
+    position = _positions(path, ids, accounts, "rerun build")
+    names, day = np.unique(days, return_inverse=True)
+    active = np.zeros((names.size, len(accounts)), dtype=bool)
+    active[day, position] = True
+    return dict(zip(map(date.fromisoformat, names.tolist()), active))
 
 
 def stage_ghic(cfg: PipelineConfig) -> dict:

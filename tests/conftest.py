@@ -42,8 +42,8 @@ def column_edges(columns, accounts) -> dict[tuple[str, str], float]:
 
 
 def network_graph(columns, accounts) -> DirectedGraph:
-    """The graph ``load_edge_list`` returns for a network's columns: same node
-    order, same edges."""
+    """A network's columns as a graph labelled by account ids: the node order and
+    edges of the graph ``load_edge_list`` returns, which is labelled by positions."""
     edges = [(u, v, w) for (u, v), w in column_edges(columns, accounts).items()]
     return graph_of(edges, nodes=[accounts[i] for i in columns[0].tolist()])
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -6,19 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botimpact.botdetect import (
-    BotPosterior,
     FactorGraphParams,
     exhaustive_oracle,
     infer_bot_probabilities,
     probability_histogram,
-    threshold_bots,
-    union_daily_bots,
 )
+from botimpact.config import ConfigError, PipelineConfig
 from botimpact.graph import DirectedGraph
+from botimpact.pipeline import stage_build, stage_detect
 
 from conftest import graph_of
 
 DEFAULTS = FactorGraphParams()
+
+
+def _named(g: DirectedGraph, values: np.ndarray) -> dict[str, float]:
+    """{label: value} of a per-node array in the graph's node order."""
+    return dict(zip(g.labels, values.tolist()))
 
 
 def _random_forest(seed: int, max_nodes: int = 12) -> DirectedGraph:
@@ -62,13 +67,13 @@ def test_isolated_nodes_get_prior():
         g.add_node(name)
     post = infer_bot_probabilities(g, DEFAULTS)
     assert post.converged
-    assert all(p == 0.5 for p in post.marginals.values())
+    assert post.marginals.tolist() == [0.5, 0.5, 0.5]
 
 
 def test_single_node_oracle_is_prior():
     g = DirectedGraph()
     g.add_node("a")
-    assert exhaustive_oracle(g, DEFAULTS) == {"a": 0.5}
+    assert exhaustive_oracle(g, DEFAULTS).tolist() == [0.5]
 
 
 def test_two_node_closed_form():
@@ -77,10 +82,10 @@ def test_two_node_closed_form():
     g = graph_of([("u", "v", 1.0)])
     expected_u = 1.5 / 5.5
     expected_v = 2.5 / 5.5
-    post = infer_bot_probabilities(g, DEFAULTS)
-    assert post.marginals["u"] == pytest.approx(expected_u, abs=1e-12)
-    assert post.marginals["v"] == pytest.approx(expected_v, abs=1e-12)
-    exact = exhaustive_oracle(g, DEFAULTS)
+    post = _named(g, infer_bot_probabilities(g, DEFAULTS).marginals)
+    assert post["u"] == pytest.approx(expected_u, abs=1e-12)
+    assert post["v"] == pytest.approx(expected_v, abs=1e-12)
+    exact = _named(g, exhaustive_oracle(g, DEFAULTS))
     assert exact["u"] == pytest.approx(expected_u, abs=1e-12)
     assert exact["v"] == pytest.approx(expected_v, abs=1e-12)
 
@@ -94,16 +99,16 @@ def test_three_node_path_matches_hand_sum():
         weights[(xa, xb, xc)] = 0.5**3 * psi[(xa, xb)] * psi[(xb, xc)] ** 2
     z = sum(weights.values())
     expected_b = sum(w for (xa, xb, xc), w in weights.items() if xb == 1) / z
-    exact = exhaustive_oracle(g, DEFAULTS)
-    post = infer_bot_probabilities(g, DEFAULTS)
+    exact = _named(g, exhaustive_oracle(g, DEFAULTS))
+    post = _named(g, infer_bot_probabilities(g, DEFAULTS).marginals)
     assert exact["b"] == pytest.approx(expected_b, abs=1e-12)
-    assert post.marginals["b"] == pytest.approx(expected_b, abs=1e-9)
+    assert post["b"] == pytest.approx(expected_b, abs=1e-9)
 
 
 def test_weight_cap_saturates():
     capped = infer_bot_probabilities(graph_of([("u", "v", 5.0)]), DEFAULTS)
     heavier = infer_bot_probabilities(graph_of([("u", "v", 3000.0)]), DEFAULTS)
-    assert heavier.marginals == capped.marginals
+    assert heavier.marginals.tolist() == capped.marginals.tolist()
 
 
 def test_bp_exact_on_random_forests():
@@ -112,16 +117,13 @@ def test_bp_exact_on_random_forests():
         post = infer_bot_probabilities(g, DEFAULTS)
         exact = exhaustive_oracle(g, DEFAULTS)
         assert post.converged
-        for name, value in exact.items():
-            assert post.marginals[name] == pytest.approx(value, abs=1e-9)
+        assert post.marginals == pytest.approx(exact, abs=1e-9)
 
 
 def test_mutual_retweet_pair_merges_factors():
     g = graph_of([("a", "b", 2.0), ("b", "a", 1.0)])
     post = infer_bot_probabilities(g, DEFAULTS)
-    exact = exhaustive_oracle(g, DEFAULTS)
-    for name, value in exact.items():
-        assert post.marginals[name] == pytest.approx(value, abs=1e-9)
+    assert post.marginals == pytest.approx(exhaustive_oracle(g, DEFAULTS), abs=1e-9)
 
 
 def test_loopy_close_to_enumeration():
@@ -129,24 +131,21 @@ def test_loopy_close_to_enumeration():
         [("a", "b", 1.0), ("b", "c", 2.0), ("c", "a", 1.0), ("c", "d", 3.0), ("d", "a", 1.0)]
     )
     post = infer_bot_probabilities(g, DEFAULTS)
-    exact = exhaustive_oracle(g, DEFAULTS)
-    for name, value in exact.items():
-        assert post.marginals[name] == pytest.approx(value, abs=0.02)
+    assert post.marginals == pytest.approx(exhaustive_oracle(g, DEFAULTS), abs=0.02)
 
 
 def test_label_symmetry_gives_exact_half():
     params = FactorGraphParams(psi_hh=1.7, psi_hb=0.6, psi_bh=0.6, psi_bb=1.7)
     g = graph_of([("a", "b", 2.0), ("b", "c", 1.0), ("c", "a", 4.0)])
     post = infer_bot_probabilities(g, params)
-    for value in post.marginals.values():
-        assert value == 0.5  # exact, not approximate
+    assert post.marginals.tolist() == [0.5, 0.5, 0.5]  # exact, not approximate
 
 
 def test_symmetric_two_cycle_equal_marginals():
     params = FactorGraphParams(psi_hh=2.0, psi_hb=1.0, psi_bh=1.0, psi_bb=0.5)
     g = graph_of([("a", "b", 1.0), ("b", "a", 1.0)])
-    exact = exhaustive_oracle(g, params)
-    assert exact["a"] == pytest.approx(exact["b"], abs=1e-12)
+    exact_a, exact_b = exhaustive_oracle(g, params)
+    assert exact_a == pytest.approx(exact_b, abs=1e-12)
 
 
 def test_exhaustive_oracle_node_cap():
@@ -181,38 +180,82 @@ def test_monotone_evidence_two_node_closed_form():
         p_u, p_v = closed_form(w)
         source_human.append(p_u)
         retweeter_human.append(p_v)
-        post = infer_bot_probabilities(graph_of([("u", "v", float(w))]), DEFAULTS)
-        assert 1.0 - post.marginals["u"] == pytest.approx(p_u, abs=1e-10)
-        assert 1.0 - post.marginals["v"] == pytest.approx(p_v, abs=1e-10)
+        bot_u, bot_v = infer_bot_probabilities(graph_of([("u", "v", float(w))]), DEFAULTS).marginals
+        assert 1.0 - bot_u == pytest.approx(p_u, abs=1e-10)
+        assert 1.0 - bot_v == pytest.approx(p_v, abs=1e-10)
     assert all(b > a for a, b in zip(source_human, source_human[1:]))
     assert all(p >= 0.5 for p in retweeter_human)
 
 
-def test_threshold_is_strict():
-    post = BotPosterior(
-        marginals={"edge": 0.8, "bot": 0.95, "low": 0.79}, converged=True,
-        residual=0.0, iterations=1,
-    )
-    assert threshold_bots(post, 0.8) == {"bot"}
+# -- threshold and union, as stage_detect applies them ---------------------------------
+
+# Two days of (author, retweeted author or None).  An account in a retweet on one
+# day tweets an original on the other, so it is on both days' networks.
+TWO_DAYS = {
+    "2020-01-01": [("a", "b"), ("c", None)],
+    "2020-01-02": [("c", "d"), ("a", None), ("b", None)],
+}
+
+
+def _detect(tmp_path, days, **settings) -> tuple[dict[str, dict[str, float]], list[str]]:
+    """Build and detect on a hand-written corpus: ({day: {id: p}}, bots.txt lines)."""
+    lines = [
+        json.dumps(dict(tweet_id=f"{day}-{k}", author_id=author, retweeted_author_id=rt,
+                        timestamp=f"{day}T12:00:00+00:00"))
+        for day, tweets in days.items()
+        for k, (author, rt) in enumerate(tweets)
+    ]
+    (tmp_path / "tweets.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (tmp_path / "profiles.jsonl").write_text("", encoding="utf-8")
+    cfg = PipelineConfig(tweets=str(tmp_path / "tweets.jsonl"),
+                         profiles=str(tmp_path / "profiles.jsonl"),
+                         out_dir=str(tmp_path / "out"), **settings)
+    cfg.validate()
+    stage_build(cfg)
+    stage_detect(cfg)
+    out = tmp_path / "out"
+    posteriors = {}
+    for day in days:
+        rows = (out / f"posterior_{day}.csv").read_text(encoding="utf-8").split()[1:]
+        posteriors[day] = {a: float(p) for a, p, _ in (row.split(",") for row in rows)}
+    return posteriors, (out / "bots.txt").read_text(encoding="utf-8").split()
+
+
+def test_threshold_is_strict(tmp_path):
+    # with the prior on the cut, an account with no retweet that day sits exactly on it
+    posteriors, bots = _detect(tmp_path, TWO_DAYS, bp_prior_bot=0.8, bot_threshold=0.8)
+    assert posteriors["2020-01-01"]["c"] == 0.8
+    assert posteriors["2020-01-02"]["a"] == posteriors["2020-01-02"]["b"] == 0.8
+    assert all(p <= 0.8 for day in posteriors.values() for p in day.values())
+    assert bots == []
+    # just below the cut the same marginals are flagged, and lower ones are not
+    posteriors, bots = _detect(tmp_path, TWO_DAYS, bp_prior_bot=0.8, bot_threshold=0.79)
+    assert posteriors["2020-01-02"]["d"] < 0.79
+    assert bots == ["a", "b", "c"]
 
 
 def test_threshold_range_validated():
-    post = BotPosterior(marginals={}, converged=True, residual=0.0, iterations=0)
-    with pytest.raises(ValueError):
-        threshold_bots(post, 0.5)
+    for value in (0.5, 0.3, 1.01):
+        with pytest.raises(ConfigError, match="bot_threshold"):
+            PipelineConfig(bot_threshold=value).validate()
+    PipelineConfig(bot_threshold=1.0).validate()
 
 
-def test_threshold_all_prior_empty():
-    post = BotPosterior(
-        marginals={f"u{i}": 0.5 for i in range(5)}, converged=True,
-        residual=0.0, iterations=0,
-    )
-    assert threshold_bots(post) == set()
+def test_threshold_all_prior_empty(tmp_path):
+    originals = {"2020-01-01": [(f"u{i}", None) for i in range(5)]}
+    posteriors, bots = _detect(tmp_path, originals)
+    assert posteriors == {"2020-01-01": {f"u{i}": 0.5 for i in range(5)}}
+    assert bots == []
 
 
-def test_union_daily_bots():
-    assert union_daily_bots([{"a"}, set(), {"a", "b"}]) == {"a", "b"}
-    assert union_daily_bots([]) == set()
+def test_union_daily_bots(tmp_path):
+    posteriors, bots = _detect(tmp_path, TWO_DAYS, bp_prior_bot=0.8, bot_threshold=0.79)
+    daily = [{a for a, p in day.items() if p > 0.79} for day in posteriors.values()]
+    assert daily == [{"c"}, {"a", "b"}]
+    # each is flagged on one day and present, unflagged, on the other
+    assert posteriors["2020-01-01"].keys() >= {"a", "b"}
+    assert posteriors["2020-01-02"]["c"] < 0.79
+    assert bots == sorted(daily[0] | daily[1])
 
 
 def test_histogram_single_bin():

@@ -38,9 +38,12 @@ def _read_lines(path):
 
 
 def _score(obj, key):
+    """null, or a JSON number (not a string or a boolean) in [0, 1]."""
     value = obj.get(key)
     if value is None:
         return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(key)
     value = float(value)
     if not 0.0 <= value <= 1.0:
         raise ValueError(key)
@@ -248,6 +251,10 @@ _MALFORMED_TWEETS = [
     '{"tweet_id": "x", "author_id": "u1", "timestamp": "2020-01-01T00:00:00Z", '
     '"urls": [{"x": 1}]}',
     '{"tweet_id": "x", "author_id": "u1", "timestamp": 20200101}',
+    '{"tweet_id": "x", "author_id": "u1", "timestamp": "2020-01-01T00:00:00Z", "opinion": "0.7"}',
+    '{"tweet_id": "x", "author_id": "u1", "timestamp": "2020-01-01T00:00:00Z", "opinion": true}',
+    '{"tweet_id": "x", "author_id": "u1", "timestamp": "2020-01-01T00:00:00Z", '
+    '"toxicity": false}',
 ]
 
 _MALFORMED_PROFILES = [

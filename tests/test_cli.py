@@ -129,10 +129,12 @@ def test_missing_profiles_file_exits_nonzero_with_path(tmp_path, runner, corpus)
 
 def test_bad_config_value_exits_2(tmp_path, runner):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("bot_threshold = 0.3\n")
-    result = runner.invoke(main, ["--config", str(cfg), "build"])
-    assert result.exit_code == 2
-    assert "bot_threshold" in result.output
+    # the threshold range is (0.5, 1]: a cut at 0.5 would flag every coin-flip account
+    for value in ("0.3", "0.5"):
+        cfg.write_text(f"bot_threshold = {value}\n")
+        result = runner.invoke(main, ["--config", str(cfg), "build"])
+        assert result.exit_code == 2, value
+        assert "bot_threshold" in result.output
     # so is a config file that is not UTF-8, or a directory
     for kind in ("not utf-8", "directory"):
         path = _unreadable(tmp_path, kind)

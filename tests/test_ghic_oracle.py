@@ -34,12 +34,12 @@ import pytest
 from botimpact import pipeline
 from botimpact.config import PipelineConfig
 from botimpact.ghic import DailyGhicEntry, DailyGhicSeries, ghic
-from botimpact.graph import DirectedGraph, load_columns, load_edge_list
+from botimpact.graph import DirectedGraph, load_columns
 from botimpact.opinion import percentile_cuts
 from botimpact.pipeline import StageError, stage_build, stage_classify, stage_detect, stage_ghic
 from botimpact.synth import SynthSpec, generate
 
-from test_report_oracle import SPECS, _ref_groups
+from test_report_oracle import SPECS, _id_graph, _ref_groups
 
 SEEDS = range(2)
 
@@ -76,7 +76,7 @@ def _read_rows(path) -> list[dict]:
 def _reference(out, cfg: PipelineConfig):
     """(follower graph, its arrays, active ids by day, groups, series) the old way."""
     accounts = json.loads((out / "accounts.json").read_text(encoding="utf-8"))
-    follower = load_edge_list(out / "follower.cols", accounts)
+    follower = _id_graph(out / "follower.cols", accounts)
     duration = json.loads((out / "manifest.json").read_text())["build"]["window"]["duration_days"]
     with open(out / "account_content.jsonl", encoding="utf-8") as fh:
         counts = {row["account_id"]: row["tweet_count"] for row in map(json.loads, fh)}

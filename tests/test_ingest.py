@@ -106,6 +106,23 @@ def test_load_tweets_rejects_out_of_range_opinion(tmp_path):
     assert stats.skipped == 1
 
 
+@pytest.mark.parametrize("score", [{"opinion": "0.7"}, {"opinion": True}, {"toxicity": False}],
+                         ids=["text_opinion", "true_opinion", "false_toxicity"])
+def test_load_tweets_rejects_a_score_that_is_not_a_number(tmp_path, score):
+    path = tmp_path / "tweets.jsonl"
+    _write_tweets(path, [_tweet_line("t1", "a", "2020-01-01T00:00:00Z", **score)])
+    stats = ParseStats()
+    assert list(load_tweets(path, stats=stats)) == []
+    assert (stats.parsed, stats.skipped) == (0, 1)
+
+
+def test_load_tweets_reads_integer_scores_as_numbers(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    _write_tweets(path, [_tweet_line("t1", "a", "2020-01-01T00:00:00Z", opinion=1, toxicity=0)])
+    [row] = load_tweets(path)
+    assert row[4:] == (1.0, 0.0) and type(row[4]) is float
+
+
 def test_load_tweets_rejects_self_retweet(tmp_path):
     path = tmp_path / "tweets.jsonl"
     _write_tweets(path, [_tweet_line("t1", "a", "2020-01-01T00:00:00Z", retweeted="a")])

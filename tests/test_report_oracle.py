@@ -24,10 +24,12 @@ import pytest
 from botimpact import accounts as acc
 from botimpact import report
 from botimpact.config import PipelineConfig
-from botimpact.graph import DirectedGraph, load_edge_list
+from botimpact.graph import DirectedGraph, load_columns
 from botimpact.pipeline import (StageError, _listed_paths, account_table, load_accounts,
                                 stage_build, stage_classify, stage_detect)
 from botimpact.synth import SynthSpec, generate
+
+from conftest import network_graph
 
 SPECS = {
     "two_block_polarized": dict(days=3, humans_per_block=12, bots_per_block=3,
@@ -40,6 +42,11 @@ SEEDS = range(3)
 
 
 # -- the reference -------------------------------------------------------------------
+
+
+def _id_graph(path, accounts) -> DirectedGraph:
+    """The network file at ``path`` as a graph labelled by account ids."""
+    return network_graph(load_columns(path, accounts), accounts)
 
 
 def _edges(graph: DirectedGraph):
@@ -94,7 +101,7 @@ def _ref_merged(out, accounts) -> DirectedGraph:
     for account in accounts:
         merged.add_node(account)
     for path in _listed_paths(out, "build", "retweet_*.cols"):
-        for author, retweeter, w in _edges(load_edge_list(path, accounts)):
+        for author, retweeter, w in _edges(_id_graph(path, accounts)):
             merged.add_interaction(author, retweeter, w)
     return merged
 
@@ -143,7 +150,7 @@ def test_network_statistics_match_the_per_edge_reference(tmp_path):
             [follower_path] = _listed_paths(out, "build", "follower.cols")
             src, tgt, _ = report._global_columns(follower_path, accounts)
             ref_retweets = _ref_merged(out, accounts)
-            followers = _ref_followers(load_edge_list(follower_path, accounts))
+            followers = _ref_followers(_id_graph(follower_path, accounts))
             classified_table = account_table(out, accounts)
             assert [row["account_id"] for row in classified] == accounts
 
