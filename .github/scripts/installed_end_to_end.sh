@@ -12,6 +12,13 @@ printf '%s\n' 'tweets = corpus/tweets.jsonl' 'profiles = corpus/profiles.jsonl' 
   'ratings = corpus/ratings.csv' 'out_dir = out' \
   'bp_psi_hh = 1.5' 'bp_psi_hb = 2.0' 'bp_psi_bh = 1.0' 'bp_psi_bb = 0.5' > run.cfg
 botimpact --out corpus synth --spec spec.txt
+# synth again in a fresh process writes the same bytes
+botimpact --out corpus2 synth --spec spec.txt
+diff -r corpus corpus2
+# a negative seed is a configuration problem, not a traceback
+status=0
+botimpact --out corpus3 --seed -1 synth --spec spec.txt || status=$?
+test "$status" -eq 2
 for stage in build detect-bots classify ghic report; do
   botimpact --config run.cfg "$stage"
 done

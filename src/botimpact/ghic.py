@@ -34,6 +34,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .accounts import ordered_mean
 from .opinion import SolverError, solve_network
 
 log = logging.getLogger(__name__)
@@ -70,10 +71,9 @@ def _removal_ghic(arrays: tuple, full: tuple, keep: np.ndarray) -> GhicResult:
     rows = np.flatnonzero(~fixed[keep])  # the population, numbered on the reduced network
     # nodes reclassified on the reduced network revert to their measured opinion
     reverted = int(np.count_nonzero(after_fixed[rows]))
-    diff_sum = 0.0
-    for diff in (opinion[population] - after[rows]).tolist():
-        diff_sum += diff  # left to right in node order; np.sum would round differently
-    return GhicResult(removed, diff_sum / population.size, population.size, reverted)
+    # left to right in node order; np.sum would round differently
+    value = ordered_mean((opinion[population] - after[rows]).tolist())
+    return GhicResult(removed, value, population.size, reverted)
 
 
 def ghic(

@@ -24,6 +24,12 @@ calls.  Retweet pools are shared lists, indexed rather than copied: an
 account that sits in its own pool at position ``own`` draws ``j`` from one
 fewer candidates and takes ``pool[j + (j >= own)]``, so every draw matches a
 pick from a copy of the pool with the account removed.
+
+An ``_Account`` stores only what its roster decides: its index, block, bot
+flag, opinion, description, follow list and retweet pool.  The rest is
+derived where it is used: the id from the index (once per account), and the
+tweet rate and the range of rated domains it links from the spec and the bot
+flag.  Each topology builds its accounts in one loop over the indices.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import csv
 import json
 from dataclasses import dataclass
 from datetime import date, timedelta
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -118,11 +125,16 @@ class SynthSpec:
                 raise SynthSpecError(f"{name} must be in [0,1]")
         if self.eps < 0:
             raise SynthSpecError("eps must be >= 0")
+        if self.seed < 0:
+            raise SynthSpecError("seed must be >= 0")
         if self.topology == "two_block_polarized":
             if self.humans_per_block + self.bots_per_block < 1:
                 raise SynthSpecError("humans_per_block + bots_per_block must be >= 1")
             if min(self.humans_per_block, self.bots_per_block) < 0:
                 raise SynthSpecError("block sizes must be >= 0")
+            for name in ("humans_block_b", "bots_block_b"):
+                if getattr(self, name) < -1:
+                    raise SynthSpecError(f"{name} must be >= 0, or -1 to mirror block a")
         if self.topology == "core_periphery_qanon":
             if self.core_bots < 1:
                 raise SynthSpecError("core_bots must be >= 1")
@@ -164,18 +176,18 @@ def _beta(rng: np.random.Generator, mean: float, concentration: float) -> float:
 
 @dataclass
 class _Account:
-    account_id: str
     index: int
     block: str
     is_bot: bool
-    qanon: bool
     opinion: float
-    rate: float
     description: str
     following: list[str]
     retweet_pool: list[str]  # candidate accounts this one retweets; shared, may hold this one
-    domain_tier: tuple[int, int]  # index range into the rated domain pool
-    own: int = 0  # this account's position in retweet_pool; len(retweet_pool) when absent
+    own: int  # this account's position in retweet_pool; len(retweet_pool) when absent
+
+    @cached_property
+    def account_id(self) -> str:
+        return _account_id(self.index)
 
 
 def generate(spec: SynthSpec, outdir: str | Path) -> dict:
@@ -217,157 +229,89 @@ def _description(spec: SynthSpec, index: int, block: str, qanon: bool) -> str:
 def _roster_two_block(spec: SynthSpec) -> list[_Account]:
     humans_b = spec.humans_block_b if spec.humans_block_b >= 0 else spec.humans_per_block
     bots_b = spec.bots_block_b if spec.bots_block_b >= 0 else spec.bots_per_block
-    blocks = []
-    for name, mean, humans, bots in (
-        ("anti", spec.anti_mean, spec.humans_per_block, spec.bots_per_block),
-        ("pro", spec.pro_mean, humans_b, bots_b),
-    ):
-        members = ["human"] * humans + ["bot"] * bots
-        blocks.append((name, mean, members))
-    roster: list[_Account] = []
-    index = 0
-    for name, mean, members in blocks:
-        for kind in members:
-            is_bot = kind == "bot"
-            rng_o = _rng(spec.seed, "opinion", index)
-            opinion = _beta(rng_o, mean if not is_bot else (0.04 if name == "anti" else 0.96),
-                            spec.opinion_concentration)
-            qanon_frac = spec.qanon_bot_frac if is_bot else spec.qanon_human_frac
-            qanon = name == "pro" and rng_o.random() < qanon_frac
-            roster.append(
-                _Account(
-                    account_id=_account_id(index),
-                    index=index,
-                    block=f"{name}_qanon" if qanon else name,
-                    is_bot=is_bot,
-                    qanon=qanon,
-                    opinion=opinion,
-                    rate=spec.bot_rate if is_bot else spec.human_rate,
-                    description=_description(spec, index, name, qanon),
-                    following=[],
-                    retweet_pool=[],
-                    domain_tier=(0, 5) if is_bot else (4, 10),
-                    )
-            )
-            index += 1
-
-    ids = np.array([a.account_id for a in roster], dtype=object)
-    pro = [a.block.startswith("pro") for a in roster]
+    members: list[tuple[bool, bool]] = []  # (pro, is_bot): each block's humans, then its bots
+    for side, humans, bots in ((False, spec.humans_per_block, spec.bots_per_block),
+                               (True, humans_b, bots_b)):
+        members += [(side, False)] * humans + [(side, True)] * bots
+    ids = np.array([_account_id(index) for index in range(len(members))], dtype=object)
+    pro = np.array([side for side, _ in members], dtype=bool)
     p_cross = min(spec.eps * spec.p_intra, 1.0)
     # follow probability of every account, seen from each side
-    p_from = {side: np.where(np.array(pro) == side, spec.p_intra, p_cross)
-              for side in (False, True)}
+    p_from = {side: np.where(pro == side, spec.p_intra, p_cross) for side in (False, True)}
     # retweets flow into humans: bots amplify, they rarely get amplified; each
     # side's pool is its humans, then a prefix of the other side's humans
-    humans = {side: [a.account_id for a, s in zip(roster, pro) if s == side and not a.is_bot]
+    humans = {side: [ids[i] for i, member in enumerate(members) if member == (side, False)]
               for side in (False, True)}
     share = min(spec.eps, 1.0)
     pools = {side: humans[side] + humans[not side][: int(round(len(humans[not side]) * share))]
              for side in (False, True)}
     seen = {False: 0, True: 0}  # humans of each side so far, in index order
-    for acct, side in zip(roster, pro):
+    roster: list[_Account] = []
+    for index, (side, is_bot) in enumerate(members):
+        name = "pro" if side else "anti"
+        rng_o = _rng(spec.seed, "opinion", index)
+        mean = (0.96 if side else 0.04) if is_bot else (spec.pro_mean if side else spec.anti_mean)
+        opinion = _beta(rng_o, mean, spec.opinion_concentration)
+        qanon_frac = spec.qanon_bot_frac if is_bot else spec.qanon_human_frac
+        qanon = side and rng_o.random() < qanon_frac
         # one draw per other account, in index order
-        row = _rng(spec.seed, "follow", acct.index).random(len(roster) - 1)
-        cols = np.flatnonzero(row < np.delete(p_from[side], acct.index))
-        acct.following = ids[cols + (cols >= acct.index)].tolist()
-        acct.retweet_pool = pools[side]
-        acct.own = len(pools[side]) if acct.is_bot else seen[side]
-        seen[side] += not acct.is_bot
+        row = _rng(spec.seed, "follow", index).random(len(members) - 1)
+        cols = np.flatnonzero(row < np.delete(p_from[side], index))
+        own = len(pools[side]) if is_bot else seen[side]
+        seen[side] += not is_bot
+        roster.append(_Account(index, f"{name}_qanon" if qanon else name, is_bot, opinion,
+                               _description(spec, index, name, qanon),
+                               ids[cols + (cols >= index)].tolist(), pools[side], own))
     return roster
 
 
 def _roster_core_periphery(spec: SynthSpec) -> list[_Account]:
+    core_ids = [_account_id(index) for index in range(spec.core_bots)]
+    k = min(spec.k_follow, spec.core_bots)
     roster: list[_Account] = []
-    for index in range(spec.core_bots):
+    for index in range(spec.core_bots + spec.periphery_humans):
+        core = index < spec.core_bots
         rng_o = _rng(spec.seed, "opinion", index)
-        roster.append(
-            _Account(
-                account_id=_account_id(index),
-                index=index,
-                block="core",
-                is_bot=True,
-                qanon=True,
-                opinion=_beta(rng_o, spec.core_opinion_mean, 4 * spec.opinion_concentration),
-                rate=spec.bot_rate,
-                description=_description(spec, index, "pro", True),
-                following=[],
-                retweet_pool=[],
-                domain_tier=(0, 5),
-            )
-        )
-    for offset in range(spec.periphery_humans):
-        index = spec.core_bots + offset
-        rng_o = _rng(spec.seed, "opinion", index)
-        if spec.audience == "echo":
+        if core or spec.audience == "echo":
             opinion = _beta(rng_o, spec.core_opinion_mean, 4 * spec.opinion_concentration)
         else:
             opinion = _beta(rng_o, 0.5, 2.0)  # spread audience
-        roster.append(
-            _Account(
-                account_id=_account_id(index),
-                index=index,
-                block="periphery",
-                is_bot=False,
-                qanon=False,
-                opinion=opinion,
-                rate=spec.human_rate,
-                description=_description(spec, index, "pro", False),
-                following=[],
-                retweet_pool=[],
-                domain_tier=(4, 10),
-            )
-        )
-
-    core_ids = [a.account_id for a in roster[: spec.core_bots]]
-    for acct in roster:
-        rng_f = _rng(spec.seed, "follow", acct.index)
-        if acct.block == "core":
+        rng_f = _rng(spec.seed, "follow", index)
+        if core:
             # one draw per other core bot, in index order
-            cols = np.flatnonzero(rng_f.random(len(core_ids) - 1) < spec.p_core)
-            acct.following = [core_ids[c] for c in cols + (cols >= acct.index)]
-            acct.retweet_pool, acct.own = core_ids, acct.index
+            cols = np.flatnonzero(rng_f.random(spec.core_bots - 1) < spec.p_core)
+            following = [core_ids[c] for c in cols + (cols >= index)]
+            pool, own = core_ids, index
         else:
-            k = min(spec.k_follow, len(core_ids))
-            picks = rng_f.choice(len(core_ids), size=k, replace=False)
-            acct.following = [core_ids[int(p)] for p in sorted(picks)]
-            acct.retweet_pool, acct.own = acct.following, k
+            picks = rng_f.choice(spec.core_bots, size=k, replace=False)
+            following = [core_ids[int(p)] for p in sorted(picks)]
+            pool, own = following, k
+        roster.append(_Account(index, "core" if core else "periphery", core, opinion,
+                               _description(spec, index, "pro", core), following, pool, own))
     return roster
 
 
 def _roster_planted_retweets(spec: SynthSpec) -> list[_Account]:
-    roster: list[_Account] = []
     total = spec.n_bots + spec.n_humans
-    for index in range(total):
-        is_bot = index < spec.n_bots
-        rng_o = _rng(spec.seed, "opinion", index)
-        roster.append(
-            _Account(
-                account_id=_account_id(index),
-                index=index,
-                block="bot" if is_bot else "human",
-                is_bot=is_bot,
-                qanon=False,
-                opinion=_beta(rng_o, 0.5, 4.0),
-                rate=spec.bot_rate if is_bot else spec.human_rate,
-                description="synthetic account",
-                following=[],
-                retweet_pool=[],
-                domain_tier=(0, 5) if is_bot else (4, 10),
-            )
-        )
-    ids = np.array([a.account_id for a in roster], dtype=object)
+    ids = np.array([_account_id(index) for index in range(total)], dtype=object)
     humans = ids[spec.n_bots :].tolist()
     k = min(spec.follow_out, total - 1)
-    for acct in roster:
-        rng_f = _rng(spec.seed, "follow", acct.index)
+    k_amp = min(spec.amplify_targets, len(humans))
+    roster: list[_Account] = []
+    for index in range(total):
+        is_bot = index < spec.n_bots
+        opinion = _beta(_rng(spec.seed, "opinion", index), 0.5, 4.0)
+        rng_f = _rng(spec.seed, "follow", index)
         # picks index the other accounts, so skip over this one
         picks = np.sort(rng_f.choice(total - 1, size=k, replace=False))
-        acct.following = ids[picks + (picks >= acct.index)].tolist()
-        if acct.is_bot and humans:
+        pool, own = [], 0
+        if is_bot:
             # bots amplify a fixed handful of accounts rather than spraying
-            k_amp = min(spec.amplify_targets, len(humans))
             amp = np.sort(rng_f.choice(len(humans), size=k_amp, replace=False))
-            acct.retweet_pool, acct.own = [humans[i] for i in amp], k_amp
+            pool, own = [humans[i] for i in amp], k_amp
+        roster.append(_Account(index, "bot" if is_bot else "human", is_bot, opinion,
+                               "synthetic account", ids[picks + (picks >= index)].tolist(),
+                               pool, own))
     return roster
 
 
@@ -462,7 +406,7 @@ def _pick(rng: np.random.Generator, pool: list[str], own: int, size: int) -> str
 def _generic_day_events(
     spec: SynthSpec, acct: _Account, rng: np.random.Generator
 ) -> list[str | None]:
-    count = int(rng.poisson(acct.rate))
+    count = int(rng.poisson(spec.bot_rate if acct.is_bot else spec.human_rate))
     size = _pool_size(acct.retweet_pool, acct.own)
     events: list[str | None] = []
     for _ in range(count):
@@ -484,11 +428,11 @@ def _planted_day_events(
     # in ``bots`` or ``n_bots`` past its position in ``humans``
     if acct.is_bot:
         rt_human, rt_bot = spec.bot_rt_human, spec.bot_rt_bot
-        originals = rng.poisson(max(acct.rate - rt_human - rt_bot, 0.0))
+        originals = rng.poisson(max(spec.bot_rate - rt_human - rt_bot, 0.0))
         human_pool, human_own, bot_own = acct.retweet_pool, acct.own, acct.index
     else:
         rt_human, rt_bot = spec.human_rt_human, spec.human_rt_bot
-        originals = rng.poisson(max(acct.rate, 0.1))
+        originals = rng.poisson(max(spec.human_rate, 0.1))
         human_pool, human_own, bot_own = humans, acct.index - spec.n_bots, len(bots)
     events: list[str | None] = [None] * int(originals)
     for pool, own, rate in ((human_pool, human_own, rt_human), (bots, bot_own, rt_bot)):
@@ -511,7 +455,7 @@ def _tweet_json(
     seconds = int(rng.integers(86_400))
     urls: list[str] = []
     if retweeted is None and rng.random() < spec.url_prob:
-        lo, hi = acct.domain_tier
+        lo, hi = (0, 5) if acct.is_bot else (4, 10)  # bots link low-trust domains
         domain = _DOMAIN_POOL[int(rng.integers(lo, hi))][0]
         urls.append(f"https://{domain}/story{int(rng.integers(1000)):03d}")
     opinion = _beta(rng, acct.opinion, spec.tweet_score_concentration)

@@ -409,6 +409,13 @@ def test_invalid_synth_spec_exits_2(tmp_path, runner):
         result = runner.invoke(main, ["--out", str(tmp_path / "out"), "synth", "--spec", str(path)])
         assert result.exit_code == 2, result.output
         assert f"error: {path}: unreadable" in result.output
+    # so is a negative --seed, which numpy's seeding would refuse with a traceback
+    spec.write_text("days = 1\n")
+    result = runner.invoke(main, ["--out", str(tmp_path / "neg"), "--seed", "-3", "synth",
+                                  "--spec", str(spec)])
+    assert result.exit_code == 2, result.output
+    assert "seed" in result.output
+    assert not (tmp_path / "neg").exists()
 
 
 def test_negative_planted_field_exits_2(tmp_path, runner):

@@ -205,6 +205,21 @@ def test_spec_file_parsing_and_validation(tmp_path):
     with pytest.raises(SynthSpecError, match="eps"):
         SynthSpec.from_file(not_finite)
 
+    negative_seed = tmp_path / "negative_seed.txt"
+    negative_seed.write_text("seed = -2\n")
+    with pytest.raises(SynthSpecError, match="seed"):
+        SynthSpec.from_file(negative_seed)
+
+
+@pytest.mark.parametrize("field", ["humans_block_b", "bots_block_b"])
+def test_block_b_below_minus_one_rejected(tmp_path, field):
+    # only -1 mirrors block a; -7 is no size
+    spec = SynthSpec(days=1, humans_per_block=4, bots_per_block=2, **{field: -7})
+    with pytest.raises(SynthSpecError, match=field):
+        generate(spec, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    SynthSpec(days=1, **{field: -1}).validate()
+
 
 def test_non_finite_spec_field_rejected_without_a_file():
     with pytest.raises(SynthSpecError, match="eps"):

@@ -18,7 +18,7 @@ from datetime import date, datetime, timedelta, timezone
 import pytest
 
 from botimpact import synth
-from botimpact.synth import SynthSpec, _Account, _account_id, _beta, _description, _rng
+from botimpact.synth import SynthSpec, _Account, _beta, _description, _rng
 
 # -- the reference rosters -------------------------------------------------------------
 # each account gets a pool of its own, so the reference events never read own
@@ -44,11 +44,9 @@ def _ref_roster_two_block(spec):
             qanon_frac = spec.qanon_bot_frac if is_bot else spec.qanon_human_frac
             qanon = name == "pro" and rng_o.random() < qanon_frac
             roster.append(_Account(
-                account_id=_account_id(index), index=index,
-                block=f"{name}_qanon" if qanon else name, is_bot=is_bot, qanon=qanon,
-                opinion=opinion, rate=spec.bot_rate if is_bot else spec.human_rate,
-                description=_description(spec, index, name, qanon), following=[],
-                retweet_pool=[], domain_tier=(0, 5) if is_bot else (4, 10),
+                index=index, block=f"{name}_qanon" if qanon else name, is_bot=is_bot,
+                opinion=opinion, description=_description(spec, index, name, qanon),
+                following=[], retweet_pool=[], own=0,
             ))
             index += 1
 
@@ -87,11 +85,9 @@ def _ref_roster_core_periphery(spec):
         else:
             opinion = _beta(rng_o, 0.5, 2.0)
         roster.append(_Account(
-            account_id=_account_id(index), index=index,
-            block="core" if core else "periphery", is_bot=core, qanon=core, opinion=opinion,
-            rate=spec.bot_rate if core else spec.human_rate,
+            index=index, block="core" if core else "periphery", is_bot=core, opinion=opinion,
             description=_description(spec, index, "pro", core), following=[],
-            retweet_pool=[], domain_tier=(0, 5) if core else (4, 10),
+            retweet_pool=[], own=0,
         ))
     core_ids = [a.account_id for a in roster[: spec.core_bots]]
     for acct in roster:
@@ -115,11 +111,9 @@ def _ref_roster_planted_retweets(spec):
         is_bot = index < spec.n_bots
         rng_o = _rng(spec.seed, "opinion", index)
         roster.append(_Account(
-            account_id=_account_id(index), index=index, block="bot" if is_bot else "human",
-            is_bot=is_bot, qanon=False, opinion=_beta(rng_o, 0.5, 4.0),
-            rate=spec.bot_rate if is_bot else spec.human_rate,
-            description="synthetic account", following=[], retweet_pool=[],
-            domain_tier=(0, 5) if is_bot else (4, 10),
+            index=index, block="bot" if is_bot else "human", is_bot=is_bot,
+            opinion=_beta(rng_o, 0.5, 4.0), description="synthetic account", following=[],
+            retweet_pool=[], own=0,
         ))
     ids = [a.account_id for a in roster]
     humans = ids[spec.n_bots:]
@@ -141,7 +135,8 @@ def _ref_roster_planted_retweets(spec):
 
 def _ref_generic_day_events(spec, acct, rng):
     events = []
-    for _ in range(int(rng.poisson(acct.rate))):
+    rate = spec.bot_rate if acct.is_bot else spec.human_rate
+    for _ in range(int(rng.poisson(rate))):
         if acct.retweet_pool and rng.random() < spec.retweet_frac:
             events.append(acct.retweet_pool[int(rng.integers(len(acct.retweet_pool)))])
         else:
@@ -152,11 +147,11 @@ def _ref_generic_day_events(spec, acct, rng):
 def _ref_planted_day_events(spec, acct, rng, bots, humans):
     if acct.is_bot:
         rt_human, rt_bot = spec.bot_rt_human, spec.bot_rt_bot
-        originals = rng.poisson(max(acct.rate - rt_human - rt_bot, 0.0))
+        originals = rng.poisson(max(spec.bot_rate - rt_human - rt_bot, 0.0))
         human_pool = acct.retweet_pool or humans
     else:
         rt_human, rt_bot = spec.human_rt_human, spec.human_rt_bot
-        originals = rng.poisson(max(acct.rate, 0.1))
+        originals = rng.poisson(max(spec.human_rate, 0.1))
         human_pool = humans
     events = [None] * int(originals)
     for pool, rate in ((human_pool, rt_human), (bots, rt_bot)):
@@ -174,7 +169,7 @@ def _ref_tweet_json(spec, acct, day, k, retweeted, rng):
     ts = datetime(day.year, day.month, day.day, tzinfo=timezone.utc) + timedelta(seconds=seconds)
     urls = []
     if retweeted is None and rng.random() < spec.url_prob:
-        lo, hi = acct.domain_tier
+        lo, hi = (0, 5) if acct.is_bot else (4, 10)
         domain = synth._DOMAIN_POOL[int(rng.integers(lo, hi))][0]
         urls.append(f"https://{domain}/story{int(rng.integers(1000)):03d}")
     opinion = _beta(rng, acct.opinion, spec.tweet_score_concentration)
