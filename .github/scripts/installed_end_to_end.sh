@@ -40,6 +40,30 @@ mkdir out2 && cp -r corpus run.cfg out2/
   botimpact --config run.cfg "$stage"
 done)
 diff -r out out2/out
+# gzip copies of the inputs build the same files; only manifest.json, which
+# records the input paths, differs
+mkdir gz
+gzip -c corpus/tweets.jsonl > gz/tweets.jsonl.gz
+gzip -c corpus/profiles.jsonl > gz/profiles.jsonl.gz
+cp run.cfg gz.cfg
+printf '%s\n' 'tweets = gz/tweets.jsonl.gz' 'profiles = gz/profiles.jsonl.gz' \
+  'out_dir = outgz' >> gz.cfg
+botimpact --config gz.cfg build
+python3 -c '
+import json
+print("\n".join(sorted(json.load(open("out/manifest.json"))["build"]["checksums"])))
+' > plain.files
+(cd outgz && LC_ALL=C ls | grep -vx manifest.json) > gz.files
+diff plain.files gz.files
+while read -r name; do cmp "out/$name" "outgz/$name"; done < gz.files
+# a truncated gzip tweets file exits 3 and names the file
+head -c 100 gz/tweets.jsonl.gz > gz/truncated.jsonl.gz
+cp gz.cfg truncated.cfg
+echo 'tweets = gz/truncated.jsonl.gz' >> truncated.cfg
+status=0
+botimpact --config truncated.cfg build 2> truncated.err || status=$?
+test "$status" -eq 3
+grep -q 'gz/truncated.jsonl.gz: unreadable' truncated.err
 # a second corpus built into out retires classify, so ghic must refuse,
 # and the first corpus's report is gone
 botimpact --out corpus --seed 4 synth --spec spec.txt

@@ -11,8 +11,6 @@ from .botdetect import (
 from .ghic import GhicResult, daily_ghic_series, ghic, ghic_per_bot
 from .graph import DirectedGraph, GraphError, load_edge_list, save_edge_list
 from .ingest import (
-    CollectionWindow,
-    UserProfileRecord,
     build_daily_retweet_network,
     build_follower_network,
     load_profiles,
@@ -34,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BotPosterior",
-    "CollectionWindow",
     "DirectedGraph",
     "EquilibriumSolution",
     "FactorGraphParams",
@@ -42,7 +39,6 @@ __all__ = [
     "GraphError",
     "LinearSystem",
     "SolverError",
-    "UserProfileRecord",
     "assemble_system",
     "build_daily_retweet_network",
     "build_follower_network",

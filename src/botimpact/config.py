@@ -3,7 +3,7 @@
 Defaults carry the analysis constants: partisan cutoff 0.5 (anti at or
 below), bot threshold 0.8 (strictly above), stubborn percentiles 10/90,
 followings cap 2000.  Every numeric field is validated against its
-documented range at load time; the ``bp_`` ranges are those of
+documented range at load time; the ``bp_`` defaults and ranges are those of
 ``botdetect.FactorGraphParams``, kept there only.
 """
 
@@ -39,15 +39,15 @@ class PipelineConfig:
     stubborn_high_pct: float = 0.90
     followings_cap: int = 2000
     # bot detection
-    bp_prior_bot: float = 0.5
-    bp_psi_hh: float = 2.0
-    bp_psi_hb: float = 2.0
-    bp_psi_bh: float = 1.0
-    bp_psi_bb: float = 0.5
-    bp_weight_cap: float = 5.0
-    bp_damping: float = 0.5
-    bp_max_iterations: int = 200
-    bp_tolerance: float = 1e-8
+    bp_prior_bot: float = FactorGraphParams.prior_bot
+    bp_psi_hh: float = FactorGraphParams.psi_hh
+    bp_psi_hb: float = FactorGraphParams.psi_hb
+    bp_psi_bh: float = FactorGraphParams.psi_bh
+    bp_psi_bb: float = FactorGraphParams.psi_bb
+    bp_weight_cap: float = FactorGraphParams.weight_cap
+    bp_damping: float = FactorGraphParams.damping
+    bp_max_iterations: int = FactorGraphParams.max_iterations
+    bp_tolerance: float = FactorGraphParams.tolerance
     histogram_bins: int = 20
     # ghic
     ghic_groups: str = "all_bots,anti_bots,pro_bots,qanon_bots"

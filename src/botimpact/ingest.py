@@ -2,14 +2,17 @@
 
 Input files are line-delimited JSON (plain or gzip).  Each line is decoded
 once and must be UTF-8 holding exactly one JSON value; malformed lines are
-skipped and tallied rather than aborting the run, and an unreadable file is
-fatal.
+skipped and tallied rather than aborting the run, and a missing or
+unreadable file is fatal.
 Each tweet becomes one plain row in column order, its UTC day already an
-ordinal.  The build drains the rows into per-tweet columns
-(``tweet_columns``) and derives the window, day slices, daily retweet
-networks and per-account content from them; no list of rows is held.  A
-network comes out as the four columns of its file (see ``graph``): node
-positions in the sorted account list, then edge columns over those nodes.
+ordinal, and each profile one plain row: account id, description and
+capped following ids.  The build drains the tweet rows into per-tweet
+columns (``tweet_columns``) and derives the window, day slices, daily
+retweet networks and per-account content from them; one pass over the
+profile rows gives the follower network and each account's description.
+No list of rows is held.  A network comes out as the four columns of its
+file (see ``graph``): node positions in the sorted account list, then edge
+columns over those nodes.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from __future__ import annotations
 import gzip
 import json
 import logging
+import zlib
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -33,35 +37,15 @@ DEFAULT_FOLLOWINGS_CAP = 2000
 
 # author, day ordinal, retweeted author or None, urls, opinion, toxicity (NaN when unscored)
 TweetRow = tuple[str, int, str | None, Sequence[str], float, float]
+# account id, description ("" for none), following ids truncated at the cap
+ProfileRow = tuple[str, str, list[str]]
 _NAN = float("nan")
 _decode = json.JSONDecoder().raw_decode
 
 
 class IngestError(ValueError):
-    """Fatal ingestion problem (unreadable file, invalid window...)."""
-
-
-@dataclass
-class UserProfileRecord:
-    account_id: str
-    description: str = ""
-    following_ids: list[str] = field(default_factory=list)
-
-
-@dataclass
-class CollectionWindow:
-    """Inclusive UTC day range; duration is data-derived, never hard-coded."""
-
-    start: date
-    end: date
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise IngestError(f"window end {self.end} precedes start {self.start}")
-
-    @property
-    def duration_days(self) -> int:
-        return (self.end - self.start).days + 1
+    """Fatal ingestion problem: a missing or unreadable input file, or no
+    parseable tweet."""
 
 
 @dataclass
@@ -116,7 +100,7 @@ def _score(value, name: str) -> float:
     return float(value)
 
 
-def _parse_profile(obj: dict, followings_cap: int) -> UserProfileRecord:
+def _parse_profile(obj: dict, followings_cap: int) -> ProfileRow:
     account_id = _id(obj["account_id"])
     if not account_id:
         raise ValueError("empty account_id")
@@ -125,11 +109,7 @@ def _parse_profile(obj: dict, followings_cap: int) -> UserProfileRecord:
         raise ValueError("following_ids must be a list")
     if type(description := obj.get("description") or "") is not str:
         raise TypeError("description must be a string")
-    return UserProfileRecord(
-        account_id=account_id,
-        description=description,
-        following_ids=[_id(f) for f in following][:followings_cap],
-    )
+    return account_id, description, [_id(f) for f in following][:followings_cap]
 
 
 def _parse_lines(
@@ -137,31 +117,36 @@ def _parse_lines(
 ) -> Iterator:
     """Decode each stripped non-blank line once, accepting what ``json.loads`` accepts,
     and parse it, in file order; bad lines, those that are not UTF-8 included,
-    are counted and skipped."""
+    are counted and skipped.  A file that cannot be opened or read to its end
+    (a directory, a truncated or corrupt gzip stream) raises IngestError
+    naming it."""
     if not Path(path).exists():
         raise IngestError(f"{kind} file not found: {path}")
     stats = stats if stats is not None else ParseStats()
-    with open(path, "rb") as fh:
-        gzipped = fh.read(2) == b"\x1f\x8b"
-    # a byte that is not UTF-8 decodes to a lone surrogate, which encode() refuses
-    with (gzip.open if gzipped else open)(path, "rt", encoding="utf-8",
-                                          errors="surrogateescape") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                if not line.isascii():
-                    line.encode()
-                obj, end = _decode(line)
-                if end != len(line):
-                    raise ValueError("data after the JSON value")
-                rec = parse(obj)
-            except (ValueError, KeyError, TypeError, OverflowError):
-                stats.skipped += 1
-                continue
-            stats.parsed += 1
-            yield rec
+    try:
+        with open(path, "rb") as fh:
+            gzipped = fh.read(2) == b"\x1f\x8b"
+        # a byte that is not UTF-8 decodes to a lone surrogate, which encode() refuses
+        with (gzip.open if gzipped else open)(path, "rt", encoding="utf-8",
+                                              errors="surrogateescape") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    if not line.isascii():
+                        line.encode()
+                    obj, end = _decode(line)
+                    if end != len(line):
+                        raise ValueError("data after the JSON value")
+                    rec = parse(obj)
+                except (ValueError, KeyError, TypeError, OverflowError):
+                    stats.skipped += 1
+                    continue
+                stats.parsed += 1
+                yield rec
+    except (OSError, EOFError, zlib.error) as exc:
+        raise IngestError(f"{path}: unreadable ({type(exc).__name__}: {exc})") from None
     if stats.skipped:
         log.warning("%s: skipped %d malformed line(s)", path, stats.skipped)
 
@@ -175,8 +160,9 @@ def load_profiles(
     path: str | Path,
     stats: ParseStats | None = None,
     followings_cap: int = DEFAULT_FOLLOWINGS_CAP,
-) -> Iterator[UserProfileRecord]:
-    """A generator of profile records; following lists are truncated at the cap."""
+) -> Iterator[ProfileRow]:
+    """A generator of profile rows (``ProfileRow``) in file order; following lists
+    are truncated at the cap, and bad lines are skipped."""
     return _parse_lines(path, "profiles", lambda o: _parse_profile(o, followings_cap), stats)
 
 
@@ -195,8 +181,9 @@ class TweetColumns:
     toxicity: np.ndarray
     urls: list[Sequence[str]]
 
-    def window(self) -> CollectionWindow:
-        return CollectionWindow(date.fromordinal(self.day.min()), date.fromordinal(self.day.max()))
+    def window(self) -> tuple[date, date]:
+        """The first and last UTC day."""
+        return date.fromordinal(self.day.min()), date.fromordinal(self.day.max())
 
     def days(self) -> list[tuple[date, np.ndarray]]:
         """Each UTC day, ascending, with its tweets' row numbers in input order."""
@@ -236,10 +223,11 @@ def group_means(group: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.divide(sums, counts, out=np.full(n, np.nan), where=counts > 0)
 
 
-def account_content(tweets: TweetColumns) -> list[dict]:
-    """The rows of account_content.jsonl but the description, in account order:
-    ``account_id``, ``tweet_count``, ``mean_opinion`` and ``mean_toxicity`` over
-    the tweets carrying a score (None without any), and ``urls`` in tweet order.
+def account_content(tweets: TweetColumns, descriptions: Sequence[str]) -> list[dict]:
+    """The rows of account_content.jsonl, in account order: ``account_id``,
+    ``tweet_count``, ``mean_opinion`` and ``mean_toxicity`` over the tweets
+    carrying a score (None without any), ``urls`` in tweet order, and the
+    ``description`` at the account's position in ``descriptions``.
 
     Retweeted-only accounts get zero tweets.
     """
@@ -251,7 +239,8 @@ def account_content(tweets: TweetColumns) -> list[dict]:
     return [
         {"account_id": account, "tweet_count": own[i].size, "mean_opinion": opinion[i],
          "mean_toxicity": toxicity[i],
-         "urls": [url for row in own[i].tolist() for url in tweets.urls[row]]}
+         "urls": [url for row in own[i].tolist() for url in tweets.urls[row]],
+         "description": descriptions[i]}
         for i, account in enumerate(tweets.accounts)
     ]
 
@@ -279,23 +268,28 @@ def build_daily_retweet_network(
 
 
 def build_follower_network(
-    profiles: Iterable[UserProfileRecord], accounts: list[str]
-) -> list[np.ndarray]:
+    profiles: Iterable[ProfileRow], accounts: list[str]
+) -> tuple[list[np.ndarray], list[str]]:
     """Follower network ``[nodes, sources, targets, weights]`` over the sorted
-    corpus ``accounts``.
+    corpus ``accounts``, and each account's description in list order, from
+    one pass over the profile rows.
 
     Account i following j yields the edge (j, i): information flows from the
     followee to the follower.  Every corpus account is a node, in list order,
-    even if isolated, so daily active subnetworks can always be induced.
+    even if isolated, so daily active subnetworks can always be induced.  An
+    account without a profile has description ""; of repeated profiles, the
+    last one's description counts.  Profiles of other accounts are ignored.
     """
     index = {account: i for i, account in enumerate(accounts)}
+    descriptions = [""] * len(accounts)
     ends: list[int] = []  # followee, follower, followee, follower, ...
-    for p in profiles:
-        follower = index.get(p.account_id)
+    for account_id, description, following in profiles:
+        follower = index.get(account_id)
         if follower is not None:
-            for followee in map(index.get, p.following_ids):
+            descriptions[follower] = description
+            for followee in map(index.get, following):
                 if followee is not None and followee != follower:
                     ends += (followee, follower)
     src, tgt = np.array(ends, dtype=np.int64).reshape(-1, 2).T
     n = len(accounts)
-    return [np.arange(n), *merge_edges(n, src, tgt, np.ones(src.size))]
+    return [np.arange(n), *merge_edges(n, src, tgt, np.ones(src.size))], descriptions

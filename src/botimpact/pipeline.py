@@ -4,12 +4,14 @@ Every stage reads flat files, writes flat files (text ones atomically: temp
 then rename), and updates ``manifest.json`` with row counts and content
 checksums.  ``build`` writes its networks as network files (see ``graph``)
 on the sorted account list in ``accounts.json``, straight from the columns
-``ingest`` returns; every later stage works on positions in that list too,
-and uses ids only in the rows it writes.  ``classify`` builds the account
-table (see ``accounts``) from build's per-account content and the bot list
-and writes it as accounts.csv, which ``account_table`` alone reads back for
-``ghic`` and ``report``.  Outputs carry no timestamps, so identical inputs and
-configuration reproduce byte-identical results.
+``ingest`` returns, and takes each account's description from the same
+pass over the profile rows that gives the follower network; every later
+stage works on positions in that list too, and uses ids only in the rows
+it writes.  ``classify`` builds the account table (see ``accounts``) from
+build's per-account content and the bot list and writes it as accounts.csv,
+which ``account_table`` alone reads back for ``ghic`` and ``report``.
+Outputs carry no timestamps, so identical inputs and configuration
+reproduce byte-identical results.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ def _update_manifest(out_dir: Path, stage: str, payload: dict, files: Iterable[P
 def stage_build(cfg: PipelineConfig) -> dict:
     """Parse raw files into networks, daily activity, and the per-account
     content table that classify reads instead of the raw files; every output
-    derives from one parse of each tweet into columns (see ``ingest``)."""
+    derives from one parse of each tweet into columns and one pass over the
+    profile rows (see ``ingest``)."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -125,21 +128,13 @@ def stage_build(cfg: PipelineConfig) -> dict:
     tweets = ingest.tweet_columns(ingest.load_tweets(cfg.tweets, stats=tweet_stats))
     if not tweets.author.size:
         raise ingest.IngestError(f"no parseable tweets in {cfg.tweets}")
-    window = tweets.window()
-
-    # profiles are streamed once, so descriptions are noted on their way to the network
-    descriptions: dict[str, str] = {}
-
-    def _noting_descriptions(profiles: Iterable[ingest.UserProfileRecord]):
-        for profile in profiles:
-            descriptions[profile.account_id] = profile.description
-            yield profile
+    first, last = tweets.window()
 
     profile_stats = ingest.ParseStats()
     profiles = ingest.load_profiles(
         cfg.profiles, stats=profile_stats, followings_cap=cfg.followings_cap
     )
-    follower = ingest.build_follower_network(_noting_descriptions(profiles), tweets.accounts)
+    follower, descriptions = ingest.build_follower_network(profiles, tweets.accounts)
     _atomic_write_text(out_dir / "accounts.json", json.dumps(tweets.accounts) + "\n")
     save_edge_list(out_dir / "follower.cols", follower)
 
@@ -157,10 +152,7 @@ def stage_build(cfg: PipelineConfig) -> dict:
     # classify's whole input, in account order: JSON floats round-trip, so its means are exact
     _atomic_write_text(
         out_dir / "account_content.jsonl",
-        "".join(
-            json.dumps({**row, "description": descriptions.get(row["account_id"], "")}) + "\n"
-            for row in ingest.account_content(tweets)
-        ),
+        "".join(json.dumps(row) + "\n" for row in ingest.account_content(tweets, descriptions)),
     )
 
     _atomic_write_rows(out_dir / "daily_active.csv", ["day", "account_id"], active)
@@ -168,8 +160,8 @@ def stage_build(cfg: PipelineConfig) -> dict:
 
     payload = {
         "config": cfg.snapshot(),
-        "window": {"start": window.start.isoformat(), "end": window.end.isoformat(),
-                   "duration_days": window.duration_days},
+        "window": {"start": first.isoformat(), "end": last.isoformat(),
+                   "duration_days": (last - first).days + 1},
         "tweets_parsed": tweet_stats.parsed,
         "tweets_skipped": tweet_stats.skipped,
         "profiles_parsed": profile_stats.parsed,

@@ -240,12 +240,12 @@ def _per_bot_core_ghic(seed: int, audience: str, workdir: Path) -> float:
         labels = {r["account_id"]: r for r in csv.DictReader(fh)}
     tweets = list(load_tweets(out / "tweets.jsonl"))
     columns = tweet_columns(tweets)
-    window = columns.window()
-    content = account_content(columns)
-    rates = {c["account_id"]: c["tweet_count"] / window.duration_days
-             for c in content if c["tweet_count"]}
+    first, last = columns.window()
     nodes = columns.accounts
-    _, src, tgt, _ = build_follower_network(load_profiles(out / "profiles.jsonl"), nodes)
+    (_, src, tgt, _), descriptions = build_follower_network(
+        load_profiles(out / "profiles.jsonl"), nodes)
+    rates = {c["account_id"]: c["tweet_count"] / ((last - first).days + 1)
+             for c in account_content(columns, descriptions) if c["tweet_count"]}
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
     for author, _, _, _, opinion, _ in tweets:
@@ -296,6 +296,7 @@ def test_criterion_7_paper_anchored_defaults():
     assert table.pro.tolist() == [False, True]
     params = FactorGraphParams()
     assert params.psi_hb > params.psi_bb and params.psi_hh > params.psi_bh
+    assert PipelineConfig().bp_params() == params  # the bp_ defaults are FactorGraphParams's
     print(
         "\ncriterion 7 PASS: defaults 0.5 inclusive-anti cutoff, 0.8 bot threshold, "
         "10/90 percentiles, 2000 followings cap"
@@ -370,12 +371,13 @@ def test_criterion_9_ingest_conservation(e2e_corpus):
         )[3].sum()
     assert daily_weight == corpus_retweets  # exact: integer-valued weights
 
-    window = columns.window()
+    first, last = columns.window()
+    duration_days = (last - first).days + 1
     counts = {c["account_id"]: c["tweet_count"]
-              for c in account_content(columns) if c["tweet_count"]}
+              for c in account_content(columns, [""] * len(columns.accounts)) if c["tweet_count"]}
     assert sum(counts.values()) == len(tweets) == summary["tweets"]
-    rates = {a: c / window.duration_days for a, c in counts.items()}
-    reconstructed = round(sum(rates.values()) * window.duration_days)
+    rates = {a: c / duration_days for a, c in counts.items()}
+    reconstructed = round(sum(rates.values()) * duration_days)
     assert reconstructed == len(tweets)
     print(
         f"\ncriterion 9 PASS: daily retweet weights sum to {corpus_retweets}; "

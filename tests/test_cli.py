@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 import re
 import shutil
@@ -125,6 +126,34 @@ def test_missing_profiles_file_exits_nonzero_with_path(tmp_path, runner, corpus)
     result = runner.invoke(main, ["--config", str(cfg), "build"])
     assert result.exit_code == 3
     assert "missing_profiles.jsonl" in result.output
+
+
+def _unreadable_input(tmp_path: Path, source: Path, kind: str) -> Path:
+    """A gzip copy of ``source`` cut in half, one whose deflate stream opens with
+    an invalid block type, or a directory."""
+    path = tmp_path / f"{kind.replace(' ', '_')}_{source.name}.gz"
+    data = gzip.compress(source.read_bytes())
+    if kind == "truncated gzip":
+        path.write_bytes(data[:len(data) // 2])
+    elif kind == "corrupt gzip":
+        path.write_bytes(data[:10] + b"\xff" + data[11:])  # the 10-byte header, then BTYPE 11
+    else:
+        path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize("kind", ["truncated gzip", "corrupt gzip", "directory"])
+@pytest.mark.parametrize("key", ["tweets", "profiles"])
+def test_unreadable_tweets_or_profiles_file_exits_3_naming_it(tmp_path, runner, corpus, key,
+                                                              kind):
+    path = _unreadable_input(tmp_path, corpus / f"{key}.jsonl", kind)
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
+    cfg.write_text(cfg.read_text() + f"{key} = {path}\n")
+    result = runner.invoke(main, ["--config", str(cfg), "build"])
+    assert result.exit_code == 3, result.output
+    assert f"error: {path}: unreadable" in result.output
+    assert not (out / "manifest.json").exists()
 
 
 def test_bad_config_value_exits_2(tmp_path, runner):

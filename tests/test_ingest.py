@@ -10,7 +10,6 @@ import pytest
 from botimpact.accounts import ordered_mean
 from botimpact.config import PipelineConfig
 from botimpact.ingest import (
-    CollectionWindow,
     IngestError,
     ParseStats,
     account_content,
@@ -63,6 +62,11 @@ def _daily_networks(tweets):
         ), columns.accounts)
         for day, rows in columns.days()
     }
+
+
+def _content(columns):
+    """account_content without profile descriptions."""
+    return account_content(columns, [""] * len(columns.accounts))
 
 
 def _run_build(tmp_path, tweet_lines, profile_lines=()):
@@ -172,7 +176,7 @@ def test_a_line_that_is_not_utf8_counts_as_skipped(tmp_path, gzipped):
     assert [row[0] for row in load_tweets(paths[0], stats)] == ["a"] * 20 + ["é"]
     assert (stats.parsed, stats.skipped) == (21, 1)
     stats = ParseStats()
-    assert [p.account_id for p in load_profiles(paths[1], stats)] == ["é"]
+    assert [row[0] for row in load_profiles(paths[1], stats)] == ["é"]
     assert (stats.parsed, stats.skipped) == (1, 1)
 
     out = tmp_path / "out"
@@ -201,15 +205,8 @@ def test_profiles_cap_enforced(tmp_path):
     path = tmp_path / "profiles.jsonl"
     record = {"account_id": "a", "description": "", "following_ids": [f"f{i}" for i in range(10)]}
     path.write_text(json.dumps(record) + "\n")
-    profile = next(load_profiles(path, followings_cap=4))
-    assert len(profile.following_ids) == 4
-
-
-def test_window_validation():
-    with pytest.raises(IngestError):
-        CollectionWindow(date(2020, 1, 5), date(2020, 1, 1))
-    w = CollectionWindow(date(2020, 1, 1), date(2020, 1, 1))
-    assert w.duration_days == 1
+    [(account_id, description, following)] = load_profiles(path, followings_cap=4)
+    assert (account_id, description, following) == ("a", "", ["f0", "f1", "f2", "f3"])
 
 
 def test_daily_retweet_network_weight_is_count():
@@ -249,53 +246,46 @@ def test_daily_retweet_network_chain_matches_recount():
 
 
 def test_follower_network_direction_and_restriction():
-    from botimpact.ingest import UserProfileRecord
-
-    profiles = [UserProfileRecord(account_id="i", following_ids=["j", "ghost"])]
-    net = build_follower_network(profiles, ["i", "j"])
+    profiles = [("i", "first", ["j", "ghost"]), ("ghost", "outsider", ["i"]), ("i", "last", [])]
+    net, descriptions = build_follower_network(profiles, ["i", "j"])
     assert column_edges(net, ["i", "j"]) == {("j", "i"): 1.0}  # followee -> follower
     assert net[0].tolist() == [0, 1]  # every account, in list order, and no "ghost"
+    assert descriptions == ["last", ""]  # the last profile wins; "" without one
 
 
 def test_follower_network_mutual():
-    from botimpact.ingest import UserProfileRecord
-
-    profiles = [
-        UserProfileRecord(account_id="a", following_ids=["b"]),
-        UserProfileRecord(account_id="b", following_ids=["a"]),
-    ]
-    net = build_follower_network(profiles, ["a", "b"])
+    net, _ = build_follower_network([("a", "", ["b"]), ("b", "", ["a"])], ["a", "b"])
     assert set(column_edges(net, ["a", "b"])) == {("a", "b"), ("b", "a")}
 
 
-def _rates(tweets, window) -> dict[str, float]:
-    """Posting rates as build writes them: whole-window count / window duration."""
+def _rates(tweets, duration_days) -> dict[str, float]:
+    """Posting rates as classify derives them: whole-window count / window duration."""
     return {
-        c["account_id"]: c["tweet_count"] / window.duration_days
-        for c in account_content(tweet_columns(tweets)) if c["tweet_count"]
+        c["account_id"]: c["tweet_count"] / duration_days
+        for c in _content(tweet_columns(tweets)) if c["tweet_count"]
     }
 
 
+WINDOW_DAYS = 103  # 2020-01-01 to 2020-04-12, inclusive
+
+
 def test_tweet_rates_arithmetic():
-    window = CollectionWindow(date(2020, 1, 1), date(2020, 4, 12))
-    assert window.duration_days == 103
     tweets = [_row("a", "2020-01-01") for _ in range(206)]
-    rates = _rates(tweets, window)
+    rates = _rates(tweets, WINDOW_DAYS)
     assert rates["a"] == pytest.approx(2.0)
-    single = _rates([_row("b", "2020-02-01")], window)
+    single = _rates([_row("b", "2020-02-01")], WINDOW_DAYS)
     assert single["b"] == pytest.approx(1 / 103, abs=1e-9)
 
 
 def test_tweet_rates_linearity():
-    window = CollectionWindow(date(2020, 1, 1), date(2020, 4, 12))
     tweets = [_row("a", "2020-01-01")] * 103 + [_row("b", "2020-01-02")] * 206
-    rates = _rates(tweets, window)
+    rates = _rates(tweets, WINDOW_DAYS)
     assert rates["b"] == pytest.approx(2 * rates["a"])
 
 
 def test_rate_totals_reconstruct_corpus_exactly():
     tweets = [_row(f"a{i % 5}", f"2020-01-0{1 + i % 7}") for i in range(53)]
-    content = account_content(tweet_columns(tweets))
+    content = _content(tweet_columns(tweets))
     assert sum(c["tweet_count"] for c in content) == 53  # integers before any division
 
 
@@ -326,11 +316,17 @@ def test_daily_weights_sum_to_corpus_retweet_count():
 def test_corpus_and_window_derivation(tmp_path):
     tweets = [_row("a", "2020-01-03"), _row("b", "2020-01-01", retweeted="c")]
     columns = tweet_columns(tweets)
-    content = account_content(columns)
+    content = _content(columns)
     assert [c["account_id"] for c in content] == ["a", "b", "c"]  # sorted
     assert content[2]["tweet_count"] == 0  # retweeted only
-    window = columns.window()
-    assert window.start == date(2020, 1, 1) and window.end == date(2020, 1, 3)
+    assert columns.window() == (date(2020, 1, 1), date(2020, 1, 3))
+    # build's window counts both ends, so a one-day corpus lasts one day
+    for last, duration_days in (("2020-01-03", 3), ("2020-01-01", 1)):
+        out = _run_build(tmp_path, [_tweet_line("t1", "a", f"{last}T23:59:59Z"),
+                                    _tweet_line("t2", "b", "2020-01-01T00:00:00Z", retweeted="c")])
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["build"]["window"] == {"start": "2020-01-01", "end": last,
+                                               "duration_days": duration_days}
     with pytest.raises(IngestError, match="no parseable tweets"):
         _run_build(tmp_path, ['{"tweet_id": "t1", "author_id": ""}'])
 
@@ -340,12 +336,13 @@ def test_account_content_aggregates():
         return _row("a", "2020-01-01", "b", urls, opinion, toxicity)
 
     tweets = [tweet(0.1, NAN, ["u1", "u2"]), tweet(NAN, 0.4, []), tweet(0.7, 0.2, ["u3"])]
-    a, b = account_content(tweet_columns(tweets))
+    a, b = account_content(tweet_columns(tweets), ["bio", ""])
     assert a == {"account_id": "a", "tweet_count": 3,
                  "mean_opinion": (0.1 + 0.7) / 2,  # over scored tweets only
-                 "mean_toxicity": (0.4 + 0.2) / 2, "urls": ["u1", "u2", "u3"]}  # in tweet order
+                 "mean_toxicity": (0.4 + 0.2) / 2, "urls": ["u1", "u2", "u3"],  # in tweet order
+                 "description": "bio"}
     assert b == {"account_id": "b", "tweet_count": 0, "mean_opinion": None,
-                 "mean_toxicity": None, "urls": []}
+                 "mean_toxicity": None, "urls": [], "description": ""}
 
 
 def test_account_content_means_add_left_to_right():
@@ -356,7 +353,7 @@ def test_account_content_means_add_left_to_right():
              opinion=rng.random() if rng.random() < 0.8 else NAN, toxicity=rng.random())
         for _ in range(2000)
     ]
-    for c in account_content(tweet_columns(tweets)):
+    for c in _content(tweet_columns(tweets)):
         own = [t for t in tweets if t[0] == c["account_id"]]
         assert c["mean_opinion"] == ordered_mean([t[4] for t in own if not math.isnan(t[4])])
         assert c["mean_toxicity"] == ordered_mean([t[5] for t in own])

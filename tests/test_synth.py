@@ -80,7 +80,7 @@ def _bot_fractions(profiles, labels) -> list[float]:
     """Co-partisan fraction of each planted bot with a labeled follower, blocks as
     sides, on the follower network over every labelled account."""
     accounts = sorted(labels)
-    _, src, tgt, _ = build_follower_network(profiles, accounts)
+    (_, src, tgt, _), _ = build_follower_network(profiles, accounts)
     blocks = sorted({row["block"] for row in labels.values()})
     bots = np.array([labels[a]["is_bot"] == "1" for a in accounts], dtype=bool)
     side = np.array([1 + blocks.index(labels[a]["block"]) for a in accounts])
@@ -94,9 +94,9 @@ def test_two_block_eps_zero_no_cross_edges(tmp_path):
     labels = _load_labels(out)
     profiles = list(load_profiles(out / "profiles.jsonl"))
     blocks = {a: row["block"] for a, row in labels.items()}
-    for p in profiles:
-        for followee in p.following_ids:
-            assert blocks[followee] == blocks[p.account_id]
+    for account, _, following in profiles:
+        for followee in following:
+            assert blocks[followee] == blocks[account]
     # with an all-corpus follower network, every bot's followers are co-partisan
     assert all(fraction == 1.0 for fraction in _bot_fractions(profiles, labels))
 
@@ -136,11 +136,12 @@ def test_core_periphery_structure(tmp_path):
     generate(spec, out)
     labels = _load_labels(out)
     core = {a for a, row in labels.items() if row["block"] == "core"}
-    profiles = {p.account_id: p for p in load_profiles(out / "profiles.jsonl")}
+    following_of = {account: following
+                    for account, _, following in load_profiles(out / "profiles.jsonl")}
     human_human_edges = 0
     for account, row in labels.items():
         if row["block"] == "periphery":
-            following = set(profiles[account].following_ids)
+            following = set(following_of[account])
             assert following, "every periphery human follows at least one core bot"
             assert following <= core
             human_human_edges += sum(1 for f in following if f not in core)
