@@ -33,6 +33,30 @@ for entry in json.load(open("out/manifest.json")).values():
 odd = sorted(listed.symmetric_difference(os.listdir("out")))
 sys.exit(f"out/ and its manifest disagree on {odd}" if odd else 0)
 '
+# ghic counts every active day once: days_computed is the days of
+# ghic_series.csv, computed plus skipped is the days of daily_active.csv, and
+# a computed day has one row per group
+python3 -c '
+import csv, json, sys
+def rows(name):
+    with open("out/" + name, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+ghic = json.load(open("out/manifest.json"))["ghic"]
+computed, skipped = ghic["days_computed"], ghic["days_skipped"]
+series = rows("ghic_series.csv")
+days = {r["day"] for r in series}
+active = {r["day"] for r in rows("daily_active.csv")}
+problems = []
+if computed != len(days):
+    problems.append(f"days_computed {computed}, {len(days)} days in ghic_series.csv")
+if computed + skipped != len(active):
+    problems.append(f"{computed} computed + {skipped} skipped days, "
+                    f"{len(active)} in daily_active.csv")
+if sorted((r["day"], r["group"]) for r in series) != sorted(
+        (d, g) for d in days for g in ghic["groups"]):
+    problems.append("ghic_series.csv lacks one row per computed day and group")
+sys.exit("; ".join(problems) or 0)
+'
 # the five stages again in fresh processes, so with other string hash
 # seeds; in a copy of the directory, as the manifest records out_dir
 mkdir out2 && cp -r corpus run.cfg out2/

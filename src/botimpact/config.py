@@ -58,7 +58,6 @@ class PipelineConfig:
         check_finite(self, ConfigError)
         checks = [
             ("partisan_cutoff", 0.0, 1.0),
-            ("bot_threshold", 0.5, 1.0),
             ("stubborn_low_pct", 0.0, 1.0),
             ("stubborn_high_pct", 0.0, 1.0),
         ]
@@ -66,10 +65,10 @@ class PipelineConfig:
             value = getattr(self, name)
             if not lo <= value <= hi:
                 raise ConfigError(f"{name} must be in [{lo}, {hi}], got {value}")
+        if not 0.5 < self.bot_threshold <= 1.0:
+            raise ConfigError(f"bot_threshold must be in (0.5, 1.0], got {self.bot_threshold}")
         if not self.stubborn_low_pct < self.stubborn_high_pct:
             raise ConfigError("stubborn_low_pct must be below stubborn_high_pct")
-        if self.bot_threshold <= 0.5:
-            raise ConfigError("bot_threshold must exceed 0.5")
         if self.followings_cap <= 0:
             raise ConfigError("followings_cap must be positive")
         try:

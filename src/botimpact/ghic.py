@@ -21,8 +21,9 @@ those with ``keep[src] & keep[tgt]``, renumbered by ``cumsum(keep) - 1``.  A
 monotone renumbering of sorted edges stays sorted, so the masked arrays are
 exactly the edge arrays of the induced subgraph, and no graph is built.
 
-The full solve does not depend on S, so a daily series solves each day's
-network once and shares it across the groups.
+The full solve does not depend on S, so ``ghic`` takes it as an argument:
+a daily series solves each day's network once and scores every group
+against that one solve.
 """
 
 from __future__ import annotations
@@ -56,46 +57,35 @@ def _masked(arrays: tuple, keep: np.ndarray) -> tuple[np.ndarray, ...]:
     return position[src[edge]], position[tgt[edge]], lam[keep], fixed[keep], anchor[keep]
 
 
-def _removal_ghic(arrays: tuple, full: tuple, keep: np.ndarray) -> GhicResult:
-    """GHIC of the nodes ``keep`` leaves out, given the network's arrays and its
-    solved equilibrium."""
+def ghic(network: tuple, full: tuple, targets: np.ndarray) -> GhicResult:
+    """Influence centrality of the nodes the boolean mask ``targets`` selects.
+
+    ``network`` is the solver tuple ``(src, tgt, rates, fixed, anchor)``, with
+    ``fixed`` the stubborn mask ``identify_stubborn`` returns and ``anchor``
+    each node's measured opinion; ``full`` is ``solve_network(*network)``.
+    The averaging population is the non-stubborn set of the full network
+    (after preprocessing) minus the targets; it must be nonempty.  Removal
+    and its preprocessing are recomputed independently on the reduced
+    network.
+    """
+    if targets.dtype != bool or targets.shape != network[3].shape:
+        raise ValueError(f"targets must be a boolean mask over the {network[3].size} nodes")
     opinion, fixed = full
+    keep = ~targets
     population = np.flatnonzero(~fixed & keep)
     if not population.size:
         raise ValueError("no non-stubborn nodes outside the target set")
-    removed = keep.size - int(np.count_nonzero(keep))
+    removed = int(np.count_nonzero(targets))
     if not removed:
         return GhicResult(0, 0.0, population.size, 0)
 
-    after, after_fixed = solve_network(*_masked(arrays, keep))
+    after, after_fixed = solve_network(*_masked(network, keep))
     rows = np.flatnonzero(~fixed[keep])  # the population, numbered on the reduced network
     # nodes reclassified on the reduced network revert to their measured opinion
     reverted = int(np.count_nonzero(after_fixed[rows]))
     # left to right in node order; np.sum would round differently
     value = ordered_mean((opinion[population] - after[rows]).tolist())
     return GhicResult(removed, value, population.size, reverted)
-
-
-def ghic(
-    src: np.ndarray,
-    tgt: np.ndarray,
-    rates: np.ndarray,
-    fixed: np.ndarray,
-    anchor: np.ndarray,
-    targets: np.ndarray,
-) -> GhicResult:
-    """Influence centrality of the nodes the boolean mask ``targets`` selects.
-
-    ``fixed`` is the stubborn mask ``identify_stubborn`` returns and
-    ``anchor`` each node's measured opinion.  The averaging population is
-    the non-stubborn set of the full network (after preprocessing) minus
-    the targets; it must be nonempty.  Removal and its preprocessing are
-    recomputed independently on the reduced network.
-    """
-    if targets.dtype != bool or targets.shape != fixed.shape:
-        raise ValueError(f"targets must be a boolean mask over the {fixed.size} nodes")
-    arrays = (src, tgt, rates, fixed, anchor)
-    return _removal_ghic(arrays, solve_network(*arrays), ~targets)
 
 
 # -- daily series ---------------------------------------------------------------
@@ -106,7 +96,6 @@ class DailyGhicEntry:
     day: date
     active_nodes: int
     results: dict[str, GhicResult]  # group name -> result
-    group_active: dict[str, int]  # group name -> |S ∩ active|
 
 
 @dataclass
@@ -124,40 +113,37 @@ def daily_ghic_series(
 
     ``arrays`` are the follower network's ``(src, tgt, rates, fixed,
     anchor)``; each day's active accounts and each group are boolean masks
-    over its nodes.  A group's daily target set is its members among that
-    day's active accounts; a group with no active member contributes an
-    exact zero.  Days whose active network has no non-stubborn node are
-    skipped with a note, and so is a group that covers every non-stubborn
-    active account.
+    over its nodes.  Each day's network is solved once, and ``ghic`` scores
+    each group's members among that day's active accounts against that
+    solve; a group with no active member contributes an exact zero.  A day
+    on which preprocessing leaves no non-stubborn node is skipped with a
+    note.  A solver failure names the day, and a failed removal the day and
+    the group; the removal raises ValueError when the group covers every
+    non-stubborn node, which a group of stubborn accounts never does.
     """
     if not groups:
         raise ValueError("at least one group is required")
-    fixed = arrays[3]
     entries: list[DailyGhicEntry] = []
     skipped: list[tuple[date, str]] = []
     for day in sorted(active_by_day):
         active = active_by_day[day]
-        if fixed[active].all():
+        network = _masked(arrays, active)
+        try:
+            full = solve_network(*network)
+        except SolverError as exc:
+            raise SolverError(f"{day.isoformat()}: {exc}") from exc
+        if full[1].all():
             skipped.append((day, "no non-stubborn active accounts"))
             continue
-        day_arrays = _masked(arrays, active)
-        full = None  # the day's own equilibrium, solved once when a group first needs it
         results: dict[str, GhicResult] = {}
-        group_active: dict[str, int] = {}
         for name in sorted(groups):
-            members = groups[name][active]
-            group_active[name] = int(np.count_nonzero(members))
             try:
-                if full is None:
-                    full = solve_network(*day_arrays)
-                results[name] = _removal_ghic(day_arrays, full, ~members)
-            except ValueError as exc:
-                skipped.append((day, f"group {name!r}: {exc}"))
+                results[name] = ghic(network, full, groups[name][active])
             except SolverError as exc:
-                raise SolverError(
-                    f"{day.isoformat()} group {name!r}: {exc}", exc.residual_history
-                ) from exc
-        entries.append(DailyGhicEntry(day, int(np.count_nonzero(active)), results, group_active))
+                raise SolverError(f"{day.isoformat()} group {name!r}: {exc}") from exc
+            except ValueError as exc:
+                raise ValueError(f"{day.isoformat()} group {name!r}: {exc}") from exc
+        entries.append(DailyGhicEntry(day, int(np.count_nonzero(active)), results))
     for day, reason in skipped:
         log.warning("skipping %s: %s", day, reason)
     return DailyGhicSeries(entries=entries, skipped_days=skipped)
@@ -187,9 +173,9 @@ def ghic_per_bot(series: DailyGhicSeries, groups: Iterable[str]) -> dict[str, Pe
     out: dict[str, PerBotStats | None] = {}
     for name in sorted(set(groups)):
         values = [
-            e.results[name].value / e.group_active[name]
+            e.results[name].value / e.results[name].target_count
             for e in series.entries
-            if name in e.results and e.group_active[name] >= 1
+            if e.results[name].target_count
         ]
         if not values:
             log.warning("group %r was never active; empty per-bot distribution", name)

@@ -60,10 +60,6 @@ DEFAULT_HIGH_PCT = 0.90
 class SolverError(RuntimeError):
     """Solve failed to converge or violated the opinion model."""
 
-    def __init__(self, message: str, residual_history: list[float] | None = None):
-        super().__init__(message)
-        self.residual_history = residual_history or []
-
 
 class AssemblyError(ValueError):
     """System assembly precondition violated."""
@@ -175,8 +171,7 @@ class LinearSystem:
     F: sp.csc_matrix
     b: np.ndarray  # F @ psi_values
     v1: np.ndarray  # non-stubborn node indices, ascending
-    v0: np.ndarray  # stubborn node indices, ascending
-    psi_values: np.ndarray  # fixed opinions aligned with v0
+    psi_values: np.ndarray  # fixed opinions of the stubborn nodes, in node order
 
 
 def assemble_system(
@@ -233,7 +228,7 @@ def assemble_system(
     # F by columns (sources come sorted); F @ psi adds each row in column order, as CSR does
     indptr = np.concatenate(([0], np.cumsum(np.bincount(position[src[~free]], minlength=v0.size))))
     F = sp.csc_matrix((-lam[~free], rows[~free], indptr), shape=(m, v0.size))
-    return LinearSystem(G=G, F=F, b=F @ psi_values, v1=v1, v0=v0, psi_values=psi_values)
+    return LinearSystem(G=G, F=F, b=F @ psi_values, v1=v1, psi_values=psi_values)
 
 
 # -- solving ------------------------------------------------------------------
@@ -287,18 +282,14 @@ def solve_equilibrium(
         iterations = len(history)
         method = "gmres"
         if info > 0:
-            raise SolverError(
-                f"gmres failed to converge in {info} iterations", residual_history=history
-            )
+            raise SolverError(f"gmres failed to converge in {info} iterations")
         if info < 0:
-            raise SolverError("gmres reported an illegal input", residual_history=history)
+            raise SolverError("gmres reported an illegal input")
 
     res = float(np.linalg.norm(G @ theta - b))
     residual = res / b_norm if b_norm > 0 else res
     if residual > tol:
-        raise SolverError(
-            f"residual {residual:.3e} above tolerance {tol:.3e}", residual_history=history
-        )
+        raise SolverError(f"residual {residual:.3e} above tolerance {tol:.3e}")
 
     if system.psi_values.size:
         lo, hi = float(system.psi_values.min()), float(system.psi_values.max())

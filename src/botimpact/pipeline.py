@@ -443,8 +443,8 @@ def stage_ghic(cfg: PipelineConfig) -> dict:
         ["day", "group", "ghic", "active_nodes", "group_active_count", "ghic_per_bot"],
         [
             (entry.day.isoformat(), name, _fmt(result.value), entry.active_nodes,
-             entry.group_active[name],
-             _fmt(result.value / entry.group_active[name]) if entry.group_active[name] else "")
+             result.target_count,
+             _fmt(result.value / result.target_count) if result.target_count else "")
             for entry in series.entries for name, result in sorted(entry.results.items())
         ],
     )

@@ -259,8 +259,8 @@ def _per_bot_core_ghic(seed: int, audience: str, workdir: Path) -> float:
     scored = np.array([a in opinions for a in nodes])
     fixed = np.zeros(len(nodes), dtype=bool)
     fixed[scored] = identify_stubborn(opinion[scored], bot[scored])
-    lam = np.array([rates.get(a, 0.0) for a in nodes])
-    result = ghic(src, tgt, lam, fixed, opinion, bot)
+    network = (src, tgt, np.array([rates.get(a, 0.0) for a in nodes]), fixed, opinion)
+    result = ghic(network, solve_network(*network), bot)
     return result.value / np.count_nonzero(bot)
 
 

@@ -14,7 +14,8 @@ from test_ghic_oracle import _ref_mask, _ref_network_arrays
 
 def _ghic(g, rates, stubborn, opinions, targets):
     """``ghic`` on a graph given per-id dicts and a set of target ids."""
-    return ghic(*_ref_network_arrays(g, rates, stubborn, opinions), _ref_mask(g, targets))
+    network = _ref_network_arrays(g, rates, stubborn, opinions)
+    return ghic(network, solve_network(*network), _ref_mask(g, targets))
 
 
 def _series(g, active_by_day, rates, stubborn, opinions, groups):
@@ -141,10 +142,11 @@ def test_rejects_target_covering_all_non_stubborn():
 
 
 def test_rejects_a_target_mask_that_is_not_a_node_mask():
-    arrays = _ref_network_arrays(*_worked_example())
+    network = _ref_network_arrays(*_worked_example())
+    full = solve_network(*network)
     for targets in (np.array([0]), np.zeros(4, dtype=bool)):
         with pytest.raises(ValueError, match="boolean mask"):
-            ghic(*arrays, targets)
+            ghic(network, full, targets)
 
 
 # -- daily series -----------------------------------------------------------------
@@ -163,7 +165,7 @@ def test_daily_series_single_day():
     assert len(series.entries) == 1
     entry = series.entries[0]
     assert entry.results["bots"].value == pytest.approx(1.0 / 3.0, abs=1e-9)
-    assert entry.group_active["bots"] == 1
+    assert entry.results["bots"].target_count == 1
 
 
 def test_daily_series_inactive_group_zero():
@@ -172,7 +174,7 @@ def test_daily_series_inactive_group_zero():
     active_day = {date(2020, 1, 1): {"s", "a", "h1", "h2"}}  # h3 inactive
     series = _series(g, active_day, rates, stubborn, opinions, groups)
     assert series.entries[0].results["ghosts"].value == 0.0
-    assert series.entries[0].group_active["ghosts"] == 0
+    assert series.entries[0].results["ghosts"].target_count == 0
 
 
 def test_daily_series_skips_day_without_non_stubborn():
@@ -180,26 +182,33 @@ def test_daily_series_skips_day_without_non_stubborn():
     active = {date(2020, 1, 1): {"s", "a"}}
     series = _series(g, active, rates, stubborn, opinions, groups)
     assert not series.entries
-    assert series.skipped_days
+    assert series.skipped_days == [(date(2020, 1, 1), "no non-stubborn active accounts")]
+
+
+def test_daily_series_skips_a_day_that_preprocessing_leaves_all_stubborn():
+    # h3 follows only a, whose rate is zero: preprocessing makes h3 stubborn too
+    g, _, rates, stubborn, opinions, groups = _single_day_inputs()
+    rates = dict(rates, a=0.0)
+    active = {date(2020, 1, 1): {"a", "h3"}, date(2020, 1, 2): {"s", "a", "h1", "h2", "h3"}}
+    series = _series(g, active, rates, stubborn, opinions, groups)
+    assert [e.day for e in series.entries] == [date(2020, 1, 2)]
+    assert series.skipped_days == [(date(2020, 1, 1), "no non-stubborn active accounts")]
 
 
 def test_daily_series_skips_a_group_covering_every_non_stubborn_account():
+    # only a library caller can pass such a group: the stage's groups are stubborn bots
     g, active, rates, stubborn, opinions, _ = _single_day_inputs()
     groups = {"humans": {"h1", "h2", "h3"}, "bots": {"s"}}
-    series = _series(g, active, rates, stubborn, opinions, groups)
-    [entry] = series.entries
-    assert list(entry.results) == ["bots"]
-    assert entry.group_active == {"bots": 1, "humans": 3}
-    assert series.skipped_days == [
-        (date(2020, 1, 1), "group 'humans': no non-stubborn nodes outside the target set")
-    ]
+    with pytest.raises(ValueError, match="^2020-01-01 group 'humans': no non-stubborn nodes "
+                                         "outside the target set$"):
+        _series(g, active, rates, stubborn, opinions, groups)
 
 
 def test_daily_series_independent_of_day_and_group_insertion_order():
     """The mappings' insertion order is the only order a caller controls."""
     g, active_by_day, rates, stubborn, opinions, groups = _random_series_inputs(1200)
-    humans = set(g.labels) - set(stubborn)
-    groups["every human"] = humans  # a skipped group, so skipped_days has entries
+    for day in (4, 5, 6):  # stubborn-only days, so skipped_days has entries
+        active_by_day[date(2020, 1, day)] = set(sorted(stubborn)[day - 4::2])
     arrays = _ref_network_arrays(g, rates, stubborn, opinions)
 
     def run(reverse):
@@ -211,8 +220,8 @@ def test_daily_series_independent_of_day_and_group_insertion_order():
         )
 
     def identity(series):
-        return ([(e.day, e.active_nodes, list(e.results.items()), list(e.group_active.items()))
-                 for e in series.entries], series.skipped_days)
+        return ([(e.day, e.active_nodes, list(e.results.items())) for e in series.entries],
+                series.skipped_days)
 
     forward, backward = run(False), run(True)
     assert identity(forward) == identity(backward)
@@ -298,7 +307,7 @@ def test_daily_series_solves_each_day_network_once(monkeypatch):
             src, tgt, _ = day.edge_arrays()
             assert solved.count((day.node_count, src.tobytes(), tgt.tobytes())) == 1
         removals = sum(1 for e in series.entries for r in e.results.values() if r.target_count)
-        assert len(solved) == len(series.entries) + removals
+        assert len(solved) == len(active_by_day) + removals
 
 
 def test_masked_removal_equals_solve_on_induced_subgraph(monkeypatch):
@@ -320,12 +329,13 @@ def test_masked_removal_equals_solve_on_induced_subgraph(monkeypatch):
         opinions = {name: float(anchor[i]) for i, name in enumerate(names)}
         rng = np.random.default_rng(seed)
         targets = set(rng.choice(names, size=max(1, len(names) // 5), replace=False).tolist())
+        network = _ref_network_arrays(g, rates, stubborn, opinions)
         calls.clear()
         try:
-            _ghic(g, rates, stubborn, opinions, targets)
+            ghic(network, recording(*network), _ref_mask(g, targets))
         except ValueError:
             continue
-        [_, ((src, tgt, *_), removed)] = calls
+        [_, ((src, tgt, *_), removed)] = calls  # the full solve, then the removal
 
         reduced = g.induced_subgraph(set(names) - targets)
         r_src, r_tgt, _ = reduced.edge_arrays()

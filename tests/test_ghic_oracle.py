@@ -5,8 +5,9 @@ the solver's arrays: a ``DirectedGraph`` of the follower network, the rates
 from build's tweet counts and window, stubborn accounts as a dict of ids,
 and groups and daily active accounts as sets of ids, with each day's
 network an induced subgraph.
-It then solves each (day, group) pair afresh with ``ghic.ghic``.  The stage
-works on account positions and shares each day's solve across the groups.
+It solves each day's network with its own ``solve_network`` call, skips a
+day that preprocessing leaves all stubborn, and scores each group with
+``ghic.ghic``.  The stage works on account positions.
 Both run on the same stage outputs, and every array, mask and ``GhicResult``
 must agree bit for bit.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib
 import io
 import json
 import random
@@ -35,7 +37,7 @@ from botimpact import pipeline
 from botimpact.config import PipelineConfig
 from botimpact.ghic import DailyGhicEntry, DailyGhicSeries, ghic
 from botimpact.graph import DirectedGraph, load_columns
-from botimpact.opinion import percentile_cuts
+from botimpact.opinion import percentile_cuts, solve_network
 from botimpact.pipeline import StageError, stage_build, stage_classify, stage_detect, stage_ghic
 from botimpact.synth import SynthSpec, generate
 
@@ -96,27 +98,15 @@ def _reference(out, cfg: PipelineConfig):
     entries, skipped = [], []
     for day in sorted(active_by_day):
         active = active_by_day[day] & set(follower.labels)
-        if not active:
-            skipped.append((day, "no active accounts in the follower network"))
-            continue
-        non_stubborn = active - set(stubborn)
-        if not non_stubborn:
-            skipped.append((day, "no non-stubborn active accounts"))
-            continue
         subnet = follower.induced_subgraph(active)
         arrays = _ref_network_arrays(subnet, rates, stubborn, opinions)
-        results, group_active = {}, {}
-        for name in sorted(groups):
-            targets = groups[name] & active
-            group_active[name] = len(targets)
-            if not non_stubborn - targets:
-                skipped.append((day, f"group {name!r} covers every non-stubborn account"))
-                continue
-            try:
-                results[name] = ghic(*arrays, _ref_mask(subnet, targets))
-            except ValueError as exc:
-                skipped.append((day, f"group {name!r}: {exc}"))
-        entries.append(DailyGhicEntry(day, len(active), results, group_active))
+        full = solve_network(*arrays)
+        if full[1].all():
+            skipped.append((day, "no non-stubborn active accounts"))
+            continue
+        results = {name: ghic(arrays, full, _ref_mask(subnet, groups[name] & active))
+                   for name in sorted(groups)}
+        entries.append(DailyGhicEntry(day, len(active), results))
     arrays = _ref_network_arrays(follower, rates, stubborn, opinions)
     return follower, arrays, active_by_day, groups, DailyGhicSeries(entries, skipped)
 
@@ -126,7 +116,7 @@ def _reference(out, cfg: PipelineConfig):
 
 def _bits(series: DailyGhicSeries):
     return (
-        [(e.day, e.active_nodes, e.group_active,
+        [(e.day, e.active_nodes,
           {name: (r.target_count, r.value.hex(), r.averaged_over, r.reverted)
            for name, r in e.results.items()})
          for e in series.entries],
@@ -169,11 +159,11 @@ def _compare(out, cfg, monkeypatch, seen: dict) -> None:
     results = [r for e in series.entries for r in e.results.values()]
     seen["removal"] += sum(1 for r in results if r.target_count)
     seen["reverted"] += sum(r.reverted for r in results)
-    for _, reason in series.skipped_days:
-        if "no non-stubborn nodes outside" in reason:
-            seen["nobody left to average"] += 1
-        elif reason == "no non-stubborn active accounts":
+    for day, _ in series.skipped_days:
+        if arrays[3][captured["active"][day]].all():
             seen["only stubborn active"] += 1
+        else:  # preprocessing made the rest stubborn
+            seen["nobody left to average"] += 1
 
 
 def _rewrite(out, stage: str, name: str, data: bytes) -> None:
@@ -278,6 +268,44 @@ def test_ghic_stage_matches_the_string_keyed_reference(tmp_path, monkeypatch):
     _compare(out, cfg, monkeypatch, hand_seen)
     assert all(hand_seen.values()), hand_seen
     assert seen["removal"] and seen["reverted"], seen
+
+
+def test_ghic_counts_every_active_day_once(tmp_path):
+    """The manifest's day counts agree with the series rows and the active days."""
+    out, cfg = _hand_written(tmp_path)
+    payload = stage_ghic(cfg)
+    rows = _read_rows(out / "ghic_series.csv")
+    days = {row["day"] for row in rows}
+    active_days = {row["day"] for row in _read_rows(out / "daily_active.csv")}
+    assert payload["days_computed"] == len(days)
+    assert payload["days_computed"] + payload["days_skipped"] == len(active_days)
+    assert sorted((row["day"], row["group"]) for row in rows) == sorted(
+        (day, group) for day in days for group in payload["groups"])
+    assert (payload["days_computed"], payload["days_skipped"]) == (2, 2)
+
+
+def test_ghic_stage_scores_each_day_and_group_with_one_ghic_call(tmp_path, monkeypatch):
+    ghic_module = importlib.import_module("botimpact.ghic")
+    returned, captured = [], {}
+    real_ghic, real_series = ghic_module.ghic, pipeline.daily_ghic_series
+
+    def counting(network, full, targets):
+        returned.append(real_ghic(network, full, targets))
+        return returned[-1]
+
+    def capture(*args):
+        captured["series"] = real_series(*args)
+        return captured["series"]
+
+    monkeypatch.setattr(ghic_module, "ghic", counting)
+    monkeypatch.setattr(pipeline, "daily_ghic_series", capture)
+    out, cfg = _classified_synth(tmp_path, "two_block_polarized", 0)
+    payload = stage_ghic(cfg)
+    entries = captured["series"].entries
+    assert payload["days_computed"] == len(entries) > 0
+    assert len(returned) == len(entries) * len(payload["groups"])
+    assert sum(r.reverted for r in returned) == sum(
+        r.reverted for e in entries for r in e.results.values())
 
 
 def test_ghic_refuses_build_files_off_the_account_list(tmp_path):

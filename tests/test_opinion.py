@@ -202,13 +202,14 @@ def test_assemble_mixed_row():
     lam[g.labels.index("j")] = 1.0
     lam[g.labels.index("k")] = 3.0
     lam[g.labels.index("s")] = 1.0
-    system = assemble_system(*_assembly_inputs(g, lam, {"k": 1.0, "s": 0.0}))
+    inputs = _assembly_inputs(g, lam, {"k": 1.0, "s": 0.0})
+    system = assemble_system(*inputs)
     row = list(system.v1).index(g.labels.index("i"))
     col_j = list(system.v1).index(g.labels.index("j"))
     G = system.G.toarray()
     assert G[row, row] == pytest.approx(-4.0)
     assert G[row, col_j] == pytest.approx(1.0)
-    col_k = list(system.v0).index(g.labels.index("k"))
+    col_k = list(np.flatnonzero(inputs[3])).index(g.labels.index("k"))  # F's columns
     assert system.F.toarray()[row, col_k] == pytest.approx(-3.0)
 
 
