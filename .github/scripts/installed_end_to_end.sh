@@ -148,3 +148,21 @@ flagged = sorted({row[0] for row in posteriors if float(row[1]) > 0.8})
 bots = [row[0] for row in rows("out/bots.txt")]
 sys.exit(0 if bots == flagged else f"bots.txt lists {bots}, posteriors above 0.8 {flagged}")
 '
+# a corpus whose day networks take the sparse (BiCGSTAB) solver branch: the
+# amplifier-1.6k benchmark spec solves 1,178 unknowns per day at seed 11,
+# above the 500-unknown dense cutoff; its five stages, twice in fresh
+# processes, write the same trees
+mkdir amplifier && cd amplifier
+printf '%s\n' 'seed = 11' 'topology = planted_bot_retweet' 'days = 2' 'n_bots = 100' \
+  'n_humans = 1500' 'human_rate = 1.0' 'bot_rate = 40.0' 'bot_rt_human = 20.0' \
+  'human_rt_human = 8.0' > spec.txt
+botimpact --out corpus synth --spec spec.txt
+cp ../run.cfg .
+mkdir again && cp -r corpus run.cfg again/
+for dir in . again; do
+  (cd "$dir" && for stage in build detect-bots classify ghic report; do
+    botimpact --config run.cfg "$stage"
+  done)
+done
+test -s out/ghic_series.csv
+diff -r out again/out

@@ -26,14 +26,17 @@ G_ii one bincount that adds the row's rates left to right in source order,
 and G and F come from masked edges.
 
 The system is solved directly (dense LU) up to 500 unknowns and by a
-Jacobi-preconditioned GMRES above that.  The fixed cutoff sits between
-the sizes at which each path wins.  Measured with one BLAS thread on a 2-core Intel Xeon, on
+Jacobi-preconditioned BiCGSTAB (van der Vorst 1992) above that.  Below the
+cutoff the two paths tie, and the dense one leaves those systems' results
+as they were; above it BiCGSTAB wins by an order of magnitude.  Measured
+with one BLAS thread on a 2-core Intel Xeon, best of five per system, on
 the benchmark's polarized-1k corpus (seeds 5 and 11): the 45 systems of
-283-500 unknowns take 0.08-0.09 s in total dense against 0.26-0.30 s by
-GMRES, while a system of about 785 unknowns takes 7-15 ms by GMRES against
-21-28 ms dense.  An independent fixed-point sweep over the averaging form
-of the same equations acts as the oracle guarding the matrix
-interpretation.
+283-324 unknowns take 0.058-0.061 s in total dense against 0.052-0.056 s
+by BiCGSTAB, while a system of 778-785 unknowns takes 0.8-1.9 ms by
+BiCGSTAB (10-14 iterations) against 14-23 ms dense; on amplifier-1.6k
+(seed 11) a system of 1,178 unknowns takes 1.2-1.5 ms against 37-57 ms
+dense.  An independent fixed-point sweep over the averaging form of the
+same equations acts as the oracle guarding the matrix interpretation.
 """
 
 from __future__ import annotations
@@ -250,41 +253,40 @@ def solve_equilibrium(
 ) -> EquilibriumSolution:
     """Solve G theta = F psi and validate the result.
 
-    Uses a dense direct solve below ``dense_cutoff`` unknowns, otherwise
-    Jacobi-preconditioned GMRES started from the neutral opinion 0.5.
+    Uses a dense direct solve up to ``dense_cutoff`` unknowns, otherwise
+    Jacobi-preconditioned BiCGSTAB started from the neutral opinion 0.5.
     The relative residual must reach ``tol`` (absolute when the right-hand
     side is zero); theta may exceed the stubborn-opinion hull only by
     numerical slack below 10*tol, and is clamped back inside it.
     """
     G, b = system.G, system.b
     m = G.shape[0]
-    history: list[float] = []
     b_norm = float(np.linalg.norm(b))
+    iterations = 0
     if m <= dense_cutoff:
         theta = np.linalg.solve(G.toarray(), b)
-        iterations = 0
         method = "dense"
     else:
-        diag = G.diagonal()
-        M = sp.diags(1.0 / diag)
-        x0 = np.full(m, 0.5)
-        theta, info = spla.gmres(
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
+        theta, info = spla.bicgstab(
             G,
             b,
-            x0=x0,
-            M=M,
+            x0=np.full(m, 0.5),
+            M=sp.diags(1.0 / G.diagonal()),
             rtol=tol * 0.1,
             atol=tol * 0.1 * (b_norm if b_norm > 0 else 1.0),
             maxiter=max_iter,
-            callback=history.append,
-            callback_type="pr_norm",
+            callback=count,
         )
-        iterations = len(history)
-        method = "gmres"
+        method = "bicgstab"
         if info > 0:
-            raise SolverError(f"gmres failed to converge in {info} iterations")
+            raise SolverError(f"bicgstab did not converge in {info} iterations")
         if info < 0:
-            raise SolverError("gmres reported an illegal input")
+            raise SolverError(f"bicgstab broke down with code {info}")
 
     res = float(np.linalg.norm(G @ theta - b))
     residual = res / b_norm if b_norm > 0 else res

@@ -1,4 +1,5 @@
 import csv
+import functools
 import gzip
 import json
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from botimpact import opinion
 from botimpact.cli import main
 from botimpact.config import ConfigError, PipelineConfig
 from botimpact.pipeline import (
@@ -98,6 +100,23 @@ def test_full_pipeline_and_manifest_counts(tmp_path, runner, corpus):
     report_text = (out / "report.txt").read_text()
     for section in ("Corpus", "Account types", "Network structure", "Impact"):
         assert section in report_text
+
+
+def test_ghic_solver_failure_exits_4_naming_the_day(tmp_path, runner, corpus, monkeypatch):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
+    for cmd in ("build", "detect-bots", "classify", "ghic"):
+        assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0, cmd
+    with open(out / "ghic_series.csv", newline="", encoding="utf-8") as fh:
+        first_day = next(csv.DictReader(fh))["day"]
+
+    # every solve takes the iterative branch, and BiCGSTAB gives up
+    monkeypatch.setattr(opinion, "solve_equilibrium",
+                        functools.partial(opinion.solve_equilibrium, dense_cutoff=0))
+    monkeypatch.setattr(opinion.spla, "bicgstab", lambda A, b, x0, **kw: (x0, kw["maxiter"]))
+    result = runner.invoke(main, ["--config", str(cfg), "ghic"])
+    assert result.exit_code == 4, result.output
+    assert f"error: {first_day}: bicgstab did not converge in 5000 iterations" in result.output
 
 
 def test_rerun_produces_identical_checksums(tmp_path, runner, corpus):

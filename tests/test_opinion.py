@@ -368,19 +368,19 @@ def test_oracle_sweep_cap_diagnostic():
         fixed_point_oracle(src, tgt, lam, fixed, anchor, sweeps=2)
 
 
-def test_gmres_path_matches_dense(monkeypatch):
+def test_iterative_path_matches_dense(monkeypatch):
     g, lam, fixed, anchor = random_instance(seed=500, n_lo=150, n_hi=150)
     src, tgt, _ = g.edge_arrays()
     final, _ = preprocess_wellposed(src, tgt, lam, fixed)
     system = assemble_system(src, tgt, lam, final, anchor)
     dense = solve_equilibrium(system, dense_cutoff=500)
     sparse = solve_equilibrium(system, dense_cutoff=10)
-    assert sparse.method == "gmres"
+    assert sparse.method == "bicgstab"
     for i, value in enumerate(dense.theta):
         assert sparse.theta[i] == pytest.approx(value, abs=1e-8)
     assert sparse.residual_norm <= 1e-10
 
-    # solve_network picks the path by size alone: dense up to 500 unknowns, GMRES above
+    # solve_network picks the path by size alone: dense up to 500 unknowns, BiCGSTAB above
     solutions = []
 
     def recording(system):
@@ -388,12 +388,35 @@ def test_gmres_path_matches_dense(monkeypatch):
         return solutions[-1]
 
     monkeypatch.setattr(opinion_module, "solve_equilibrium", recording)
-    for n, method in ((150, "dense"), (1000, "gmres")):
+    for n, method in ((150, "dense"), (1000, "bicgstab")):
         g, lam, fixed, anchor = random_instance(seed=501, n_lo=n, n_hi=n)
         solutions.clear()
         opinion, final = _solve(g, lam, fixed, anchor)
         assert [solution.method for solution in solutions] == [method]
-        assert (np.count_nonzero(~final) > 500) == (method == "gmres")
+        assert (np.count_nonzero(~final) > 500) == (method == "bicgstab")
+        if method == "bicgstab":
+            assert solutions[0].iterations > 0
+            assert solutions[0].residual_norm <= 1e-10
         oracle = _oracle(g, lam, final, anchor)
         for i in np.flatnonzero(~final):
             assert oracle[i] == pytest.approx(opinion[i], abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "info, message",
+    [
+        (5000, "bicgstab did not converge in 5000 iterations"),
+        (-10, "bicgstab broke down with code -10"),
+        (-11, "bicgstab broke down with code -11"),
+    ],
+    ids=["no convergence", "rho breakdown", "omega breakdown"],
+)
+def test_iterative_solver_failure_says_what_happened(monkeypatch, info, message):
+    g, lam, fixed, anchor = random_instance(seed=500, n_lo=150, n_hi=150)
+    src, tgt, _ = g.edge_arrays()
+    final, _ = preprocess_wellposed(src, tgt, lam, fixed)
+    system = assemble_system(src, tgt, lam, final, anchor)
+    monkeypatch.setattr(opinion_module.spla, "bicgstab", lambda A, b, x0, **kw: (x0, info))
+    with pytest.raises(SolverError) as caught:
+        solve_equilibrium(system, dense_cutoff=10)
+    assert str(caught.value) == message
