@@ -16,10 +16,11 @@ Everything here works on node positions.  A network is the solver's arrays
 (see ``opinion``): the edge columns ``src`` and ``tgt``, each node's
 ``rates``, the stubborn mask ``fixed`` and the ``anchor`` opinions.  A
 target set, a day's active accounts and a group are boolean node masks.  A
-day and a removal are the same mask over the arrays: the kept edges are
-those with ``keep[src] & keep[tgt]``, renumbered by ``cumsum(keep) - 1``.  A
-monotone renumbering of sorted edges stays sorted, so the masked arrays are
-exactly the edge arrays of the induced subgraph, and no graph is built.
+day keeps the edges with ``active[src] & active[tgt]``, renumbered by
+``cumsum(active) - 1``: the induced subgraph's edge arrays, still sorted.  A
+removal keeps the day's index space, with the targets stubborn at rate zero:
+they relay and seed nothing, add 0.0 to a row's rate total and get no row,
+so the solve is bit for bit the one without them, for any targets.
 
 The full solve does not depend on S, so ``ghic`` takes it as an argument:
 a daily series solves each day's network once and scores every group
@@ -49,12 +50,9 @@ class GhicResult:
     reverted: int  # nodes valued at their measured opinion after removal
 
 
-def _masked(arrays: tuple, keep: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The solver's inputs for the subnetwork on the nodes ``keep`` selects."""
-    src, tgt, lam, fixed, anchor = arrays
-    edge = keep[src] & keep[tgt]
-    position = np.cumsum(keep) - 1
-    return position[src[edge]], position[tgt[edge]], lam[keep], fixed[keep], anchor[keep]
+def _check_mask(mask: np.ndarray, n: int, name: str) -> None:
+    if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != (n,):
+        raise ValueError(f"{name} must be a boolean mask over the {n} nodes")
 
 
 def ghic(network: tuple, full: tuple, targets: np.ndarray) -> GhicResult:
@@ -64,27 +62,25 @@ def ghic(network: tuple, full: tuple, targets: np.ndarray) -> GhicResult:
     ``fixed`` the stubborn mask ``identify_stubborn`` returns and ``anchor``
     each node's measured opinion; ``full`` is ``solve_network(*network)``.
     The averaging population is the non-stubborn set of the full network
-    (after preprocessing) minus the targets; it must be nonempty.  Removal
-    and its preprocessing are recomputed independently on the reduced
-    network.
+    (after preprocessing) minus the targets; it must be nonempty.  The
+    removal re-solves the same arrays with the targets stubborn at rate zero.
     """
-    if targets.dtype != bool or targets.shape != network[3].shape:
-        raise ValueError(f"targets must be a boolean mask over the {network[3].size} nodes")
-    opinion, fixed = full
-    keep = ~targets
-    population = np.flatnonzero(~fixed & keep)
+    src, tgt, rates, fixed, anchor = network
+    _check_mask(targets, fixed.size, "targets")
+    opinion, final = full
+    population = np.flatnonzero(~final & ~targets)
     if not population.size:
         raise ValueError("no non-stubborn nodes outside the target set")
     removed = int(np.count_nonzero(targets))
     if not removed:
         return GhicResult(0, 0.0, population.size, 0)
 
-    after, after_fixed = solve_network(*_masked(network, keep))
-    rows = np.flatnonzero(~fixed[keep])  # the population, numbered on the reduced network
-    # nodes reclassified on the reduced network revert to their measured opinion
-    reverted = int(np.count_nonzero(after_fixed[rows]))
+    after, after_fixed = solve_network(src, tgt, np.where(targets, 0.0, rates), fixed | targets,
+                                       anchor)
+    # nodes reclassified without the targets revert to their measured opinion
+    reverted = int(np.count_nonzero(after_fixed[population]))
     # left to right in node order; np.sum would round differently
-    value = ordered_mean((opinion[population] - after[rows]).tolist())
+    value = ordered_mean((opinion[population] - after[population]).tolist())
     return GhicResult(removed, value, population.size, reverted)
 
 
@@ -119,15 +115,24 @@ def daily_ghic_series(
     on which preprocessing leaves no non-stubborn node is skipped with a
     note.  A solver failure names the day, and a failed removal the day and
     the group; the removal raises ValueError when the group covers every
-    non-stubborn node, which a group of stubborn accounts never does.
+    non-stubborn node, which a group of stubborn accounts never does.  A day
+    or group that is not a boolean node mask raises ValueError first.
     """
     if not groups:
         raise ValueError("at least one group is required")
+    src, tgt, rates, fixed, anchor = arrays
+    for day in sorted(active_by_day):
+        _check_mask(active_by_day[day], fixed.size, f"day {day.isoformat()}")
+    for name in sorted(groups):
+        _check_mask(groups[name], fixed.size, f"group {name!r}")
     entries: list[DailyGhicEntry] = []
     skipped: list[tuple[date, str]] = []
     for day in sorted(active_by_day):
         active = active_by_day[day]
-        network = _masked(arrays, active)
+        edge = active[src] & active[tgt]
+        position = np.cumsum(active) - 1
+        network = (position[src[edge]], position[tgt[edge]], rates[active], fixed[active],
+                   anchor[active])
         try:
             full = solve_network(*network)
         except SolverError as exc:

@@ -5,11 +5,11 @@ average of the opinions of the accounts it follows; stubborn accounts hold a
 fixed opinion.  Writing the balance equation per non-stubborn node i gives a
 sparse linear system
 
-    G theta = F psi
+    G theta = b
 
 with  G_ii = -sum(rate_k for k in following of i)      (all followings),
       G_ij =  rate_j   when j is non-stubborn and i follows j,
-      F_ij = -rate_j   when j is stubborn and i follows j.
+      b_i  = -sum(rate_k * psi_k for stubborn k in following of i).
 
 Everything here works on arrays over node positions.  Stubborn
 identification takes the measured-opinion column and the bot mask and
@@ -22,8 +22,8 @@ stubborn and its measured opinion elsewhere.  Preprocessing only sets mask
 bits, since a reclassified node keeps its anchor as its fixed value.
 Nothing is sorted per solve: rule (a) is one bincount of positive-rate
 in-edges, rule (b) one breadth-first search from a virtual source, each
-G_ii one bincount that adds the row's rates left to right in source order,
-and G and F come from masked edges.
+G_ii and each b_i one bincount that adds the row's terms left to right in
+source order, and the off-diagonal of G comes from masked edges.
 
 The system is solved directly (dense LU) up to 500 unknowns and by a
 Jacobi-preconditioned BiCGSTAB (van der Vorst 1992) above that.  Below the
@@ -170,11 +170,10 @@ def preprocess_wellposed(
 
 @dataclass
 class LinearSystem:
-    G: sp.csr_matrix
-    F: sp.csc_matrix
-    b: np.ndarray  # F @ psi_values
+    G: sp.csr_matrix  # one row and column per non-stubborn node, in node order
+    b: np.ndarray  # per row, -sum(rate * fixed opinion) over its stubborn followings
     v1: np.ndarray  # non-stubborn node indices, ascending
-    psi_values: np.ndarray  # fixed opinions of the stubborn nodes, in node order
+    psi_values: np.ndarray  # fixed opinions of the positive-rate stubborn nodes: the hull
 
 
 def assemble_system(
@@ -184,17 +183,13 @@ def assemble_system(
 
     Requires preprocessed inputs: every non-stubborn node must follow
     positive total rate.  Verifies the weighted in-degree balance
-    |G_ii| = sum_j(G_ij, j != i) + sum_j |F_ij| row by row.
+    |G_ii| = sum_j(G_ij, j != i) + stubborn followings' rates, row by row.
     """
     n = fixed.size
     v1 = np.flatnonzero(~fixed)
-    v0 = np.flatnonzero(fixed)
     if v1.size == 0:
         raise AssemblyError("no non-stubborn nodes to solve for")
-    psi_values = anchor[v0]
-    position = np.empty(n, dtype=np.int64)  # row in G for v1, column in F for v0
-    position[v1] = np.arange(v1.size)
-    position[v0] = np.arange(v0.size)
+    position = np.cumsum(~fixed) - 1  # row and column in G of each non-stubborn node
 
     lam = rates[src]
     # the edges come sorted by source, so bincount adds each row left to right in that order
@@ -208,16 +203,16 @@ def assemble_system(
     src, rows, lam = src[edge], position[tgt[edge]], lam[edge]
     free = ~fixed[src]
 
-    # row balance |G_ii| = sum_j |G_ij| + sum_j |F_ij|, checked before any matrix exists
+    # row balance |G_ii| = sum_j |G_ij| + stubborn rates, checked before any matrix exists
     m = v1.size
     own = np.abs(totals)
-    off, fmass = (np.bincount(rows[s], weights=np.abs(lam[s]), minlength=m) for s in (free, ~free))
-    gap = np.abs(own - off - fmass)
+    off, held = (np.bincount(rows[s], weights=np.abs(lam[s]), minlength=m) for s in (free, ~free))
+    gap = np.abs(own - off - held)
     if (gap > 1e-9 * np.maximum(1.0, own)).any():
         row = int(np.argmax(gap))
         raise AssemblyError(
             f"row balance violated at row {row}: |G_ii|={own[row]!r} "
-            f"vs off-diagonal {off[row]!r} + |F| {fmass[row]!r}"
+            f"vs off-diagonal {off[row]!r} + stubborn {held[row]!r}"
         )
 
     diag = np.arange(m)
@@ -228,10 +223,9 @@ def assemble_system(
         ),
         shape=(m, m),
     )
-    # F by columns (sources come sorted); F @ psi adds each row in column order, as CSR does
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(position[src[~free]], minlength=v0.size))))
-    F = sp.csc_matrix((-lam[~free], rows[~free], indptr), shape=(m, v0.size))
-    return LinearSystem(G=G, F=F, b=F @ psi_values, v1=v1, psi_values=psi_values)
+    # the sources come sorted, so each row adds its stubborn terms in source order
+    b = np.bincount(rows[~free], weights=-lam[~free] * anchor[src[~free]], minlength=m)
+    return LinearSystem(G=G, b=b, v1=v1, psi_values=anchor[fixed & (rates > 0.0)])
 
 
 # -- solving ------------------------------------------------------------------
@@ -251,7 +245,7 @@ def solve_equilibrium(
     max_iter: int = DEFAULT_MAX_ITER,
     dense_cutoff: int = DEFAULT_DENSE_CUTOFF,
 ) -> EquilibriumSolution:
-    """Solve G theta = F psi and validate the result.
+    """Solve G theta = b and validate the result.
 
     Uses a dense direct solve up to ``dense_cutoff`` unknowns, otherwise
     Jacobi-preconditioned BiCGSTAB started from the neutral opinion 0.5.

@@ -152,6 +152,21 @@ def test_rejects_a_target_mask_that_is_not_a_node_mask():
 # -- daily series -----------------------------------------------------------------
 
 
+def test_daily_series_rejects_a_mask_that_is_not_a_boolean_node_mask():
+    g, active, rates, stubborn, opinions, groups = _single_day_inputs()
+    arrays = _ref_network_arrays(g, rates, stubborn, opinions)
+    day = date(2020, 1, 1)
+    active_mask, bots = _ref_mask(g, active[day]), _ref_mask(g, groups["bots"])
+    for day_mask, group_mask, named in (
+        (active_mask.astype(int), bots, "day 2020-01-01"),  # 0/1 would index nodes 0 and 1
+        (active_mask[:-1], bots, "day 2020-01-01"),
+        (active_mask, bots.astype(int), "group 'bots'"),
+        (active_mask, list(bots), "group 'bots'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{named} must be a boolean mask over the 5 nodes$"):
+            daily_ghic_series(arrays, {day: day_mask}, {"bots": group_mask})
+
+
 def _single_day_inputs():
     g, rates, stubborn, opinions = _worked_example()
     active = {date(2020, 1, 1): {"s", "a", "h1", "h2", "h3"}}
@@ -293,7 +308,7 @@ def test_daily_series_solves_each_day_network_once(monkeypatch):
     real = ghic_module.solve_network
 
     def counting(src, tgt, rates, fixed, anchor):
-        solved.append((fixed.size, src.tobytes(), tgt.tobytes()))
+        solved.append((fixed.size, src.tobytes(), tgt.tobytes(), rates.tobytes()))
         return real(src, tgt, rates, fixed, anchor)
 
     monkeypatch.setattr(ghic_module, "solve_network", counting)
@@ -305,12 +320,16 @@ def test_daily_series_solves_each_day_network_once(monkeypatch):
         for entry in series.entries:
             day = g.induced_subgraph(active_by_day[entry.day])
             src, tgt, _ = day.edge_arrays()
-            assert solved.count((day.node_count, src.tobytes(), tgt.tobytes())) == 1
+            lam = np.array([rates[name] for name in day.labels])
+            key = (day.node_count, src.tobytes(), tgt.tobytes(), lam.tobytes())
+            assert solved.count(key) == 1
         removals = sum(1 for e in series.entries for r in e.results.values() if r.target_count)
         assert len(solved) == len(active_by_day) + removals
 
 
 def test_masked_removal_equals_solve_on_induced_subgraph(monkeypatch):
+    """A removal solves the day's own arrays with the targets stubborn at rate
+    zero, and matches the solve without the targets bit for bit, for any targets."""
     ghic_module = importlib.import_module("botimpact.ghic")
     calls = []
     real = ghic_module.solve_network
@@ -320,37 +339,38 @@ def test_masked_removal_equals_solve_on_induced_subgraph(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(ghic_module, "solve_network", recording)
-    compared = 0
+    compared = non_stubborn_targets = zero_rate_targets = 0
     for seed in range(30):
         g, lam, fixed, anchor = random_instance(seed=1300 + seed, n_lo=20, n_hi=150)
-        names = g.labels
-        rates = {name: float(lam[i]) for i, name in enumerate(names)}
-        stubborn = {names[i]: float(anchor[i]) for i in np.flatnonzero(fixed)}
-        opinions = {name: float(anchor[i]) for i, name in enumerate(names)}
         rng = np.random.default_rng(seed)
-        targets = set(rng.choice(names, size=max(1, len(names) // 5), replace=False).tolist())
-        network = _ref_network_arrays(g, rates, stubborn, opinions)
+        n = g.node_count
+        lam[rng.random(n) < 0.1] = 0.0
+        targets = np.zeros(n, dtype=bool)
+        targets[rng.choice(n, size=max(1, n // 5), replace=False)] = True
+        src, tgt, _ = g.edge_arrays()
+        network = (src, tgt, lam, fixed, anchor)
         calls.clear()
         try:
-            ghic(network, recording(*network), _ref_mask(g, targets))
+            ghic(network, recording(*network), targets)
         except ValueError:
             continue
-        [_, ((src, tgt, *_), removed)] = calls  # the full solve, then the removal
+        [_, ((r_src, r_tgt, r_lam, r_fixed, r_anchor), removed)] = calls  # full, then removal
+        assert r_src.tobytes() == src.tobytes() and r_tgt.tobytes() == tgt.tobytes()
+        assert r_lam.tobytes() == np.where(targets, 0.0, lam).tobytes()
+        assert r_fixed.tobytes() == (fixed | targets).tobytes()
+        assert r_anchor is anchor
 
-        reduced = g.induced_subgraph(set(names) - targets)
-        r_src, r_tgt, _ = reduced.edge_arrays()
-        labels = reduced.labels
-        expected = solve_network(
-            r_src, r_tgt,
-            np.array([rates[a] for a in labels]),
-            np.array([a in stubborn for a in labels]),
-            np.array([stubborn.get(a, opinions[a]) for a in labels]),
-        )
-        assert src.tobytes() == r_src.tobytes() and tgt.tobytes() == r_tgt.tobytes()
+        names = g.labels
+        reduced = g.induced_subgraph([names[i] for i in np.flatnonzero(~targets)])
+        kept = np.array([names.index(a) for a in reduced.labels])
+        k_src, k_tgt, _ = reduced.edge_arrays()
+        expected = solve_network(k_src, k_tgt, lam[kept], fixed[kept], anchor[kept])
         for got, want in zip(removed, expected):  # opinions and final mask, bit for bit
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.dtype == want.dtype and got[kept].tobytes() == want.tobytes()
         compared += 1
-    assert compared >= 20
+        non_stubborn_targets += np.count_nonzero(targets & ~fixed)
+        zero_rate_targets += np.count_nonzero(targets & (lam == 0.0))
+    assert compared >= 20 and non_stubborn_targets and zero_rate_targets
 
 
 # -- solver/oracle agreement on ghic -------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import botimpact.opinion as opinion_module
 from botimpact.opinion import (
@@ -202,15 +203,14 @@ def test_assemble_mixed_row():
     lam[g.labels.index("j")] = 1.0
     lam[g.labels.index("k")] = 3.0
     lam[g.labels.index("s")] = 1.0
-    inputs = _assembly_inputs(g, lam, {"k": 1.0, "s": 0.0})
+    inputs = _assembly_inputs(g, lam, {"k": 0.25, "s": 0.0})
     system = assemble_system(*inputs)
     row = list(system.v1).index(g.labels.index("i"))
     col_j = list(system.v1).index(g.labels.index("j"))
     G = system.G.toarray()
     assert G[row, row] == pytest.approx(-4.0)
     assert G[row, col_j] == pytest.approx(1.0)
-    col_k = list(np.flatnonzero(inputs[3])).index(g.labels.index("k"))  # F's columns
-    assert system.F.toarray()[row, col_k] == pytest.approx(-3.0)
+    assert system.b[row] == -3.0 * inputs[4][g.labels.index("k")]
 
 
 def test_assemble_rejects_unpreprocessed_degenerate_node():
@@ -225,17 +225,23 @@ def test_row_balance_on_random_graph():
     src, tgt, _ = g.edge_arrays()
     final, _ = preprocess_wellposed(src, tgt, lam, fixed)
     system = assemble_system(src, tgt, lam, final, anchor)
-    G, F = system.G.toarray(), system.F.toarray()
+    G = system.G.toarray()
+    row_of = {int(node): row for row, node in enumerate(system.v1)}
+    stubborn_mass = np.zeros(G.shape[0])  # rates of each row's stubborn followings
+    for s, t in zip(src.tolist(), tgt.tolist()):
+        if final[s] and not final[t]:
+            stubborn_mass[row_of[t]] += lam[s]
+    assert stubborn_mass.any()
     for row in range(G.shape[0]):
         lhs = abs(G[row, row])
-        rhs = (G[row].sum() - G[row, row]) + np.abs(F[row]).sum()
+        rhs = (G[row].sum() - G[row, row]) + stubborn_mass[row]
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
-def test_diagonal_adds_each_row_left_to_right_in_source_order():
-    # rows of 0-300 in-edges, rates over six decades: numpy's pairwise sum differs
-    # from the left-to-right one from 8 terms on, so this pins the rounding rule
-    long_rows = 0
+def _long_row_instances():
+    """Six networks of 400 nodes whose rows have 0-300 in-edges, rates over six
+    decades: numpy's pairwise sum differs from the left-to-right one from 8
+    terms on, so these pin a rounding rule."""
     for seed in range(6):
         rng = np.random.default_rng(4000 + seed)
         n = 400
@@ -247,7 +253,14 @@ def test_diagonal_adds_each_row_left_to_right_in_source_order():
         src, tgt = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
         in_degree = np.bincount(tgt, minlength=n)
         fixed = (in_degree == 0) | (rng.random(n) < 0.2)
-        system = assemble_system(src, tgt, rates, fixed, rng.random(n))
+        yield src, tgt, rates, fixed, rng.random(n)
+
+
+def test_diagonal_adds_each_row_left_to_right_in_source_order():
+    long_rows = 0
+    for src, tgt, rates, fixed, anchor in _long_row_instances():
+        in_degree = np.bincount(tgt, minlength=fixed.size)
+        system = assemble_system(src, tgt, rates, fixed, anchor)
         diagonal = system.G.diagonal()
         for row, node in enumerate(system.v1.tolist()):
             total = 0.0
@@ -256,6 +269,33 @@ def test_diagonal_adds_each_row_left_to_right_in_source_order():
             assert diagonal[row] == -total
             long_rows += in_degree[node] >= 8
     assert long_rows > 1000
+
+
+def test_b_adds_each_row_in_source_order():
+    # b must round as the product F @ psi of the stubborn-column matrix F by
+    # columns does: each row adds its stubborn terms in source order
+    long_rows = 0
+    for src, tgt, rates, fixed, anchor in _long_row_instances():
+        system = assemble_system(src, tgt, rates, fixed, anchor)
+        v0 = np.flatnonzero(fixed)
+        row, column = np.cumsum(~fixed) - 1, np.cumsum(fixed) - 1
+        stub = fixed[src] & ~fixed[tgt]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(column[src[stub]],
+                                                            minlength=v0.size))))
+        F = sp.csc_matrix((-rates[src[stub]], row[tgt[stub]], indptr),
+                          shape=(system.v1.size, v0.size))
+        assert system.b.tobytes() == (F @ anchor[v0]).tobytes()
+        long_rows += int(np.count_nonzero(np.diff(F.tocsr().indptr) >= 8))
+    assert long_rows > 1000
+
+
+def test_hull_leaves_out_zero_rate_stubborn_nodes():
+    # z is stubborn but posts nothing, so it sways no one and does not widen the hull
+    g = graph_of([("s", "i"), ("z", "i")])
+    lam = np.ones(g.node_count)
+    lam[g.labels.index("z")] = 0.0
+    system = assemble_system(*_assembly_inputs(g, lam, {"s": 0.4, "z": 0.9}))
+    assert system.psi_values.tolist() == [0.4]
 
 
 # -- solving -----------------------------------------------------------------------
