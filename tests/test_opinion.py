@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import botimpact.opinion as opinion_module
 from botimpact.opinion import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     AssemblyError,
+    LinearSystem,
     SolverError,
     assemble_system,
     fixed_point_oracle,
@@ -413,14 +419,13 @@ def test_iterative_path_matches_dense(monkeypatch):
     src, tgt, _ = g.edge_arrays()
     final, _ = preprocess_wellposed(src, tgt, lam, fixed)
     system = assemble_system(src, tgt, lam, final, anchor)
-    dense = solve_equilibrium(system, dense_cutoff=500)
-    sparse = solve_equilibrium(system, dense_cutoff=10)
-    assert sparse.method == "bicgstab"
-    for i, value in enumerate(dense.theta):
-        assert sparse.theta[i] == pytest.approx(value, abs=1e-8)
-    assert sparse.residual_norm <= 1e-10
+    solution = solve_equilibrium(system)
+    assert solution.method == "bicgstab"
+    dense = np.linalg.solve(system.G.toarray(), system.b)
+    assert np.abs(solution.theta - dense).max() <= 1e-10
+    assert solution.residual_norm <= 1e-10
 
-    # solve_network picks the path by size alone: dense up to 500 unknowns, BiCGSTAB above
+    # solve_network takes the one path at every size
     solutions = []
 
     def recording(system):
@@ -428,35 +433,154 @@ def test_iterative_path_matches_dense(monkeypatch):
         return solutions[-1]
 
     monkeypatch.setattr(opinion_module, "solve_equilibrium", recording)
-    for n, method in ((150, "dense"), (1000, "bicgstab")):
+    for n in (150, 1000):
         g, lam, fixed, anchor = random_instance(seed=501, n_lo=n, n_hi=n)
         solutions.clear()
         opinion, final = _solve(g, lam, fixed, anchor)
-        assert [solution.method for solution in solutions] == [method]
-        assert (np.count_nonzero(~final) > 500) == (method == "bicgstab")
-        if method == "bicgstab":
-            assert solutions[0].iterations > 0
-            assert solutions[0].residual_norm <= 1e-10
+        assert [solution.method for solution in solutions] == ["bicgstab"]
+        assert solutions[0].iterations > 0
+        assert solutions[0].residual_norm <= 1e-10
         oracle = _oracle(g, lam, final, anchor)
         for i in np.flatnonzero(~final):
             assert oracle[i] == pytest.approx(opinion[i], abs=1e-8)
 
 
-@pytest.mark.parametrize(
-    "info, message",
-    [
-        (5000, "bicgstab did not converge in 5000 iterations"),
-        (-10, "bicgstab broke down with code -10"),
-        (-11, "bicgstab broke down with code -11"),
-    ],
-    ids=["no convergence", "rho breakdown", "omega breakdown"],
-)
-def test_iterative_solver_failure_says_what_happened(monkeypatch, info, message):
+def test_kernel_repeats_scipy_bicgstab():
+    # scipy with the kernel's preconditioner, start and tolerances; no system here
+    # breaks down, so both take the same steps
+    for seed in range(8):
+        g, lam, fixed, anchor = random_instance(seed=600 + seed, n_lo=20, n_hi=600)
+        src, tgt, _ = g.edge_arrays()
+        final, _ = preprocess_wellposed(src, tgt, lam, fixed)
+        system = assemble_system(src, tgt, lam, final, anchor)
+        G, b = system.G, system.b
+        steps = []
+        expected, info = spla.bicgstab(
+            G, b, x0=np.full(b.size, 0.5), M=sp.diags(1.0 / G.diagonal()), rtol=1e-12,
+            atol=1e-12 * np.linalg.norm(b), maxiter=DEFAULT_MAX_ITER, callback=steps.append,
+        )
+        assert info == 0
+        theta, iterations = opinion_module._bicgstab(G, b, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        assert iterations == len(steps) > 0
+        assert np.abs(theta - expected).max() <= 1e-13
+
+
+def _system_of(src, tgt, rates, fixed, anchor):
+    """(G, b) of a network given as lists."""
+    system = assemble_system(*(np.asarray(column) for column in (src, tgt, rates, fixed, anchor)))
+    return system.G, system.b
+
+
+def _random_system():
+    """(G, b) of a preprocessed random instance of 150 nodes."""
     g, lam, fixed, anchor = random_instance(seed=500, n_lo=150, n_hi=150)
     src, tgt, _ = g.edge_arrays()
     final, _ = preprocess_wellposed(src, tgt, lam, fixed)
-    system = assemble_system(src, tgt, lam, final, anchor)
-    monkeypatch.setattr(opinion_module.spla, "bicgstab", lambda A, b, x0, **kw: (x0, info))
+    return _system_of(src, tgt, lam, final, anchor)
+
+
+# s -> a -> b -> c: after one step the residual has left a for b and c, where the
+# shadow residual is 0, so rho = 0 (scipy's bicgstab returns -10 here)
+_CHAIN = [3, 0, 1], [0, 1, 2], [1.0] * 4, [False] * 3 + [True], [0.5, 0.5, 0.5, 0.8]
+# a follows the stubborn s at rate 0.5, b follows s and a at rate 1: G's rows are
+# (-0.5, 0) and (1, -1.5), the start's residual is a multiple of (1, 1), and
+# rtilde.v = r0 . G diag(G)^-1 r0 = 0 in exact arithmetic; scipy's bicgstab gets
+# about 1e-18, takes a huge step and returns info 0 with a residual of order 1
+_PAIR = [0, 2, 2], [1, 0, 1], [1.0, 0.5, 0.5], [False, False, True], [0.5, 0.5, 0.8]
+# not an M-matrix: omega = 0 after one step, and rtilde.v = 0 right after that restart
+_OMEGA = (sp.csr_matrix([[1.0, -2.0, 0.0], [1.0, -1.0, 1.0], [0.0, -1.0, 2.0]]),
+          np.array([0.0, 1.0, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "G, b",
+    [
+        _system_of(*_CHAIN),
+        _system_of(*_PAIR),
+        # rho = 0 after one step, and rtilde.v = 0 right after that restart
+        _system_of([0, 0, 1, 2, 3], [1, 2, 2, 0, 0], [0.5, 1.0, 1.0, 1.0], [False] * 3 + [True],
+                   [0.5, 0.5, 0.5, 0.45]),
+        # rtilde.v = 0 after one step
+        _system_of([0, 0, 1, 1, 1, 2, 3, 3, 4], [1, 2, 0, 2, 3, 0, 0, 1, 0],
+                   [20.0, 0.5, 0.5, 0.5, 0.5], [False] * 4 + [True], [0.5] * 4 + [0.9]),
+        _OMEGA,
+    ],
+    ids=["rho", "rtilde.v at the start", "rho then rtilde.v", "rtilde.v", "omega then rtilde.v"],
+)
+def test_kernel_restarts_where_bicgstab_breaks_down(G, b):
+    theta, _ = opinion_module._bicgstab(G, b, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert np.abs(theta - np.linalg.solve(G.toarray(), b)).max() <= 1e-10
+
+
+_SHAPES = ("random", "near-diagonal", "block-diagonal")
+
+
+def _small_network(n, shape, seed, zero_rhs):
+    """A network of n non-stubborn followers of 1-3 stubborn accounts (n .. n+k-1),
+    with the rates of humans and bots, so its system is an M-matrix.
+
+    Each follower's first following is a stubborn account or an earlier follower
+    of its block, so every follower reaches a stubborn account and preprocessing
+    keeps all n.  "near-diagonal" adds no other following, so most rows are
+    diagonal and the rest chains; "block-diagonal" adds followings inside blocks,
+    "random" anywhere.  With ``zero_rhs`` every stubborn opinion is 0, so b = 0.
+    """
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 4))
+    cuts = [0, n]
+    if shape == "block-diagonal" and n > 1:
+        cuts[1:1] = sorted(rng.choice(np.arange(1, n), size=min(n - 1, 3), replace=False).tolist())
+    pairs = set()
+    for lo, hi in zip(cuts, cuts[1:]):
+        others = {"random": np.arange(n + k), "block-diagonal": np.arange(lo, hi)}.get(shape)
+        for i in range(lo, hi):
+            if i == lo or rng.random() < (0.6 if shape == "near-diagonal" else 0.3):
+                pairs.add((n + int(rng.integers(k)), i))
+            else:
+                pairs.add((int(rng.integers(lo, i)), i))
+            if others is not None:
+                size = min(others.size, int(rng.integers(0, 4)))
+                pairs.update((int(j), i) for j in rng.choice(others, size, replace=False) if j != i)
+    src, tgt = np.array(sorted(pairs), dtype=np.int64).T
+    rates = rng.choice([0.5, 1.0, 1.5, 20.0], size=n + k)
+    fixed = np.arange(n + k) >= n
+    anchor = np.where(fixed, 0.0 if zero_rhs else rng.random(n + k), 0.5)
+    return src, tgt, rates, fixed, anchor
+
+
+@given(st.integers(1, 20), st.sampled_from(_SHAPES), st.integers(0, 2**32 - 1), st.booleans())
+@example(15, "near-diagonal", 0, False)  # rho = 0 at iteration 1, as on a pipeline day
+@example(16, "random", 113, False)  # the recursive residual drifts 1e-10 from the true one
+@example(4, "random", 921475591, False)  # rho = 1.4e-17 of its factors, above eps**2
+@settings(max_examples=200, deadline=None)
+def test_kernel_agrees_with_dense_lu_on_small_m_matrices(n, shape, seed, zero_rhs):
+    src, tgt, rates, fixed, anchor = _small_network(n, shape, seed, zero_rhs)
+    assert preprocess_wellposed(src, tgt, rates, fixed)[0].tolist() == fixed.tolist()
+    system = assemble_system(src, tgt, rates, fixed, anchor)
+    G, b = system.G.toarray(), system.b
+    theta, _ = opinion_module._bicgstab(system.G, b, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    if zero_rhs:
+        assert not theta.any()
+    assert np.linalg.norm(G @ theta - b) <= DEFAULT_TOL * np.linalg.norm(b)
+    # the stop rule bounds the residual at 1e-12 of b, so the error bound grows
+    # with the condition number: 1e-10 up to 100
+    bound = 1e-10 * max(1.0, np.linalg.cond(G) / 100)
+    assert np.abs(theta - np.linalg.solve(G, b)).max() <= bound
+
+
+@pytest.mark.parametrize(
+    "system, max_iter, message",
+    [
+        (_random_system(), 2, "bicgstab did not converge in 2 iterations"),
+        (_system_of(*_CHAIN), 2,
+         "bicgstab did not converge in 2 iterations, last restarted at iteration 1 on rho"),
+        (_OMEGA, 2,
+         "bicgstab did not converge in 2 iterations, last restarted at iteration 1 on omega"),
+    ],
+    ids=["no convergence", "rho breakdown", "omega breakdown"],
+)
+def test_iterative_solver_failure_says_what_happened(system, max_iter, message):
+    G, b = system
     with pytest.raises(SolverError) as caught:
-        solve_equilibrium(system, dense_cutoff=10)
+        solve_equilibrium(LinearSystem(G, b, np.arange(b.size), np.array([])), max_iter=max_iter)
     assert str(caught.value) == message
