@@ -17,14 +17,19 @@ never read its labels.
 
 The kernel works on whole arrays.  One ``np.unique`` merges parallel and
 mutual retweets into one factor per unordered pair, and one
-``np.bincount`` per table entry sums their potentials.  Each sweep
-gathers the messages into every node with one ``np.bincount`` per label,
-and a graph is a forest when its merged pairs number nodes minus
-connected components.  Every sum adds its terms in edge order starting
-from zero, and ``_logaddexp`` repeats ``scipy.special.logsumexp``'s
-two-term arithmetic step for step, so the posteriors are bit-for-bit those
-of an edge-by-edge loop with ``logsumexp``, and written outputs stay
-byte-identical.
+``np.bincount`` per table entry sums their potentials; a graph is a
+forest when its merged pairs number nodes minus connected components.
+A sweep allocates nothing but one ``np.bincount`` result.  Two buffers
+hold ``[prior × n, messages × 2p]`` per label; a sweep reads one, writes
+the other, and they swap.  One ``np.bincount`` over the read buffer gives
+every node's prior plus incoming messages for both labels, the reverse of
+message k is k ± p, and both destination labels go through ``_logaddexp``
+as one array.  The damped update and the residual run in place.  Every
+sum adds its terms in edge order starting from zero, and ``_logaddexp``
+repeats the two-term arithmetic of ``scipy.special.logsumexp`` from scipy
+1.15 on, so the posteriors are bit-for-bit those of an edge-by-edge loop
+with that ``logsumexp``, and written outputs stay byte-identical.  The
+bits depend on numpy alone, not on the installed scipy.
 
 A property of the default table worth knowing: every pairwise column
 favors H, so no amount of interaction raises an account above the prior —
@@ -51,7 +56,6 @@ from .graph import DirectedGraph
 log = logging.getLogger(__name__)
 
 H, B = 0, 1
-_LOG2 = np.log(2.0)  # scipy's log(m) for two tied terms
 
 
 @dataclass(frozen=True)
@@ -96,20 +100,28 @@ class BotPosterior:
     iterations: int
 
 
-def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise log(exp(a) + exp(b)), rounded exactly as scipy's logsumexp.
+def _logaddexp(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Elementwise log(exp(a) + exp(b)) into ``out`` as log1p(exp(min - max)) + max.
 
-    scipy returns log1p(sum of the terms below the max, each shifted by
-    it) + log(count of terms equal to the max) + max.  For two terms that
-    is log1p(exp(min - max)) + max, or log(2) + max on a tie (adding
-    log(1) = 0 changes no bit).  ``np.logaddexp`` differs by an ulp on
-    about one message update in a hundred, which is enough to change
-    written posteriors.
+    From scipy 1.15 on, ``logsumexp`` returns log1p(sum of the terms below
+    the max, each shifted by it) + log(count of terms equal to the max) +
+    max.  For two terms that is this form, or log(2) + max on a tie (adding
+    log(1) = 0 changes no bit).  Earlier scipy took log(1 + exp(min - max)),
+    which differs in the last bit.  A tie needs no mask of its own: there
+    min - max is 0 and log1p(exp(0)) = log1p(1.0) rounds to log(2.0) bit
+    for bit.  That identity was checked on one CPU (AVX-512) with numpy
+    2.4.6; numpy may route float64 ``log1p`` to vendor SIMD code that does
+    not promise correct rounding, so the tie assertion in
+    ``tests/test_botdetect.py::test_logaddexp_two_term_bits`` is what guards
+    it on other machines.  ``out`` and ``tmp`` must not overlap ``a`` or
+    ``b``.  ``np.logaddexp`` differs by an ulp on about one message update
+    in a hundred, which is enough to change written posteriors.
     """
-    mx = np.maximum(a, b)
-    out = np.log1p(np.exp(np.minimum(a, b) - mx))
-    out[a == b] = _LOG2
-    out += mx
+    np.maximum(a, b, out=out)
+    np.minimum(a, b, out=tmp)
+    tmp -= out
+    np.exp(tmp, out=tmp)
+    out += np.log1p(tmp, out=tmp)
     return out
 
 
@@ -142,14 +154,6 @@ def _merged_pairs(
     return keys // n, keys % n, logm
 
 
-def _gather(index: np.ndarray, n: int, prior: float, values: np.ndarray) -> np.ndarray:
-    """Per-node ``prior + sum(values[k] for index[k] == node)``, summed in input order."""
-    weights = np.empty(n + len(values))
-    weights[:n] = prior
-    weights[n:] = values
-    return np.bincount(index, weights=weights, minlength=n)
-
-
 def infer_bot_probabilities(
     graph: DirectedGraph, params: FactorGraphParams | None = None
 ) -> BotPosterior:
@@ -173,15 +177,28 @@ def infer_bot_probabilities(
             iterations=0,
         )
 
-    # message k < p is a->b, message p + k is b->a
+    # message k < p is a->b, message p + k is b->a, so the reverse of k is k ± p.
+    # Label x's sum into node i is bin x*n + i of one bincount over the
+    # buffer [prior × n, messages × 2p] of both labels.
     msg_src = np.concatenate([a, b])
     msg_dst = np.concatenate([b, a])
     index = np.concatenate([np.arange(n), msg_dst])
-    # pot[xs][xd]: log-potential of each message, source label xs, destination label xd
-    pot = [[np.concatenate([logm[xs][xd], logm[xd][xs]]) for xd in (H, B)] for xs in (H, B)]
-    reverse = np.concatenate([np.arange(p, 2 * p), np.arange(0, p)])
-    msg = np.zeros((2, 2 * p))  # [label, message], log-uniform
-    exp_msg = np.ones((2, 2 * p))
+    index = np.concatenate([index, index + n])
+    gather = np.concatenate([msg_src, msg_src + n])
+    # pot[xs, xd]: log-potential of each message, source label xs, destination label xd
+    pot = np.array(
+        [[np.concatenate([logm[xs][xd], logm[xd][xs]]) for xd in (H, B)] for xs in (H, B)]
+    )
+    # a sweep reads its messages from one buffer and writes them into the other
+    old = np.zeros((2, n + 2 * p))
+    old[:, :n] = prior[:, None]
+    new = old.copy()
+    exp_old = np.ones((2, 2 * p))  # log-uniform start
+    exp_new = np.empty((2, 2 * p))
+    excl = np.empty((2, 2 * p))
+    term = np.empty((2, 2, 2 * p))
+    scratch = np.empty((2, 2 * p))
+    norm = np.empty(2 * p)
 
     n_components, _ = connected_components(
         coo_matrix((np.ones(p), (a, b)), shape=(n, n)), directed=False
@@ -197,22 +214,22 @@ def infer_bot_probabilities(
     residual = np.inf
     iterations = 0
     for iteration in range(1, max_iters + 1):
-        excl = [
-            _gather(index, n, prior[x], msg[x])[msg_src] - msg[x][reverse] for x in (H, B)
-        ]
-        new = np.array(
-            [
-                _logaddexp(excl[H] + pot[H][xd], excl[B] + pot[B][xd])
-                for xd in (H, B)
-            ]
-        )
-        new -= _logaddexp(new[H], new[B])
+        msg, out = old[:, n:], new[:, n:]
+        np.take(np.bincount(index, weights=old.ravel()), gather, out=excl.ravel())
+        excl[:, :p] -= msg[:, p:]
+        excl[:, p:] -= msg[:, :p]
+        np.add(excl[:, None, :], pot, out=term)
+        _logaddexp(term[H], term[B], out, scratch)
+        out -= _logaddexp(out[H], out[B], norm, scratch[H])
         if damping > 0.0:
-            new = damping * msg + (1.0 - damping) * new
-            new -= _logaddexp(new[H], new[B])
-        exp_new = np.exp(new)
-        residual = float(np.max(np.abs(exp_new - exp_msg)))
-        msg, exp_msg = new, exp_new
+            out *= 1.0 - damping
+            out += np.multiply(msg, damping, out=scratch)
+            out -= _logaddexp(out[H], out[B], norm, scratch[H])
+        np.exp(out, out=exp_new)
+        exp_old -= exp_new
+        residual = float(np.max(np.abs(exp_old, out=exp_old)))
+        old, new = new, old
+        exp_old, exp_new = exp_new, exp_old
         iterations = iteration
         if residual <= tol:
             converged = True
@@ -224,9 +241,9 @@ def infer_bot_probabilities(
             iterations,
         )
 
-    belief = [_gather(index, n, prior[x], msg[x]) for x in (H, B)]
+    belief = np.bincount(index, weights=old.ravel())
     # logit form keeps symmetric beliefs at exactly 1/2
-    prob_b = expit(belief[B] - belief[H])
+    prob_b = expit(belief[n:] - belief[:n])
     degree = np.bincount(msg_dst, minlength=n)
     prob_b[degree == 0] = params.prior_bot  # isolated accounts keep the exact prior
     return BotPosterior(

@@ -3,11 +3,17 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.special import expit, logsumexp
 
 from botimpact.botdetect import (
     FactorGraphParams,
+    _logaddexp,
+    _merged_pairs,
     exhaustive_oracle,
     infer_bot_probabilities,
     probability_histogram,
@@ -185,6 +191,157 @@ def test_monotone_evidence_two_node_closed_form():
         assert 1.0 - bot_v == pytest.approx(p_v, abs=1e-10)
     assert all(b > a for a, b in zip(source_human, source_human[1:]))
     assert all(p >= 0.5 for p in retweeter_human)
+
+
+# -- the sweep kernel against an edge-array reference, bit for bit --------------------
+
+_LOG2 = np.log(2.0)
+
+
+def _reference_logaddexp(a, b):
+    mx = np.maximum(a, b)
+    out = np.log1p(np.exp(np.minimum(a, b) - mx))
+    out[a == b] = _LOG2
+    out += mx
+    return out
+
+
+def _reference_gather(index, n, prior, values):
+    weights = np.empty(n + len(values))
+    weights[:n] = prior
+    weights[n:] = values
+    return np.bincount(index, weights=weights, minlength=n)
+
+
+def _reference_bp(graph, params):
+    """Reference sweep with fresh arrays each step: one array per label, a
+    reverse permutation, and a log-add-exp that masks ties.  The kernel must
+    give its marginals, sweep count, convergence flag and residual bit for bit."""
+    n = graph.node_count
+    a, b, logm = _merged_pairs(graph, params)
+    prior = params.log_prior()
+    p = len(a)
+    if p == 0:
+        return np.full(n, params.prior_bot), True, 0.0, 0
+    msg_src = np.concatenate([a, b])
+    msg_dst = np.concatenate([b, a])
+    index = np.concatenate([np.arange(n), msg_dst])
+    pot = [[np.concatenate([logm[xs][xd], logm[xd][xs]]) for xd in (0, 1)] for xs in (0, 1)]
+    reverse = np.concatenate([np.arange(p, 2 * p), np.arange(0, p)])
+    msg = np.zeros((2, 2 * p))
+    exp_msg = np.ones((2, 2 * p))
+    n_components, _ = connected_components(
+        coo_matrix((np.ones(p), (a, b)), shape=(n, n)), directed=False
+    )
+    forest = p == n - n_components
+    damping = 0.0 if forest else params.damping
+    max_iters = 2 * n + 4 if forest else params.max_iterations
+    tol = 1e-15 if forest else params.tolerance
+    converged = False
+    residual = np.inf
+    iterations = 0
+    for iteration in range(1, max_iters + 1):
+        excl = [
+            _reference_gather(index, n, prior[x], msg[x])[msg_src] - msg[x][reverse]
+            for x in (0, 1)
+        ]
+        new = np.array(
+            [_reference_logaddexp(excl[0] + pot[0][xd], excl[1] + pot[1][xd]) for xd in (0, 1)]
+        )
+        new -= _reference_logaddexp(new[0], new[1])
+        if damping > 0.0:
+            new = damping * msg + (1.0 - damping) * new
+            new -= _reference_logaddexp(new[0], new[1])
+        exp_new = np.exp(new)
+        residual = float(np.max(np.abs(exp_new - exp_msg)))
+        msg, exp_msg = new, exp_new
+        iterations = iteration
+        if residual <= tol:
+            converged = True
+            break
+    belief = [_reference_gather(index, n, prior[x], msg[x]) for x in (0, 1)]
+    prob_b = expit(belief[1] - belief[0])
+    prob_b[np.bincount(msg_dst, minlength=n) == 0] = params.prior_bot
+    return prob_b, converged, residual, iterations
+
+
+def _random_bp_case(seed: int) -> tuple[DirectedGraph, FactorGraphParams]:
+    """A seeded network and parameter set: every third one a forest, the rest
+    loopy; parallel and mutual retweets, isolated nodes, weights past the cap,
+    random potentials and prior, damping 0, 0.3, 0.5 and 0.9, and some runs cut
+    at 3 sweeps."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 41))
+    g = DirectedGraph()
+    for i in range(n):
+        g.add_node(f"n{i}")
+
+    def retweet(u: int, v: int) -> None:
+        if rng.random() < 0.5:
+            u, v = v, u
+        g.add_interaction(f"n{u}", f"n{v}", float(rng.integers(1, 9)))
+        if rng.random() < 0.2:
+            g.add_interaction(f"n{u}", f"n{v}", float(rng.random() + 0.1))  # parallel
+        if rng.random() < 0.3:
+            g.add_interaction(f"n{v}", f"n{u}", float(rng.integers(1, 4)))  # mutual
+
+    if seed % 3 == 0:
+        for i in range(1, n):
+            if rng.random() < 0.85:
+                retweet(int(rng.integers(0, i)), i)
+    else:
+        for _ in range(int(rng.integers(n, 3 * n + 1))):
+            u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+            retweet(u, v)
+    psi = np.exp(rng.normal(0.0, 0.8, size=4))
+    params = FactorGraphParams(
+        prior_bot=float(rng.uniform(0.05, 0.95)),
+        psi_hh=float(psi[0]),
+        psi_hb=float(psi[1]),
+        psi_bh=float(psi[2]),
+        psi_bb=float(psi[3]),
+        weight_cap=float(rng.choice([2.5, 5.0, 10.0])),
+        damping=(0.0, 0.3, 0.5, 0.9)[seed % 4],
+        max_iterations=3 if seed % 5 == 0 else 200,
+    )
+    return g, params
+
+
+def test_sweep_matches_reference_bit_for_bit():
+    forests = capped = 0
+    for seed in range(200):
+        g, params = _random_bp_case(seed)
+        post = infer_bot_probabilities(g, params)
+        marginals, converged, residual, iterations = _reference_bp(g, params)
+        assert np.array_equal(post.marginals, marginals), seed
+        assert (post.converged, post.residual, post.iterations) == (
+            converged, residual, iterations
+        ), seed
+        forests += iterations > 0 and seed % 3 == 0
+        capped += iterations == 3 and not converged
+    assert forests > 50 and capped > 10  # both regimes are exercised
+
+
+def test_logaddexp_two_term_bits():
+    """The kernel's two-term form against the masked form above and, where
+    scipy computes log1p of the shifted sum (1.15 on), against logsumexp."""
+    rng = np.random.default_rng(3)
+    size = 5000
+    random_a = rng.normal(0.0, 30.0, size)
+    random_b = rng.normal(0.0, 30.0, size)
+    ties = rng.normal(0.0, 30.0, size)
+    zeros_a = np.resize([0.0, 0.0, -0.0, -0.0], size)
+    zeros_b = np.resize([0.0, -0.0, 0.0, -0.0], size)
+    gap = rng.normal(0.0, 30.0, size)
+    a = np.concatenate([random_a, ties, zeros_a, gap, gap - 800.0])
+    b = np.concatenate([random_b, ties, zeros_b, gap - 800.0, gap])
+    out = np.empty_like(a)
+    _logaddexp(a, b, out, np.empty_like(a))
+    # ties take no mask in the kernel: log1p(1.0) must round to log(2.0)
+    assert np.array_equal(out[size:2 * size], ties + np.log(2.0))
+    assert np.array_equal(out, _reference_logaddexp(a, b))
+    if tuple(int(v) for v in scipy.__version__.split(".")[:2]) >= (1, 15):
+        assert np.array_equal(out, logsumexp(np.stack([a, b]), axis=0))
 
 
 # -- threshold and union, as stage_detect applies them ---------------------------------
