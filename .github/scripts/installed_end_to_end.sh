@@ -64,6 +64,18 @@ mkdir out2 && cp -r corpus run.cfg out2/
   botimpact --config run.cfg "$stage"
 done)
 diff -r out out2/out
+# a qanon_keywords file of the packaged terms in upper and mixed case flags
+# the same accounts as the packaged list the runs above read, and some are
+# flagged (a hashtag line would be a comment, so the terms are bare)
+printf '%s\n' 'WWG1WGA' 'QAnon' 'TheGreatAwakening' > out2/qanon.txt
+(cd out2 && echo 'qanon_keywords = qanon.txt' >> run.cfg && botimpact --config run.cfg classify)
+cmp out/accounts.csv out2/out/accounts.csv
+cmp out/group_summary.csv out2/out/group_summary.csv
+python3 -c '
+import csv, sys
+rows = list(csv.DictReader(open("out/accounts.csv", newline="", encoding="utf-8")))
+sys.exit(0 if any(r["qanon"] == "1" for r in rows) else "no account is flagged Qanon")
+'
 # gzip copies of the inputs build the same files; only manifest.json, which
 # records the input paths, differs
 mkdir gz

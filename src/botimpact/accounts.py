@@ -6,7 +6,7 @@ between them.  Partisanship comes from the mean opinion score of an
 account's scored tweets (anti at or below the cutoff, pro above).  Qanon
 status is a keyword rule over profile descriptions, applied to pro accounts
 only.  Media quality averages fact-checker trust ratings over the rated news
-domains an account linked to.
+domains an account linked to; a URL without a host counts as unrated.
 
 The network statistics (leaderboard, follower overlap, co-partisan
 fraction) take a network as its edge columns: ``src`` and ``tgt`` are
@@ -43,30 +43,30 @@ _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
 @dataclass(frozen=True)
 class KeywordSet:
-    """Case-folded match terms for one label.
+    """Case-folded match terms.
 
-    Single-word terms match whole tokens (hashtag marks are ignored on both
-    sides, so the term ``maga`` matches ``#MAGA`` in text); multiword terms
-    match as case-insensitive substrings.
+    A term that is one token of ASCII letters and digits matches whole
+    tokens (hashtag marks are ignored on both sides, so the term ``maga``
+    matches ``#MAGA`` in text); any other term, multiword or holding another
+    character such as ``q-anon``, matches as a case-insensitive substring.
     """
 
-    label: str
     tokens: frozenset[str]
     phrases: tuple[str, ...]
 
     @staticmethod
-    def from_terms(label: str, terms: Iterable[str]) -> "KeywordSet":
+    def from_terms(terms: Iterable[str]) -> "KeywordSet":
         tokens: set[str] = set()
         phrases: list[str] = []
         for raw in terms:
             term = raw.strip().casefold().lstrip("#")
             if not term:
                 continue
-            if any(ch.isspace() for ch in term):
-                phrases.append(term)
-            else:
+            if _TOKEN_RE.fullmatch(term):
                 tokens.add(term)
-        return KeywordSet(label, frozenset(tokens), tuple(sorted(phrases)))
+            else:
+                phrases.append(term)
+        return KeywordSet(frozenset(tokens), tuple(sorted(phrases)))
 
     def matches(self, text: str) -> bool:
         folded = text.casefold()
@@ -75,26 +75,20 @@ class KeywordSet:
         return not self.tokens.isdisjoint(_TOKEN_RE.findall(folded))
 
 
-def load_keywords(path: str | Path, label: str) -> KeywordSet:
-    """Load a one-term-per-line keyword file; ``#``-prefixed lines are comments.
+def load_keywords(path: str | Path) -> KeywordSet:
+    """Load a one-term-per-line keyword file, or the packaged Qanon list when
+    ``path`` is empty; ``#``-prefixed lines are comments.
 
     Hashtag keywords are therefore stored bare (``maga`` rather than
     ``#MAGA``); matching ignores hashtag marks anyway.
     """
-    terms = []
-    for line in read_text(path, IngestError).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        terms.append(line)
-    return KeywordSet.from_terms(label, terms)
-
-
-def packaged_keywords(label: str) -> KeywordSet:
-    """Keyword set shipped with the package; only ``qanon`` is packaged."""
-    ref = resources.files("botimpact.data").joinpath(f"{label}_keywords.txt")
-    with resources.as_file(ref) as path:
-        return load_keywords(path, label)
+    if path:
+        text = read_text(path, IngestError)
+    else:
+        text = resources.files("botimpact.data").joinpath("qanon_keywords.txt").read_text(
+            encoding="utf-8")
+    return KeywordSet.from_terms(line for line in text.splitlines()
+                                 if not line.strip().startswith("#"))
 
 
 # -- media quality -----------------------------------------------------------
@@ -133,13 +127,13 @@ class MediaRatingsTable:
             raise IngestError(f"{path}, line {reader.line_num}: {exc}") from None
 
     def rating_for_url(self, url: str) -> float | None:
-        """Rating of the URL's site, or None when unrated.
-
-        Raises ValueError for URLs without a parseable host.
-        """
-        host = urlsplit(url if "//" in url else "//" + url).hostname
+        """Rating of the URL's site, or None when unrated or without a host."""
+        try:
+            host = urlsplit(url if "//" in url else "//" + url).hostname
+        except ValueError:  # a malformed bracketed host, such as ``http://[::1``
+            return None
         if not host:
-            raise ValueError(f"no host in URL {url!r}")
+            return None
         host = host.casefold()
         while True:
             rating = self._ratings.get(host)
@@ -149,27 +143,6 @@ class MediaRatingsTable:
             if dot == -1:
                 return None
             host = host[dot + 1 :]
-
-
-def media_quality_score(
-    urls: Iterable[str], ratings: MediaRatingsTable
-) -> tuple[float | None, int]:
-    """Mean trust rating over every rated URL the account shared.
-
-    Each rated URL occurrence counts once, including several in one tweet.
-    Returns (score or None when no rated URL was shared, malformed URL tally).
-    """
-    rated: list[float] = []
-    malformed = 0
-    for url in urls:
-        try:
-            rating = ratings.rating_for_url(url)
-        except ValueError:
-            malformed += 1
-            continue
-        if rating is not None:
-            rated.append(rating)
-    return ordered_mean(rated), malformed
 
 
 # -- the account table ---------------------------------------------------------
@@ -203,10 +176,6 @@ class AccountTable:
                                       bot & self.qanon)))
 
 
-def _floats(values: Iterable[float | None]) -> np.ndarray:
-    return np.array([np.nan if v is None else v for v in values], dtype=np.float64)
-
-
 def build_account_records(
     content: Sequence[Mapping],
     duration_days: int,
@@ -222,22 +191,31 @@ def build_account_records(
     Accounts with no scored tweet get the neutral opinion 0.5, and so fall on
     the inclusive anti side of the default cutoff, and are flagged unscored so
     partisan statistics can exclude them.  Qanon is the keyword rule over the
-    descriptions of pro accounts.
+    descriptions of pro accounts.  Media quality is the mean rating of an
+    account's rated URL occurrences, added left to right as ``ordered_mean``
+    adds, NaN without any or without ``ratings``.
     """
-    mean_opinion = _floats([c["mean_opinion"] for c in content])
+    n = len(content)
+    mean_opinion = np.array([c["mean_opinion"] for c in content], dtype=np.float64)  # None: NaN
     scored = ~np.isnan(mean_opinion)
     opinion = np.where(scored, mean_opinion, 0.5)
     pro = opinion > cutoff
     count = np.array([c["tweet_count"] for c in content], dtype=np.int64)
+    media_quality = np.full(n, np.nan)
+    if ratings is not None:  # each URL occurrence in account order, NaN where unrated
+        urls = [c["urls"] for c in content]
+        owner = np.repeat(np.arange(n), [len(u) for u in urls])
+        rating = np.array([ratings.rating_for_url(url) for u in urls for url in u],
+                          dtype=np.float64)
+        media_quality = group_means(owner, rating, n)
     return AccountTable(
         opinion=opinion, scored=scored, tweet_count=count, tweet_rate=count / duration_days,
         pro=pro,
         qanon=np.array([p and qanon_keywords.matches(c["description"])
                         for p, c in zip(pro.tolist(), content)], dtype=bool),
         bot=bot,
-        media_quality=_floats([None if ratings is None else
-                               media_quality_score(c["urls"], ratings)[0] for c in content]),
-        mean_toxicity=_floats([c["mean_toxicity"] for c in content]),
+        media_quality=media_quality,
+        mean_toxicity=np.array([c["mean_toxicity"] for c in content], dtype=np.float64),
     )
 
 

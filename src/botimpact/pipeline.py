@@ -285,12 +285,6 @@ def _positions(path: Path, ids: Sequence[str], accounts: list[str], rerun: str) 
     return np.array([index[account] for account in ids], dtype=np.int64)
 
 
-def _keyword_set(path: str, label: str) -> acc.KeywordSet:
-    if path:
-        return acc.load_keywords(path, label)
-    return acc.packaged_keywords(label)
-
-
 def _opt(x: float) -> str:
     return "" if math.isnan(x) else _fmt(x)
 
@@ -328,7 +322,7 @@ def stage_classify(cfg: PipelineConfig) -> dict:
         content,
         _read_manifest(out_dir)["build"]["window"]["duration_days"],
         bot,
-        _keyword_set(cfg.qanon_keywords, "qanon"),
+        acc.load_keywords(cfg.qanon_keywords),
         ratings=ratings,
         cutoff=cfg.partisan_cutoff,
     )

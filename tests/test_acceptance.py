@@ -287,12 +287,12 @@ def test_criterion_7_paper_anchored_defaults():
     assert cfg.stubborn_high_pct == 0.90
     assert cfg.followings_cap == 2000
     # the cutoff is inclusive on the anti side
-    from botimpact.accounts import build_account_records, packaged_keywords
+    from botimpact.accounts import build_account_records, load_keywords
 
     content = [{"tweet_count": 1, "mean_opinion": opinion, "mean_toxicity": None, "urls": [],
                 "description": ""} for opinion in (0.5, 0.5 + 1e-9)]
     table = build_account_records(content, 1, np.zeros(2, dtype=bool),
-                                  packaged_keywords("qanon"), cutoff=cfg.partisan_cutoff)
+                                  load_keywords(""), cutoff=cfg.partisan_cutoff)
     assert table.pro.tolist() == [False, True]
     params = FactorGraphParams()
     assert params.psi_hb > params.psi_bb and params.psi_hh > params.psi_bh

@@ -12,15 +12,13 @@ from botimpact.accounts import (
     follower_overlap,
     group_summary,
     load_keywords,
-    media_quality_score,
     ordered_mean,
-    packaged_keywords,
     retweet_leaderboard,
 )
 
 from conftest import graph_of
 
-QANON = packaged_keywords("qanon")
+QANON = load_keywords("")
 
 
 def _content(tweet_count=0, mean_opinion=None, description="", mean_toxicity=None, urls=()):
@@ -74,13 +72,13 @@ def test_qanon_matches_hashtag_form():
 
 
 def test_keyword_token_matching_is_whole_token():
-    kw = KeywordSet.from_terms("x", ["#resist"])
+    kw = KeywordSet.from_terms(["#resist"])
     assert kw.matches("we RESIST daily")
     assert not kw.matches("resistance is futile")  # whole-token, not substring
 
 
 def test_keyword_phrase_matching_is_substring():
-    kw = KeywordSet.from_terms("x", ["trump to pelosi"])
+    kw = KeywordSet.from_terms(["trump to pelosi"])
     assert kw.matches("breaking: Trump to Pelosi letter leaked")
     assert not kw.matches("trump wrote to someone")
 
@@ -88,8 +86,17 @@ def test_keyword_phrase_matching_is_substring():
 def test_keyword_file_comments_ignored(tmp_path):
     path = tmp_path / "kw.txt"
     path.write_text("# a comment\nmaga\n\n")
-    kw = load_keywords(path, "pro")
+    kw = load_keywords(path)
     assert kw.matches("#MAGA") and not kw.matches("comment")
+
+
+def test_keyword_terms_outside_the_token_alphabet_match_as_substrings():
+    # a token is [0-9a-z]+, so these terms can never equal one
+    for term, text in (("q-anon", "I am Q-Anon"), ("#q_anon", "a Q_ANON fan"),
+                       ("qänon", "#qänon here")):
+        kw = KeywordSet.from_terms([term])
+        assert kw.tokens == frozenset() and kw.matches(text), term
+    assert not KeywordSet.from_terms(["q-anon"]).matches("qanon")
 
 
 # -- media quality ------------------------------------------------------------
@@ -103,27 +110,29 @@ def ratings():
     return MediaRatingsTable(RATED.items())
 
 
+def _quality(urls, ratings) -> float:
+    """The media quality of one account that shared ``urls``."""
+    return _table({"a": _content(1, 0.5, urls=urls)}, ratings=ratings).media_quality[0]
+
+
 def test_media_quality_mean(ratings):
     urls = ["https://good.example/a", "https://www.good.example/b", "http://bad.example/c"]
-    score, malformed = media_quality_score(urls, ratings)
-    assert score == pytest.approx(3.0)
-    assert malformed == 0
+    assert _quality(urls, ratings) == 3.0
 
 
 def test_media_quality_absent_without_rated_links(ratings):
-    score, _ = media_quality_score(["https://unrated.example/x"], ratings)
-    assert score is None
+    assert np.isnan(_quality(["https://unrated.example/x"], ratings))
+    assert np.isnan(_quality(["https://good.example/x"], None))
 
 
 def test_media_quality_single_link(ratings):
-    score, _ = media_quality_score(["https://m.mid.example/q"], ratings)
-    assert score == pytest.approx(2.5)
+    assert _quality(["https://m.mid.example/q"], ratings) == 2.5
 
 
-def test_media_quality_malformed_url_tallied(ratings):
-    score, malformed = media_quality_score(["::not a url::", "https://good.example/x"], ratings)
-    assert score == pytest.approx(4.0)
-    assert malformed == 1
+def test_media_quality_hostless_url_is_unrated(ratings):
+    hostless = ["::not a url::", "http://", "http://[::1"]
+    assert [ratings.rating_for_url(url) for url in hostless] == [None] * 3
+    assert _quality([*hostless, "https://good.example/x"], ratings) == 4.0
 
 
 def test_registrable_domain_no_false_suffix(ratings):
@@ -140,7 +149,7 @@ def test_ratings_range_validated():
 @settings(max_examples=100)
 def test_media_quality_within_shared_domain_bounds(domains):
     table = MediaRatingsTable(RATED.items())
-    score, _ = media_quality_score([f"https://{d}/x" for d in domains], table)
+    score = _quality([f"https://{d}/x" for d in domains], table)
     values = [RATED[d] for d in domains]
     assert min(values) - 1e-12 <= score <= max(values) + 1e-12
 

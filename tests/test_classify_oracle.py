@@ -1,12 +1,14 @@
 """stage_classify, byte for byte, against a naive per-record reference.
 
 The reference below is how classification used to be computed: it keys
-every account by its id, builds one record per account, groups the records
-by (partisanship, bot, qanon) cell in a dict of lists and averages each cell
+every account by its id, builds one record per account, rates each URL by
+its own walk over the ratings file's domains, groups the records by
+(partisanship, bot, qanon) cell in a dict of lists and averages each cell
 left to right.  Both run on the build and detect-bots outputs of small synth
 corpora of every topology, perturbed so that every corner occurs: unscored
-accounts, malformed URLs, Qanon descriptions on anti accounts, no ratings
-file, empty cells and a window whose length does not divide the tweet counts.
+accounts, malformed and subdomain URLs, Qanon descriptions on anti accounts,
+no ratings file, empty cells and a window whose length does not divide the
+tweet counts.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import io
 import json
 import random
 from functools import reduce
+from urllib.parse import urlsplit
 
-from botimpact.accounts import MediaRatingsTable, media_quality_score, packaged_keywords
+from botimpact.accounts import load_keywords
 from botimpact.config import PipelineConfig
 from botimpact.pipeline import stage_build, stage_classify, stage_detect
 from botimpact.synth import SynthSpec, generate
@@ -30,7 +33,11 @@ SPECS = {
     "core_periphery_qanon": dict(days=3, core_bots=4, periphery_humans=30),
 }
 SEEDS = range(3)
-QANON = packaged_keywords("qanon")
+# URLs without a host (the last fails urlsplit), on a subdomain of a rated
+# site, and on an unrated site
+ODD_URLS = ["::not a url::", "http://", "http://[::1", "https://WWW.site03.example/a",
+            "http://news.unrated.example/b"]
+QANON = load_keywords("")
 
 
 # -- the reference -------------------------------------------------------------------
@@ -46,6 +53,32 @@ def _fmt(x):
 
 def _opt(x):
     return "" if x is None else _fmt(x)
+
+
+def _ratings(path):
+    """{domain: rating} from a ratings file; a later row for a domain wins."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return {row["domain"].strip().casefold().lstrip("."): float(row["rating"])
+                for row in csv.DictReader(fh)}
+
+
+def _host(url):
+    """The URL's host, case-folded, or None without one."""
+    try:
+        host = urlsplit(url if "//" in url else "//" + url).hostname
+    except ValueError:
+        return None
+    return host.casefold() if host else None
+
+
+def _rating(host, ratings):
+    """The rating of the host or of the nearest rated domain it is a subdomain of."""
+    labels = host.split(".")
+    for i in range(len(labels)):
+        rating = ratings.get(".".join(labels[i:]))
+        if rating is not None:
+            return rating
+    return None
 
 
 def _csv(header, rows) -> bytes:
@@ -66,7 +99,7 @@ def _reference(out, ratings_path, cutoff, seen) -> tuple[bytes, bytes]:
         bots = {row[0] for row in csv.reader(fh)}
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     duration = manifest["build"]["window"]["duration_days"]
-    ratings = MediaRatingsTable.from_csv(ratings_path) if ratings_path.exists() else None
+    ratings = _ratings(ratings_path) if ratings_path.exists() else None
     seen["no ratings file"] += ratings is None
 
     records = {}
@@ -76,8 +109,12 @@ def _reference(out, ratings_path, cutoff, seen) -> tuple[bytes, bytes]:
         partisanship = "anti" if opinion <= cutoff else "pro"
         quality = None
         if ratings is not None:
-            quality, malformed = media_quality_score(c["urls"], ratings)
-            seen["malformed url"] += malformed
+            hosts = [_host(url) for url in c["urls"]]
+            seen["malformed url"] += hosts.count(None)
+            seen["subdomain url"] += sum(h is not None and h not in ratings and
+                                         _rating(h, ratings) is not None for h in hosts)
+            rated = [_rating(h, ratings) for h in hosts if h is not None]
+            quality = _mean([r for r in rated if r is not None])
         matches = QANON.matches(c["description"])
         seen["anti qanon description"] += matches and partisanship == "anti"
         seen["unscored"] += c["mean_opinion"] is None
@@ -125,8 +162,8 @@ def _reference(out, ratings_path, cutoff, seen) -> tuple[bytes, bytes]:
 
 
 def _perturb(corpus, seed: int) -> None:
-    """Some accounts lose every opinion score, some tweets their toxicity or a
-    well-formed URL to a malformed one, and some profiles gain a Qanon term."""
+    """Some accounts lose every opinion score, some tweets their toxicity or
+    gain a URL of ``ODD_URLS``, and some profiles gain a Qanon term."""
     rng = random.Random(seed)
     tweets = [json.loads(line) for line in
               (corpus / "tweets.jsonl").read_text(encoding="utf-8").splitlines()]
@@ -137,7 +174,7 @@ def _perturb(corpus, seed: int) -> None:
         if rng.random() < 0.1:
             del tweet["toxicity"]
         if rng.random() < 0.1:
-            tweet["urls"] = tweet.get("urls", []) + [rng.choice(["::not a url::", "http://"])]
+            tweet["urls"] = tweet.get("urls", []) + [rng.choice(ODD_URLS)]
     (corpus / "tweets.jsonl").write_text(
         "".join(json.dumps(t) + "\n" for t in tweets), encoding="utf-8")
     profiles = [json.loads(line) for line in
@@ -150,7 +187,7 @@ def _perturb(corpus, seed: int) -> None:
 
 
 def test_classify_matches_the_per_record_reference(tmp_path):
-    seen = dict.fromkeys(("unscored", "no ratings file", "malformed url",
+    seen = dict.fromkeys(("unscored", "no ratings file", "malformed url", "subdomain url",
                           "anti qanon description", "empty cell", "uneven window", "bot",
                           "qanon"), 0)
     for topology in SPECS:

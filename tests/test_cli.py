@@ -637,6 +637,26 @@ def test_unreadable_keywords_or_ratings_file_exits_3_naming_it(tmp_path, runner,
     assert not (out / "accounts.csv").exists()
 
 
+def test_a_qanon_keywords_file_replaces_the_packaged_list(tmp_path, runner, corpus):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
+    for cmd in ("build", "detect-bots", "classify"):
+        assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0
+    names = ("accounts.csv", "group_summary.csv")
+    packaged = [(out / name).read_bytes() for name in names]
+    assert any(row[3] == "1" for row in _csv_rows(out / "accounts.csv")[1:])  # qanon
+    keywords = tmp_path / "qanon.txt"
+    cfg.write_text(cfg.read_text() + f"qanon_keywords = {keywords}\n")
+    # the packaged terms in upper and mixed case match as the packaged list does
+    keywords.write_text("WWG1WGA\nQAnon\nTheGreatAwakening\n", encoding="utf-8")
+    assert _run(runner, ["--config", str(cfg), "classify"]).exit_code == 0
+    assert [(out / name).read_bytes() for name in names] == packaged
+    # a line starting with # is a comment, hashtag or not, so this list is empty
+    keywords.write_text("# Qanon terms\n#WWG1WGA\n  #QAnon\n", encoding="utf-8")
+    assert _run(runner, ["--config", str(cfg), "classify"]).exit_code == 0
+    assert all(row[3] == "0" for row in _csv_rows(out / "accounts.csv")[1:])
+
+
 def _renamed_corpus(corpus: Path, dst: Path, rename) -> Path:
     """A copy of a synth corpus with every account id passed through ``rename``."""
     dst.mkdir()
