@@ -4,7 +4,6 @@ equilibria, and harmonic influence centrality."""
 from .botdetect import (
     BotPosterior,
     FactorGraphParams,
-    exhaustive_oracle,
     infer_bot_probabilities,
     probability_histogram,
 )
@@ -21,7 +20,6 @@ from .opinion import (
     LinearSystem,
     SolverError,
     assemble_system,
-    fixed_point_oracle,
     identify_stubborn,
     preprocess_wellposed,
     solve_equilibrium,
@@ -43,8 +41,6 @@ __all__ = [
     "build_daily_retweet_network",
     "build_follower_network",
     "daily_ghic_series",
-    "exhaustive_oracle",
-    "fixed_point_oracle",
     "ghic",
     "ghic_per_bot",
     "identify_stubborn",

@@ -31,7 +31,6 @@ import numpy as np
 from .config import GROUP_NAMES, read_text
 from .ingest import IngestError, group_means
 
-PARTISAN_CUTOFF = 0.5
 ANTI = "anti"
 PRO = "pro"
 
@@ -77,10 +76,11 @@ class KeywordSet:
 
 def load_keywords(path: str | Path) -> KeywordSet:
     """Load a one-term-per-line keyword file, or the packaged Qanon list when
-    ``path`` is empty; ``#``-prefixed lines are comments.
+    ``path`` is empty.
 
-    Hashtag keywords are therefore stored bare (``maga`` rather than
-    ``#MAGA``); matching ignores hashtag marks anyway.
+    A line whose first word is a bare ``#`` (a ``#`` at the end of the line
+    or followed by whitespace) is a comment.  A hashtag term may be written
+    with its mark (``#MAGA``) or bare (``maga``); matching ignores the mark.
     """
     if path:
         text = read_text(path, IngestError)
@@ -88,7 +88,7 @@ def load_keywords(path: str | Path) -> KeywordSet:
         text = resources.files("botimpact.data").joinpath("qanon_keywords.txt").read_text(
             encoding="utf-8")
     return KeywordSet.from_terms(line for line in text.splitlines()
-                                 if not line.strip().startswith("#"))
+                                 if line.split(maxsplit=1)[:1] != ["#"])
 
 
 # -- media quality -----------------------------------------------------------
@@ -181,19 +181,19 @@ def build_account_records(
     duration_days: int,
     bot: np.ndarray,
     qanon_keywords: KeywordSet,
+    cutoff: float,
     ratings: MediaRatingsTable | None = None,
-    cutoff: float = PARTISAN_CUTOFF,
 ) -> AccountTable:
     """The account table from the rows of account_content.jsonl, in account
     order, and the bot mask; a tweet rate is the tweet count over the window's
     ``duration_days``.
 
     Accounts with no scored tweet get the neutral opinion 0.5, and so fall on
-    the inclusive anti side of the default cutoff, and are flagged unscored so
-    partisan statistics can exclude them.  Qanon is the keyword rule over the
-    descriptions of pro accounts.  Media quality is the mean rating of an
-    account's rated URL occurrences, added left to right as ``ordered_mean``
-    adds, NaN without any or without ``ratings``.
+    the inclusive anti side of the default ``cutoff`` 0.5, and are flagged
+    unscored so partisan statistics can exclude them.  Qanon is the keyword
+    rule over the descriptions of pro accounts.  Media quality is the mean
+    rating of an account's rated URL occurrences, added left to right as
+    ``ordered_mean`` adds, NaN without any or without ``ratings``.
     """
     n = len(content)
     mean_opinion = np.array([c["mean_opinion"] for c in content], dtype=np.float64)  # None: NaN

@@ -10,10 +10,10 @@ humans but are rarely retweeted, especially by other bots:
 
 Marginals come from sum-product message passing in the log domain:
 exact two-direction flooding on forests, damped flooding with a fixed
-iteration cap on loopy graphs.  An exhaustive enumeration oracle, built
-from the raw edges, covers networks small enough to sum over all labelings.
-Both return one array of bot probabilities in the network's node order and
-never read its labels.
+iteration cap on loopy graphs.  The result is one array of bot
+probabilities in the network's node order; the network's labels are never
+read.  The tests check it against exhaustive enumeration over every
+labeling of small networks, built from the raw edges (``tests/oracles.py``).
 
 The kernel works on whole arrays.  One ``np.unique`` merges parallel and
 mutual retweets into one factor per unordered pair, and one
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .graph import DirectedGraph
 
@@ -254,39 +254,7 @@ def infer_bot_probabilities(
     )
 
 
-MAX_EXHAUSTIVE_NODES = 20
-
-
-def exhaustive_oracle(
-    graph: DirectedGraph, params: FactorGraphParams | None = None
-) -> np.ndarray:
-    """Exact marginals, in node order, by summing the joint over all 2^n labelings.
-
-    Works from the raw edges, independently of the pair merge that
-    belief propagation uses.  Rejects networks above MAX_EXHAUSTIVE_NODES
-    nodes.
-    """
-    params = params or FactorGraphParams()
-    n = graph.node_count
-    if n > MAX_EXHAUSTIVE_NODES:
-        raise ValueError(f"exhaustive enumeration limited to {MAX_EXHAUSTIVE_NODES} nodes")
-    states = 1 << n
-    labels = (np.arange(states)[:, None] >> np.arange(n)[None, :]) & 1  # (states, n)
-    bot_count = labels.sum(axis=1)
-    log_prior = params.log_prior()
-    logw = bot_count * log_prior[B] + (n - bot_count) * log_prior[H]
-    logw = logw.astype(np.float64)
-    logpsi = params.log_table()
-    src, tgt, w = graph.edge_arrays()
-    for u, v, wt in zip(src.tolist(), tgt.tolist(), w.tolist()):
-        logw += min(wt, params.weight_cap) * logpsi[labels[:, u], labels[:, v]]
-    total = logsumexp(logw)
-    return np.array([np.exp(logsumexp(logw[labels[:, i] == B]) - total) for i in range(n)])
-
-
-def probability_histogram(
-    probabilities: np.ndarray, bins: int = 20
-) -> tuple[list[int], list[float]]:
+def probability_histogram(probabilities: np.ndarray, bins: int) -> tuple[list[int], list[float]]:
     """Equal-width histogram of probabilities in [0,1]; last bin right-closed.
 
     Returns (counts, bin edges); counts sum to the number of probabilities.

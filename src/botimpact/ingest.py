@@ -33,8 +33,6 @@ from .graph import merge_edges
 
 log = logging.getLogger(__name__)
 
-DEFAULT_FOLLOWINGS_CAP = 2000
-
 # author, day ordinal, retweeted author or None, urls, opinion, toxicity (NaN when unscored)
 TweetRow = tuple[str, int, str | None, Sequence[str], float, float]
 # account id, description ("" for none), following ids truncated at the cap
@@ -157,9 +155,7 @@ def load_tweets(path: str | Path, stats: ParseStats | None = None) -> Iterator[T
 
 
 def load_profiles(
-    path: str | Path,
-    stats: ParseStats | None = None,
-    followings_cap: int = DEFAULT_FOLLOWINGS_CAP,
+    path: str | Path, followings_cap: int, stats: ParseStats | None = None
 ) -> Iterator[ProfileRow]:
     """A generator of profile rows (``ProfileRow``) in file order; following lists
     are truncated at the cap, and bad lines are skipped."""

@@ -58,8 +58,9 @@ recursion that much accuracy.  A system that never breaks down gets
 scipy's iterates bit for bit: on the benchmark's seed-11 systems no such
 ratio falls below 1e-4.
 
-An independent fixed-point sweep over the averaging form of the same
-equations acts as the oracle guarding the matrix interpretation.
+The tests check the matrix interpretation against an independent
+fixed-point sweep over the averaging form of the same equations
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,8 +77,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 5000
-DEFAULT_LOW_PCT = 0.10
-DEFAULT_HIGH_PCT = 0.90
 
 
 class SolverError(RuntimeError):
@@ -93,7 +91,7 @@ class AssemblyError(ValueError):
 
 
 def percentile_cuts(
-    opinions: Iterable[float], low_pct: float, high_pct: float
+    opinions: np.ndarray, low_pct: float, high_pct: float
 ) -> tuple[float, float]:
     """Order-statistic cut values for the extreme-opinion rule.
 
@@ -101,21 +99,18 @@ def percentile_cuts(
     smaller opinions form at most a low_pct fraction; the high cut mirrors
     it from the top.  With low_pct=0 / high_pct=1 nothing is extreme.
     """
-    s = sorted(opinions)
-    n = len(s)
+    s = np.sort(opinions)
+    n = s.size
     if n == 0:
         raise ValueError("percentile cuts need at least one opinion")
     # epsilon guards float products like (1 - 0.9) * n landing just under an integer
     k_low = min(int(math.floor(low_pct * n + 1e-9)) + 1, n)
     k_high = max(n - int(math.floor((1.0 - high_pct) * n + 1e-9)), 1)
-    return s[k_low - 1], s[k_high - 1]
+    return float(s[k_low - 1]), float(s[k_high - 1])
 
 
 def identify_stubborn(
-    opinion: np.ndarray,
-    bot: np.ndarray,
-    low_pct: float = DEFAULT_LOW_PCT,
-    high_pct: float = DEFAULT_HIGH_PCT,
+    opinion: np.ndarray, bot: np.ndarray, low_pct: float, high_pct: float
 ) -> np.ndarray:
     """The stubborn mask over accounts, given each account's measured
     ``opinion`` and the boolean ``bot`` mask.
@@ -127,7 +122,7 @@ def identify_stubborn(
     """
     if not 0.0 <= low_pct < high_pct <= 1.0:
         raise ValueError(f"bad percentile thresholds ({low_pct}, {high_pct})")
-    low_cut, high_cut = percentile_cuts(opinion.tolist(), low_pct, high_pct)
+    low_cut, high_cut = percentile_cuts(opinion, low_pct, high_pct)
     fixed = bot | (opinion < low_cut) | (opinion > high_cut)
     if fixed.all():
         log.warning("every account is stubborn; equilibrium solves would be vacuous")
@@ -364,50 +359,6 @@ def solve_equilibrium(
     return EquilibriumSolution(
         theta=theta, residual_norm=residual, iterations=iterations, method="bicgstab"
     )
-
-
-# -- independent fixed-point oracle ----------------------------------------------
-
-
-def fixed_point_oracle(
-    src: np.ndarray,
-    tgt: np.ndarray,
-    rates: np.ndarray,
-    fixed: np.ndarray,
-    anchor: np.ndarray,
-    sweeps: int = 200_000,
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """Every node's equilibrium opinion by synchronous averaging sweeps.
-
-    theta_i <- sum(rate_j * opinion_j for j in following of i) / sum(rate_j),
-    stubborn nodes held at their anchor and the others started at 0.5.
-    Deliberately avoids the assembled matrices so it can validate them.
-    Raises SolverError if the sweep cap is hit before the max change drops
-    below ``tol``.
-    """
-    n = fixed.size
-    free = np.flatnonzero(~fixed)
-    x = np.where(fixed, anchor, 0.5)
-    if free.size == 0:
-        return x
-
-    lam_src = rates[src]
-    denom = np.zeros(n)
-    np.add.at(denom, tgt, lam_src)
-    if np.any(denom[free] == 0.0):
-        bad = int(free[np.argmax(denom[free] == 0.0)])
-        raise SolverError(f"node {bad} has no rated followings")
-
-    for sweep in range(sweeps):
-        weighted = np.zeros(n)
-        np.add.at(weighted, tgt, lam_src * x[src])
-        new_free = weighted[free] / denom[free]
-        change = float(np.max(np.abs(new_free - x[free])))
-        x[free] = new_free
-        if change < tol:
-            return x
-    raise SolverError(f"fixed-point oracle hit the sweep cap ({sweeps})")
 
 
 # -- convenience stack ----------------------------------------------------------

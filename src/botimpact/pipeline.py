@@ -131,9 +131,7 @@ def stage_build(cfg: PipelineConfig) -> dict:
     first, last = tweets.window()
 
     profile_stats = ingest.ParseStats()
-    profiles = ingest.load_profiles(
-        cfg.profiles, stats=profile_stats, followings_cap=cfg.followings_cap
-    )
+    profiles = ingest.load_profiles(cfg.profiles, cfg.followings_cap, stats=profile_stats)
     follower, descriptions = ingest.build_follower_network(profiles, tweets.accounts)
     _atomic_write_text(out_dir / "accounts.json", json.dumps(tweets.accounts) + "\n")
     save_edge_list(out_dir / "follower.cols", follower)
@@ -323,8 +321,8 @@ def stage_classify(cfg: PipelineConfig) -> dict:
         _read_manifest(out_dir)["build"]["window"]["duration_days"],
         bot,
         acc.load_keywords(cfg.qanon_keywords),
+        cfg.partisan_cutoff,
         ratings=ratings,
-        cutoff=cfg.partisan_cutoff,
     )
 
     accounts_path = out_dir / "accounts.csv"

@@ -16,11 +16,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from botimpact.botdetect import (
-    FactorGraphParams,
-    exhaustive_oracle,
-    infer_bot_probabilities,
-)
+from botimpact.botdetect import FactorGraphParams, infer_bot_probabilities
 from botimpact.cli import main as cli_main
 from botimpact.config import PipelineConfig
 from botimpact.ghic import ghic
@@ -33,12 +29,13 @@ from botimpact.ingest import (
     load_tweets,
     tweet_columns,
 )
-from botimpact.opinion import fixed_point_oracle, identify_stubborn, solve_network
+from botimpact.opinion import identify_stubborn, solve_network
 from botimpact.synth import SynthSpec, generate
 
 from conftest import (
     auc_score, edge_dict, graph_of, network_graph, random_instance, solver_inputs,
 )
+from oracles import exhaustive_oracle, fixed_point_oracle
 from test_botdetect import _random_forest
 from test_ghic import _ghic
 
@@ -180,7 +177,7 @@ def test_criterion_4_bp_exact_on_forests_and_label_symmetry():
     for seed in range(FOREST_INSTANCES):
         g = _random_forest(seed=3000 + seed)
         post = infer_bot_probabilities(g)
-        exact = exhaustive_oracle(g)
+        exact = exhaustive_oracle(g, FactorGraphParams())
         assert post.converged
         gap = float(np.max(np.abs(post.marginals - exact)))
         worst = max(worst, gap)
@@ -236,6 +233,7 @@ def _per_bot_core_ghic(seed: int, audience: str, workdir: Path) -> float:
         periphery_humans=60, k_follow=3, bot_rate=20.0, audience=audience,
     )
     generate(spec, out)
+    cfg = PipelineConfig()
     with open(out / "labels_truth.csv", newline="") as fh:
         labels = {r["account_id"]: r for r in csv.DictReader(fh)}
     tweets = list(load_tweets(out / "tweets.jsonl"))
@@ -243,7 +241,7 @@ def _per_bot_core_ghic(seed: int, audience: str, workdir: Path) -> float:
     first, last = columns.window()
     nodes = columns.accounts
     (_, src, tgt, _), descriptions = build_follower_network(
-        load_profiles(out / "profiles.jsonl"), nodes)
+        load_profiles(out / "profiles.jsonl", cfg.followings_cap), nodes)
     rates = {c["account_id"]: c["tweet_count"] / ((last - first).days + 1)
              for c in account_content(columns, descriptions) if c["tweet_count"]}
     sums: dict[str, float] = {}
@@ -258,7 +256,8 @@ def _per_bot_core_ghic(seed: int, audience: str, workdir: Path) -> float:
     # the percentile cuts are taken over the accounts with a scored tweet
     scored = np.array([a in opinions for a in nodes])
     fixed = np.zeros(len(nodes), dtype=bool)
-    fixed[scored] = identify_stubborn(opinion[scored], bot[scored])
+    fixed[scored] = identify_stubborn(opinion[scored], bot[scored], cfg.stubborn_low_pct,
+                                      cfg.stubborn_high_pct)
     network = (src, tgt, np.array([rates.get(a, 0.0) for a in nodes]), fixed, opinion)
     result = ghic(network, solve_network(*network), bot)
     return result.value / np.count_nonzero(bot)

@@ -15,10 +15,12 @@ from botimpact.accounts import (
     ordered_mean,
     retweet_leaderboard,
 )
+from botimpact.config import PipelineConfig
 
 from conftest import graph_of
 
 QANON = load_keywords("")
+CUTOFF = PipelineConfig().partisan_cutoff
 
 
 def _content(tweet_count=0, mean_opinion=None, description="", mean_toxicity=None, urls=()):
@@ -32,7 +34,7 @@ def _table(content, bots=(), duration_days=1, **kwargs) -> AccountTable:
     names = sorted(content)
     bot = np.array([name in bots for name in names], dtype=bool)
     return build_account_records([content[name] for name in names], duration_days, bot, QANON,
-                                 **kwargs)
+                                 CUTOFF, **kwargs)
 
 
 # -- partisanship ------------------------------------------------------------
@@ -88,6 +90,15 @@ def test_keyword_file_comments_ignored(tmp_path):
     path.write_text("# a comment\nmaga\n\n")
     kw = load_keywords(path)
     assert kw.matches("#MAGA") and not kw.matches("comment")
+
+
+def test_keyword_file_hashtag_line_is_a_term(tmp_path):
+    # only a bare "#" as the first word makes a comment, so "#WWG1WGA" is a term
+    path = tmp_path / "kw.txt"
+    path.write_text("#WWG1WGA\nQAnon\n#\n  #\tindented comment\n# a comment\n")
+    kw = load_keywords(path)
+    assert kw.tokens == {"wwg1wga", "qanon"} and kw.phrases == ()
+    assert kw.matches("proud #wwg1wga patriot")
 
 
 def test_keyword_terms_outside_the_token_alphabet_match_as_substrings():

@@ -14,7 +14,6 @@ from botimpact.botdetect import (
     FactorGraphParams,
     _logaddexp,
     _merged_pairs,
-    exhaustive_oracle,
     infer_bot_probabilities,
     probability_histogram,
 )
@@ -23,6 +22,7 @@ from botimpact.graph import DirectedGraph
 from botimpact.pipeline import stage_build, stage_detect
 
 from conftest import graph_of
+from oracles import exhaustive_oracle
 
 DEFAULTS = FactorGraphParams()
 

@@ -651,8 +651,13 @@ def test_a_qanon_keywords_file_replaces_the_packaged_list(tmp_path, runner, corp
     keywords.write_text("WWG1WGA\nQAnon\nTheGreatAwakening\n", encoding="utf-8")
     assert _run(runner, ["--config", str(cfg), "classify"]).exit_code == 0
     assert [(out / name).read_bytes() for name in names] == packaged
-    # a line starting with # is a comment, hashtag or not, so this list is empty
-    keywords.write_text("# Qanon terms\n#WWG1WGA\n  #QAnon\n", encoding="utf-8")
+    # so do the hashtag forms: only a bare # as a line's first word makes a comment
+    keywords.write_text("# Qanon terms\n#WWG1WGA\n  #QAnon\n#TheGreatAwakening\n",
+                        encoding="utf-8")
+    assert _run(runner, ["--config", str(cfg), "classify"]).exit_code == 0
+    assert [(out / name).read_bytes() for name in names] == packaged
+    # a list of comments alone is empty
+    keywords.write_text("# Qanon terms\n#\n  # WWG1WGA\n", encoding="utf-8")
     assert _run(runner, ["--config", str(cfg), "classify"]).exit_code == 0
     assert all(row[3] == "0" for row in _csv_rows(out / "accounts.csv")[1:])
 

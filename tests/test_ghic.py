@@ -6,9 +6,10 @@ import pytest
 
 from botimpact.ghic import daily_ghic_series, ghic, ghic_per_bot
 from botimpact.graph import DirectedGraph
-from botimpact.opinion import fixed_point_oracle, solve_network
+from botimpact.opinion import solve_network
 
 from conftest import edge_dict, graph_of, random_instance, solver_inputs
+from oracles import fixed_point_oracle
 from test_ghic_oracle import _ref_mask, _ref_network_arrays
 
 

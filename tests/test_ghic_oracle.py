@@ -27,8 +27,10 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import random
 from datetime import date
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from botimpact import pipeline
 from botimpact.config import PipelineConfig
 from botimpact.ghic import DailyGhicEntry, DailyGhicSeries, ghic
 from botimpact.graph import DirectedGraph, load_columns
-from botimpact.opinion import percentile_cuts, solve_network
+from botimpact.opinion import solve_network
 from botimpact.pipeline import StageError, stage_build, stage_classify, stage_detect, stage_ghic
 from botimpact.synth import SynthSpec, generate
 
@@ -51,7 +53,12 @@ SEEDS = range(2)
 
 def _ref_identify_stubborn(opinions: dict, bots: set, low_pct: float,
                            high_pct: float) -> dict[str, float]:
-    low_cut, high_cut = percentile_cuts(opinions.values(), low_pct, high_pct)
+    # the (floor(low_pct*n)+1)-th smallest opinion and its mirror from the top, with
+    # the percentages read as exact decimals
+    s = sorted(opinions.values())
+    n = len(s)
+    low_cut = s[math.floor(Fraction(str(low_pct)) * n)]
+    high_cut = s[n - 1 - math.floor((1 - Fraction(str(high_pct))) * n)]
     return {a: o for a, o in opinions.items() if a in bots or o < low_cut or o > high_cut}
 
 

@@ -176,7 +176,8 @@ def test_a_line_that_is_not_utf8_counts_as_skipped(tmp_path, gzipped):
     assert [row[0] for row in load_tweets(paths[0], stats)] == ["a"] * 20 + ["é"]
     assert (stats.parsed, stats.skipped) == (21, 1)
     stats = ParseStats()
-    assert [row[0] for row in load_profiles(paths[1], stats)] == ["é"]
+    cap = PipelineConfig().followings_cap
+    assert [row[0] for row in load_profiles(paths[1], cap, stats)] == ["é"]
     assert (stats.parsed, stats.skipped) == (1, 1)
 
     out = tmp_path / "out"
@@ -205,7 +206,7 @@ def test_profiles_cap_enforced(tmp_path):
     path = tmp_path / "profiles.jsonl"
     record = {"account_id": "a", "description": "", "following_ids": [f"f{i}" for i in range(10)]}
     path.write_text(json.dumps(record) + "\n")
-    [(account_id, description, following)] = load_profiles(path, followings_cap=4)
+    [(account_id, description, following)] = load_profiles(path, 4)
     assert (account_id, description, following) == ("a", "", ["f0", "f1", "f2", "f3"])
 
 

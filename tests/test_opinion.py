@@ -13,7 +13,6 @@ from botimpact.opinion import (
     LinearSystem,
     SolverError,
     assemble_system,
-    fixed_point_oracle,
     identify_stubborn,
     percentile_cuts,
     preprocess_wellposed,
@@ -21,7 +20,12 @@ from botimpact.opinion import (
     solve_network,
 )
 
+from botimpact.config import PipelineConfig
+
 from conftest import graph_of, random_instance, solver_inputs
+from oracles import OracleError, fixed_point_oracle
+
+PCTS = PipelineConfig().stubborn_low_pct, PipelineConfig().stubborn_high_pct
 
 
 def _solve(graph, lam, fixed, anchor):
@@ -42,7 +46,7 @@ def test_identify_stubborn_extreme_tails():
     # frozen from the sorted-order-statistic rule: cuts land on 0.5, so the
     # 0.0 and 1.0 blocks are strictly outside and become stubborn
     opinion = np.array([0.0] * 10 + [0.5] * 80 + [1.0] * 10)
-    fixed = identify_stubborn(opinion, np.zeros(100, dtype=bool))
+    fixed = identify_stubborn(opinion, np.zeros(100, dtype=bool), *PCTS)
     assert fixed.dtype == bool
     assert fixed.tolist() == [True] * 10 + [False] * 80 + [True] * 10
 
@@ -50,7 +54,7 @@ def test_identify_stubborn_extreme_tails():
 def test_identify_stubborn_bot_rule():
     bot = np.zeros(21, dtype=bool)
     bot[7] = True
-    assert np.flatnonzero(identify_stubborn(np.full(21, 0.5), bot)).tolist() == [7]
+    assert np.flatnonzero(identify_stubborn(np.full(21, 0.5), bot, *PCTS)).tolist() == [7]
 
 
 def test_identify_stubborn_extreme_thresholds_disable():
@@ -61,7 +65,7 @@ def test_identify_stubborn_extreme_thresholds_disable():
 
 def test_identify_stubborn_flags_all_stubborn(caplog):
     with caplog.at_level("WARNING", logger="botimpact.opinion"):
-        assert identify_stubborn(np.array([0.0, 1.0]), np.ones(2, dtype=bool)).all()
+        assert identify_stubborn(np.array([0.0, 1.0]), np.ones(2, dtype=bool), *PCTS).all()
     assert "every account is stubborn" in caplog.text
 
 
@@ -410,7 +414,7 @@ def test_oracle_sweep_cap_diagnostic():
     g = graph_of([("s", "a"), ("a", "b"), ("b", "a")])
     lam = np.ones(g.node_count)
     src, tgt, fixed, anchor = solver_inputs(g, {"s": 1.0})
-    with pytest.raises(SolverError):
+    with pytest.raises(OracleError):
         fixed_point_oracle(src, tgt, lam, fixed, anchor, sweeps=2)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from botimpact.accounts import co_partisan_fraction
+from botimpact.config import PipelineConfig
 from botimpact.ingest import (
     ParseStats,
     build_follower_network,
@@ -19,6 +20,8 @@ from botimpact.synth import (
 )
 
 from conftest import network_graph
+
+CAP = PipelineConfig().followings_cap
 
 
 def _digest_dir(path: Path) -> dict[str, str]:
@@ -71,7 +74,7 @@ def test_round_trip_through_ingest_zero_skips(tmp_path):
         assert tweet_stats.skipped == 0
         assert len(tweets) == summary["tweets"]
         profile_stats = ParseStats()
-        profiles = list(load_profiles(out / "profiles.jsonl", stats=profile_stats))
+        profiles = list(load_profiles(out / "profiles.jsonl", CAP, stats=profile_stats))
         assert profile_stats.skipped == 0
         assert len(profiles) == summary["accounts"]
 
@@ -92,7 +95,7 @@ def test_two_block_eps_zero_no_cross_edges(tmp_path):
     spec = _small_two_block(eps=0.0, p_intra=0.5)
     generate(spec, out)
     labels = _load_labels(out)
-    profiles = list(load_profiles(out / "profiles.jsonl"))
+    profiles = list(load_profiles(out / "profiles.jsonl", CAP))
     blocks = {a: row["block"] for a, row in labels.items()}
     for account, _, following in profiles:
         for followee in following:
@@ -114,7 +117,7 @@ def test_two_block_eps_one_mixes_followers(tmp_path):
         out = tmp_path / f"s{seed}"
         generate(spec, out)
         labels = _load_labels(out)
-        profiles = list(load_profiles(out / "profiles.jsonl"))
+        profiles = list(load_profiles(out / "profiles.jsonl", CAP))
         fractions += _bot_fractions(profiles, labels)
     assert abs(float(np.mean(fractions)) - 0.5) < 0.05
 
@@ -137,7 +140,7 @@ def test_core_periphery_structure(tmp_path):
     labels = _load_labels(out)
     core = {a for a, row in labels.items() if row["block"] == "core"}
     following_of = {account: following
-                    for account, _, following in load_profiles(out / "profiles.jsonl")}
+                    for account, _, following in load_profiles(out / "profiles.jsonl", CAP)}
     human_human_edges = 0
     for account, row in labels.items():
         if row["block"] == "periphery":
