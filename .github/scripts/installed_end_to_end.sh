@@ -5,6 +5,8 @@
 set -eu
 unset PYTHONPATH
 mkdir -p installed-run && cd installed-run
+# the package root binds no name over its submodules
+python3 -c 'import botimpact.ghic as m, types; assert isinstance(m, types.ModuleType)'
 printf '%s\n' 'seed = 3' 'topology = two_block_polarized' 'days = 2' \
   'humans_per_block = 12' 'bots_per_block = 3' 'qanon_bot_frac = 0.5' \
   'bot_rate = 20.0' 'retweet_frac = 0.6' > spec.txt
@@ -64,6 +66,15 @@ mkdir out2 && cp -r corpus run.cfg out2/
   botimpact --config run.cfg "$stage"
 done)
 diff -r out out2/out
+# a manifest of the wrong shape is unreadable: report exits 3, and build
+# starts a fresh manifest; in a copy of out
+mkdir badmanifest && cp -r corpus run.cfg out badmanifest/
+(cd badmanifest
+  echo '[]' > out/manifest.json
+  status=0
+  botimpact --config run.cfg report || status=$?
+  test "$status" -eq 3
+  botimpact --config run.cfg build)
 # a qanon_keywords file of the packaged terms in upper and mixed case, one
 # of them in its hashtag form, flags the same accounts as the packaged list
 # the runs above read, and some are flagged

@@ -42,8 +42,6 @@ def _run_stage(ctx: click.Context, stage) -> dict:
     cfg = _load_config(ctx)
     try:
         return stage(cfg)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
     except (IngestError, pipeline.StageError, FileNotFoundError) as exc:
         _fail(EXIT_INPUT, str(exc))
     except SolverError as exc:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .botdetect import FactorGraphParams
 
-# the bot groups ``ghic_groups`` may name, defined over accounts.csv by ``pipeline``
+# the bot groups ``ghic_groups`` may name, defined by ``accounts.AccountTable.groups``
 GROUP_NAMES = ("all_bots", "anti_bots", "pro_bots", "qanon_bots")
 
 

@@ -76,14 +76,20 @@ def _sha256(path: Path) -> str:
 
 def _read_manifest(out_dir: Path) -> dict:
     """The stage entries of ``manifest.json``, {} before any stage has run; an
-    unreadable manifest raises StageError ("rerun build")."""
+    unreadable manifest, or one that is not an object of stage objects each with
+    an object of checksums, raises StageError ("rerun build")."""
     path = out_dir / "manifest.json"
     if not path.exists():
         return {}
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        manifest = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise StageError(f"{path} unreadable ({exc}); rerun build") from None
+    if not (isinstance(manifest, dict) and all(
+            isinstance(entry, dict) and isinstance(entry.get("checksums", {}), dict)
+            for entry in manifest.values())):
+        raise StageError(f"{path} unreadable (not an object of stage entries); rerun build")
+    return manifest
 
 
 def _update_manifest(out_dir: Path, stage: str, payload: dict, files: Iterable[Path]) -> None:

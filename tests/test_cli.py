@@ -359,14 +359,16 @@ def test_an_unreadable_manifest_exits_3_and_build_starts_afresh(tmp_path, runner
     cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
     for cmd in ("build", "detect-bots"):
         assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0, cmd
-    (out / "manifest.json").write_text("{not json")
-    for cmd in ("report", "detect-bots"):
-        result = runner.invoke(main, ["--config", str(cfg), cmd])
-        assert result.exit_code == 3, cmd
-        assert "unreadable" in result.output and "rerun build" in result.output
+    # bad JSON, then valid JSON of the wrong shape at each level
+    for text in ("{not json", "[]", '{"build": []}', '{"detect": {"checksums": []}}'):
+        (out / "manifest.json").write_text(text)
+        for cmd in ("report", "detect-bots", "classify"):
+            result = runner.invoke(main, ["--config", str(cfg), cmd])
+            assert result.exit_code == 3, (text, cmd, result.output)
+            assert "unreadable" in result.output and "rerun build" in result.output
 
-    assert _run(runner, ["--config", str(cfg), "build"]).exit_code == 0
-    assert list(json.loads((out / "manifest.json").read_text())) == ["build"]
+        assert _run(runner, ["--config", str(cfg), "build"]).exit_code == 0, text
+        assert list(json.loads((out / "manifest.json").read_text())) == ["build"]
     for cmd in ("detect-bots", "classify", "ghic", "report"):
         assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0, cmd
 

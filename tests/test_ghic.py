@@ -1,9 +1,9 @@
-import importlib
 from datetime import date
 
 import numpy as np
 import pytest
 
+import botimpact.ghic as ghic_module
 from botimpact.ghic import daily_ghic_series, ghic, ghic_per_bot
 from botimpact.graph import DirectedGraph
 from botimpact.opinion import solve_network
@@ -304,7 +304,6 @@ def test_daily_series_equals_per_group_ghic():
 
 
 def test_daily_series_solves_each_day_network_once(monkeypatch):
-    ghic_module = importlib.import_module("botimpact.ghic")
     solved = []
     real = ghic_module.solve_network
 
@@ -331,7 +330,6 @@ def test_daily_series_solves_each_day_network_once(monkeypatch):
 def test_masked_removal_equals_solve_on_induced_subgraph(monkeypatch):
     """A removal solves the day's own arrays with the targets stubborn at rate
     zero, and matches the solve without the targets bit for bit, for any targets."""
-    ghic_module = importlib.import_module("botimpact.ghic")
     calls = []
     real = ghic_module.solve_network
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import importlib
 import io
 import json
 import math
@@ -35,6 +34,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import botimpact.ghic as ghic_module
 from botimpact import pipeline
 from botimpact.config import PipelineConfig
 from botimpact.ghic import DailyGhicEntry, DailyGhicSeries, ghic
@@ -292,7 +292,6 @@ def test_ghic_counts_every_active_day_once(tmp_path):
 
 
 def test_ghic_stage_scores_each_day_and_group_with_one_ghic_call(tmp_path, monkeypatch):
-    ghic_module = importlib.import_module("botimpact.ghic")
     returned, captured = [], {}
     real_ghic, real_series = ghic_module.ghic, pipeline.daily_ghic_series
 

@@ -464,8 +464,10 @@ def test_kernel_repeats_scipy_bicgstab():
             atol=1e-12 * np.linalg.norm(b), maxiter=DEFAULT_MAX_ITER, callback=steps.append,
         )
         assert info == 0
-        theta, iterations = opinion_module._bicgstab(G, b, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        theta, iterations, residual = opinion_module._bicgstab(G, b, DEFAULT_TOL,
+                                                               DEFAULT_MAX_ITER)
         assert iterations == len(steps) > 0
+        assert residual == np.linalg.norm(b - G @ theta) / np.linalg.norm(b) < DEFAULT_TOL
         assert np.abs(theta - expected).max() <= 1e-13
 
 
@@ -512,7 +514,7 @@ _OMEGA = (sp.csr_matrix([[1.0, -2.0, 0.0], [1.0, -1.0, 1.0], [0.0, -1.0, 2.0]]),
     ids=["rho", "rtilde.v at the start", "rho then rtilde.v", "rtilde.v", "omega then rtilde.v"],
 )
 def test_kernel_restarts_where_bicgstab_breaks_down(G, b):
-    theta, _ = opinion_module._bicgstab(G, b, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    theta, _, _ = opinion_module._bicgstab(G, b, DEFAULT_TOL, DEFAULT_MAX_ITER)
     assert np.abs(theta - np.linalg.solve(G.toarray(), b)).max() <= 1e-10
 
 
@@ -562,9 +564,9 @@ def test_kernel_agrees_with_dense_lu_on_small_m_matrices(n, shape, seed, zero_rh
     assert preprocess_wellposed(src, tgt, rates, fixed)[0].tolist() == fixed.tolist()
     system = assemble_system(src, tgt, rates, fixed, anchor)
     G, b = system.G.toarray(), system.b
-    theta, _ = opinion_module._bicgstab(system.G, b, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    theta, _, residual = opinion_module._bicgstab(system.G, b, DEFAULT_TOL, DEFAULT_MAX_ITER)
     if zero_rhs:
-        assert not theta.any()
+        assert not theta.any() and residual == 0.0
     assert np.linalg.norm(G @ theta - b) <= DEFAULT_TOL * np.linalg.norm(b)
     # the stop rule bounds the residual at 1e-12 of b, so the error bound grows
     # with the condition number: 1e-10 up to 100

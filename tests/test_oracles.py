@@ -1,6 +1,8 @@
-"""The oracles stand apart from the code they judge."""
+"""The oracles stand apart from the code they judge, and the package root
+binds only its submodules."""
 
 import ast
+import types
 from pathlib import Path
 
 import botimpact
@@ -20,6 +22,16 @@ def test_oracles_import_nothing_from_botimpact():
     ), sorted(imported)
 
 
-def test_the_package_exports_no_oracle():
-    assert not [name for name in botimpact.__all__ if "oracle" in name]
-    assert not [name for name in dir(botimpact) if "oracle" in name]
+def test_the_package_root_binds_only_submodules():
+    # one import path per name, so no oracle either, and the ghic module is not
+    # shadowed by its function
+    import botimpact.ghic as ghic_module
+
+    assert isinstance(ghic_module, types.ModuleType)
+    module_dunders = {"__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+                      "__name__", "__package__", "__path__", "__spec__"}
+    odd = sorted(name for name, value in vars(botimpact).items()
+                 if name not in module_dunders and not (
+                     isinstance(value, types.ModuleType)
+                     and value.__name__ == f"botimpact.{name}"))
+    assert not odd, odd
