@@ -67,13 +67,25 @@ mkdir out2 && cp -r corpus run.cfg out2/
 done)
 diff -r out out2/out
 # a manifest of the wrong shape is unreadable: report exits 3, and build
-# starts a fresh manifest; in a copy of out
+# starts a fresh manifest; so is one whose build entry has no window, which
+# classify refuses; in a copy of out
 mkdir badmanifest && cp -r corpus run.cfg out badmanifest/
 (cd badmanifest
+  cp out/manifest.json good.json
   echo '[]' > out/manifest.json
   status=0
   botimpact --config run.cfg report || status=$?
   test "$status" -eq 3
+  python3 -c '
+import json
+manifest = json.load(open("good.json"))
+del manifest["build"]["window"]
+json.dump(manifest, open("out/manifest.json", "w"))
+'
+  status=0
+  botimpact --config run.cfg classify 2> classify.err || status=$?
+  test "$status" -eq 3
+  grep -q 'rerun build' classify.err
   botimpact --config run.cfg build)
 # a qanon_keywords file of the packaged terms in upper and mixed case, one
 # of them in its hashtag form, flags the same accounts as the packaged list
@@ -119,18 +131,17 @@ test ! -e out/report.txt
 status=0
 botimpact --config run.cfg ghic || status=$?
 test "$status" -eq 3
-# an unknown ghic group is a configuration problem, before any stage runs
-cp run.cfg martians.cfg
-echo 'ghic_groups = martians' >> martians.cfg
-status=0
-botimpact --config martians.cfg build || status=$?
-test "$status" -eq 2
-# so is a belief-propagation setting outside its range
-cp run.cfg damping.cfg
-echo 'bp_damping = 1.0' >> damping.cfg
-status=0
-botimpact --config damping.cfg build || status=$?
-test "$status" -eq 2
+# belief propagation's numerics, the histogram width and the GHIC groups are
+# constants: a config that sets one of their old keys is a configuration
+# problem, before any stage runs
+for key in bp_damping bp_max_iterations bp_tolerance histogram_bins ghic_groups; do
+  cp run.cfg "$key.cfg"
+  echo "$key = 20" >> "$key.cfg"
+  status=0
+  botimpact --config "$key.cfg" build 2> "$key.err" || status=$?
+  test "$status" -eq 2
+  grep -q "unknown key '$key'" "$key.err"
+done
 # without a ratings file classify warns, exits 0 and leaves media_quality empty
 cp run.cfg noratings.cfg
 echo 'ratings = corpus/no_such_ratings.csv' >> noratings.cfg
@@ -153,10 +164,9 @@ import json, sys
 skipped = json.load(open("out/manifest.json"))["build"]["tweets_skipped"]
 sys.exit(0 if skipped == 1 else f"tweets_skipped is {skipped}, not 1")
 '
-# detect-bots with 7 histogram bins: the bins count every posterior row once,
+# detect-bots writes 20 histogram bins, which count every posterior row once,
 # and bots.txt is the sorted ids with some posterior above the 0.8 default
 cp run.cfg bins.cfg
-echo 'histogram_bins = 7' >> bins.cfg
 botimpact --config bins.cfg detect-bots
 python3 -c '
 import csv, glob, sys
@@ -165,7 +175,7 @@ def rows(path):
         return list(csv.reader(fh))
 posteriors = [row for path in glob.glob("out/posterior_*.csv") for row in rows(path)[1:]]
 counts = [int(row[2]) for row in rows("out/histogram.csv")[1:]]
-if len(counts) != 7 or sum(counts) != len(posteriors):
+if len(counts) != 20 or sum(counts) != len(posteriors):
     sys.exit(f"histogram counts {counts} for {len(posteriors)} posterior rows")
 flagged = sorted({row[0] for row in posteriors if float(row[1]) > 0.8})
 bots = [row[0] for row in rows("out/bots.txt")]

@@ -28,7 +28,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .config import GROUP_NAMES, read_text
+from .config import read_text
 from .ingest import IngestError, group_means
 
 ANTI = "anti"
@@ -169,11 +169,11 @@ class AccountTable:
 
     @property
     def groups(self) -> dict[str, np.ndarray]:
-        """The bot groups as masks: all bots, anti-Trump bots, pro-Trump
-        non-Qanon bots and Qanon bots."""
+        """The bot groups that ``ghic`` scores, as masks: all bots, anti-Trump
+        bots, pro-Trump non-Qanon bots and Qanon bots."""
         bot = self.bot
-        return dict(zip(GROUP_NAMES, (bot, bot & ~self.pro, bot & self.pro & ~self.qanon,
-                                      bot & self.qanon)))
+        return {"all_bots": bot, "anti_bots": bot & ~self.pro,
+                "pro_bots": bot & self.pro & ~self.qanon, "qanon_bots": bot & self.qanon}
 
 
 def build_account_records(

@@ -33,7 +33,7 @@ def _fail(code: int, message: str) -> None:
 def _load_config(ctx: click.Context) -> PipelineConfig:
     opts = ctx.obj
     try:
-        return PipelineConfig.load(opts.get("config"), {"out_dir": opts.get("out")})
+        return PipelineConfig.load(opts.get("config"), opts.get("out"))
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
 

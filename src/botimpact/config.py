@@ -1,10 +1,12 @@
-"""Pipeline configuration: one flat ``key = value`` file, CLI flags win.
+"""Pipeline configuration: one flat ``key = value`` file, ``--out`` wins.
 
 Defaults carry the analysis constants: partisan cutoff 0.5 (anti at or
 below), bot threshold 0.8 (strictly above), stubborn percentiles 10/90,
 followings cap 2000.  Every numeric field is validated against its
 documented range at load time; the ``bp_`` defaults and ranges are those of
-``botdetect.FactorGraphParams``, kept there only.
+``botdetect.FactorGraphParams``, kept there only.  Belief propagation's
+damping, sweep cap and tolerance (that class's defaults), the histogram's
+20 bins and the four GHIC groups are constants, with no key.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from datetime import date
 from pathlib import Path
 
 from .botdetect import FactorGraphParams
-
-# the bot groups ``ghic_groups`` may name, defined by ``accounts.AccountTable.groups``
-GROUP_NAMES = ("all_bots", "anti_bots", "pro_bots", "qanon_bots")
 
 
 class ConfigError(ValueError):
@@ -45,12 +44,6 @@ class PipelineConfig:
     bp_psi_bh: float = FactorGraphParams.psi_bh
     bp_psi_bb: float = FactorGraphParams.psi_bb
     bp_weight_cap: float = FactorGraphParams.weight_cap
-    bp_damping: float = FactorGraphParams.damping
-    bp_max_iterations: int = FactorGraphParams.max_iterations
-    bp_tolerance: float = FactorGraphParams.tolerance
-    histogram_bins: int = 20
-    # ghic
-    ghic_groups: str = "all_bots,anti_bots,pro_bots,qanon_bots"
     # stages run serially; the key is kept, at 1, for configs that still set it
     workers: int = 1
 
@@ -75,40 +68,26 @@ class PipelineConfig:
             self.bp_params()
         except ValueError as exc:  # its ranges are kept in one place
             raise ConfigError(f"bp_{exc}") from None
-        if self.histogram_bins < 2:
-            raise ConfigError("histogram_bins must be >= 2")
         if self.workers != 1:
             raise ConfigError(f"workers must be 1 (stages run serially), got {self.workers}")
-        if not self.group_names():
-            raise ConfigError("ghic_groups must name at least one group")
-        unknown = sorted(set(self.group_names()) - set(GROUP_NAMES))
-        if unknown:
-            raise ConfigError(f"unknown ghic_groups {unknown}; known: {', '.join(GROUP_NAMES)}")
 
     def bp_params(self) -> FactorGraphParams:
-        """The ``bp_`` settings as belief propagation's parameters."""
-        return FactorGraphParams(
-            **{f.name: getattr(self, f"bp_{f.name}") for f in fields(FactorGraphParams)})
-
-    def group_names(self) -> list[str]:
-        """The names in ``ghic_groups``."""
-        return [name.strip() for name in self.ghic_groups.split(",") if name.strip()]
+        """The ``bp_`` settings as belief propagation's parameters; the others
+        keep their defaults."""
+        return FactorGraphParams(**{f.name: getattr(self, f"bp_{f.name}")
+                                    for f in fields(FactorGraphParams)
+                                    if hasattr(self, f"bp_{f.name}")})
 
     @staticmethod
-    def load(path: str | Path | None = None, overrides: dict | None = None) -> "PipelineConfig":
-        """Defaults, then the config file, then CLI overrides; validated."""
-        known = {f.name: f for f in fields(PipelineConfig)}
+    def load(path: str | Path | None = None, out_dir: str | None = None) -> "PipelineConfig":
+        """Defaults, then the config file, then ``out_dir`` if given; validated."""
         kwargs: dict = {}
         if path is not None:
             if not Path(path).exists():
                 raise ConfigError(f"config file not found: {path}")
             kwargs = read_key_values(path, PipelineConfig, ConfigError)
-        for key, value in (overrides or {}).items():
-            if value is None:
-                continue
-            if key not in known:
-                raise ConfigError(f"unknown config override {key!r}")
-            kwargs[key] = value
+        if out_dir is not None:
+            kwargs["out_dir"] = out_dir
         cfg = PipelineConfig(**kwargs)
         cfg.validate()
         return cfg

@@ -74,10 +74,17 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+# the build entry's fields that report prints; classify reads the window too
+_BUILD_FIELDS = {"window", "tweets_parsed", "tweets_skipped", "accounts", "follower_edges",
+                 "retweets_total"}
+
+
 def _read_manifest(out_dir: Path) -> dict:
     """The stage entries of ``manifest.json``, {} before any stage has run; an
-    unreadable manifest, or one that is not an object of stage objects each with
-    an object of checksums, raises StageError ("rerun build")."""
+    unreadable manifest, one that is not an object of stage objects each with
+    an object of checksums, or one whose build entry lacks a field that report
+    prints or a window of a positive integer ``duration_days`` (classify
+    divides by it) raises StageError ("rerun build")."""
     path = out_dir / "manifest.json"
     if not path.exists():
         return {}
@@ -89,6 +96,14 @@ def _read_manifest(out_dir: Path) -> dict:
             isinstance(entry, dict) and isinstance(entry.get("checksums", {}), dict)
             for entry in manifest.values())):
         raise StageError(f"{path} unreadable (not an object of stage entries); rerun build")
+    if "build" in manifest:
+        build = manifest["build"]
+        window = build.get("window")
+        days = window.get("duration_days") if isinstance(window, dict) else None
+        if not (type(days) is int and days > 0 and {"start", "end"} <= window.keys()
+                and _BUILD_FIELDS <= build.keys()):
+            raise StageError(f"{path} unreadable (the build entry lacks a field or a positive "
+                             "integer duration_days); rerun build")
     return manifest
 
 
@@ -216,6 +231,10 @@ def load_accounts(out_dir: Path) -> list[str]:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+# equal-width bins of the pooled daily marginals in histogram.csv
+HISTOGRAM_BINS = 20
+
+
 def stage_detect(cfg: PipelineConfig) -> dict:
     """Daily factor-graph inference, threshold, and cross-day union, one day
     file at a time, each in its file's node order; accounts.json is sorted, so
@@ -253,8 +272,7 @@ def stage_detect(cfg: PipelineConfig) -> dict:
                        lineterminator="\n")
     written.append(bots_path)
 
-    hist_counts, edges = botdetect.probability_histogram(np.concatenate(marginals),
-                                                         cfg.histogram_bins)
+    hist_counts, edges = botdetect.probability_histogram(np.concatenate(marginals), HISTOGRAM_BINS)
     hist_path = out_dir / "histogram.csv"
     _atomic_write_rows(
         hist_path,
@@ -428,9 +446,9 @@ def stage_ghic(cfg: PipelineConfig) -> dict:
     table = account_table(out_dir, accounts)
     active_by_day = _load_daily_active(out_dir, accounts)
 
-    fixed = identify_stubborn(table.opinion, table.groups["all_bots"], cfg.stubborn_low_pct,
+    groups = table.groups
+    fixed = identify_stubborn(table.opinion, groups["all_bots"], cfg.stubborn_low_pct,
                               cfg.stubborn_high_pct)
-    groups = {name: table.groups[name] for name in cfg.group_names()}
     arrays = (src, tgt, table.tweet_rate, fixed, table.opinion)
     series = daily_ghic_series(arrays, active_by_day, groups)
     per_bot = ghic_per_bot(series, groups)

@@ -199,7 +199,7 @@ def test_non_finite_config_value_exits_2(tmp_path, runner, value):
     assert "bp_psi_hh" in result.output
 
 
-@pytest.mark.parametrize("line", ["bp_damping = 1.0", "bp_prior_bot = 0", "bp_prior_bot = 1.0"])
+@pytest.mark.parametrize("line", ["bp_prior_bot = 0", "bp_prior_bot = 1.0"])
 def test_out_of_range_bp_setting_exits_2_at_build(tmp_path, runner, line):
     """Config holds belief propagation to its own ranges, so detect-bots cannot
     be the first to find a bad one."""
@@ -213,8 +213,8 @@ def test_out_of_range_bp_setting_exits_2_at_build(tmp_path, runner, line):
 def test_non_finite_config_field_rejected_without_a_file():
     with pytest.raises(ConfigError, match="bp_psi_hh"):
         PipelineConfig(bp_psi_hh=float("nan")).validate()
-    with pytest.raises(ConfigError, match="bp_tolerance"):
-        PipelineConfig.load(overrides={"bp_tolerance": float("inf")})
+    with pytest.raises(ConfigError, match="bp_weight_cap"):
+        PipelineConfig(bp_weight_cap=float("inf")).validate()
 
 
 def test_unknown_config_key_exits_2(tmp_path, runner):
@@ -226,6 +226,9 @@ def test_unknown_config_key_exits_2(tmp_path, runner):
 
 REMOVED_KEYS = ("anti_keywords", "pro_keywords", "solver_tol", "solver_max_iter",
                 "dense_fallback")
+# belief propagation's numerics, the histogram width and the GHIC groups are constants
+CONSTANT_KEYS = ("bp_damping", "bp_max_iterations", "bp_tolerance", "histogram_bins",
+                 "ghic_groups")
 
 
 def test_removed_config_keys_are_unknown(tmp_path, runner, corpus):
@@ -240,7 +243,19 @@ def test_removed_config_keys_are_unknown(tmp_path, runner, corpus):
     cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
     assert _run(runner, ["--config", str(cfg), "build"]).exit_code == 0
     snapshot = json.loads((out / "manifest.json").read_text())["build"]["config"]
-    assert not set(REMOVED_KEYS) & set(snapshot)
+    assert not set(REMOVED_KEYS + CONSTANT_KEYS) & set(snapshot)
+
+
+@pytest.mark.parametrize("cmd", ["build", "detect-bots", "classify", "ghic", "report"])
+@pytest.mark.parametrize("key", CONSTANT_KEYS)
+def test_keys_of_the_constants_are_unknown_to_every_command(tmp_path, runner, key, cmd):
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"out_dir = {out}\n{key} = 20\n")
+    result = runner.invoke(main, ["--config", str(cfg), cmd])
+    assert result.exit_code == 2, result.output
+    assert f"unknown key {key!r}" in result.output
+    assert not out.exists()
 
 
 def test_stages_refuse_upstream_files_changed_since_written(tmp_path, runner, corpus):
@@ -371,6 +386,40 @@ def test_an_unreadable_manifest_exits_3_and_build_starts_afresh(tmp_path, runner
         assert list(json.loads((out / "manifest.json").read_text())) == ["build"]
     for cmd in ("detect-bots", "classify", "ghic", "report"):
         assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0, cmd
+
+
+# (field of the build entry or of its window, value; None drops the field)
+@pytest.mark.parametrize("field, value", [
+    ("window", None), ("start", None), ("duration_days", None), ("tweets_parsed", None),
+    *(("duration_days", days) for days in ("3", 0, -2, 2.0, True)),
+])
+def test_a_build_entry_without_the_fields_its_readers_need_exits_3(tmp_path, runner, corpus,
+                                                                   field, value):
+    """classify divides tweet counts by the window's days and report prints the
+    entry's fields, so either refuses an entry that lacks them, and no rate of
+    inf is written."""
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
+    for cmd in ("build", "detect-bots"):
+        assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0, cmd
+    path = out / "manifest.json"
+    original = path.read_text()
+    manifest = json.loads(original)
+    build = manifest["build"]
+    entry = build["window"] if field in build["window"] else build
+    if value is None:
+        del entry[field]
+    else:
+        entry[field] = value
+    path.write_text(json.dumps(manifest))
+    for cmd in ("classify", "report"):
+        result = runner.invoke(main, ["--config", str(cfg), cmd])
+        assert result.exit_code == 3, (cmd, result.output)
+        assert "unreadable" in result.output and "rerun build" in result.output
+    assert not (out / "accounts.csv").exists()
+
+    path.write_text(original)
+    assert _run(runner, ["--config", str(cfg), "classify"]).exit_code == 0
 
 
 def _five_then_two_days(tmp_path, runner, out, commands) -> Path:
@@ -508,17 +557,6 @@ def test_workers_other_than_one_exits_2(tmp_path, runner, corpus):
     assert result.exit_code == 2
     assert "workers must be 1" in result.output
     assert not (tmp_path / "out").exists()
-
-
-def test_an_unknown_ghic_group_exits_2_before_any_stage_runs(tmp_path, runner, corpus):
-    out = tmp_path / "out"
-    cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
-    cfg.write_text(cfg.read_text() + "ghic_groups = all_bots, martians\n")
-    for cmd in ("build", "detect-bots", "classify", "ghic", "report"):
-        result = runner.invoke(main, ["--config", str(cfg), cmd])
-        assert result.exit_code == 2, cmd
-        assert "unknown ghic_groups ['martians']" in result.output
-    assert not out.exists()
 
 
 def test_every_stage_retires_the_report(tmp_path, runner, corpus):

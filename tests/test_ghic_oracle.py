@@ -96,8 +96,7 @@ def _reference(out, cfg: PipelineConfig):
     bots = {r["account_id"] for r in rows if r["bot"] == "1"}
     stubborn = _ref_identify_stubborn(opinions, bots, cfg.stubborn_low_pct,
                                       cfg.stubborn_high_pct)
-    groups = {name: ids for name, ids in _ref_groups(rows).items()
-              if name in cfg.group_names()}
+    groups = _ref_groups(rows)
     active_by_day: dict[date, set[str]] = {}
     for row in _read_rows(out / "daily_active.csv"):
         active_by_day.setdefault(date.fromisoformat(row["day"]), set()).add(row["account_id"])
