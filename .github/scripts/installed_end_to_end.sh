@@ -99,6 +99,59 @@ import csv, sys
 rows = list(csv.DictReader(open("out/accounts.csv", newline="", encoding="utf-8")))
 sys.exit(0 if any(r["qanon"] == "1" for r in rows) else "no account is flagged Qanon")
 '
+# classify with a ratings file that writes the synth domains in upper case
+# with a leading dot and lists the first shared URL's domain again at 5,
+# where the later row wins: media_quality is the README rule recomputed
+# from account_content.jsonl, and differs from the plain run's; in a copy
+mkdir ratings && cp -r corpus run.cfg out ratings/
+(cd ratings
+  python3 -c '
+import csv, json
+rows = list(csv.reader(open("corpus/ratings.csv", newline="", encoding="utf-8")))[1:]
+urls = [u for line in open("out/account_content.jsonl", encoding="utf-8")
+        for u in json.loads(line)["urls"]]
+repeated = urls[0].split("/")[2]
+with open("odd_ratings.csv", "w", newline="", encoding="utf-8") as fh:
+    csv.writer(fh).writerows([("domain", "rating"), *(("." + d.upper(), r) for d, r in rows),
+                              (repeated, "5")])
+'
+  echo 'ratings = odd_ratings.csv' >> run.cfg
+  botimpact --config run.cfg classify
+  python3 -c '
+import csv, json, sys
+from functools import reduce
+from urllib.parse import urlsplit
+with open("odd_ratings.csv", newline="", encoding="utf-8") as fh:
+    ratings = {r["domain"].strip().casefold().lstrip("."): float(r["rating"])
+               for r in csv.DictReader(fh)}
+def rating(url):
+    try:
+        host = urlsplit(url if "//" in url else "//" + url).hostname
+    except ValueError:
+        return None
+    labels = host.casefold().split(".") if host else []
+    suffixes = (".".join(labels[i:]) for i in range(len(labels)))
+    return next((ratings[s] for s in suffixes if s in ratings), None)
+def quality(urls):
+    rated = [r for r in map(rating, urls) if r is not None]
+    return f"{reduce(lambda t, x: t + x, rated, 0.0) / len(rated):.10g}" if rated else ""
+expected = [quality(json.loads(line)["urls"])
+            for line in open("out/account_content.jsonl", encoding="utf-8")]
+def column(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [r["media_quality"] for r in csv.DictReader(fh)]
+got, plain = column("out/accounts.csv"), column("../out/accounts.csv")
+if got != expected:
+    sys.exit("media_quality differs from the README rule")
+sys.exit(0 if got != plain and any(got) else "the repeated domain row changed nothing")
+'
+  # a row whose domain is empty after stripping its dots is malformed
+  printf '%s\n' 'domain,rating' 'site01.example,2' ' .,3' > empty_domain.csv
+  echo 'ratings = empty_domain.csv' >> run.cfg
+  status=0
+  botimpact --config run.cfg classify 2> empty_domain.err || status=$?
+  test "$status" -eq 3
+  grep -q 'empty_domain.csv, line 3: no domain' empty_domain.err)
 # gzip copies of the inputs build the same files; only manifest.json, which
 # records the input paths, differs
 mkdir gz
@@ -147,11 +200,14 @@ cp run.cfg noratings.cfg
 echo 'ratings = corpus/no_such_ratings.csv' >> noratings.cfg
 botimpact --config noratings.cfg detect-bots
 botimpact --config noratings.cfg classify 2> classify.err
-grep -q 'no_such_ratings.csv missing' classify.err
+grep -q 'no_such_ratings.csv missing; media quality columns left empty' classify.err
 python3 -c '
 import csv, sys
-rows = list(csv.DictReader(open("out/accounts.csv", newline="", encoding="utf-8")))
-sys.exit(0 if rows and all(r["media_quality"] == "" for r in rows) else "media_quality is set")
+accounts, summary = (list(csv.DictReader(open("out/" + name, newline="", encoding="utf-8")))
+                     for name in ("accounts.csv", "group_summary.csv"))
+empty = (accounts and all(r["media_quality"] == "" for r in accounts)
+         and all(r["mean_media_quality"] == "" for r in summary))
+sys.exit(0 if empty else "media_quality or mean_media_quality is set")
 '
 # a tweets line that is not UTF-8 is counted as skipped, not fatal
 cp corpus/tweets.jsonl not_utf8.jsonl

@@ -101,13 +101,23 @@ class MediaRatingsTable:
     subdomain of it, so ``www.example.com/a`` matches a rated
     ``example.com``.  This keys matching off the ratings list itself and
     avoids carrying a public-suffix database.
+
+    A URL's site is its text before the third ``/``, once a URL without
+    ``//`` has gained a leading ``//``, and the table rates each site once.
+    That is exact, because ``urlsplit`` finds and checks the host within
+    that text: a scheme holds no ``/``, so a host follows the first two
+    ``/`` and ends at the next ``/``, ``?`` or ``#``; and the tabs and
+    newlines that ``urlsplit`` drops are never ``/``.
     """
 
     def __init__(self, ratings: Iterable[tuple[str, float | str]]):
         """From (domain, rating) pairs, in order; a later pair for a domain wins."""
         self._ratings: dict[str, float] = {}
-        for domain, rating in ratings:
-            domain = domain.strip().casefold().lstrip(".")
+        self._sites: dict[str, float | None] = {}
+        for raw, rating in ratings:
+            domain = raw.strip().casefold().lstrip(".")
+            if not domain:
+                raise ValueError(f"no domain in {raw!r}")
             rating = float(rating)
             if not 1.0 <= rating <= 5.0:
                 raise ValueError(f"rating for {domain!r} outside [1,5]: {rating}")
@@ -128,8 +138,14 @@ class MediaRatingsTable:
 
     def rating_for_url(self, url: str) -> float | None:
         """Rating of the URL's site, or None when unrated or without a host."""
+        site = "/".join((url if "//" in url else "//" + url).split("/", 3)[:3])
+        if site not in self._sites:
+            self._sites[site] = self._rate_site(site)
+        return self._sites[site]
+
+    def _rate_site(self, site: str) -> float | None:
         try:
-            host = urlsplit(url if "//" in url else "//" + url).hostname
+            host = urlsplit(site).hostname
         except ValueError:  # a malformed bracketed host, such as ``http://[::1``
             return None
         if not host:

@@ -321,8 +321,8 @@ def stage_classify(cfg: PipelineConfig) -> dict:
     out_dir = Path(cfg.out_dir)
     accounts = load_accounts(out_dir)
     [content_path] = _listed_paths(out_dir, "build", "account_content.jsonl")
-    with open(content_path, encoding="utf-8") as fh:
-        content = [json.loads(line) for line in fh]
+    with open(content_path, encoding="utf-8") as fh:  # one JSON object a line: one decode
+        content = json.loads("[" + ",".join(fh) + "]")
     if [row["account_id"] for row in content] != accounts:
         raise StageError(f"{content_path} does not list the accounts of accounts.json in order; "
                          "rerun build")
@@ -337,7 +337,7 @@ def stage_classify(cfg: PipelineConfig) -> dict:
     if Path(cfg.ratings).exists():
         ratings = acc.MediaRatingsTable.from_csv(cfg.ratings)
     else:
-        warning = f"ratings file {cfg.ratings} missing; media quality columns omitted"
+        warning = f"ratings file {cfg.ratings} missing; media quality columns left empty"
         log.warning(warning)
 
     table = acc.build_account_records(

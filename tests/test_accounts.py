@@ -1,6 +1,9 @@
+import random
+from urllib.parse import urlsplit
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from botimpact.accounts import (
@@ -16,6 +19,7 @@ from botimpact.accounts import (
     retweet_leaderboard,
 )
 from botimpact.config import PipelineConfig
+from botimpact.ingest import IngestError
 
 from conftest import graph_of
 
@@ -154,6 +158,49 @@ def test_registrable_domain_no_false_suffix(ratings):
 def test_ratings_range_validated():
     with pytest.raises(ValueError):
         MediaRatingsTable([("x.example", 7.0)])
+
+
+@pytest.mark.parametrize("row", [",3.0", ".,2.0", "  ,4.0"])
+def test_ratings_row_without_a_domain_is_malformed(tmp_path, row):
+    path = tmp_path / "ratings.csv"
+    path.write_text(f"domain,rating\ngood.example,4\n{row}\n", encoding="utf-8")
+    with pytest.raises(IngestError, match=r"ratings\.csv, line 3: no domain"):
+        MediaRatingsTable.from_csv(path)
+
+
+def _uncached_rating(url: str, ratings: dict[str, float]) -> float | None:
+    """The rating by ``urlsplit`` of the whole URL, then a walk up the host's labels."""
+    try:
+        host = urlsplit(url if "//" in url else "//" + url).hostname
+    except ValueError:
+        return None
+    labels = host.casefold().split(".") if host else []
+    suffixes = (".".join(labels[i:]) for i in range(len(labels)))
+    return next((ratings[s] for s in suffixes if s in ratings), None)
+
+
+# URL text from the characters urlsplit treats specially, the ones it drops,
+# upper case and a fullwidth solidus, which NFKC turns into "/"
+_URL_TEXT = st.lists(st.sampled_from(
+    ["/", "//", ":", "?", "#", "@", "[", "]", ".", " ", "\t", "\n", "\uff0f", "http:", "HTTPS://",
+     "good.example", "GOOD.Example", "mid", ".example", "www.", ":8080", "::1", "user@"]),
+    max_size=8).map("".join)
+
+
+@given(st.lists(_URL_TEXT, min_size=1, max_size=3), st.lists(_URL_TEXT, min_size=1, max_size=3),
+       st.randoms())
+@example(["", "x", "http:", "HTTP:"], ["//good.example/a", "//WWW.good.example?q=/b"],
+         random.Random(0))
+@settings(max_examples=500)
+def test_site_memo_rates_as_urlsplit_of_the_whole_url(heads, tails, rnd):
+    # URLs that share a head, and so often their site, or a tail, rated in two orders
+    urls = [head + tail for head in heads for tail in tails]
+    expected = [_uncached_rating(url, RATED) for url in urls]
+    table = MediaRatingsTable(RATED.items())
+    assert [table.rating_for_url(url) for url in urls] == expected
+    order = rnd.sample(range(len(urls)), len(urls))
+    table = MediaRatingsTable(RATED.items())
+    assert {i: table.rating_for_url(urls[i]) for i in order} == dict(enumerate(expected))
 
 
 @given(st.lists(st.sampled_from(["good.example", "bad.example", "mid.example"]), min_size=1))

@@ -633,18 +633,23 @@ def test_classify_without_ratings_warns_and_omits_media(tmp_path, runner, corpus
     for cmd in ("build", "detect-bots", "classify"):
         assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert "no_ratings.csv" in manifest["classify"]["warning"]
+    assert manifest["classify"]["warning"] == (
+        f"ratings file {tmp_path / 'no_ratings.csv'} missing; media quality columns left empty")
     import csv
 
     with open(out / "accounts.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert all(row["media_quality"] == "" for row in rows)
+    with open(out / "group_summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(row["mean_media_quality"] == "" for row in rows)
 
 
 @pytest.mark.parametrize("header, row, message", [
     ("domain,rating", "site01.example,9", "line 3: rating for 'site01.example' outside"),
     ("domain,rating", "site01.example,abc", "line 3: could not convert"),
     ("domain,score", "site01.example,3", "line 1: the header must name"),
+    ("domain,rating", " .,3", "line 3: no domain in ' .'"),
 ])
 def test_malformed_ratings_file_exits_3_naming_the_line(tmp_path, runner, corpus, header,
                                                         row, message):
