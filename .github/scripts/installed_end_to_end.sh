@@ -151,7 +151,14 @@ sys.exit(0 if got != plain and any(got) else "the repeated domain row changed no
   status=0
   botimpact --config run.cfg classify 2> empty_domain.err || status=$?
   test "$status" -eq 3
-  grep -q 'empty_domain.csv, line 3: no domain' empty_domain.err)
+  grep -q 'empty_domain.csv, line 3: no domain' empty_domain.err
+  # so is a domain that holds a character no host name can hold
+  printf '%s\n' 'domain,rating' 'https://site01.example,3' > url_domain.csv
+  echo 'ratings = url_domain.csv' >> run.cfg
+  status=0
+  botimpact --config run.cfg classify 2> url_domain.err || status=$?
+  test "$status" -eq 3
+  grep -q 'url_domain.csv, line 2: domain' url_domain.err)
 # gzip copies of the inputs build the same files; only manifest.json, which
 # records the input paths, differs
 mkdir gz
@@ -184,10 +191,11 @@ test ! -e out/report.txt
 status=0
 botimpact --config run.cfg ghic || status=$?
 test "$status" -eq 3
-# belief propagation's numerics, the histogram width and the GHIC groups are
-# constants: a config that sets one of their old keys is a configuration
-# problem, before any stage runs
-for key in bp_damping bp_max_iterations bp_tolerance histogram_bins ghic_groups; do
+# belief propagation's numerics, the histogram width, the GHIC groups and the
+# stubborn percentiles are constants: a config that sets one of their old keys
+# is a configuration problem, before any stage runs
+for key in bp_damping bp_max_iterations bp_tolerance histogram_bins ghic_groups \
+  stubborn_low_pct stubborn_high_pct; do
   cp run.cfg "$key.cfg"
   echo "$key = 20" >> "$key.cfg"
   status=0

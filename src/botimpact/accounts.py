@@ -35,6 +35,7 @@ ANTI = "anti"
 PRO = "pro"
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
+_NOT_IN_A_HOST = re.compile(r"[/:@?#\s]")
 
 
 # -- keyword sets ------------------------------------------------------------
@@ -111,13 +112,17 @@ class MediaRatingsTable:
     """
 
     def __init__(self, ratings: Iterable[tuple[str, float | str]]):
-        """From (domain, rating) pairs, in order; a later pair for a domain wins."""
+        """From (domain, rating) rows, in order; a later row for a domain wins."""
         self._ratings: dict[str, float] = {}
         self._sites: dict[str, float | None] = {}
-        for raw, rating in ratings:
+        for raw, rating, *extra in ratings:
+            if extra:
+                raise ValueError(f"more fields than the header names: {extra!r}")
             domain = raw.strip().casefold().lstrip(".")
             if not domain:
                 raise ValueError(f"no domain in {raw!r}")
+            if _NOT_IN_A_HOST.search(domain):
+                raise ValueError(f"domain {raw!r} holds a character no host name can hold")
             rating = float(rating)
             if not 1.0 <= rating <= 5.0:
                 raise ValueError(f"rating for {domain!r} outside [1,5]: {rating}")
@@ -132,7 +137,9 @@ class MediaRatingsTable:
         try:  # the table takes the rows one by one, so line_num is the bad row's
             if not {"domain", "rating"} <= set(reader.fieldnames or ()):
                 raise ValueError("the header must name the domain and rating columns")
-            return MediaRatingsTable((row["domain"], row["rating"]) for row in reader)
+            # DictReader keys the fields past the header's by None
+            return MediaRatingsTable((row["domain"], row["rating"], *row.get(None, ()))
+                                     for row in reader)
         except ValueError as exc:
             raise IngestError(f"{path}, line {reader.line_num}: {exc}") from None
 

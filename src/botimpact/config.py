@@ -1,12 +1,12 @@
 """Pipeline configuration: one flat ``key = value`` file, ``--out`` wins.
 
 Defaults carry the analysis constants: partisan cutoff 0.5 (anti at or
-below), bot threshold 0.8 (strictly above), stubborn percentiles 10/90,
-followings cap 2000.  Every numeric field is validated against its
-documented range at load time; the ``bp_`` defaults and ranges are those of
-``botdetect.FactorGraphParams``, kept there only.  Belief propagation's
-damping, sweep cap and tolerance (that class's defaults), the histogram's
-20 bins and the four GHIC groups are constants, with no key.
+below), bot threshold 0.8 (strictly above), followings cap 2000.  Every
+numeric field is validated against its documented range at load time; the
+``bp_`` defaults and ranges are those of ``botdetect.FactorGraphParams``,
+kept there only.  Belief propagation's damping, sweep cap and tolerance
+(that class's defaults), the histogram's 20 bins, the four GHIC groups and
+the stubborn percentiles 10/90 (``opinion``) are constants, with no key.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ class PipelineConfig:
     # analysis constants
     partisan_cutoff: float = 0.5
     bot_threshold: float = 0.8
-    stubborn_low_pct: float = 0.10
-    stubborn_high_pct: float = 0.90
     followings_cap: int = 2000
     # bot detection
     bp_prior_bot: float = FactorGraphParams.prior_bot
@@ -49,19 +47,10 @@ class PipelineConfig:
 
     def validate(self) -> None:
         check_finite(self, ConfigError)
-        checks = [
-            ("partisan_cutoff", 0.0, 1.0),
-            ("stubborn_low_pct", 0.0, 1.0),
-            ("stubborn_high_pct", 0.0, 1.0),
-        ]
-        for name, lo, hi in checks:
-            value = getattr(self, name)
-            if not lo <= value <= hi:
-                raise ConfigError(f"{name} must be in [{lo}, {hi}], got {value}")
+        if not 0.0 <= self.partisan_cutoff <= 1.0:
+            raise ConfigError(f"partisan_cutoff must be in [0.0, 1.0], got {self.partisan_cutoff}")
         if not 0.5 < self.bot_threshold <= 1.0:
             raise ConfigError(f"bot_threshold must be in (0.5, 1.0], got {self.bot_threshold}")
-        if not self.stubborn_low_pct < self.stubborn_high_pct:
-            raise ConfigError("stubborn_low_pct must be below stubborn_high_pct")
         if self.followings_cap <= 0:
             raise ConfigError("followings_cap must be positive")
         try:

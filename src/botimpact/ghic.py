@@ -173,7 +173,8 @@ def ghic_per_bot(series: DailyGhicSeries, groups: Iterable[str]) -> dict[str, Pe
     """Distribution of daily GHIC per active group member, per group.
 
     Days where a group has no active member are excluded from its
-    distribution; a group never active maps to None.
+    distribution; a group never active maps to None.  The mean adds left to
+    right (``accounts.ordered_mean``), as every mean the pipeline writes does.
     """
     out: dict[str, PerBotStats | None] = {}
     for name in sorted(set(groups)):
@@ -189,7 +190,7 @@ def ghic_per_bot(series: DailyGhicSeries, groups: Iterable[str]) -> dict[str, Pe
         arr = np.array(values)
         out[name] = PerBotStats(
             values=values,
-            mean=float(arr.mean()),
+            mean=ordered_mean(values),
             q1=float(np.percentile(arr, 25)),
             median=float(np.median(arr)),
             q3=float(np.percentile(arr, 75)),

@@ -71,7 +71,7 @@ def _parse_tweet(obj: dict) -> TweetRow:
         if retweeted == author_id:
             raise ValueError("self-retweet")
     urls = obj.get("urls")
-    if not urls:
+    if urls is None or urls == []:  # 0, "", false and {} are malformed below
         urls = ()  # shared by the many tweets without a URL, so no list is kept for them
     elif not isinstance(urls, list) or not all(type(u) is str for u in urls):
         raise ValueError("urls must be a list of strings")
@@ -102,12 +102,12 @@ def _parse_profile(obj: dict, followings_cap: int) -> ProfileRow:
     account_id = _id(obj["account_id"])
     if not account_id:
         raise ValueError("empty account_id")
-    following = obj.get("following_ids") or []
-    if not isinstance(following, list):
+    following = obj.get("following_ids")
+    if not isinstance(following, list | None):
         raise ValueError("following_ids must be a list")
     if type(description := obj.get("description") or "") is not str:
         raise TypeError("description must be a string")
-    return account_id, description, [_id(f) for f in following][:followings_cap]
+    return account_id, description, [_id(f) for f in following or ()][:followings_cap]
 
 
 def _parse_lines(

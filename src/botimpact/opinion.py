@@ -12,8 +12,8 @@ with  G_ii = -sum(rate_k for k in following of i)      (all followings),
       b_i  = -sum(rate_k * psi_k for stubborn k in following of i).
 
 Everything here works on arrays over node positions.  Stubborn
-identification takes the measured-opinion column and the bot mask and
-returns the stubborn mask; the opinion column itself is the anchor.  Every
+identification takes the measured-opinion column and the bot and scored
+masks and returns the stubborn mask; the opinion column is the anchor.  Every
 function below it works on one network given as arrays: the edge columns
 ``src`` and ``tgt`` (node indices, sorted by (source, target), the columns
 a ``DirectedGraph`` stores), each node's posting ``rates``, the stubborn
@@ -90,6 +90,12 @@ class AssemblyError(ValueError):
 # -- stubborn identification ---------------------------------------------------
 
 
+# the extreme-opinion cuts of the stubborn set, after des Mesnards, Hunter,
+# el Hjouji and Zaman (Operations Research 2022)
+STUBBORN_LOW_PCT = 0.10
+STUBBORN_HIGH_PCT = 0.90
+
+
 def percentile_cuts(
     opinions: np.ndarray, low_pct: float, high_pct: float
 ) -> tuple[float, float]:
@@ -97,33 +103,29 @@ def percentile_cuts(
 
     The low cut is the (floor(low_pct*n)+1)-th smallest value, so strictly
     smaller opinions form at most a low_pct fraction; the high cut mirrors
-    it from the top.  With low_pct=0 / high_pct=1 nothing is extreme.
+    it from the top.  With low_pct=0 / high_pct=1, or no opinion at all,
+    nothing is extreme.
     """
     s = np.sort(opinions)
     n = s.size
     if n == 0:
-        raise ValueError("percentile cuts need at least one opinion")
+        return -math.inf, math.inf
     # epsilon guards float products like (1 - 0.9) * n landing just under an integer
     k_low = min(int(math.floor(low_pct * n + 1e-9)) + 1, n)
     k_high = max(n - int(math.floor((1.0 - high_pct) * n + 1e-9)), 1)
     return float(s[k_low - 1]), float(s[k_high - 1])
 
 
-def identify_stubborn(
-    opinion: np.ndarray, bot: np.ndarray, low_pct: float, high_pct: float
-) -> np.ndarray:
-    """The stubborn mask over accounts, given each account's measured
-    ``opinion`` and the boolean ``bot`` mask.
-
-    The stubborn set is all bots plus humans with opinions beyond the global
-    cuts, and every stubborn account keeps its measured opinion as its fixed
-    value, so ``opinion`` is the solver's anchor.  Cuts are computed once
-    over all accounts in the dataset and reused for every daily network.
+def identify_stubborn(opinion: np.ndarray, bot: np.ndarray, scored: np.ndarray) -> np.ndarray:
+    """The stubborn mask over accounts: every bot, scored or not, and each
+    ``scored`` (measured) account whose ``opinion`` lies beyond the cuts at
+    STUBBORN_LOW_PCT/STUBBORN_HIGH_PCT over the scored opinions, one set for
+    every daily network.  An unscored human is never stubborn, so with no
+    scored account the set is the bots alone.  Each keeps its measured
+    opinion as its fixed value: ``opinion`` is the solver's anchor.
     """
-    if not 0.0 <= low_pct < high_pct <= 1.0:
-        raise ValueError(f"bad percentile thresholds ({low_pct}, {high_pct})")
-    low_cut, high_cut = percentile_cuts(opinion, low_pct, high_pct)
-    fixed = bot | (opinion < low_cut) | (opinion > high_cut)
+    low_cut, high_cut = percentile_cuts(opinion[scored], STUBBORN_LOW_PCT, STUBBORN_HIGH_PCT)
+    fixed = bot | (scored & ((opinion < low_cut) | (opinion > high_cut)))
     if fixed.all():
         log.warning("every account is stubborn; equilibrium solves would be vacuous")
     return fixed

@@ -447,8 +447,7 @@ def stage_ghic(cfg: PipelineConfig) -> dict:
     active_by_day = _load_daily_active(out_dir, accounts)
 
     groups = table.groups
-    fixed = identify_stubborn(table.opinion, groups["all_bots"], cfg.stubborn_low_pct,
-                              cfg.stubborn_high_pct)
+    fixed = identify_stubborn(table.opinion, groups["all_bots"], table.scored)
     arrays = (src, tgt, table.tweet_rate, fixed, table.opinion)
     series = daily_ghic_series(arrays, active_by_day, groups)
     per_bot = ghic_per_bot(series, groups)

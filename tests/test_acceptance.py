@@ -29,7 +29,8 @@ from botimpact.ingest import (
     load_tweets,
     tweet_columns,
 )
-from botimpact.opinion import identify_stubborn, solve_network
+from botimpact.opinion import (STUBBORN_HIGH_PCT, STUBBORN_LOW_PCT, identify_stubborn,
+                               solve_network)
 from botimpact.synth import SynthSpec, generate
 
 from conftest import (
@@ -253,11 +254,8 @@ def _per_bot_core_ghic(seed: int, audience: str, workdir: Path) -> float:
     opinions = {a: sums[a] / counts[a] for a in sums}
     opinion = np.array([opinions.get(a, 0.5) for a in nodes])
     bot = np.array([labels[a]["is_bot"] == "1" for a in nodes])
-    # the percentile cuts are taken over the accounts with a scored tweet
-    scored = np.array([a in opinions for a in nodes])
-    fixed = np.zeros(len(nodes), dtype=bool)
-    fixed[scored] = identify_stubborn(opinion[scored], bot[scored], cfg.stubborn_low_pct,
-                                      cfg.stubborn_high_pct)
+    scored = np.array([a in opinions for a in nodes])  # a tweet carried a score
+    fixed = identify_stubborn(opinion, bot, scored)
     network = (src, tgt, np.array([rates.get(a, 0.0) for a in nodes]), fixed, opinion)
     result = ghic(network, solve_network(*network), bot)
     return result.value / np.count_nonzero(bot)
@@ -282,8 +280,8 @@ def test_criterion_7_paper_anchored_defaults():
     cfg = PipelineConfig.load()
     assert cfg.partisan_cutoff == 0.5
     assert cfg.bot_threshold == 0.8
-    assert cfg.stubborn_low_pct == 0.10
-    assert cfg.stubborn_high_pct == 0.90
+    assert STUBBORN_LOW_PCT == 0.10
+    assert STUBBORN_HIGH_PCT == 0.90
     assert cfg.followings_cap == 2000
     # the cutoff is inclusive on the anti side
     from botimpact.accounts import build_account_records, load_keywords

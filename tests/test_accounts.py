@@ -168,6 +168,16 @@ def test_ratings_row_without_a_domain_is_malformed(tmp_path, row):
         MediaRatingsTable.from_csv(path)
 
 
+@pytest.mark.parametrize("domain", ["https://good.example", "bad.example/news", "user@bad.example",
+                                    "bad.example:8080", "bad.example?x", "bad.example#x",
+                                    "bad .example", "bad\t.example"])
+def test_ratings_domain_that_no_host_can_equal_is_malformed(tmp_path, domain):
+    path = tmp_path / "ratings.csv"
+    path.write_text(f"domain,rating\ngood.example,4\n{domain},3.0\n", encoding="utf-8")
+    with pytest.raises(IngestError, match=r"ratings\.csv, line 3: domain .* holds a character"):
+        MediaRatingsTable.from_csv(path)
+
+
 def _uncached_rating(url: str, ratings: dict[str, float]) -> float | None:
     """The rating by ``urlsplit`` of the whole URL, then a walk up the host's labels."""
     try:

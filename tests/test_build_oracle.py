@@ -66,7 +66,8 @@ def _ref_tweet(obj):
         retweeted = _ref_id(retweeted) or None
     if retweeted == author:
         raise ValueError("self-retweet")
-    urls = obj.get("urls") or []
+    urls = obj.get("urls")  # null or absent is none; any other value must be an array
+    urls = [] if urls is None else urls
     if not isinstance(urls, list) or not all(isinstance(u, str) for u in urls):
         raise ValueError("urls")
     stamp = obj["timestamp"]
@@ -91,7 +92,8 @@ def _ref_profile(obj):
     account = _ref_id(obj["account_id"])
     if not account:
         raise ValueError("empty id")
-    following = obj.get("following_ids") or []
+    following = obj.get("following_ids")  # null or absent is none
+    following = [] if following is None else following
     if not isinstance(following, list):
         raise ValueError("following")
     following = [_ref_id(f) for f in following]  # every entry, also past the cap
@@ -255,6 +257,9 @@ _MALFORMED_TWEETS = [
     '{"tweet_id": "x", "author_id": "u1", "timestamp": "2020-01-01T00:00:00Z", "opinion": true}',
     '{"tweet_id": "x", "author_id": "u1", "timestamp": "2020-01-01T00:00:00Z", '
     '"toxicity": false}',
+    # falsy values that are not arrays
+    *('{"tweet_id": "x", "author_id": "u1", "timestamp": "2020-01-01T00:00:00Z", '
+      f'"urls": {value}}}' for value in ('0', '""', 'false', '{}')),
 ]
 
 _MALFORMED_PROFILES = [
@@ -266,6 +271,7 @@ _MALFORMED_PROFILES = [
     '{"account_id": "u1", "following_ids": ["u2", null]}',
     '{"account_id": "u1", "description": {"x": 1}}',
     '{"account_id": "u1", "description": 5}',
+    *(f'{{"account_id": "u1", "following_ids": {value}}}' for value in ('0', '""', 'false', '{}')),
 ]
 
 
@@ -318,6 +324,7 @@ def _write_corpus(tmp_path, seed: int):
             record["urls"] = [f"https://site{rng.randrange(5)}.com/{k}"
                               for _ in range(rng.randrange(1, 3))]
         tweet_lines.append(json.dumps(record))
+    tweet_lines += _MALFORMED_TWEETS  # each at least once
 
     profile_lines = []
     for account in ids + ["outsider", "only-retweeted", "u1"]:  # "u1" may repeat

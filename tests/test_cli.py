@@ -226,9 +226,10 @@ def test_unknown_config_key_exits_2(tmp_path, runner):
 
 REMOVED_KEYS = ("anti_keywords", "pro_keywords", "solver_tol", "solver_max_iter",
                 "dense_fallback")
-# belief propagation's numerics, the histogram width and the GHIC groups are constants
+# belief propagation's numerics, the histogram width, the GHIC groups and the
+# stubborn percentiles are constants
 CONSTANT_KEYS = ("bp_damping", "bp_max_iterations", "bp_tolerance", "histogram_bins",
-                 "ghic_groups")
+                 "ghic_groups", "stubborn_low_pct", "stubborn_high_pct")
 
 
 def test_removed_config_keys_are_unknown(tmp_path, runner, corpus):
@@ -650,6 +651,8 @@ def test_classify_without_ratings_warns_and_omits_media(tmp_path, runner, corpus
     ("domain,rating", "site01.example,abc", "line 3: could not convert"),
     ("domain,score", "site01.example,3", "line 1: the header must name"),
     ("domain,rating", " .,3", "line 3: no domain in ' .'"),
+    ("domain,rating", "https://site01.example,3", "line 3: domain 'https://site01.example' holds"),
+    ("domain,rating", "site01.example,3,extra", "line 3: more fields than the header names"),
 ])
 def test_malformed_ratings_file_exits_3_naming_the_line(tmp_path, runner, corpus, header,
                                                         row, message):

@@ -12,7 +12,8 @@ Both run on the same stage outputs, and every array, mask and ``GhicResult``
 must agree bit for bit.
 
 The corpora are small synth corpora of every topology, with their account
-tables raw and with more bots and Qanon bots, and one hand-written corpus.
+tables raw, with more bots and Qanon bots, and with some accounts then made
+unscored, and one hand-written corpus.
 That one has an account that is only retweeted (so it has no tweet and a
 zero rate), an empty group, a
 removal that leaves a follower without a rated following, a day on which no
@@ -51,15 +52,17 @@ SEEDS = range(2)
 # -- the reference -------------------------------------------------------------------
 
 
-def _ref_identify_stubborn(opinions: dict, bots: set, low_pct: float,
-                           high_pct: float) -> dict[str, float]:
-    # the (floor(low_pct*n)+1)-th smallest opinion and its mirror from the top, with
-    # the percentages read as exact decimals
-    s = sorted(opinions.values())
+def _ref_identify_stubborn(opinions: dict, scored: set, bots: set) -> dict[str, float]:
+    # every bot, and the scored accounts beyond the cuts over the scored opinions: the
+    # (floor(n/10)+1)-th smallest and its mirror from the top, at exactly 10% and 90%
+    s = sorted(opinions[a] for a in scored)
     n = len(s)
-    low_cut = s[math.floor(Fraction(str(low_pct)) * n)]
-    high_cut = s[n - 1 - math.floor((1 - Fraction(str(high_pct))) * n)]
-    return {a: o for a, o in opinions.items() if a in bots or o < low_cut or o > high_cut}
+    if not n:
+        return {a: opinions[a] for a in bots}
+    low_cut = s[math.floor(Fraction(1, 10) * n)]
+    high_cut = s[n - 1 - math.floor((1 - Fraction(9, 10)) * n)]
+    return {a: o for a, o in opinions.items()
+            if a in bots or (a in scored and (o < low_cut or o > high_cut))}
 
 
 def _ref_network_arrays(graph: DirectedGraph, rates, stubborn, opinions):
@@ -82,7 +85,7 @@ def _read_rows(path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def _reference(out, cfg: PipelineConfig):
+def _reference(out):
     """(follower graph, its arrays, active ids by day, groups, series) the old way."""
     accounts = json.loads((out / "accounts.json").read_text(encoding="utf-8"))
     follower = _id_graph(out / "follower.cols", accounts)
@@ -93,9 +96,9 @@ def _reference(out, cfg: PipelineConfig):
     rates = {a: float(f"{count / duration:.10g}") for a, count in counts.items()}
     rows = _read_rows(out / "accounts.csv")
     opinions = {r["account_id"]: float(r["opinion"]) for r in rows}
+    scored = {r["account_id"] for r in rows if r["scored"] == "1"}
     bots = {r["account_id"] for r in rows if r["bot"] == "1"}
-    stubborn = _ref_identify_stubborn(opinions, bots, cfg.stubborn_low_pct,
-                                      cfg.stubborn_high_pct)
+    stubborn = _ref_identify_stubborn(opinions, scored, bots)
     groups = _ref_groups(rows)
     active_by_day: dict[date, set[str]] = {}
     for row in _read_rows(out / "daily_active.csv"):
@@ -147,7 +150,7 @@ def _compare(out, cfg, monkeypatch, seen: dict) -> None:
 
     monkeypatch.setattr(pipeline, "daily_ghic_series", capture)
     stage_ghic(cfg)
-    follower, arrays, active_by_day, groups, series = _reference(out, cfg)
+    follower, arrays, active_by_day, groups, series = _reference(out)
 
     for got, want in zip(captured["arrays"], arrays, strict=True):
         assert _same_array(got, want)
@@ -161,6 +164,10 @@ def _compare(out, cfg, monkeypatch, seen: dict) -> None:
 
     lam = arrays[2]
     seen["zero-rate account"] += int(np.count_nonzero(lam == 0.0))
+    rows = _read_rows(out / "accounts.csv")
+    unscored = [row["bot"] for row in rows if row["scored"] == "0"]
+    seen["unscored bot"] += unscored.count("1")
+    seen["unscored account left out of the cuts"] += len(unscored)
     seen["empty group"] += sum(1 for ids in groups.values() if not ids)
     results = [r for e in series.entries for r in e.results.values()]
     seen["removal"] += sum(1 for r in results if r.target_count)
@@ -198,6 +205,19 @@ def _more_bots(seed: int):
             row["bot"] = "1"
         if row["bot"] == "1" and row["partisanship"] == "pro" and rng.random() < 0.3:
             row["qanon"] = "1"
+        return row
+
+    return edit
+
+
+def _unscore(seed: int):
+    """Make some accounts unscored, as classify writes an account without a
+    scored tweet: opinion 0.5, so anti, and not Qanon."""
+    rng = random.Random(seed)
+
+    def edit(row: dict) -> dict:
+        if rng.random() < 0.2:
+            row.update(opinion="0.5", partisanship="anti", qanon="0", scored="0")
         return row
 
     return edit
@@ -260,20 +280,25 @@ def _hand_written(tmp_path):
 
 
 def test_ghic_stage_matches_the_string_keyed_reference(tmp_path, monkeypatch):
-    seen = dict.fromkeys(("zero-rate account", "empty group", "removal", "reverted",
-                          "nobody left to average", "only stubborn active"), 0)
+    hand_cases = ("zero-rate account", "empty group", "removal", "reverted",
+                  "nobody left to average", "only stubborn active",
+                  "unscored account left out of the cuts")
+    seen = dict.fromkeys(hand_cases + ("unscored bot",), 0)
     for topology in SPECS:
         for seed in SEEDS:
             out, cfg = _classified_synth(tmp_path, topology, seed)
             _compare(out, cfg, monkeypatch, seen)
             _rewrite_accounts(out, _more_bots(seed))
             _compare(out, cfg, monkeypatch, seen)
+            _rewrite_accounts(out, _unscore(seed))
+            _compare(out, cfg, monkeypatch, seen)
 
     out, cfg = _hand_written(tmp_path)
     hand_seen = dict.fromkeys(seen, 0)
     _compare(out, cfg, monkeypatch, hand_seen)
-    assert all(hand_seen.values()), hand_seen
-    assert seen["removal"] and seen["reverted"], seen
+    assert all(hand_seen[case] for case in hand_cases), hand_seen
+    assert all(seen[case] for case in ("removal", "reverted", "unscored bot",
+                                       "unscored account left out of the cuts")), seen
 
 
 def test_ghic_counts_every_active_day_once(tmp_path):

@@ -9,6 +9,8 @@ import botimpact.opinion as opinion_module
 from botimpact.opinion import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    STUBBORN_HIGH_PCT,
+    STUBBORN_LOW_PCT,
     AssemblyError,
     LinearSystem,
     SolverError,
@@ -20,12 +22,8 @@ from botimpact.opinion import (
     solve_network,
 )
 
-from botimpact.config import PipelineConfig
-
 from conftest import graph_of, random_instance, solver_inputs
 from oracles import OracleError, fixed_point_oracle
-
-PCTS = PipelineConfig().stubborn_low_pct, PipelineConfig().stubborn_high_pct
 
 
 def _solve(graph, lam, fixed, anchor):
@@ -46,7 +44,7 @@ def test_identify_stubborn_extreme_tails():
     # frozen from the sorted-order-statistic rule: cuts land on 0.5, so the
     # 0.0 and 1.0 blocks are strictly outside and become stubborn
     opinion = np.array([0.0] * 10 + [0.5] * 80 + [1.0] * 10)
-    fixed = identify_stubborn(opinion, np.zeros(100, dtype=bool), *PCTS)
+    fixed = identify_stubborn(opinion, np.zeros(100, dtype=bool), np.ones(100, dtype=bool))
     assert fixed.dtype == bool
     assert fixed.tolist() == [True] * 10 + [False] * 80 + [True] * 10
 
@@ -54,18 +52,33 @@ def test_identify_stubborn_extreme_tails():
 def test_identify_stubborn_bot_rule():
     bot = np.zeros(21, dtype=bool)
     bot[7] = True
-    assert np.flatnonzero(identify_stubborn(np.full(21, 0.5), bot, *PCTS)).tolist() == [7]
+    fixed = identify_stubborn(np.full(21, 0.5), bot, np.ones(21, dtype=bool))
+    assert np.flatnonzero(fixed).tolist() == [7]
 
 
-def test_identify_stubborn_extreme_thresholds_disable():
-    opinion = np.arange(10) / 9
-    fixed = identify_stubborn(opinion, np.zeros(10, dtype=bool), low_pct=0.0, high_pct=1.0)
-    assert not fixed.any()
+def test_identify_stubborn_cuts_over_the_scored_accounts_only():
+    # 20 scored accounts at 0.00..0.95 and 80 unscored at the 0.5 placeholder:
+    # over every account the cuts would be 0.5 and 0.5, and 18 scored humans
+    # would be stubborn; over the scored ones they are 0.10 and 0.85
+    scored = np.array([True] * 20 + [False] * 80)
+    opinion = np.where(scored, np.arange(100) / 20, 0.5)
+    bot = np.zeros(100, dtype=bool)
+    bot[[5, 20]] = True  # a scored bot inside the cuts and an unscored bot
+    fixed = identify_stubborn(opinion, bot, scored)
+    assert percentile_cuts(opinion[scored], STUBBORN_LOW_PCT, STUBBORN_HIGH_PCT) == (0.1, 0.85)
+    assert np.flatnonzero(fixed).tolist() == [0, 1, 5, 18, 19, 20]
+    # an unscored human is never stubborn, even where 0.5 lies below the low cut
+    high = np.where(scored, 0.6 + np.arange(100) / 100, 0.5)
+    assert np.flatnonzero(identify_stubborn(high, bot, scored) & ~scored).tolist() == [20]
+    # with no scored account the set is the bots alone
+    none = np.zeros(100, dtype=bool)
+    assert np.flatnonzero(identify_stubborn(opinion, bot, none)).tolist() == [5, 20]
 
 
 def test_identify_stubborn_flags_all_stubborn(caplog):
     with caplog.at_level("WARNING", logger="botimpact.opinion"):
-        assert identify_stubborn(np.array([0.0, 1.0]), np.ones(2, dtype=bool), *PCTS).all()
+        assert identify_stubborn(np.array([0.0, 1.0]), np.ones(2, dtype=bool),
+                                 np.ones(2, dtype=bool)).all()
     assert "every account is stubborn" in caplog.text
 
 
@@ -74,6 +87,14 @@ def test_percentile_cuts_distinct_values():
     low, high = percentile_cuts(values, 0.10, 0.90)
     assert low == pytest.approx(0.2)
     assert high == pytest.approx(0.9)
+
+
+def test_percentile_cuts_extreme_thresholds_disable():
+    opinion = np.arange(10) / 9
+    low, high = percentile_cuts(opinion, 0.0, 1.0)
+    assert not ((opinion < low) | (opinion > high)).any()
+    # no opinion at all: nothing is extreme either
+    assert percentile_cuts(np.array([]), STUBBORN_LOW_PCT, STUBBORN_HIGH_PCT) == (-np.inf, np.inf)
 
 
 # -- preprocess -------------------------------------------------------------------

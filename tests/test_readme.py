@@ -40,8 +40,8 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
     bot = table.bot[nodes]
     assert bot.any() and not bot.all()
     namespace = {"accounts": accounts, "lam": table.tweet_rate[nodes],
-                 "measured": table.opinion[nodes], "bot": bot, "targets": bot,
-                 "anchor": table.opinion[nodes]}
+                 "measured": table.opinion[nodes], "bot": bot, "scored": table.scored[nodes],
+                 "targets": bot, "anchor": table.opinion[nodes]}
     monkeypatch.chdir(tmp_path)
     exec(compile(_library_block(), str(README), "exec"), namespace)
     # the block's solve against the averaging sweeps, on the block's own arrays
