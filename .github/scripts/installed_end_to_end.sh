@@ -59,6 +59,40 @@ if sorted((r["day"], r["group"]) for r in series) != sorted(
     problems.append("ghic_series.csv lacks one row per computed day and group")
 sys.exit("; ".join(problems) or 0)
 '
+# ghic_series.csv is the installed library's ghic on each day's full induced
+# arrays, so the edges the stage drops before any day move no bit
+cat > ghic_check.py <<'PY'
+import csv, sys
+from pathlib import Path
+import numpy as np
+from botimpact import ghic, graph, opinion, pipeline
+out = Path(sys.argv[1])
+def rows(name):
+    with open(out / name, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+accounts = pipeline.load_accounts(out)
+_, src, tgt, _ = graph.load_columns(out / "follower.cols", accounts)
+table = pipeline.account_table(out, accounts)
+groups = table.groups
+fixed = opinion.identify_stubborn(table.opinion, groups["all_bots"], table.scored)
+index = {account: i for i, account in enumerate(accounts)}
+active = {}
+for row in rows("daily_active.csv"):
+    active.setdefault(row["day"], np.zeros(len(accounts), dtype=bool))[index[row["account_id"]]] = True
+want = {}
+for day, mask in active.items():
+    edge = mask[src] & mask[tgt]
+    position = np.cumsum(mask) - 1
+    network = (position[src[edge]], position[tgt[edge]], table.tweet_rate[mask], fixed[mask],
+               table.opinion[mask])
+    full = opinion.solve_network(*network)
+    if not full[1].all():
+        for name, members in groups.items():
+            want[day, name] = format(ghic.ghic(network, full, members[mask]).value, ".10g")
+got = {(r["day"], r["group"]): r["ghic"] for r in rows("ghic_series.csv")}
+sys.exit(0 if got == want and got else f"ghic_series.csv {got}, recomputed {want}")
+PY
+python3 ghic_check.py out
 # the five stages again in fresh processes, so with other string hash
 # seeds; in a copy of the directory, as the manifest records out_dir
 mkdir out2 && cp -r corpus run.cfg out2/
@@ -265,3 +299,4 @@ done
 done)
 test -s out/ghic_series.csv
 diff -r out again/out
+python3 ../ghic_check.py out

@@ -20,7 +20,6 @@ import csv
 import io
 import re
 from dataclasses import dataclass
-from functools import reduce
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -245,10 +244,16 @@ def build_account_records(
 # -- group statistics ----------------------------------------------------------
 
 
-def ordered_mean(values: list[float]) -> float | None:
-    """Mean added left to right, None for no values.  Python 3.12's ``sum``
-    compensates rounding, so ``sum(v) / len(v)`` would differ by interpreter."""
-    return reduce(lambda total, x: total + x, values, 0.0) / len(values) if values else None
+def ordered_mean(values: Sequence[float] | np.ndarray) -> float | None:
+    """Mean added left to right from 0.0, None for no values.  Python 3.12's
+    ``sum`` compensates rounding and ``np.sum`` adds pairwise, so either would
+    round differently; a running sum adds one value at a time."""
+    if not len(values):
+        return None
+    # overflow to inf and inf - inf add silently, as Python floats do
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.accumulate(np.concatenate(([0.0], values)))[-1]
+    return float(total) / len(values)
 
 
 _CELLS = [(part, bot, qanon) for part in (ANTI, PRO) for bot in (0, 1) for qanon in (0, 1)]

@@ -25,6 +25,16 @@ so the solve is bit for bit the one without them, for any targets.
 The full solve does not depend on S, so ``ghic`` takes it as an argument:
 a daily series solves each day's network once and scores every group
 against that one solve.
+
+A series keeps only the follower edges with ``~fixed[tgt] & (rates[src] !=
+0.0)``, once, before any day mask.  The rest are read by no system it
+solves, so every bit stays the same: an edge into a stubborn account feeds
+no row, on any day or removal, since a removal only adds stubborn accounts;
+an edge of rate zero adds 0.0 to its row's total and relays nothing, so
+preprocessing and assembly already pass it over.  Each row's sums still add
+the same nonzero terms in source order.  (``!= 0.0``, not ``> 0.0``, keeps
+the edges of a negative or NaN rate, so such a rate behaves as on the full
+arrays.)
 """
 
 from __future__ import annotations
@@ -80,7 +90,7 @@ def ghic(network: tuple, full: tuple, targets: np.ndarray) -> GhicResult:
     # nodes reclassified without the targets revert to their measured opinion
     reverted = int(np.count_nonzero(after_fixed[population]))
     # left to right in node order; np.sum would round differently
-    value = ordered_mean((opinion[population] - after[population]).tolist())
+    value = ordered_mean(opinion[population] - after[population])
     return GhicResult(removed, value, population.size, reverted)
 
 
@@ -117,6 +127,11 @@ def daily_ghic_series(
     the group; the removal raises ValueError when the group covers every
     non-stubborn node, which a group of stubborn accounts never does.  A day
     or group that is not a boolean node mask raises ValueError first.
+
+    The edges into stubborn accounts and those from rate-zero accounts are
+    dropped first, once for the series: no day's system or removal reads
+    them (see the module docstring), so the results are bit for bit those
+    of the full arrays.
     """
     if not groups:
         raise ValueError("at least one group is required")
@@ -125,6 +140,9 @@ def daily_ghic_series(
         _check_mask(active_by_day[day], fixed.size, f"day {day.isoformat()}")
     for name in sorted(groups):
         _check_mask(groups[name], fixed.size, f"group {name!r}")
+    # no system of the series reads an edge into a stubborn account or one of rate zero
+    read = ~fixed[tgt] & (rates[src] != 0.0)
+    src, tgt = src[read], tgt[read]
     entries: list[DailyGhicEntry] = []
     skipped: list[tuple[date, str]] = []
     for day in sorted(active_by_day):

@@ -31,11 +31,12 @@ relative to b.  The kernel takes scipy's ``bicgstab`` steps one for one but
 calls ``G @ v``, the diagonal scaling and ``np.dot`` directly: at a few
 hundred unknowns scipy's LinearOperator dispatch costs more than the
 arithmetic.  Measured with one BLAS thread on a 2-core Intel Xeon, min of
-ten in-process runs, on the benchmark's polarized-1k corpus (seed 11): its
-45 systems of 290-320 unknowns take 0.024 s in total, against 0.056 s by
-dense LU and 0.047 s by scipy's ``bicgstab``.  The 8 systems of 1,178
-unknowns of amplifier-1.6k (seed 11) take 0.005 s, against 0.009 s by
-scipy and 0.31 s by dense LU.
+ten in-process runs, on the systems the ghic stage solves for the
+benchmark's polarized-1k corpus (seed 11): its 50 systems of 290-785
+unknowns take 0.021 s in total, against 0.035 s by scipy's ``bicgstab`` and
+0.12 s by dense LU (``np.linalg.solve`` on ``G.toarray()``).  The 8 systems
+of 1,178 unknowns of amplifier-1.6k (seed 11) take 0.004 s, against 0.006 s
+by scipy and 0.32 s by dense LU.
 
 BiCGSTAB breaks down on real day networks, and scipy's tests for it are
 absolute (rho and omega below eps**2, rtilde.v exactly 0), so they miss a
@@ -220,11 +221,15 @@ def assemble_system(
     edge = ~fixed[tgt] & (lam != 0.0)
     src, rows, lam = src[edge], position[tgt[edge]], lam[edge]
     free = ~fixed[src]
+    # each row's terms from free and from stubborn sources, masked once
+    f_rows, f_lam, f_src = rows[free], lam[free], src[free]
+    s_rows, s_lam, s_src = rows[~free], lam[~free], src[~free]
 
     # row balance |G_ii| = sum_j |G_ij| + stubborn rates, checked before any matrix exists
     m = v1.size
     own = np.abs(totals)
-    off, held = (np.bincount(rows[s], weights=np.abs(lam[s]), minlength=m) for s in (free, ~free))
+    off = np.bincount(f_rows, weights=np.abs(f_lam), minlength=m)
+    held = np.bincount(s_rows, weights=np.abs(s_lam), minlength=m)
     gap = np.abs(own - off - held)
     if (gap > 1e-9 * np.maximum(1.0, own)).any():
         row = int(np.argmax(gap))
@@ -236,13 +241,13 @@ def assemble_system(
     diag = np.arange(m)
     G = sp.csr_matrix(
         (
-            np.concatenate((-totals, lam[free])),
-            (np.concatenate((diag, rows[free])), np.concatenate((diag, position[src[free]]))),
+            np.concatenate((-totals, f_lam)),
+            (np.concatenate((diag, f_rows)), np.concatenate((diag, position[f_src]))),
         ),
         shape=(m, m),
     )
     # the sources come sorted, so each row adds its stubborn terms in source order
-    b = np.bincount(rows[~free], weights=-lam[~free] * anchor[src[~free]], minlength=m)
+    b = np.bincount(s_rows, weights=-s_lam * anchor[s_src], minlength=m)
     return LinearSystem(G=G, b=b, v1=v1, psi_values=anchor[fixed & (rates > 0.0)])
 
 
@@ -255,6 +260,11 @@ class EquilibriumSolution:
     residual_norm: float
     iterations: int
     method: str
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a float vector, as ``np.linalg.norm`` takes it, without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def _bicgstab(
@@ -270,7 +280,7 @@ def _bicgstab(
     with its Jacobi step, counts as an iteration, so the loop ends; a
     SolverError names the last restart.
     """
-    b_norm = np.linalg.norm(b)
+    b_norm = _norm(b)
     if b_norm == 0.0:
         return b.copy(), 0, 0.0
     atol = tol * 0.01 * b_norm
@@ -278,15 +288,15 @@ def _bicgstab(
     eps = np.finfo(float).eps
     x = np.full(b.size, 0.5)
     r = b - G @ x
-    rtilde, rtilde_norm = r.copy(), np.linalg.norm(r)
+    rtilde, rtilde_norm = r.copy(), _norm(r)
     p, fresh, stalled, iterations, restart = None, True, False, 0, ""
     while iterations < max_iter:
-        r_norm = np.linalg.norm(r)
+        r_norm = _norm(r)
         if r_norm < atol:
             r = b - G @ x
-            true_norm = np.linalg.norm(r)
+            true_norm = _norm(r)
             if true_norm < tol * b_norm:
-                return x, iterations, float(true_norm / b_norm)
+                return x, iterations, true_norm / b_norm
             broke = "residual drift"
         else:
             # a dot product counts as zero below eps times its factors' norms
@@ -302,18 +312,18 @@ def _bicgstab(
             phat = inv_diag * p
             v = G @ phat
             rv = np.dot(rtilde, v)
-            broke = "rtilde.v" if abs(rv) <= eps * rtilde_norm * np.linalg.norm(v) else ""
+            broke = "rtilde.v" if abs(rv) <= eps * rtilde_norm * _norm(v) else ""
         if broke:
             if fresh:
                 x += inv_diag * r
                 r = b - G @ x
             restart = f", last restarted at iteration {iterations} on {broke}"
-            rtilde, rtilde_norm = r.copy(), np.linalg.norm(r)
+            rtilde, rtilde_norm = r.copy(), _norm(r)
             p, fresh, stalled, iterations = None, True, False, iterations + 1
             continue
         alpha = rho / rv
         r -= alpha * v
-        s_norm = np.linalg.norm(r)
+        s_norm = _norm(r)
         if s_norm < atol:
             x += alpha * phat
             continue

@@ -1,4 +1,7 @@
+import math
+import operator
 import random
+from functools import reduce
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -401,3 +404,22 @@ def test_ordered_mean_adds_left_to_right():
     assert ordered_mean([1e16, 1.0, -1e16]) == 0.0
     assert ordered_mean([0.25, 0.75]) == 0.5
     assert ordered_mean([]) is None
+    assert ordered_mean(np.array([])) is None
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308, 1.0])
+
+
+@given(st.lists(st.one_of(st.floats(), _EDGE_FLOATS), min_size=1, max_size=40))
+@example([-0.0])  # the sum starts at 0.0, and 0.0 + -0.0 is 0.0
+@example([5e-324])  # one subnormal
+@example([1.7e308, 1.7e308, -1.7e308])  # inf partway, so inf at the end
+@example([1.0, math.nan, 2.0])
+@settings(max_examples=300)
+def test_ordered_mean_is_the_left_to_right_sum_bit_for_bit(values):
+    want = reduce(operator.add, values, 0.0) / len(values)
+    for given_values in (values, np.array(values)):
+        got = ordered_mean(given_values)
+        assert type(got) is float
+        # a NaN's payload is not an output: the CSVs write every NaN as "nan"
+        assert math.isnan(got) if math.isnan(want) else got.hex() == want.hex()

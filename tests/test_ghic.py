@@ -321,7 +321,10 @@ def test_daily_series_solves_each_day_network_once(monkeypatch):
             day = g.induced_subgraph(active_by_day[entry.day])
             src, tgt, _ = day.edge_arrays()
             lam = np.array([rates[name] for name in day.labels])
-            key = (day.node_count, src.tobytes(), tgt.tobytes(), lam.tobytes())
+            held = np.array([name in stubborn for name in day.labels], dtype=bool)
+            # the series drops the edges into stubborn accounts and those of rate zero
+            read = ~held[tgt] & (lam[src] != 0.0)
+            key = (day.node_count, src[read].tobytes(), tgt[read].tobytes(), lam.tobytes())
             assert solved.count(key) == 1
         removals = sum(1 for e in series.entries for r in e.results.values() if r.target_count)
         assert len(solved) == len(active_by_day) + removals
@@ -370,6 +373,32 @@ def test_masked_removal_equals_solve_on_induced_subgraph(monkeypatch):
         non_stubborn_targets += np.count_nonzero(targets & ~fixed)
         zero_rate_targets += np.count_nonzero(targets & (lam == 0.0))
     assert compared >= 20 and non_stubborn_targets and zero_rate_targets
+
+
+def test_solves_do_not_read_edges_into_stubborn_accounts_or_of_rate_zero():
+    """The edge rule of ``daily_ghic_series``: without the edges into stubborn
+    accounts and those from rate-zero accounts, the full solve and every
+    removal give the same opinions and final masks, bit for bit."""
+    compared = into_stubborn = zero_rate = 0
+    for seed in range(40):
+        g, lam, fixed, anchor = random_instance(seed=1500 + seed, n_lo=20, n_hi=150)
+        rng = np.random.default_rng(seed)
+        n = g.node_count
+        lam[rng.random(n) < 0.1] = 0.0
+        src, tgt, _ = g.edge_arrays()
+        read = ~fixed[tgt] & (lam[src] != 0.0)
+        into_stubborn += np.count_nonzero(fixed[tgt])
+        zero_rate += np.count_nonzero(~fixed[tgt] & (lam[src] == 0.0))
+        targets = np.zeros(n, dtype=bool)
+        targets[rng.choice(n, size=max(1, n // 5), replace=False)] = True
+        # the full network, then the removal as ``ghic`` builds it
+        for rates, held in ((lam, fixed), (np.where(targets, 0.0, lam), fixed | targets)):
+            want = solve_network(src, tgt, rates, held, anchor)
+            got = solve_network(src[read], tgt[read], rates, held, anchor)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            compared += int(not want[1].all())
+    assert compared >= 60 and into_stubborn and zero_rate
 
 
 # -- solver/oracle agreement on ghic -------------------------------------------------

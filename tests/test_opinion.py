@@ -26,6 +26,13 @@ from conftest import graph_of, random_instance, solver_inputs
 from oracles import OracleError, fixed_point_oracle
 
 
+def test_norm_is_numpys_norm_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for size in [0, 1, 2, 2000, *rng.integers(0, 2001, size=60)]:
+        v = rng.standard_normal(size) * 10.0 ** rng.integers(-150, 151)
+        assert np.float64(opinion_module._norm(v)).tobytes() == np.linalg.norm(v).tobytes()
+
+
 def _solve(graph, lam, fixed, anchor):
     """(equilibrium opinion per node, final stubborn mask) on ``graph``."""
     src, tgt, _ = graph.edge_arrays()
