@@ -225,11 +225,13 @@ test ! -e out/report.txt
 status=0
 botimpact --config run.cfg ghic || status=$?
 test "$status" -eq 3
-# belief propagation's numerics, the histogram width, the GHIC groups and the
+# the partisan cutoff, the followings cap, belief propagation's prior,
+# interaction cap and numerics, the histogram width, the GHIC groups and the
 # stubborn percentiles are constants: a config that sets one of their old keys
 # is a configuration problem, before any stage runs
-for key in bp_damping bp_max_iterations bp_tolerance histogram_bins ghic_groups \
-  stubborn_low_pct stubborn_high_pct; do
+for key in partisan_cutoff followings_cap bp_prior_bot bp_weight_cap bp_damping \
+  bp_max_iterations bp_tolerance histogram_bins ghic_groups stubborn_low_pct \
+  stubborn_high_pct; do
   cp run.cfg "$key.cfg"
   echo "$key = 20" >> "$key.cfg"
   status=0
@@ -237,6 +239,15 @@ for key in bp_damping bp_max_iterations bp_tolerance histogram_bins ghic_groups 
   test "$status" -eq 2
   grep -q "unknown key '$key'" "$key.err"
 done
+# so are the synth generator's URL share, concentrations, planted means and
+# amplified count: a spec that sets one writes no corpus
+cp spec.txt url_prob.txt
+echo 'url_prob = 0.5' >> url_prob.txt
+status=0
+botimpact --out corpus_url synth --spec url_prob.txt 2> url_prob.err || status=$?
+test "$status" -eq 2
+grep -q "unknown key 'url_prob'" url_prob.err
+test ! -e corpus_url
 # without a ratings file classify warns, exits 0 and leaves media_quality empty
 cp run.cfg noratings.cfg
 echo 'ratings = corpus/no_such_ratings.csv' >> noratings.cfg

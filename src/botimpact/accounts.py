@@ -211,7 +211,7 @@ def build_account_records(
     ``duration_days``.
 
     Accounts with no scored tweet get the neutral opinion 0.5, and so fall on
-    the inclusive anti side of the default ``cutoff`` 0.5, and are flagged
+    the inclusive anti side of the pipeline's ``cutoff`` 0.5, and are flagged
     unscored so partisan statistics can exclude them.  Qanon is the keyword
     rule over the descriptions of pro accounts.  Media quality is the mean
     rating of an account's rated URL occurrences, added left to right as

@@ -1,12 +1,13 @@
 """Pipeline configuration: one flat ``key = value`` file, ``--out`` wins.
 
-Defaults carry the analysis constants: partisan cutoff 0.5 (anti at or
-below), bot threshold 0.8 (strictly above), followings cap 2000.  Every
+The one analysis setting is the bot threshold, 0.8 (strictly above).  Every
 numeric field is validated against its documented range at load time; the
-``bp_`` defaults and ranges are those of ``botdetect.FactorGraphParams``,
-kept there only.  Belief propagation's damping, sweep cap and tolerance
-(that class's defaults), the histogram's 20 bins, the four GHIC groups and
-the stubborn percentiles 10/90 (``opinion``) are constants, with no key.
+``bp_psi_*`` defaults and ranges are those of ``botdetect.FactorGraphParams``,
+kept there only.  The partisan cutoff 0.5 (anti at or below) and the
+followings cap 2000 (``pipeline``), belief propagation's prior, interaction
+cap, damping, sweep cap and tolerance (that class's defaults), the
+histogram's 20 bins, the four GHIC groups and the stubborn percentiles 10/90
+(``opinion``) are constants, with no key.
 """
 
 from __future__ import annotations
@@ -31,28 +32,19 @@ class PipelineConfig:
     ratings: str = "ratings.csv"
     qanon_keywords: str = ""  # empty -> packaged list
     out_dir: str = "out"
-    # analysis constants
-    partisan_cutoff: float = 0.5
-    bot_threshold: float = 0.8
-    followings_cap: int = 2000
     # bot detection
-    bp_prior_bot: float = FactorGraphParams.prior_bot
+    bot_threshold: float = 0.8
     bp_psi_hh: float = FactorGraphParams.psi_hh
     bp_psi_hb: float = FactorGraphParams.psi_hb
     bp_psi_bh: float = FactorGraphParams.psi_bh
     bp_psi_bb: float = FactorGraphParams.psi_bb
-    bp_weight_cap: float = FactorGraphParams.weight_cap
     # stages run serially; the key is kept, at 1, for configs that still set it
     workers: int = 1
 
     def validate(self) -> None:
         check_finite(self, ConfigError)
-        if not 0.0 <= self.partisan_cutoff <= 1.0:
-            raise ConfigError(f"partisan_cutoff must be in [0.0, 1.0], got {self.partisan_cutoff}")
         if not 0.5 < self.bot_threshold <= 1.0:
             raise ConfigError(f"bot_threshold must be in (0.5, 1.0], got {self.bot_threshold}")
-        if self.followings_cap <= 0:
-            raise ConfigError("followings_cap must be positive")
         try:
             self.bp_params()
         except ValueError as exc:  # its ranges are kept in one place
@@ -61,8 +53,8 @@ class PipelineConfig:
             raise ConfigError(f"workers must be 1 (stages run serially), got {self.workers}")
 
     def bp_params(self) -> FactorGraphParams:
-        """The ``bp_`` settings as belief propagation's parameters; the others
-        keep their defaults."""
+        """The four ``bp_psi_*`` potentials as belief propagation's parameters;
+        the others keep their defaults."""
         return FactorGraphParams(**{f.name: getattr(self, f"bp_{f.name}")
                                     for f in fields(FactorGraphParams)
                                     if hasattr(self, f"bp_{f.name}")})

@@ -117,9 +117,6 @@ class DirectedGraph:
     def edge_count(self) -> int:
         return self.edge_arrays()[1].size
 
-    def label(self, idx: int) -> str:
-        return self._labels[idx]
-
     @property
     def labels(self) -> Sequence:
         return self._labels

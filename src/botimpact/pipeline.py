@@ -137,6 +137,9 @@ def _update_manifest(out_dir: Path, stage: str, payload: dict, files: Iterable[P
 # -- build ------------------------------------------------------------------------
 
 
+FOLLOWINGS_CAP = 2000  # follow lists are truncated at this many ids
+
+
 def stage_build(cfg: PipelineConfig) -> dict:
     """Parse raw files into networks, daily activity, and the per-account
     content table that classify reads instead of the raw files; every output
@@ -152,7 +155,7 @@ def stage_build(cfg: PipelineConfig) -> dict:
     first, last = tweets.window()
 
     profile_stats = ingest.ParseStats()
-    profiles = ingest.load_profiles(cfg.profiles, cfg.followings_cap, stats=profile_stats)
+    profiles = ingest.load_profiles(cfg.profiles, FOLLOWINGS_CAP, stats=profile_stats)
     follower, descriptions = ingest.build_follower_network(profiles, tweets.accounts)
     _atomic_write_text(out_dir / "accounts.json", json.dumps(tweets.accounts) + "\n")
     save_edge_list(out_dir / "follower.cols", follower)
@@ -311,6 +314,9 @@ def _opt(x: float) -> str:
     return "" if math.isnan(x) else _fmt(x)
 
 
+PARTISAN_CUTOFF = 0.5  # an account is pro above this mean opinion, anti at or below
+
+
 def stage_classify(cfg: PipelineConfig) -> dict:
     """The account table over the positions of accounts.json, written as
     accounts.csv, and the group summary table.
@@ -345,7 +351,7 @@ def stage_classify(cfg: PipelineConfig) -> dict:
         _read_manifest(out_dir)["build"]["window"]["duration_days"],
         bot,
         acc.load_keywords(cfg.qanon_keywords),
-        cfg.partisan_cutoff,
+        PARTISAN_CUTOFF,
         ratings=ratings,
     )
 

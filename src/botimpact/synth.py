@@ -30,6 +30,8 @@ flag, opinion, description, follow list and retweet pool.  The rest is
 derived where it is used: the id from the index (once per account), and the
 tweet rate and the range of rated domains it links from the spec and the bot
 flag.  Each topology builds its accounts in one loop over the indices.
+The URL share, the Beta concentrations, the planted opinion means and the
+number of humans a planted bot amplifies are module constants, not fields.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ _QANON_TERM = "#wwg1wga"
 # what json.dumps(..., sort_keys=True) builds on every call
 _JSON = json.JSONEncoder(sort_keys=True)
 
+_URL_PROB = 0.15  # share of original tweets that link a rated domain
+_OPINION_CONCENTRATION, _TWEET_SCORE_CONCENTRATION = 8.0, 60.0  # Beta, about the mean
+_ANTI_MEAN, _PRO_MEAN, _CORE_OPINION_MEAN = 0.12, 0.88, 0.92  # two-block humans; the core
+_AMPLIFY_TARGETS = 3  # planted bots concentrate their retweets on this many humans
+
 # synthetic rated news domains, low to high trust
 _DOMAIN_POOL = tuple((f"site{k:02d}.example", 1.0 + 4.0 * k / 9.0) for k in range(10))
 
@@ -78,9 +85,6 @@ class SynthSpec:
     human_rate: float = 1.0  # tweets/day
     bot_rate: float = 100.0  # bots post about two orders of magnitude more
     retweet_frac: float = 0.3
-    url_prob: float = 0.15
-    opinion_concentration: float = 8.0
-    tweet_score_concentration: float = 60.0
     # two_block_polarized
     humans_per_block: int = 50
     bots_per_block: int = 5
@@ -90,15 +94,12 @@ class SynthSpec:
     qanon_human_frac: float = 0.0  # fraction of pro-block humans marked Qanon
     p_intra: float = 0.2
     eps: float = 0.05  # cross-block follow probability = eps * p_intra
-    anti_mean: float = 0.12
-    pro_mean: float = 0.88
     # core_periphery_qanon
     core_bots: int = 10
     periphery_humans: int = 100
     k_follow: int = 3
     p_core: float = 0.5
     audience: str = "echo"  # echo | mixed
-    core_opinion_mean: float = 0.92
     # planted_bot_retweet
     n_bots: int = 30
     n_humans: int = 300
@@ -106,21 +107,16 @@ class SynthSpec:
     human_rt_human: float = 3.0
     human_rt_bot: float = 0.01
     bot_rt_bot: float = 0.01
-    amplify_targets: int = 3  # bots concentrate retweets on this many accounts
     follow_out: int = 10
 
     def validate(self) -> None:
         check_finite(self, SynthSpecError)
         if self.topology not in TOPOLOGIES:
             raise SynthSpecError(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
-        positive = ("days", "human_rate", "bot_rate", "opinion_concentration",
-                    "tweet_score_concentration")
-        for name in positive:
+        for name in ("days", "human_rate", "bot_rate"):
             if getattr(self, name) <= 0:
                 raise SynthSpecError(f"{name} must be positive")
-        unit = ("retweet_frac", "url_prob", "qanon_bot_frac", "qanon_human_frac",
-                "p_intra", "p_core", "anti_mean", "pro_mean", "core_opinion_mean")
-        for name in unit:
+        for name in ("retweet_frac", "qanon_bot_frac", "qanon_human_frac", "p_intra", "p_core"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise SynthSpecError(f"{name} must be in [0,1]")
         if self.eps < 0:
@@ -149,8 +145,6 @@ class SynthSpec:
                 raise SynthSpecError("n_bots must be >= 0")
             if self.n_humans < 1:
                 raise SynthSpecError("n_humans must be >= 1")
-            if self.amplify_targets < 1:
-                raise SynthSpecError("amplify_targets must be >= 1")
             for name in ("follow_out", "bot_rt_human", "human_rt_human", "human_rt_bot",
                          "bot_rt_bot"):
                 if getattr(self, name) < 0:
@@ -250,8 +244,8 @@ def _roster_two_block(spec: SynthSpec) -> list[_Account]:
     for index, (side, is_bot) in enumerate(members):
         name = "pro" if side else "anti"
         rng_o = _rng(spec.seed, "opinion", index)
-        mean = (0.96 if side else 0.04) if is_bot else (spec.pro_mean if side else spec.anti_mean)
-        opinion = _beta(rng_o, mean, spec.opinion_concentration)
+        mean = (0.96 if side else 0.04) if is_bot else (_PRO_MEAN if side else _ANTI_MEAN)
+        opinion = _beta(rng_o, mean, _OPINION_CONCENTRATION)
         qanon_frac = spec.qanon_bot_frac if is_bot else spec.qanon_human_frac
         qanon = side and rng_o.random() < qanon_frac
         # one draw per other account, in index order
@@ -273,7 +267,7 @@ def _roster_core_periphery(spec: SynthSpec) -> list[_Account]:
         core = index < spec.core_bots
         rng_o = _rng(spec.seed, "opinion", index)
         if core or spec.audience == "echo":
-            opinion = _beta(rng_o, spec.core_opinion_mean, 4 * spec.opinion_concentration)
+            opinion = _beta(rng_o, _CORE_OPINION_MEAN, 4 * _OPINION_CONCENTRATION)
         else:
             opinion = _beta(rng_o, 0.5, 2.0)  # spread audience
         rng_f = _rng(spec.seed, "follow", index)
@@ -296,7 +290,7 @@ def _roster_planted_retweets(spec: SynthSpec) -> list[_Account]:
     ids = np.array([_account_id(index) for index in range(total)], dtype=object)
     humans = ids[spec.n_bots :].tolist()
     k = min(spec.follow_out, total - 1)
-    k_amp = min(spec.amplify_targets, len(humans))
+    k_amp = min(_AMPLIFY_TARGETS, len(humans))
     roster: list[_Account] = []
     for index in range(total):
         is_bot = index < spec.n_bots
@@ -454,11 +448,11 @@ def _tweet_json(
 ) -> str:
     seconds = int(rng.integers(86_400))
     urls: list[str] = []
-    if retweeted is None and rng.random() < spec.url_prob:
+    if retweeted is None and rng.random() < _URL_PROB:
         lo, hi = (0, 5) if acct.is_bot else (4, 10)  # bots link low-trust domains
         domain = _DOMAIN_POOL[int(rng.integers(lo, hi))][0]
         urls.append(f"https://{domain}/story{int(rng.integers(1000)):03d}")
-    opinion = _beta(rng, acct.opinion, spec.tweet_score_concentration)
+    opinion = _beta(rng, acct.opinion, _TWEET_SCORE_CONCENTRATION)
     toxicity = _beta(rng, 0.15 if acct.is_bot else 0.25, 10.0)
     record = {
         "tweet_id": f"t-{acct.account_id}-{day}-{k:04d}",

@@ -26,7 +26,7 @@ def edge_dict(g: DirectedGraph) -> dict[tuple[str, str], float]:
     """{(source id, target id): weight}, read from ``edge_arrays()``."""
     src, tgt, w = g.edge_arrays()
     return {
-        (g.label(u), g.label(v)): weight
+        (g.labels[u], g.labels[v]): weight
         for u, v, weight in zip(src.tolist(), tgt.tolist(), w.tolist())
     }
 

@@ -31,6 +31,7 @@ from botimpact.ingest import (
 )
 from botimpact.opinion import (STUBBORN_HIGH_PCT, STUBBORN_LOW_PCT, identify_stubborn,
                                solve_network)
+from botimpact.pipeline import FOLLOWINGS_CAP, PARTISAN_CUTOFF
 from botimpact.synth import SynthSpec, generate
 
 from conftest import (
@@ -148,7 +149,7 @@ def test_criterion_3_ghic_axioms_and_worked_example():
         assert abs(result2.value) <= 1.0 + 1e-12  # |GHIC| <= max psi - min psi
         src2, tgt2, _ = g2.edge_arrays()
         has_v1_follower = any(
-            g2.label(int(t)) not in stubborn2
+            g2.labels[int(t)] not in stubborn2
             for b in ones
             for t in tgt2[src2 == g2.labels.index(b)]
         )
@@ -234,7 +235,6 @@ def _per_bot_core_ghic(seed: int, audience: str, workdir: Path) -> float:
         periphery_humans=60, k_follow=3, bot_rate=20.0, audience=audience,
     )
     generate(spec, out)
-    cfg = PipelineConfig()
     with open(out / "labels_truth.csv", newline="") as fh:
         labels = {r["account_id"]: r for r in csv.DictReader(fh)}
     tweets = list(load_tweets(out / "tweets.jsonl"))
@@ -242,7 +242,7 @@ def _per_bot_core_ghic(seed: int, audience: str, workdir: Path) -> float:
     first, last = columns.window()
     nodes = columns.accounts
     (_, src, tgt, _), descriptions = build_follower_network(
-        load_profiles(out / "profiles.jsonl", cfg.followings_cap), nodes)
+        load_profiles(out / "profiles.jsonl", FOLLOWINGS_CAP), nodes)
     rates = {c["account_id"]: c["tweet_count"] / ((last - first).days + 1)
              for c in account_content(columns, descriptions) if c["tweet_count"]}
     sums: dict[str, float] = {}
@@ -278,18 +278,18 @@ def test_criterion_6_echo_chamber_lowers_per_bot_impact(tmp_path):
 
 def test_criterion_7_paper_anchored_defaults():
     cfg = PipelineConfig.load()
-    assert cfg.partisan_cutoff == 0.5
+    assert PARTISAN_CUTOFF == 0.5
     assert cfg.bot_threshold == 0.8
     assert STUBBORN_LOW_PCT == 0.10
     assert STUBBORN_HIGH_PCT == 0.90
-    assert cfg.followings_cap == 2000
+    assert FOLLOWINGS_CAP == 2000
     # the cutoff is inclusive on the anti side
     from botimpact.accounts import build_account_records, load_keywords
 
     content = [{"tweet_count": 1, "mean_opinion": opinion, "mean_toxicity": None, "urls": [],
                 "description": ""} for opinion in (0.5, 0.5 + 1e-9)]
     table = build_account_records(content, 1, np.zeros(2, dtype=bool),
-                                  load_keywords(""), cutoff=cfg.partisan_cutoff)
+                                  load_keywords(""), cutoff=PARTISAN_CUTOFF)
     assert table.pro.tolist() == [False, True]
     params = FactorGraphParams()
     assert params.psi_hb > params.psi_bb and params.psi_hh > params.psi_bh

@@ -21,13 +21,12 @@ from botimpact.accounts import (
     ordered_mean,
     retweet_leaderboard,
 )
-from botimpact.config import PipelineConfig
 from botimpact.ingest import IngestError
+from botimpact.pipeline import PARTISAN_CUTOFF as CUTOFF
 
 from conftest import graph_of
 
 QANON = load_keywords("")
-CUTOFF = PipelineConfig().partisan_cutoff
 
 
 def _content(tweet_count=0, mean_opinion=None, description="", mean_toxicity=None, urls=()):

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -354,8 +355,10 @@ TWO_DAYS = {
 }
 
 
-def _detect(tmp_path, days, **settings) -> tuple[dict[str, dict[str, float]], list[str]]:
-    """Build and detect on a hand-written corpus: ({day: {id: p}}, bots.txt lines)."""
+def _detect(tmp_path, days, prior_bot=None,
+            **settings) -> tuple[dict[str, dict[str, float]], list[str]]:
+    """Build and detect on a hand-written corpus: ({day: {id: p}}, bots.txt lines);
+    ``prior_bot``, a belief propagation parameter with no config key, is patched in."""
     lines = [
         json.dumps(dict(tweet_id=f"{day}-{k}", author_id=author, retweeted_author_id=rt,
                         timestamp=f"{day}T12:00:00+00:00"))
@@ -369,7 +372,12 @@ def _detect(tmp_path, days, **settings) -> tuple[dict[str, dict[str, float]], li
                          out_dir=str(tmp_path / "out"), **settings)
     cfg.validate()
     stage_build(cfg)
-    stage_detect(cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        if prior_bot is not None:
+            bp_params = PipelineConfig.bp_params
+            patch.setattr(PipelineConfig, "bp_params",
+                          lambda self: replace(bp_params(self), prior_bot=prior_bot))
+        stage_detect(cfg)
     out = tmp_path / "out"
     posteriors = {}
     for day in days:
@@ -380,13 +388,13 @@ def _detect(tmp_path, days, **settings) -> tuple[dict[str, dict[str, float]], li
 
 def test_threshold_is_strict(tmp_path):
     # with the prior on the cut, an account with no retweet that day sits exactly on it
-    posteriors, bots = _detect(tmp_path, TWO_DAYS, bp_prior_bot=0.8, bot_threshold=0.8)
+    posteriors, bots = _detect(tmp_path, TWO_DAYS, prior_bot=0.8, bot_threshold=0.8)
     assert posteriors["2020-01-01"]["c"] == 0.8
     assert posteriors["2020-01-02"]["a"] == posteriors["2020-01-02"]["b"] == 0.8
     assert all(p <= 0.8 for day in posteriors.values() for p in day.values())
     assert bots == []
     # just below the cut the same marginals are flagged, and lower ones are not
-    posteriors, bots = _detect(tmp_path, TWO_DAYS, bp_prior_bot=0.8, bot_threshold=0.79)
+    posteriors, bots = _detect(tmp_path, TWO_DAYS, prior_bot=0.8, bot_threshold=0.79)
     assert posteriors["2020-01-02"]["d"] < 0.79
     assert bots == ["a", "b", "c"]
 
@@ -406,7 +414,7 @@ def test_threshold_all_prior_empty(tmp_path):
 
 
 def test_union_daily_bots(tmp_path):
-    posteriors, bots = _detect(tmp_path, TWO_DAYS, bp_prior_bot=0.8, bot_threshold=0.79)
+    posteriors, bots = _detect(tmp_path, TWO_DAYS, prior_bot=0.8, bot_threshold=0.79)
     daily = [{a for a, p in day.items() if p > 0.79} for day in posteriors.values()]
     assert daily == [{"c"}, {"a", "b"}]
     # each is flagged on one day and present, unflagged, on the other

@@ -19,6 +19,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from botimpact import pipeline
 from botimpact.config import PipelineConfig
 from botimpact.pipeline import stage_build
 
@@ -351,11 +352,11 @@ def _write_corpus(tmp_path, seed: int):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_build_matches_naive_reference(tmp_path, seed):
+def test_build_matches_naive_reference(tmp_path, monkeypatch, seed):
     tweets, profiles = _write_corpus(tmp_path, seed)
     out = tmp_path / "out"
-    cfg = PipelineConfig(tweets=str(tweets), profiles=str(profiles), out_dir=str(out),
-                         followings_cap=CAP)
+    monkeypatch.setattr(pipeline, "FOLLOWINGS_CAP", CAP)
+    cfg = PipelineConfig(tweets=str(tweets), profiles=str(profiles), out_dir=str(out))
     payload = stage_build(cfg)
 
     expected, counts = reference_build(tweets, profiles)

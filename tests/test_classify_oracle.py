@@ -20,6 +20,7 @@ import random
 from functools import reduce
 from urllib.parse import urlsplit
 
+from botimpact import pipeline
 from botimpact.accounts import load_keywords
 from botimpact.config import PipelineConfig
 from botimpact.pipeline import stage_build, stage_classify, stage_detect
@@ -190,7 +191,7 @@ def _perturb(corpus, seed: int) -> None:
         "".join(json.dumps(p) + "\n" for p in profiles), encoding="utf-8")
 
 
-def test_classify_matches_the_per_record_reference(tmp_path):
+def test_classify_matches_the_per_record_reference(tmp_path, monkeypatch):
     seen = dict.fromkeys(("unscored", "no ratings file", "malformed url", "subdomain url",
                           "anti qanon description", "empty cell", "uneven window", "bot",
                           "qanon"), 0)
@@ -208,7 +209,8 @@ def test_classify_matches_the_per_record_reference(tmp_path):
             for ratings, cutoff in ((corpus / "ratings.csv", 0.5),
                                     (corpus / "missing.csv", 0.5),
                                     (corpus / "ratings.csv", 0.6)):
-                cfg.ratings, cfg.partisan_cutoff = str(ratings), cutoff
+                cfg.ratings = str(ratings)
+                monkeypatch.setattr(pipeline, "PARTISAN_CUTOFF", cutoff)
                 stage_classify(cfg)
                 accounts_csv, summary_csv = _reference(out, ratings, cutoff, seen)
                 assert (out / "accounts.csv").read_bytes() == accounts_csv, (topology, seed)

@@ -199,7 +199,7 @@ def test_non_finite_config_value_exits_2(tmp_path, runner, value):
     assert "bp_psi_hh" in result.output
 
 
-@pytest.mark.parametrize("line", ["bp_prior_bot = 0", "bp_prior_bot = 1.0"])
+@pytest.mark.parametrize("line", ["bp_psi_hh = 0", "bp_psi_bb = -1.0"])
 def test_out_of_range_bp_setting_exits_2_at_build(tmp_path, runner, line):
     """Config holds belief propagation to its own ranges, so detect-bots cannot
     be the first to find a bad one."""
@@ -207,14 +207,14 @@ def test_out_of_range_bp_setting_exits_2_at_build(tmp_path, runner, line):
     cfg.write_text(line + "\n")
     result = runner.invoke(main, ["--config", str(cfg), "build"])
     assert result.exit_code == 2
-    assert f"error: {line.split()[0]} must be in" in result.output
+    assert f"error: {line.split()[0]} must be positive" in result.output
 
 
 def test_non_finite_config_field_rejected_without_a_file():
     with pytest.raises(ConfigError, match="bp_psi_hh"):
         PipelineConfig(bp_psi_hh=float("nan")).validate()
-    with pytest.raises(ConfigError, match="bp_weight_cap"):
-        PipelineConfig(bp_weight_cap=float("inf")).validate()
+    with pytest.raises(ConfigError, match="bp_psi_bb"):
+        PipelineConfig(bp_psi_bb=float("inf")).validate()
 
 
 def test_unknown_config_key_exits_2(tmp_path, runner):
@@ -226,9 +226,11 @@ def test_unknown_config_key_exits_2(tmp_path, runner):
 
 REMOVED_KEYS = ("anti_keywords", "pro_keywords", "solver_tol", "solver_max_iter",
                 "dense_fallback")
-# belief propagation's numerics, the histogram width, the GHIC groups and the
-# stubborn percentiles are constants
-CONSTANT_KEYS = ("bp_damping", "bp_max_iterations", "bp_tolerance", "histogram_bins",
+# the partisan cutoff, the followings cap, belief propagation's prior, interaction
+# cap and numerics, the histogram width, the GHIC groups and the stubborn
+# percentiles are constants
+CONSTANT_KEYS = ("partisan_cutoff", "followings_cap", "bp_prior_bot", "bp_weight_cap",
+                 "bp_damping", "bp_max_iterations", "bp_tolerance", "histogram_bins",
                  "ghic_groups", "stubborn_low_pct", "stubborn_high_pct")
 
 
@@ -523,6 +525,23 @@ def test_negative_planted_field_exits_2(tmp_path, runner):
     result = runner.invoke(main, ["--out", str(tmp_path / "out"), "synth", "--spec", str(spec)])
     assert result.exit_code == 2
     assert "follow_out" in result.output
+
+
+# the URL share, the Beta concentrations, the planted opinion means and the
+# number of amplified accounts are synth constants
+CONSTANT_SPEC_FIELDS = ("url_prob", "opinion_concentration", "tweet_score_concentration",
+                        "anti_mean", "pro_mean", "core_opinion_mean", "amplify_targets")
+
+
+@pytest.mark.parametrize("field", CONSTANT_SPEC_FIELDS)
+def test_spec_fields_of_the_constants_are_unknown_to_synth(tmp_path, runner, field):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(f"days = 1\n{field} = 1\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out", str(out), "synth", "--spec", str(spec)])
+    assert result.exit_code == 2, result.output
+    assert f"unknown key {field!r}" in result.output
+    assert not out.exists()
 
 
 def test_seed_flag_overrides_spec(tmp_path, runner):

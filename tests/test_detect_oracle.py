@@ -35,11 +35,11 @@ SPECS = {
     "core_periphery_qanon": dict(days=3, core_bots=4, periphery_humans=30),
 }
 SEEDS = range(3)
-# (config settings, belief propagation's sweep cap; None keeps its default)
+# (config settings, belief propagation parameters that have no config key)
 SETTINGS = [
-    (dict(bp_psi_hh=1.5, bot_threshold=0.6), None),  # README potentials
-    (dict(bp_prior_bot=0.8, bot_threshold=0.8), None),  # the prior on the cut
-    (dict(bp_psi_hh=1.5, bot_threshold=0.6), 3),  # unconverged loopy days
+    (dict(bp_psi_hh=1.5, bot_threshold=0.6), {}),  # README potentials
+    (dict(bot_threshold=0.8), dict(prior_bot=0.8)),  # the prior on the cut
+    (dict(bp_psi_hh=1.5, bot_threshold=0.6), dict(max_iterations=3)),  # unconverged loopy days
 ]
 
 
@@ -139,12 +139,12 @@ def test_detect_matches_the_id_keyed_reference(tmp_path, monkeypatch):
             paths = dict(tweets=str(corpus / "tweets.jsonl"),
                          profiles=str(corpus / "profiles.jsonl"), out_dir=str(out))
             stage_build(PipelineConfig(**paths))
-            for settings, max_iterations in SETTINGS:
+            for settings, overrides in SETTINGS:
                 cfg = PipelineConfig(**paths, **settings)
                 with monkeypatch.context() as patch:
-                    if max_iterations is not None:  # the stage and the reference both capped
+                    if overrides:  # the stage and the reference both see them
                         patch.setattr(PipelineConfig, "bp_params", lambda self: replace(
-                            bp_params(self), max_iterations=max_iterations))
+                            bp_params(self), **overrides))
                     stage_detect(cfg)
                     expected = _reference(out, cfg, seen)
                 entry = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["detect"]

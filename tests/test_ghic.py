@@ -55,11 +55,11 @@ def test_worked_example_value_one_third():
 
 def test_worked_example_cross_checked_with_oracle():
     g, rates, stubborn, opinions = _worked_example()
-    lam = np.array([rates[g.label(i)] for i in range(g.node_count)])
+    lam = np.array([rates[g.labels[i]] for i in range(g.node_count)])
     src, tgt, fixed, anchor = solver_inputs(g, stubborn)
     theta = fixed_point_oracle(src, tgt, lam, fixed, anchor)
     reduced = g.induced_subgraph({"a", "h1", "h2", "h3"})
-    lam_r = np.array([rates[reduced.label(i)] for i in range(reduced.node_count)])
+    lam_r = np.array([rates[reduced.labels[i]] for i in range(reduced.node_count)])
     src, tgt, fixed, anchor = solver_inputs(reduced, {"a": 0.0})
     theta_r = fixed_point_oracle(src, tgt, lam_r, fixed, anchor)
     manual = np.mean(
@@ -127,7 +127,7 @@ def test_sign_semantics_and_bound():
         assert abs(result.value) <= 1.0 + 1e-12
         src2, tgt2, _ = g2.edge_arrays()
         followers_in_v1 = any(
-            g2.label(int(t)) not in stubborn
+            g2.labels[int(t)] not in stubborn
             for b in ones
             for t in tgt2[src2 == g2.labels.index(b)]
         )
@@ -410,8 +410,8 @@ def _oracle_ghic(graph, rates, psi_by_name, measured_by_name, targets):
 
     def equilibrium(g):
         """Oracle opinions on ``g``, after preprocessing, and its final stubborn mask."""
-        lam = np.array([rates[g.label(i)] for i in range(g.node_count)])
-        measured = np.array([measured_by_name[g.label(i)] for i in range(g.node_count)])
+        lam = np.array([rates[g.labels[i]] for i in range(g.node_count)])
+        measured = np.array([measured_by_name[g.labels[i]] for i in range(g.node_count)])
         psi = {k: v for k, v in psi_by_name.items() if k in g.labels}
         src, tgt, fixed, anchor = solver_inputs(g, psi, measured)
         final, _ = preprocess_wellposed(src, tgt, lam, fixed)
@@ -419,10 +419,10 @@ def _oracle_ghic(graph, rates, psi_by_name, measured_by_name, targets):
         return fixed_point_oracle(src, tgt, lam, final, anchor), final
 
     theta, fixed = equilibrium(graph)
-    population = [i for i in np.flatnonzero(~fixed) if graph.label(i) not in targets]
+    population = [i for i in np.flatnonzero(~fixed) if graph.labels[i] not in targets]
     reduced = graph.induced_subgraph([name for name in graph.labels if name not in targets])
     theta_r, _ = equilibrium(reduced)
-    diffs = [theta[i] - theta_r[reduced.labels.index(graph.label(i))] for i in population]
+    diffs = [theta[i] - theta_r[reduced.labels.index(graph.labels[i])] for i in population]
     return float(np.mean(diffs))
 
 

@@ -49,7 +49,7 @@ def _followers(g, i):
 def test_following_is_in_neighbors():
     g = graph_of([("j", "i", 1.0)])
     sources, weights = _following(g, g.labels.index("i"))
-    assert [g.label(int(s)) for s in sources] == ["j"]
+    assert [g.labels[int(s)] for s in sources] == ["j"]
     assert list(weights) == [1.0]
     assert _following(g, g.labels.index("j"))[0].size == 0
 
@@ -57,9 +57,9 @@ def test_following_is_in_neighbors():
 def test_star_following():
     g = graph_of([("h", "s1"), ("h", "s2")])
     sources, _ = _following(g, g.labels.index("s1"))
-    assert [g.label(int(s)) for s in sources] == ["h"]
+    assert [g.labels[int(s)] for s in sources] == ["h"]
     targets, _ = _followers(g, g.labels.index("h"))
-    assert sorted(g.label(int(t)) for t in targets) == ["s1", "s2"]
+    assert sorted(g.labels[int(t)] for t in targets) == ["s1", "s2"]
 
 
 def test_unknown_node_rejected():
@@ -137,7 +137,7 @@ def test_induced_subgraph_composes_with_intersection(g, keep1, keep2):
 def test_total_weight_invariant_under_relabeling(g):
     relabeled = DirectedGraph()
     for i in reversed(range(g.node_count)):
-        relabeled.add_node(g.label(i))
+        relabeled.add_node(g.labels[i])
     for (u, v), w in edge_dict(g).items():
         relabeled.add_interaction(u, v, w)
     assert np.isclose(relabeled.edge_arrays()[2].sum(), g.edge_arrays()[2].sum())

@@ -19,7 +19,7 @@ from botimpact.ingest import (
     load_tweets,
     tweet_columns,
 )
-from botimpact.pipeline import stage_build
+from botimpact.pipeline import FOLLOWINGS_CAP, stage_build
 
 from conftest import column_edges, edge_dict, network_graph
 
@@ -176,8 +176,7 @@ def test_a_line_that_is_not_utf8_counts_as_skipped(tmp_path, gzipped):
     assert [row[0] for row in load_tweets(paths[0], stats)] == ["a"] * 20 + ["é"]
     assert (stats.parsed, stats.skipped) == (21, 1)
     stats = ParseStats()
-    cap = PipelineConfig().followings_cap
-    assert [row[0] for row in load_profiles(paths[1], cap, stats)] == ["é"]
+    assert [row[0] for row in load_profiles(paths[1], FOLLOWINGS_CAP, stats)] == ["é"]
     assert (stats.parsed, stats.skipped) == (1, 1)
 
     out = tmp_path / "out"

@@ -52,7 +52,7 @@ def _id_graph(path, accounts) -> DirectedGraph:
 def _edges(graph: DirectedGraph):
     src, tgt, w = graph.edge_arrays()
     for e in range(len(src)):
-        yield graph.label(int(src[e])), graph.label(int(tgt[e])), float(w[e])
+        yield graph.labels[int(src[e])], graph.labels[int(tgt[e])], float(w[e])
 
 
 def _ref_leaderboard(network: DirectedGraph, bots: set[str], k: int) -> list[tuple[str, float]]:

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from botimpact.accounts import co_partisan_fraction
-from botimpact.config import PipelineConfig
 from botimpact.ingest import (
     ParseStats,
     build_follower_network,
     load_profiles,
     load_tweets,
 )
+from botimpact.pipeline import FOLLOWINGS_CAP as CAP
 from botimpact.synth import (
     SynthSpec,
     SynthSpecError,
@@ -21,7 +21,6 @@ from botimpact.synth import (
 
 from conftest import network_graph
 
-CAP = PipelineConfig().followings_cap
 
 
 def _digest_dir(path: Path) -> dict[str, str]:

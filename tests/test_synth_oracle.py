@@ -29,8 +29,8 @@ def _ref_roster_two_block(spec):
     bots_b = spec.bots_block_b if spec.bots_block_b >= 0 else spec.bots_per_block
     blocks = []
     for name, mean, humans, bots in (
-        ("anti", spec.anti_mean, spec.humans_per_block, spec.bots_per_block),
-        ("pro", spec.pro_mean, humans_b, bots_b),
+        ("anti", synth._ANTI_MEAN, spec.humans_per_block, spec.bots_per_block),
+        ("pro", synth._PRO_MEAN, humans_b, bots_b),
     ):
         blocks.append((name, mean, ["human"] * humans + ["bot"] * bots))
     roster = []
@@ -40,7 +40,7 @@ def _ref_roster_two_block(spec):
             is_bot = kind == "bot"
             rng_o = _rng(spec.seed, "opinion", index)
             opinion = _beta(rng_o, mean if not is_bot else (0.04 if name == "anti" else 0.96),
-                            spec.opinion_concentration)
+                            synth._OPINION_CONCENTRATION)
             qanon_frac = spec.qanon_bot_frac if is_bot else spec.qanon_human_frac
             qanon = name == "pro" and rng_o.random() < qanon_frac
             roster.append(_Account(
@@ -81,7 +81,7 @@ def _ref_roster_core_periphery(spec):
         core = index < spec.core_bots
         rng_o = _rng(spec.seed, "opinion", index)
         if core or spec.audience == "echo":
-            opinion = _beta(rng_o, spec.core_opinion_mean, 4 * spec.opinion_concentration)
+            opinion = _beta(rng_o, synth._CORE_OPINION_MEAN, 4 * synth._OPINION_CONCENTRATION)
         else:
             opinion = _beta(rng_o, 0.5, 2.0)
         roster.append(_Account(
@@ -124,7 +124,7 @@ def _ref_roster_planted_retweets(spec):
         pool = [i for i in range(total) if i != acct.index]
         acct.following = [ids[pool[int(p)]] for p in sorted(picks)]
         if acct.is_bot and humans:
-            k_amp = min(spec.amplify_targets, len(humans))
+            k_amp = min(synth._AMPLIFY_TARGETS, len(humans))
             amp = rng_f.choice(len(humans), size=k_amp, replace=False)
             acct.retweet_pool = [humans[int(i)] for i in sorted(amp)]
     return roster
@@ -168,11 +168,11 @@ def _ref_tweet_json(spec, acct, day, k, retweeted, rng):
     seconds = int(rng.integers(86_400))
     ts = datetime(day.year, day.month, day.day, tzinfo=timezone.utc) + timedelta(seconds=seconds)
     urls = []
-    if retweeted is None and rng.random() < spec.url_prob:
+    if retweeted is None and rng.random() < synth._URL_PROB:
         lo, hi = (0, 5) if acct.is_bot else (4, 10)
         domain = synth._DOMAIN_POOL[int(rng.integers(lo, hi))][0]
         urls.append(f"https://{domain}/story{int(rng.integers(1000)):03d}")
-    opinion = _beta(rng, acct.opinion, spec.tweet_score_concentration)
+    opinion = _beta(rng, acct.opinion, synth._TWEET_SCORE_CONCENTRATION)
     toxicity = _beta(rng, 0.15 if acct.is_bot else 0.25, 10.0)
     record = {
         "tweet_id": f"t-{acct.account_id}-{day.isoformat()}-{k:04d}",
@@ -219,8 +219,8 @@ SPECS = {
     "planted": dict(PLANTED, seed=8, n_bots=5, n_humans=30, follow_out=40, bot_rt_bot=1.0,
                     human_rt_bot=0.5),
     "planted-no-bots": dict(PLANTED, seed=9, n_bots=0, n_humans=20, follow_out=0),
-    "planted-few-humans": dict(PLANTED, seed=10, n_bots=4, n_humans=2, amplify_targets=3,
-                               follow_out=3, bot_rt_bot=1.5, human_rt_bot=1.0),
+    "planted-few-humans": dict(PLANTED, seed=10, n_bots=4, n_humans=2, follow_out=3,
+                               bot_rt_bot=1.5, human_rt_bot=1.0),
 }
 
 
