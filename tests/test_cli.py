@@ -199,15 +199,23 @@ def test_non_finite_config_value_exits_2(tmp_path, runner, value):
     assert "bp_psi_hh" in result.output
 
 
-@pytest.mark.parametrize("line", ["bp_psi_hh = 0", "bp_psi_bb = -1.0"])
-def test_out_of_range_bp_setting_exits_2_at_build(tmp_path, runner, line):
+@pytest.mark.parametrize("line, message", [
+    pytest.param("bp_psi_hh = 0", "bp_psi_hh must be positive", id="bp_psi_hh = 0"),
+    pytest.param("bp_psi_bb = -1.0", "bp_psi_bb must be positive", id="bp_psi_bb = -1.0"),
+    # the prior is a constant now, so any value of it is refused as an unknown key
+    pytest.param("bp_prior_bot = 0", "unknown key 'bp_prior_bot'", id="bp_prior_bot = 0"),
+    pytest.param("bp_prior_bot = 1.0", "unknown key 'bp_prior_bot'",
+                 id="bp_prior_bot = 1.0"),
+])
+def test_out_of_range_bp_setting_exits_2_at_build(tmp_path, runner, line, message):
     """Config holds belief propagation to its own ranges, so detect-bots cannot
     be the first to find a bad one."""
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(line + "\n")
     result = runner.invoke(main, ["--config", str(cfg), "build"])
     assert result.exit_code == 2
-    assert f"error: {line.split()[0]} must be positive" in result.output
+    assert result.output.startswith("error: ")
+    assert message in result.output
 
 
 def test_non_finite_config_field_rejected_without_a_file():
