@@ -70,9 +70,10 @@ out = Path(sys.argv[1])
 def rows(name):
     with open(out / name, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
-accounts = pipeline.load_accounts(out)
+manifest = pipeline._read_manifest(out)
+accounts = pipeline.load_accounts(out, manifest)
 _, src, tgt, _ = graph.load_columns(out / "follower.cols", accounts)
-table = pipeline.account_table(out, accounts)
+table = pipeline.account_table(out, manifest, accounts)
 groups = table.groups
 fixed = opinion.identify_stubborn(table.opinion, groups["all_bots"], table.scored)
 index = {account: i for i, account in enumerate(accounts)}
@@ -121,6 +122,15 @@ json.dump(manifest, open("out/manifest.json", "w"))
   test "$status" -eq 3
   grep -q 'rerun build' classify.err
   botimpact --config run.cfg build)
+# a listed file that exists but cannot be read exits 3 and names it: here
+# accounts.json replaced by a directory, in a copy of out
+mkdir unreadable && cp -r corpus run.cfg out unreadable/
+(cd unreadable
+  rm out/accounts.json && mkdir out/accounts.json
+  status=0
+  botimpact --config run.cfg detect-bots 2> detect.err || status=$?
+  test "$status" -eq 3
+  grep -q 'out/accounts.json unreadable' detect.err)
 # a qanon_keywords file of the packaged terms in upper and mixed case, one
 # of them in its hashtag form, flags the same accounts as the packaged list
 # the runs above read, and some are flagged

@@ -10,6 +10,8 @@ stage works on positions in that list too, and uses ids only in the rows
 it writes.  ``classify`` builds the account table (see ``accounts``) from
 build's per-account content and the bot list and writes it as accounts.csv,
 which ``account_table`` alone reads back for ``ghic`` and ``report``.
+Each command reads ``manifest.json`` once and hands that reading to every
+helper that checks a listed file or records the stage's entry.
 Outputs carry no timestamps, so identical inputs and configuration
 reproduce byte-identical results.
 """
@@ -80,17 +82,17 @@ _BUILD_FIELDS = {"window", "tweets_parsed", "tweets_skipped", "accounts", "follo
 
 
 def _read_manifest(out_dir: Path) -> dict:
-    """The stage entries of ``manifest.json``, {} before any stage has run; an
-    unreadable manifest, one that is not an object of stage objects each with
-    an object of checksums, or one whose build entry lacks a field that report
-    prints or a window of a positive integer ``duration_days`` (classify
-    divides by it) raises StageError ("rerun build")."""
+    """The stage entries of ``manifest.json``, {} before any stage has run; a
+    manifest that cannot be read or decoded, one that is not an object of stage
+    objects each with an object of checksums, or one whose build entry lacks a
+    field that report prints or a window of a positive integer ``duration_days``
+    (classify divides by it) raises StageError ("rerun build")."""
     path = out_dir / "manifest.json"
     if not path.exists():
         return {}
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    except (OSError, ValueError) as exc:  # a directory, say; bad JSON or bad UTF-8
         raise StageError(f"{path} unreadable ({exc}); rerun build") from None
     if not (isinstance(manifest, dict) and all(
             isinstance(entry, dict) and isinstance(entry.get("checksums", {}), dict)
@@ -107,20 +109,12 @@ def _read_manifest(out_dir: Path) -> dict:
     return manifest
 
 
-def _update_manifest(out_dir: Path, stage: str, payload: dict, files: Iterable[Path]) -> None:
-    """Record the stage's outputs and drop the entries of the later stages, which
-    read them; then delete the files a previous or dropped entry listed and this
-    one does not, and ``report.txt``, so no reader finds a stale file from an
-    earlier run.
-
-    ``build`` replaces an unreadable manifest: it drops every other entry anyway.
-    """
-    try:
-        manifest = _read_manifest(out_dir)
-    except StageError:
-        if stage != "build":
-            raise
-        manifest = {}
+def _update_manifest(out_dir: Path, manifest: dict, stage: str, payload: dict,
+                     files: Iterable[Path]) -> None:
+    """Record the stage's outputs in ``manifest``, the stage's one reading, and
+    drop the entries of the later stages, which read them; write it, then delete
+    the files a previous or dropped entry listed and this one does not, and
+    ``report.txt``, so no reader finds a stale file from an earlier run."""
     later = list(_COMMANDS)[list(_COMMANDS).index(stage) + 1:]
     previous = [manifest.get(stage, {})] + [manifest.pop(name, {}) for name in later]
     payload = dict(payload)
@@ -193,24 +187,29 @@ def stage_build(cfg: PipelineConfig) -> dict:
         "follower_edges": follower[1].size,
         "retweets_total": int(np.count_nonzero(tweets.retweeted >= 0)),
     }
-    _update_manifest(out_dir, "build", payload, written)
+    try:
+        manifest = _read_manifest(out_dir)
+    except StageError:  # replaced: build drops every other entry anyway
+        manifest = {}
+    _update_manifest(out_dir, manifest, "build", payload, written)
     return payload
 
 
 # -- bot detection -----------------------------------------------------------------
 
 
-def _listed_paths(out_dir: Path, stage: str, pattern: str) -> list[Path]:
-    """The files matching ``pattern`` that ``stage``'s manifest entry lists,
-    checksums verified.
+def _listed_paths(out_dir: Path, manifest: dict, stage: str, pattern: str) -> list[Path]:
+    """The files matching ``pattern`` that ``stage``'s entry in ``manifest``
+    lists, checksums verified.
 
     Files left behind by an earlier run into the same directory are not
     listed, so they are never read.  A missing manifest or entry, no listed
-    match, or a missing or changed file raises StageError ("rerun <stage>").
+    match, or a missing, unreadable or changed file raises StageError
+    ("rerun <stage>").
     """
     rerun = f"rerun {_COMMANDS[stage]}"
     manifest_path = out_dir / "manifest.json"
-    entry = _read_manifest(out_dir).get(stage)
+    entry = manifest.get(stage)
     if entry is None:
         raise StageError(f"{manifest_path} has no {stage} entry; {rerun}")
     paths = []
@@ -220,17 +219,20 @@ def _listed_paths(out_dir: Path, stage: str, pattern: str) -> list[Path]:
         path = out_dir / name
         if not path.exists():
             raise StageError(f"{path} missing; {rerun}")
-        if _sha256(path) != digest:
-            raise StageError(f"{path} changed since {stage}; {rerun}")
+        try:
+            if _sha256(path) != digest:
+                raise StageError(f"{path} changed since {stage}; {rerun}")
+        except OSError as exc:  # a directory, say
+            raise StageError(f"{path} unreadable ({exc}); {rerun}") from None
         paths.append(path)
     if not paths:
         raise StageError(f"{manifest_path} lists no {pattern} under {stage}; {rerun}")
     return paths
 
 
-def load_accounts(out_dir: Path) -> list[str]:
+def load_accounts(out_dir: Path, manifest: dict) -> list[str]:
     """The sorted corpus account list that build's network files index."""
-    [path] = _listed_paths(out_dir, "build", "accounts.json")
+    [path] = _listed_paths(out_dir, manifest, "build", "accounts.json")
     return json.loads(path.read_text(encoding="utf-8"))
 
 
@@ -243,8 +245,9 @@ def stage_detect(cfg: PipelineConfig) -> dict:
     file at a time, each in its file's node order; accounts.json is sorted, so
     rows in position order are in id order."""
     out_dir = Path(cfg.out_dir)
-    accounts = load_accounts(out_dir)
-    day_paths = _listed_paths(out_dir, "build", "retweet_*.cols")
+    manifest = _read_manifest(out_dir)
+    accounts = load_accounts(out_dir, manifest)
+    day_paths = _listed_paths(out_dir, manifest, "build", "retweet_*.cols")
     params = cfg.bp_params()
 
     written: list[Path] = []
@@ -292,7 +295,7 @@ def stage_detect(cfg: PipelineConfig) -> dict:
         "bots": int(np.count_nonzero(bot)),
         "unconverged_days": unconverged,
     }
-    _update_manifest(out_dir, "detect", payload, written)
+    _update_manifest(out_dir, manifest, "detect", payload, written)
     return payload
 
 
@@ -325,14 +328,15 @@ def stage_classify(cfg: PipelineConfig) -> dict:
     ("rerun build"), and bots.txt only accounts it lists ("rerun detect-bots").
     """
     out_dir = Path(cfg.out_dir)
-    accounts = load_accounts(out_dir)
-    [content_path] = _listed_paths(out_dir, "build", "account_content.jsonl")
+    manifest = _read_manifest(out_dir)
+    accounts = load_accounts(out_dir, manifest)
+    [content_path] = _listed_paths(out_dir, manifest, "build", "account_content.jsonl")
     with open(content_path, encoding="utf-8") as fh:  # one JSON object a line: one decode
         content = json.loads("[" + ",".join(fh) + "]")
     if [row["account_id"] for row in content] != accounts:
         raise StageError(f"{content_path} does not list the accounts of accounts.json in order; "
                          "rerun build")
-    [bots_path] = _listed_paths(out_dir, "detect", "bots.txt")
+    [bots_path] = _listed_paths(out_dir, manifest, "detect", "bots.txt")
     with open(bots_path, newline="", encoding="utf-8") as fh:
         bot_ids = [row[0] for row in csv.reader(fh)]
     bot = np.zeros(len(accounts), dtype=bool)
@@ -348,7 +352,7 @@ def stage_classify(cfg: PipelineConfig) -> dict:
 
     table = acc.build_account_records(
         content,
-        _read_manifest(out_dir)["build"]["window"]["duration_days"],
+        manifest["build"]["window"]["duration_days"],
         bot,
         acc.load_keywords(cfg.qanon_keywords),
         PARTISAN_CUTOFF,
@@ -381,24 +385,24 @@ def stage_classify(cfg: PipelineConfig) -> dict:
         "qanon": int(np.count_nonzero(table.qanon)),
         "warning": warning,
     }
-    _update_manifest(out_dir, "classify", payload, [accounts_path, summary_path])
+    _update_manifest(out_dir, manifest, "classify", payload, [accounts_path, summary_path])
     return payload
 
 
 # -- ghic -----------------------------------------------------------------------------
 
 
-def _load_csv(out_dir: Path, stage: str, name: str) -> list[dict]:
-    [path] = _listed_paths(out_dir, stage, name)
+def _load_csv(out_dir: Path, manifest: dict, stage: str, name: str) -> list[dict]:
+    [path] = _listed_paths(out_dir, manifest, stage, name)
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
 
 
-def account_table(out_dir: Path, accounts: list[str]) -> acc.AccountTable:
+def account_table(out_dir: Path, manifest: dict, accounts: list[str]) -> acc.AccountTable:
     """The account table that accounts.csv holds (this is its one reader), over
     the positions of ``accounts``; a file that does not list exactly those
     accounts, in that order, raises StageError ("rerun classify")."""
-    [path] = _listed_paths(out_dir, "classify", "accounts.csv")
+    [path] = _listed_paths(out_dir, manifest, "classify", "accounts.csv")
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     if [row[0] for row in rows] != accounts:
@@ -421,10 +425,11 @@ def account_table(out_dir: Path, accounts: list[str]) -> acc.AccountTable:
     )
 
 
-def _load_daily_active(out_dir: Path, accounts: list[str]) -> dict[date, np.ndarray]:
+def _load_daily_active(out_dir: Path, manifest: dict,
+                       accounts: list[str]) -> dict[date, np.ndarray]:
     """Each day's active accounts as a mask over ``accounts``; an id not in the
     list raises StageError ("rerun build")."""
-    [path] = _listed_paths(out_dir, "build", "daily_active.csv")
+    [path] = _listed_paths(out_dir, manifest, "build", "daily_active.csv")
     with open(path, newline="", encoding="utf-8") as fh:
         _, *rows = csv.reader(fh)
     days, ids = zip(*rows)
@@ -443,14 +448,15 @@ def stage_ghic(cfg: PipelineConfig) -> dict:
     follower network holds every account, in that order.
     """
     out_dir = Path(cfg.out_dir)
-    accounts = load_accounts(out_dir)
-    [follower_path] = _listed_paths(out_dir, "build", "follower.cols")
+    manifest = _read_manifest(out_dir)
+    accounts = load_accounts(out_dir, manifest)
+    [follower_path] = _listed_paths(out_dir, manifest, "build", "follower.cols")
     nodes, src, tgt, _ = load_columns(follower_path, accounts)
     if not np.array_equal(nodes, np.arange(len(accounts))):
         raise StageError(f"{follower_path} does not hold the accounts of accounts.json "
                          "in order; rerun build")
-    table = account_table(out_dir, accounts)
-    active_by_day = _load_daily_active(out_dir, accounts)
+    table = account_table(out_dir, manifest, accounts)
+    active_by_day = _load_daily_active(out_dir, manifest, accounts)
 
     groups = table.groups
     fixed = identify_stubborn(table.opinion, groups["all_bots"], table.scored)
@@ -486,5 +492,5 @@ def stage_ghic(cfg: PipelineConfig) -> dict:
         "days_skipped": len(series.skipped_days),
         "groups": sorted(groups),
     }
-    _update_manifest(out_dir, "ghic", payload, [series_path, box_path])
+    _update_manifest(out_dir, manifest, "ghic", payload, [series_path, box_path])
     return payload

@@ -51,10 +51,10 @@ def build_report(cfg: PipelineConfig) -> str:
 
     table = summary = None
     if "classify" in manifest:
-        summary = _load_csv(out_dir, "classify", "group_summary.csv")
+        summary = _load_csv(out_dir, manifest, "classify", "group_summary.csv")
         if build:
-            accounts = load_accounts(out_dir)
-            table = account_table(out_dir, accounts)
+            accounts = load_accounts(out_dir, manifest)
+            table = account_table(out_dir, manifest, accounts)
     parts.append(_section("Account types"))
     if summary:
         parts.append(
@@ -83,7 +83,7 @@ def build_report(cfg: PipelineConfig) -> str:
     parts.append(_section("Retweet leaderboards"))
     if table is not None:
         groups, side = table.groups, table.side
-        retweets = _merged_retweet_network(out_dir, accounts)
+        retweets = _merged_retweet_network(out_dir, manifest, accounts)
         anti, pro = groups["anti_bots"], groups["pro_bots"] | groups["qanon_bots"]
         for title, bots in (("anti-Trump bots", anti), ("pro-Trump bots", pro)):
             parts.append(f"  most retweeted by {title}:\n")
@@ -100,7 +100,7 @@ def build_report(cfg: PipelineConfig) -> str:
 
     parts.append(_section("Network structure"))
     if table is not None:
-        [follower_path] = _listed_paths(out_dir, "build", "follower.cols")
+        [follower_path] = _listed_paths(out_dir, manifest, "build", "follower.cols")
         src, tgt, _ = _global_columns(follower_path, accounts)
         a_only, b_only, both = acc.follower_overlap(src, tgt, anti, pro)
         parts.append(
@@ -119,8 +119,8 @@ def build_report(cfg: PipelineConfig) -> str:
 
     parts.append(_section("Impact (daily influence centrality)"))
     if "ghic" in manifest:
-        series = _load_csv(out_dir, "ghic", "ghic_series.csv")
-        box = _load_csv(out_dir, "ghic", "ghic_per_bot.csv")
+        series = _load_csv(out_dir, manifest, "ghic", "ghic_series.csv")
+        box = _load_csv(out_dir, manifest, "ghic", "ghic_per_bot.csv")
         by_group: dict[str, list[float]] = {}
         for row in series:
             by_group.setdefault(row["group"], []).append(float(row["ghic"]))
@@ -148,10 +148,11 @@ def _global_columns(path: Path, accounts: list[str]) -> tuple[np.ndarray, ...]:
     return nodes[src], nodes[tgt], w
 
 
-def _merged_retweet_network(out_dir: Path, accounts: list[str]) -> tuple[np.ndarray, ...]:
-    """(authors, retweeters, counts) of every daily retweet network the last build
-    listed, as positions in ``accounts``; a listed file missing or changed raises
-    StageError."""
+def _merged_retweet_network(out_dir: Path, manifest: dict,
+                            accounts: list[str]) -> tuple[np.ndarray, ...]:
+    """(authors, retweeters, counts) of every daily retweet network the build
+    entry of ``manifest`` lists, as positions in ``accounts``; a listed file
+    missing, unreadable or changed raises StageError."""
     days = [_global_columns(path, accounts)
-            for path in _listed_paths(out_dir, "build", "retweet_*.cols")]
+            for path in _listed_paths(out_dir, manifest, "build", "retweet_*.cols")]
     return tuple(np.concatenate(column) for column in zip(*days))

@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from botimpact import opinion
+from botimpact import opinion, pipeline, report
 from botimpact.cli import main
 from botimpact.config import ConfigError, PipelineConfig
 from botimpact.pipeline import (
+    _read_manifest,
     load_accounts,
     stage_build,
     stage_classify,
@@ -269,11 +270,44 @@ def test_keys_of_the_constants_are_unknown_to_every_command(tmp_path, runner, ke
     assert not out.exists()
 
 
+def test_each_command_reads_the_manifest_once(tmp_path, runner, corpus, monkeypatch):
+    """Every check of a listed file, and the entry a stage writes, work on the
+    command's one reading of manifest.json."""
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
+    reads = []
+
+    def counted(out_dir):
+        reads.append(out_dir)
+        return _read_manifest(out_dir)
+
+    monkeypatch.setattr(pipeline, "_read_manifest", counted)
+    monkeypatch.setattr(report, "_read_manifest", counted)
+    counts = {}
+    for cmd in ("build", "detect-bots", "classify", "ghic", "report"):
+        reads.clear()
+        assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0, cmd
+        counts[cmd] = len(reads)
+    assert counts == dict.fromkeys(counts, 1)
+
+
 def test_stages_refuse_upstream_files_changed_since_written(tmp_path, runner, corpus):
     out = tmp_path / "out"
     cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
     for cmd in ("build", "detect-bots", "classify", "ghic", "report"):
         assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0, cmd
+
+    # a listed file that exists but cannot be read stops every command that reads it
+    accounts = out / "accounts.json"
+    original = accounts.read_bytes()
+    accounts.unlink()
+    accounts.mkdir()
+    for cmd in ("detect-bots", "classify", "ghic", "report"):
+        result = runner.invoke(main, ["--config", str(cfg), cmd])
+        assert result.exit_code == 3, (cmd, result.output)
+        assert f"{accounts} unreadable" in result.output and "rerun build" in result.output
+    accounts.rmdir()
+    accounts.write_bytes(original)
 
     active = out / "daily_active.csv"
     original = active.read_bytes()
@@ -317,6 +351,18 @@ def test_report_refuses_files_changed_since_their_stage(tmp_path, runner, corpus
         result = runner.invoke(main, ["--config", str(cfg), "report"])
         assert result.exit_code == 3, name
         assert f"rerun {stage}" in result.output
+        path.write_bytes(original)
+    # a listed file replaced by a directory is unreadable
+    for name, stage in (("group_summary.csv", "classify"), ("ghic_series.csv", "ghic"),
+                        ("follower.cols", "build")):
+        path = out / name
+        original = path.read_bytes()
+        path.unlink()
+        path.mkdir()
+        result = runner.invoke(main, ["--config", str(cfg), "report"])
+        assert result.exit_code == 3, name
+        assert f"{path} unreadable" in result.output and f"rerun {stage}" in result.output
+        path.rmdir()
         path.write_bytes(original)
     assert _run(runner, ["--config", str(cfg), "report"]).exit_code == 0
 
@@ -385,14 +431,21 @@ def test_an_unreadable_manifest_exits_3_and_build_starts_afresh(tmp_path, runner
     cfg = _write_config(tmp_path / "cfg.txt", corpus, out)
     for cmd in ("build", "detect-bots"):
         assert _run(runner, ["--config", str(cfg), cmd]).exit_code == 0, cmd
-    # bad JSON, then valid JSON of the wrong shape at each level
-    for text in ("{not json", "[]", '{"build": []}', '{"detect": {"checksums": []}}'):
-        (out / "manifest.json").write_text(text)
-        for cmd in ("report", "detect-bots", "classify"):
+    # bad JSON, valid JSON of the wrong shape at each level, then a directory (None)
+    path = out / "manifest.json"
+    for text in ("{not json", "[]", '{"build": []}', '{"detect": {"checksums": []}}', None):
+        path.unlink()
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
+        for cmd in ("report", "detect-bots", "classify", "ghic"):
             result = runner.invoke(main, ["--config", str(cfg), cmd])
             assert result.exit_code == 3, (text, cmd, result.output)
             assert "unreadable" in result.output and "rerun build" in result.output
 
+        if text is None:  # build writes over a file, not over a directory
+            path.rmdir()
         assert _run(runner, ["--config", str(cfg), "build"]).exit_code == 0, text
         assert list(json.loads((out / "manifest.json").read_text())) == ["build"]
     for cmd in ("detect-bots", "classify", "ghic", "report"):
@@ -485,8 +538,8 @@ def test_report_reads_only_the_days_build_listed(tmp_path, runner):
     (out / "retweet_1999-01-01.cols").write_text("ghost\tghoster\t50\n")  # not listed
     manifest_path = out / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    accounts = load_accounts(out)
-    authors, retweeters, counts = _merged_retweet_network(out, accounts)
+    accounts = load_accounts(out, manifest)
+    authors, retweeters, counts = _merged_retweet_network(out, manifest, accounts)
     assert counts.sum() == manifest["build"]["retweets_total"]
     assert "ghost" not in accounts
     assert max(authors.max(), retweeters.max()) < len(accounts)

@@ -6,8 +6,8 @@ import numpy as np
 
 from botimpact.config import PipelineConfig
 from botimpact.graph import load_edge_list
-from botimpact.pipeline import (account_table, load_accounts, stage_build, stage_classify,
-                                stage_detect)
+from botimpact.pipeline import (_read_manifest, account_table, load_accounts, stage_build,
+                                stage_classify, stage_detect)
 from botimpact.synth import SynthSpec, generate
 
 from oracles import fixed_point_oracle
@@ -34,8 +34,9 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
         stage(cfg)
 
     # the names the block leaves to the reader, over the day graph's nodes
-    accounts = load_accounts(tmp_path / "out")
-    table = account_table(tmp_path / "out", accounts)
+    manifest = _read_manifest(tmp_path / "out")
+    accounts = load_accounts(tmp_path / "out", manifest)
+    table = account_table(tmp_path / "out", manifest, accounts)
     nodes = load_edge_list(tmp_path / "out" / "retweet_2020-01-01.cols", accounts).labels
     bot = table.bot[nodes]
     assert bot.any() and not bot.all()

@@ -25,8 +25,8 @@ from botimpact import accounts as acc
 from botimpact import report
 from botimpact.config import PipelineConfig
 from botimpact.graph import DirectedGraph, load_columns
-from botimpact.pipeline import (StageError, _listed_paths, account_table, load_accounts,
-                                stage_build, stage_classify, stage_detect)
+from botimpact.pipeline import (StageError, _listed_paths, _read_manifest, account_table,
+                                load_accounts, stage_build, stage_classify, stage_detect)
 from botimpact.synth import SynthSpec, generate
 
 from conftest import network_graph
@@ -96,11 +96,11 @@ def _ref_groups(rows: list[dict]) -> dict[str, set[str]]:
     }
 
 
-def _ref_merged(out, accounts) -> DirectedGraph:
+def _ref_merged(out, manifest, accounts) -> DirectedGraph:
     merged = DirectedGraph()
     for account in accounts:
         merged.add_node(account)
-    for path in _listed_paths(out, "build", "retweet_*.cols"):
+    for path in _listed_paths(out, manifest, "build", "retweet_*.cols"):
         for author, retweeter, w in _edges(_id_graph(path, accounts)):
             merged.add_interaction(author, retweeter, w)
     return merged
@@ -145,13 +145,14 @@ def test_network_statistics_match_the_per_edge_reference(tmp_path):
     for topology in SPECS:
         for seed in SEEDS:
             out, classified = _classified(tmp_path, topology, seed)
-            accounts = load_accounts(out)
-            retweets = report._merged_retweet_network(out, accounts)
-            [follower_path] = _listed_paths(out, "build", "follower.cols")
+            manifest = _read_manifest(out)
+            accounts = load_accounts(out, manifest)
+            retweets = report._merged_retweet_network(out, manifest, accounts)
+            [follower_path] = _listed_paths(out, manifest, "build", "follower.cols")
             src, tgt, _ = report._global_columns(follower_path, accounts)
-            ref_retweets = _ref_merged(out, accounts)
+            ref_retweets = _ref_merged(out, manifest, accounts)
             followers = _ref_followers(_id_graph(follower_path, accounts))
-            classified_table = account_table(out, accounts)
+            classified_table = account_table(out, manifest, accounts)
             assert [row["account_id"] for row in classified] == accounts
 
             for rows in (classified, _perturbed(classified, seed)):
@@ -194,8 +195,9 @@ def test_network_statistics_match_the_per_edge_reference(tmp_path):
 
 def test_the_account_table_holds_accounts_csv_by_position(tmp_path):
     out, rows = _classified(tmp_path, "two_block_polarized", 0)
-    accounts = load_accounts(out)
-    table = account_table(out, accounts)
+    manifest = _read_manifest(out)
+    accounts = load_accounts(out, manifest)
+    table = account_table(out, manifest, accounts)
     codes = {"anti": 1, "pro": 2}
     assert len(rows) == len(accounts) == table.opinion.size
     for i, (account, row) in enumerate(zip(accounts, rows)):
@@ -225,11 +227,11 @@ def _rewrite_accounts_csv(out, rows: list[dict]) -> None:
 
 def test_an_account_table_of_other_accounts_is_refused(tmp_path):
     out, rows = _classified(tmp_path, "two_block_polarized", 0)
-    accounts = load_accounts(out)
+    accounts = load_accounts(out, _read_manifest(out))
     renamed = [dict(rows[0], account_id="someone-else")] + rows[1:]
     for bad in (rows[1:], rows + rows[:1], renamed, rows[::-1]):
         _rewrite_accounts_csv(out, bad)
         with pytest.raises(StageError, match="rerun classify"):
-            account_table(out, accounts)
+            account_table(out, _read_manifest(out), accounts)
     _rewrite_accounts_csv(out, rows)
-    account_table(out, accounts)
+    account_table(out, _read_manifest(out), accounts)
